@@ -62,8 +62,7 @@ TRAFFIC_MIX = (
      {"protocol": "BFD", "include_sentences": False}, "json"),
     ("process-icmp-bin", "POST", "/v1/process",
      {"protocol": "ICMP", "include_sentences": False}, "bin"),
-    ("sweep", "POST", "/v1/sweep",
-     {"parallel": False, "include_sentences": False}, "json"),
+    ("sweep", "POST", "/v1/sweep", {"include_sentences": False}, "json"),
     ("process-ntp", "POST", "/v1/process",
      {"protocol": "NTP", "include_sentences": False}, "json"),
     ("parse-icmp", "GET", "/v1/parse/ICMP", None, "json"),

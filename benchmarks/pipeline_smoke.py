@@ -19,17 +19,14 @@ Measures, with wall-clock timers:
   the revised number shows the cross-mode win of the shared parse cache
   (both modes parse the same sentences once);
 * the staged-engine sweep: all four registered protocols through
-  ``SageEngine.process_corpora`` — sequentially from a cold parse cache;
-  in parallel across the fork worker pool from a cold cache (isolating
-  the pool's contribution — the workers' parses merge back into the
-  parent's cache, warming it); the same parallel sweep warm; and a
-  warm-cache sequential re-run that must skip re-parsing entirely — with
+  ``SageEngine.process_corpora`` — once from a cold parse cache, then a
+  warm-cache re-run that must skip re-parsing entirely — with
   sentences/sec throughput and parse-cache hit/miss counters for each.
   ("Cold" throughout the sweep section means *parse- and winnow-cache*
   cold; the indexed backend's process-global structural memos were warmed
   by the head-to-head above, which is the production steady state).  The
   winnow layer rides the same sweeps: the §4.2 check-memo and
-  winnow-result-cache counters for the cold sequential sweep land under
+  winnow-result-cache counters for the cold sweep land under
   ``winnow_profile``, and the warm re-run must add zero winnow-cache
   misses while reproducing byte-identical winnow traces (per-stage LF
   counts plus ordered survivor signatures);
@@ -65,10 +62,8 @@ non-zero when a headline speedup regresses (CI runs this via
   construction counters for the sweep are recorded under
   ``parse_profile``, and the span-signature memo must answer >30% of
   combined spans — the cross-sentence reuse sanity floor);
-* on a 1-CPU machine, ``parallel=True`` must degrade to the in-process
-  sequential path (no pool spawned, no fork overhead);
 * the warm-cache sweep re-run must stay >1.5x faster than the cold
-  sequential sweep (the cached-vs-cold speedup gate — the multiple is
+  sweep (the cached-vs-cold speedup gate — the multiple is
   modest because a "cold" sweep already reuses chart cells through the
   span-signature memo), must add zero parse-cache misses and zero
   winnow-cache misses, must clear a ≥4600 sentences/s throughput floor
@@ -76,14 +71,12 @@ non-zero when a headline speedup regresses (CI runs this via
   byte-identical to the cold sweep's;
 * ``networkx`` must never be imported: the canonical-signature rewrite
   keeps the VF2 isomorphism oracle off the production winnow path;
-* the warm parallel sweep must beat the cold sequential sweep, and — on
-  machines with ≥2 workers — so must the cold parallel sweep;
 * a cached compile of the ICMP program must stay >10x cheaper than a cold
   compile (the compiled-program-cache regression gate);
 * the serialized ICMP run must deserialize back equal to the original
   (wire-contract correctness), JSON decode must not cost more than JSON
   encode (the decode-hot-path gate), and the warm batch sweep endpoint
-  must stay faster than the cold sequential engine sweep (bounded
+  must stay faster than the cold engine sweep (bounded
   service overhead);
 * the ``schema:1b`` binary envelope must be ≥3x smaller and ≥2x faster
   to round-trip than the JSON contract for the ICMP run, and must decode
@@ -146,23 +139,6 @@ def winnow_trace_digest(runs: dict) -> str:
                     digest.update(b"\x01")
             digest.update(b"\x00")
     return digest.hexdigest()
-
-
-def parallel_workers_report(last_parallel_workers: int | None) -> dict:
-    """How a ``parallel=True`` sweep actually executed.
-
-    The engine's degrade path (no fork support, or a pool of one would
-    only add overhead) runs the sweep inline in this process — that is
-    one effective worker, not zero, so report ``parallel_workers: 1``
-    with an explicit ``parallel_inline`` flag rather than the misleading
-    ``0`` this file used to record.  Asserted by
-    ``benchmarks/bench_parallel_workers.py``.
-    """
-    inline = last_parallel_workers is None
-    return {
-        "parallel_workers": 1 if inline else last_parallel_workers,
-        "parallel_inline": inline,
-    }
 
 
 def main() -> int:
@@ -303,6 +279,7 @@ def main() -> int:
     )
     numbers["sweep_protocols"] = registry.protocols()
     numbers["sweep_sentences"] = total_sentences
+    numbers["cpu_count"] = os.cpu_count() or 1
 
     from repro.disambiguation.profile import PROFILE as WINNOW_PROFILE
     from repro.disambiguation.profile import (
@@ -313,52 +290,21 @@ def main() -> int:
     winnow_cache.clear()
     winnow_profile_before = WINNOW_PROFILE.counts()
     numbers["sweep_sequential_cold_s"], cold_runs = timed(
-        lambda: engine.process_corpora(parallel=False)
+        engine.process_corpora
     )
     numbers["sweep_sequential_cold_sentences_per_s"] = (
         total_sentences / numbers["sweep_sequential_cold_s"]
     )
     # The check-memo / traversal-cache / stage-cache counters for exactly
-    # the cold sequential sweep: this is the window where the canonical-
+    # the cold sweep: this is the window where the canonical-
     # signature and type memos do their cross-sentence work.
     numbers["winnow_profile"] = winnow_profile_delta(
         winnow_profile_before, WINNOW_PROFILE.counts()
     )
 
-    # Parallel fan-out over the fork worker pool, from a cold cache: this
-    # isolates what the pool itself buys.  On 1-CPU machines the engine
-    # now degrades `parallel=True` to the in-process path (one worker is
-    # the same parse work plus fork + cache-shipping overhead), so this
-    # number matches sequential there; real speedup shows on multicore
-    # CI.
-    numbers["cpu_count"] = os.cpu_count() or 1
-    cache.clear()
-    winnow_cache.clear()
-    numbers["sweep_parallel_cold_s"], _ = timed(
-        lambda: engine.process_corpora(parallel=True)
-    )
-    numbers["sweep_parallel_cold_sentences_per_s"] = (
-        total_sentences / numbers["sweep_parallel_cold_s"]
-    )
-    # The pool size the engine actually chose; the degrade path (fork
-    # unavailable, or only one worker would have run) executes inline —
-    # reported as one worker plus an explicit inline flag.
-    numbers.update(parallel_workers_report(engine.last_parallel_workers))
-
-    # The same parallel sweep against the now-warm shared cache — the
-    # production configuration for a repeated sweep.
-    numbers["sweep_parallel_warm_s"], _ = timed(
-        lambda: engine.process_corpora(parallel=True)
-    )
-    numbers["sweep_parallel_warm_sentences_per_s"] = (
-        total_sentences / numbers["sweep_parallel_warm_s"]
-    )
-
     misses_before_rerun = cache.stats()["misses"]
     winnow_misses_before_rerun = winnow_cache.stats()["misses"]
-    numbers["sweep_warm_rerun_s"], warm_runs = timed(
-        lambda: engine.process_corpora(parallel=False)
-    )
+    numbers["sweep_warm_rerun_s"], warm_runs = timed(engine.process_corpora)
     numbers["sweep_warm_rerun_sentences_per_s"] = (
         total_sentences / numbers["sweep_warm_rerun_s"]
     )
@@ -483,7 +429,7 @@ def main() -> int:
     numbers["api_bin_equals_json_decode"] = run_back_bin == run_back
 
     service = SageService(registry=registry)
-    sweep_request = SweepRequest(parallel=False)
+    sweep_request = SweepRequest()
     service.sweep(sweep_request)  # warm the service path once
     numbers["api_sweep_warm_s"], _ = timed(lambda: service.sweep(sweep_request))
     numbers["api_sweep_warm_sentences_per_s"] = (
@@ -637,54 +583,6 @@ def main() -> int:
             "the cold sweep (the winnow-result cache must be exact: same "
             "per-stage counts, same survivors, same order)"
         )
-    if not numbers["sweep_parallel_warm_s"] < numbers["sweep_sequential_cold_s"]:
-        failures.append("warm parallel sweep is not faster than the cold sequential sweep")
-    if not numbers["sweep_parallel_warm_s"] < numbers["sweep_parallel_cold_s"]:
-        # Machine-independent probe for worker cache shipping: the second
-        # parallel sweep runs against the cache the first one's workers
-        # merged back — if shipping broke, it re-parses and this inverts.
-        failures.append("warm parallel sweep is not faster than cold parallel "
-                        "(worker parse-cache merge-back may be broken)")
-    if numbers["parallel_workers"] >= 2:
-        # Only meaningful with real concurrency: one worker is the same
-        # parse work plus fork overhead.  "Cold" here means parse-cache
-        # cold; the indexed backend's process-global structural memos are
-        # already warm from the head-to-head above (the production steady
-        # state), which shrinks the per-sentence work the pool amortizes —
-        # so require the pool's overhead to stay bounded rather than a
-        # strict win, unless the sequential sweep is slow enough (>1s)
-        # for fork fan-out to genuinely pay for itself.
-        sequential = numbers["sweep_sequential_cold_s"]
-        parallel = numbers["sweep_parallel_cold_s"]
-        if sequential > 1.0 and not parallel < sequential:
-            failures.append(
-                "cold parallel sweep is not faster than cold sequential "
-                f"with {numbers['parallel_workers']} workers"
-            )
-        elif not parallel < sequential * 2.0:
-            failures.append(
-                "cold parallel sweep overhead exceeds 2x cold sequential "
-                f"with {numbers['parallel_workers']} workers"
-            )
-    if numbers["cpu_count"] == 1:
-        # The single-CPU regression this gate exists for: the engine must
-        # degrade parallel=True to the in-process path (no pool spawned)
-        # rather than pay fork + cache shipping for zero concurrency.
-        if not numbers["parallel_inline"]:
-            failures.append(
-                "engine spawned a worker pool on a 1-CPU machine "
-                f"({numbers['parallel_workers']} workers) instead of "
-                "degrading to the inline sequential path"
-            )
-        if not (numbers["sweep_parallel_cold_s"]
-                < numbers["sweep_sequential_cold_s"] * 1.25):
-            failures.append(
-                "degraded parallel sweep is slower than sequential on a "
-                "1-CPU machine "
-                f"({numbers['sweep_parallel_cold_s']:.3f}s vs "
-                f"{numbers['sweep_sequential_cold_s']:.3f}s): the "
-                "parallel=True fallback should be the same code path"
-            )
     if not numbers["codegen_compile_cached_s"] < numbers["codegen_compile_cold_s"] / 10:
         failures.append("cached program compile is not >10x cheaper than cold")
     if not numbers["api_roundtrip_equal"]:
@@ -710,7 +608,7 @@ def main() -> int:
         )
     if not numbers["api_sweep_warm_s"] < numbers["sweep_sequential_cold_s"]:
         failures.append("warm service sweep endpoint is not faster than the "
-                        "cold sequential engine sweep")
+                        "cold engine sweep")
     if not numbers["xproc_warm_speedup"] >= 5.0:
         failures.append(
             "cross-process warm sweep is not >=5x faster than its cold-store "

@@ -55,7 +55,7 @@ def main() -> None:
 
     # Lint every registered RFC in one batch service call.
     print("\n--- all registered protocols (one sweep endpoint call) ---")
-    sweep = SageService(registry=registry).sweep(parallel=True)
+    sweep = SageService(registry=registry).sweep()
     for name in sweep.protocols:
         response = sweep.responses[name]
         print(f"  {name:<5} {response.sentence_count:>3} sentences, "

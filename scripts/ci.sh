@@ -11,8 +11,9 @@
 #   ./scripts/ci.sh fuzz-gate   # differential fuzzer cross-backend gate only
 #
 # The CLI smoke drives the `python -m repro` service entry point (a full
-# four-protocol sweep emitting the JSON wire contract) — a packaging check
-# that the api layer is importable and executable outside pytest.
+# four-protocol sweep emitting the JSON wire contract, checked to cover all
+# four protocols in process) — a packaging check that the api layer is
+# importable and executable outside pytest.
 #
 # The smoke benchmark writes BENCH_pipeline.json and exits non-zero when a
 # headline speedup regresses (parser-backend parity and the indexed
@@ -20,12 +21,11 @@
 # cached-vs-cold load/construction, the
 # warm-cache sweep re-run — which must add zero parse AND winnow cache
 # misses, clear the 4600 sentences/s floor, and reproduce byte-identical
-# winnow traces with networkx never imported — the parallel engine sweep,
-# the codegen compiled-program cache: a cached compile must stay >10x
-# cheaper than a cold one, or the service layer: the serialized run must
-# round-trip equal and the warm sweep endpoint must beat the cold
-# sequential engine sweep) — see benchmarks/pipeline_smoke.py for the
-# exact gates.
+# winnow traces with networkx never imported — the codegen
+# compiled-program cache: a cached compile must stay >10x cheaper than a
+# cold one, or the service layer: the serialized run must round-trip equal
+# and the warm sweep endpoint must beat the cold engine sweep) — see
+# benchmarks/pipeline_smoke.py for the exact gates.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -190,8 +190,18 @@ if [ "${1:-all}" != "tests" ]; then
   fi
 
   echo "== cli smoke: python -m repro sweep --all --json =="
-  python -m repro sweep --all --json > /dev/null
-  echo "ok"
+  python -m repro sweep --all --json | python -c '
+import json, sys
+data = json.load(sys.stdin)["data"]
+protocols = sorted(data["responses"])
+if protocols != ["BFD", "ICMP", "IGMP", "NTP"]:
+    sys.exit(f"CLI FAILURE: sweep covered {protocols}")
+workers = data["parallel_workers"]
+if workers != 0:
+    sys.exit(f"CLI FAILURE: sweep reported {workers} parallel workers")
+print("ok (4 protocols, in process)")
+'
+
 
   echo "== cli smoke: python -m repro parse ICMP --compare (backend parity) =="
   python -m repro parse ICMP --compare > /dev/null

@@ -195,14 +195,13 @@ class PipelineCoverage:
                    for status in FLAGGED_STATUSES)
 
 
-def pipeline_coverage(mode: str | None = None, *, parallel: bool = False,
+def pipeline_coverage(mode: str | None = None, *,
                       engine: SageEngine | None = None,
                       parser_backend: str | None = None) -> list[PipelineCoverage]:
     """Run every registered protocol through one engine and measure coverage.
 
     Registry-driven like :func:`detect_all` — a fifth registered protocol is
-    swept automatically.  ``parallel=True`` fans the sweep out across the
-    engine's process pool.  Pass ``mode`` (default "revised") or a
+    swept automatically.  Pass ``mode`` (default "revised") or a
     pre-built ``engine``, not a conflicting pair; ``parser_backend``
     selects the parsing backend for a freshly built engine."""
     if engine is not None:
@@ -219,7 +218,7 @@ def pipeline_coverage(mode: str | None = None, *, parallel: bool = False,
     else:
         engine = SageEngine(mode=mode or "revised",
                             parser_backend=parser_backend)
-    runs = engine.process_corpora(parallel=parallel)
+    runs = engine.process_corpora()
     return [
         PipelineCoverage(
             protocol=name,

@@ -76,9 +76,6 @@ def _build_parser() -> argparse.ArgumentParser:
                               "registered one)")
     p_sweep.add_argument("--all", action="store_true",
                          help="run every registered protocol")
-    p_sweep.add_argument("--sequential", action="store_true",
-                         help="disable the fork worker pool")
-    p_sweep.add_argument("--max-workers", type=int, default=None)
     p_sweep.add_argument("--parser-backend", default="", metavar="NAME",
                          help="parser backend for every protocol in the "
                               "sweep (default: per-protocol registration)")
@@ -270,16 +267,12 @@ def _cmd_sweep(service: SageService, args, out) -> int:
         raise RequestError("sweep needs protocol names or --all")
     response = service.sweep(SweepRequest(
         protocols=tuple(args.protocols), mode=args.mode,
-        parallel=not args.sequential, max_workers=args.max_workers,
         parser_backend=args.parser_backend,
     ))
     if args.json:
         print(to_json(response), file=out)
         return 0
-    workers = response.parallel_workers
-    print(f"swept {len(response.protocols)} protocols "
-          f"({'sequential' if not workers else f'{workers} workers'})",
-          file=out)
+    print(f"swept {len(response.protocols)} protocols", file=out)
     for name in response.protocols:
         sub = response.responses[name]
         flagged = sub.flagged_count
@@ -484,8 +477,7 @@ def _cmd_fuzz(service: SageService, args, out) -> int:
     from ..fuzz import DifferentialRunner, Episode, load_case, save_case, shrink
 
     def runner_for(protocol: str) -> DifferentialRunner:
-        runs = service.engine(args.mode).process_corpora([protocol],
-                                                         parallel=False)
+        runs = service.engine(args.mode).process_corpora([protocol])
         return DifferentialRunner(
             {name: run.code_unit for name, run in runs.items()})
 

@@ -455,8 +455,9 @@ class SweepRequest:
 
     protocols: tuple[str, ...] = ()  # () = all registered
     mode: str = "revised"
+    #: Accepted and ignored: sweeps run in process.  Kept so ``schema:1``
+    #: request round-trips stay stable.
     parallel: bool = True
-    max_workers: int | None = None
     include_sentences: bool = False
     artifacts: tuple[str, ...] = ()
     #: Parser backend override ("" = per-protocol registered preference).
@@ -468,8 +469,6 @@ class SweepRequest:
             record["protocols"] = list(self.protocols)
         if not self.parallel:
             record["parallel"] = False
-        if self.max_workers is not None:
-            record["max_workers"] = self.max_workers
         if self.include_sentences:
             record["include_sentences"] = True
         if self.artifacts:
@@ -484,7 +483,6 @@ class SweepRequest:
             protocols=tuple(record.get("protocols", ())),
             mode=_check_mode(record.get("mode", "revised")),
             parallel=record.get("parallel", True),
-            max_workers=record.get("max_workers"),
             include_sentences=record.get("include_sentences", False),
             artifacts=tuple(record.get("artifacts", ())),
             parser_backend=record.get("parser_backend", ""),
@@ -740,7 +738,8 @@ class SweepResponse:
     mode: str
     protocols: list = dataclass_field(default_factory=list)
     responses: dict = dataclass_field(default_factory=dict)  # name → ProcessResponse
-    #: Worker-pool size of the fan-out (0 = sequential execution).
+    #: Always 0: sweeps run in process.  Kept on the wire so sweep bodies
+    #: stay byte-identical for clients that read it.
     parallel_workers: int = 0
 
     def to_dict(self) -> dict:

@@ -8,8 +8,7 @@ behind request/response contracts:
   ProcessRequest` in (object, dict, or JSON envelope), one
   :class:`~repro.api.contracts.ProcessResponse` out;
 * :meth:`sweep` — the batch endpoint: every requested protocol in one
-  call, fanned out across the engine's fork worker pool under
-  ``max_workers``;
+  call, in process;
 * :meth:`artifact` — compiled-artifact retrieval by backend, fingerprinted
   and self-contained (see :class:`~repro.api.contracts.GeneratedArtifact`);
 * :meth:`session` — open the interactive
@@ -128,8 +127,7 @@ class SageService:
 
     def sweep(self, request: SweepRequest | dict | str | None = None,
               **kwargs) -> SweepResponse:
-        """The batch endpoint: many protocols, optionally fanned out over
-        the engine's fork worker pool."""
+        """The batch endpoint: many protocols in one call."""
         request = _coerce_request(request, SweepRequest, **kwargs)
         self._check_artifacts(request.artifacts)
         engine = self.engine(request.mode, request.parser_backend)
@@ -138,10 +136,7 @@ class SageService:
             for name in names:
                 self._load_corpus(name)  # fail structured before the sweep
         try:
-            runs = engine.process_corpora(
-                names, parallel=request.parallel,
-                max_workers=request.max_workers,
-            )
+            runs = engine.process_corpora(names)
         except UnknownProtocolError as exc:
             raise ProtocolNotFound(exc.name, exc.known) from None
         responses = {
@@ -156,7 +151,6 @@ class SageService:
             mode=request.mode,
             protocols=list(runs),
             responses=responses,
-            parallel_workers=engine.last_parallel_workers or 0,
         )
 
     def artifact(self, protocol: str, backend: str = "c",
@@ -327,7 +321,7 @@ class SageService:
                     f"{', '.join(PROTOCOLS)}"
                 )
         engine = self.engine(mode)
-        runs = engine.process_corpora(list(fuzzed), parallel=False)
+        runs = engine.process_corpora(list(fuzzed))
         units = {name: run.code_unit for name, run in runs.items()}
         try:
             report = run_fuzz(

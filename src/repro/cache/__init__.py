@@ -9,7 +9,7 @@ The package has two layers:
 * :mod:`repro.cache.persistent` — :class:`PersistentParseCache` /
   :class:`PersistentWinnowCache` / :class:`PersistentCompiledCache`, the
   registry cache classes promoted to write through one shared store, so
-  every fresh process (CLI call, CI job, sweep worker, HTTP worker)
+  every fresh process (CLI call, CI job, HTTP worker)
   starts warm.
 
 A registry opts in via ``ProtocolRegistry(cache_dir=...)`` or the

@@ -10,7 +10,7 @@ exact interface (and the in-memory front layer) of their base classes in
   separate ``disk_hits`` counter) — **not** a miss, because nothing was
   recomputed;
 * every ``put`` publishes to the store atomically, so concurrent
-  processes — sweep workers, CLI calls, CI jobs, HTTP workers — share
+  processes — CLI calls, CI jobs, HTTP workers — share
   warm state the moment any one of them computes it;
 * a corrupt or undecodable disk entry degrades to an ordinary miss (the
   store quarantines the file), and the recompute's ``put`` republishes a

@@ -5,12 +5,10 @@ orchestrates the control flow the paper's Figure 4 describes — rewrite
 lookup, stage sequencing, status flagging, and the human-rewrite recursion.
 On top of the per-sentence pipeline it adds two batch surfaces:
 
-* :meth:`SageEngine.process_corpus` — one corpus, sequential (identical in
-  output to the historical ``Sage.process_corpus``);
+* :meth:`SageEngine.process_corpus` — one corpus (identical in output to
+  the historical ``Sage.process_corpus``);
 * :meth:`SageEngine.process_corpora` — every registered protocol in one
-  call, optionally fanned out across a ``concurrent.futures`` process pool
-  (fork start method).  Workers inherit the warm registry substrate, and
-  the parses they compute are merged back into the shared
+  call, in process.  The parses it computes land in the shared
   :class:`~repro.rfc.registry.ParseCache`, so a follow-up run skips
   re-parsing entirely.
 
@@ -21,9 +19,6 @@ facade over this engine.
 from __future__ import annotations
 
 import enum
-import os
-import threading
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field as dataclass_field
 
 from ..ccg.chart import CCGChartParser, ParseResult
@@ -225,9 +220,6 @@ class SageEngine:
         #: Journaled LF selections (sentence key → chosen LF signature),
         #: applied in revised mode when winnowing leaves several survivors.
         self.selections = self.protocol_registry.selections()
-        #: Pool size of the most recent parallel fan-out (None before one
-        #: runs, or when the sweep degraded to sequential execution).
-        self.last_parallel_workers: int | None = None
 
     def set_lexicon(self, lexicon: Lexicon) -> None:
         """Swap the engine onto a new grammar.
@@ -491,102 +483,21 @@ class SageEngine:
         protocols: list[str] | None = None,
         *,
         parallel: bool = True,
-        max_workers: int | None = None,
-        chunk_size: int = 16,
     ) -> dict[str, SageRun]:
         """Run every protocol (default: all registered) in one call.
 
-        With ``parallel=True`` the sentences of all corpora are fanned out
-        across a fork-based process pool; each worker shares this process's
-        warm substrate (forked memory) and ships its new parse-cache entries
-        back, so the shared :class:`ParseCache` ends the call fully warm.
-        Falls back to sequential execution where fork is unavailable (the
-        output is identical either way: calling :meth:`process_corpus` per
-        protocol in registration order).
+        Identical to calling :meth:`process_corpus` per protocol, in
+        registration order.  ``parallel`` is accepted for compatibility
+        and ignored: sentences are independent, so concurrency lives
+        between requests (the server's worker pool), not inside one.
         """
         names = [name.upper() for name in (
             protocols if protocols is not None
             else self.protocol_registry.protocols()
         )]
-        corpora = {name: self.protocol_registry.load_corpus(name)
-                   for name in names}
-        if parallel:
-            self.last_parallel_workers = None
-            chunk_results = self._fan_out(corpora, max_workers, chunk_size)
-        else:
-            chunk_results = None
-        runs: dict[str, SageRun] = {}
-        for name in names:
-            corpus = corpora[name]
-            if chunk_results is None:
-                # The documented contract: identical to per-protocol runs.
-                runs[name] = self.process_corpus(corpus)
-                continue
-            results = chunk_results[name]
-            runs[name] = SageRun(
-                corpus=corpus, results=results,
-                code_unit=self._assemble(corpus, results),
-            )
-        return runs
-
-    def _fan_out(self, corpora: dict[str, Corpus], max_workers: int | None,
-                 chunk_size: int) -> dict[str, list[SentenceResult]] | None:
-        """Process every corpus's sentences on a fork process pool.
-
-        Returns None when fan-out is unavailable (no fork support), letting
-        the caller run sequentially instead.
-        """
-        try:
-            import multiprocessing as mp
-
-            mp_context = mp.get_context("fork")
-        except ValueError:
-            return None
-        tasks = [
-            (name, start, min(start + chunk_size, len(corpus.sentences)))
-            for name, corpus in corpora.items()
-            for start in range(0, len(corpus.sentences), chunk_size)
-        ]
-        if not tasks:
-            return {name: [] for name in corpora}
-        workers = max_workers or min(len(tasks), os.cpu_count() or 1)
-        if workers <= 1:
-            # One worker cannot beat in-process execution — it re-pays fork,
-            # task pickling, and cache shipping for zero concurrency (~2x
-            # slower on single-CPU machines).  Degrade to the sequential
-            # path; the documented contract (identical output) is unchanged.
-            return None
-        self.last_parallel_workers = workers
-
-        global _WORKER_ENGINE
-        # The pool forks workers lazily as tasks are submitted, so the
-        # module global must stay set (and unclobbered by a concurrent
-        # sweep on another thread) for the pool's whole lifetime.
-        with _WORKER_ENGINE_LOCK:
-            _WORKER_ENGINE = self  # inherited by forked workers
-            try:
-                with ProcessPoolExecutor(
-                    max_workers=workers, mp_context=mp_context,
-                    initializer=_init_worker,
-                ) as pool:
-                    outputs = list(pool.map(_process_chunk, tasks))
-            finally:
-                _WORKER_ENGINE = None
-
-        by_name: dict[str, list[SentenceResult]] = {
-            name: [None] * len(corpus.sentences)
-            for name, corpus in corpora.items()
-        }
-        cache = self.parse_stage.cache
-        winnow_cache = self.winnow_stage.cache
-        for (name, start, _end), output in zip(tasks, outputs):
-            results, cache_entries, winnow_entries = output
-            by_name[name][start:start + len(results)] = results
-            if cache is not None and cache_entries:
-                cache.merge(cache_entries)
-            if winnow_cache is not None and winnow_entries:
-                winnow_cache.merge(winnow_entries)
-        return by_name
+        corpora = [self.protocol_registry.load_corpus(name) for name in names]
+        return {name: self.process_corpus(corpus)
+                for name, corpus in zip(names, corpora)}
 
     def _assemble(self, corpus: Corpus, results: list[SentenceResult]) -> CodeUnit:
         """IR assembly (the generate stage emits a typed Program), with the
@@ -603,61 +514,3 @@ class SageEngine:
         return self.generate_stage.assemble(corpus, by_section,
                                             sender_built=sender_built)
 
-
-# -- process-pool plumbing -----------------------------------------------------
-#
-# The engine cannot be pickled (it holds locks and an open-ended substrate),
-# so the fork start method is used instead: the parent stores itself in a
-# module global immediately before creating the pool, and each forked worker
-# inherits that global — warm caches, parser, lexicon and all — by memory
-# copy.  Workers track which parse-cache keys existed at fork time and ship
-# only the entries they add, which the parent merges back.
-
-_WORKER_ENGINE: "SageEngine | None" = None
-_WORKER_ENGINE_LOCK = threading.Lock()
-_WORKER_SEEN_KEYS: set | None = None
-_WORKER_SEEN_WINNOW_KEYS: set | None = None
-
-
-def _init_worker() -> None:
-    global _WORKER_SEEN_KEYS, _WORKER_SEEN_WINNOW_KEYS
-    # Fork can land while another thread of the parent holds the cache or
-    # registry lock; the child would inherit it permanently held.  Workers
-    # are single-threaded, so fresh locks are safe and unblock them.
-    if _WORKER_ENGINE is not None:
-        _WORKER_ENGINE.protocol_registry.reset_locks_after_fork()
-    cache = _WORKER_ENGINE.parse_stage.cache if _WORKER_ENGINE else None
-    if cache is not None:
-        # The stage's cache is usually the registry's (already reset), but
-        # an explicitly passed cache needs its own fresh lock.
-        cache._lock = threading.Lock()
-    _WORKER_SEEN_KEYS = set(cache.items()) if cache is not None else set()
-    winnow_cache = _WORKER_ENGINE.winnow_stage.cache if _WORKER_ENGINE else None
-    if winnow_cache is not None:
-        winnow_cache._lock = threading.Lock()
-    _WORKER_SEEN_WINNOW_KEYS = (set(winnow_cache.items())
-                                if winnow_cache is not None else set())
-
-
-def _process_chunk(task: tuple[str, int, int]):
-    """Worker body: process one slice of one corpus's sentences."""
-    name, start, end = task
-    engine = _WORKER_ENGINE
-    corpus = engine.protocol_registry.load_corpus(name)
-    results = [engine.process_sentence(spec)
-               for spec in corpus.sentences[start:end]]
-    cache = engine.parse_stage.cache
-    new_entries = {}
-    if cache is not None:
-        new_entries = {key: value for key, value in cache.items().items()
-                       if key not in _WORKER_SEEN_KEYS}
-        _WORKER_SEEN_KEYS.update(new_entries)
-    winnow_cache = engine.winnow_stage.cache
-    new_winnow_entries = {}
-    if winnow_cache is not None:
-        new_winnow_entries = {
-            key: value for key, value in winnow_cache.items().items()
-            if key not in _WORKER_SEEN_WINNOW_KEYS
-        }
-        _WORKER_SEEN_WINNOW_KEYS.update(new_winnow_entries)
-    return results, new_entries, new_winnow_entries

@@ -18,7 +18,7 @@ Two modes mirror Figure 4's human-in-the-loop:
 
 The heavy lifting lives in :mod:`repro.core.stages` (the three stage
 objects) and :mod:`repro.core.engine` (the :class:`SageEngine` composing
-them, with parse caching and parallel multi-protocol execution).
+them, with parse caching and multi-protocol batch runs).
 :class:`Sage` here is a thin compatible facade over one engine: historical
 call sites keep working unchanged, and ``Sage.process_corpus`` output is
 identical to the engine's.
@@ -70,7 +70,7 @@ class Sage:
     Construction arguments, attributes, and per-sentence/per-corpus methods
     are unchanged from the pre-engine pipeline; the instance simply owns a
     :class:`~repro.core.engine.SageEngine` and delegates.  Code that wants
-    the batch/parallel surface should use the engine directly (``sage.engine``
+    the batch surface should use the engine directly (``sage.engine``
     or ``SageEngine(...)``).
     """
 

@@ -111,8 +111,8 @@ class ParseCache:
     Keys are built by the parse stage as ``(substrate_fingerprint,
     sentence_text, field)`` — the fingerprint covers the lexicon and chunker
     content, so a cache shared across Sage instances, both pipeline modes,
-    and worker processes can never serve a parse produced under a different
-    grammar.  Values are whatever the stage stores (the pipeline stores the
+    and processes (through the disk store) can never serve a parse
+    produced under a different grammar.  Values are whatever the stage stores (the pipeline stores the
     ``(ParseResult, subject_supplied)`` pair); they are shared objects and
     must be treated as read-only.
     """
@@ -141,21 +141,6 @@ class ParseCache:
     def __contains__(self, key: tuple) -> bool:
         return key in self._entries
 
-    def items(self) -> dict[tuple, object]:
-        """Snapshot of the current entries (for merging across workers)."""
-        with self._lock:
-            return dict(self._entries)
-
-    def merge(self, entries: dict[tuple, object]) -> int:
-        """Adopt entries learned elsewhere (e.g. in a worker process)."""
-        added = 0
-        with self._lock:
-            for key, value in entries.items():
-                if key not in self._entries:
-                    self._entries[key] = value
-                    added += 1
-        return added
-
     def stats(self) -> dict[str, int]:
         with self._lock:
             return {"size": len(self._entries), "hits": self.hits,
@@ -177,9 +162,8 @@ class CompiledProgramCache(ParseCache):
     once per process no matter how many engines or scenarios request it.
     Values are function dictionaries (name → callable); they are shared
     objects and must be treated as read-only.  Unlike parse-cache entries,
-    compiled functions are not picklable — forked sweep workers inherit the
-    warm cache by memory copy, but entries compiled inside a worker are not
-    merged back.
+    compiled functions are not picklable, so they never leave the process
+    that compiled them.
     """
 
     # Source-persistence hooks, overridden by the disk-backed

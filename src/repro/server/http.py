@@ -34,16 +34,10 @@ cheap.
 from __future__ import annotations
 
 import asyncio
-import json
 import time
 
 from ..api.errors import ApiError, DeadlineExceeded
-from .pool import (
-    BINARY_CONTENT_TYPE,
-    JSON_CONTENT_TYPE,
-    ServiceConfig,
-    WorkerPool,
-)
+from .pool import BINARY_CONTENT_TYPE, ServiceConfig, WorkerPool, _json_body
 
 #: Largest request body the server will read, in bytes.  Requests are
 #: small (a protocol name and some flags); anything bigger is a client
@@ -61,10 +55,8 @@ _STATUS_REASONS = {
 }
 
 
-def _error_body(code: str, message: str, **extra) -> bytes:
-    payload = {"error": code, "message": message}
-    payload.update(extra)
-    return json.dumps(payload, separators=(",", ":")).encode("utf-8")
+def _error(status: int, code: str, message: str) -> tuple[int, str, bytes]:
+    return _json_body({"error": code, "message": message}, status)
 
 
 class _Request:
@@ -236,8 +228,8 @@ class ReproServer:
     def _refuse(self, writer: asyncio.StreamWriter, status: int, code: str,
                 message: str) -> None:
         self.requests_total += 1
-        self._write_response(writer, status, JSON_CONTENT_TYPE,
-                             _error_body(code, message), keep_alive=False)
+        self._write_response(writer, *_error(status, code, message),
+                             keep_alive=False)
 
     def _write_response(self, writer: asyncio.StreamWriter, status: int,
                         content_type: str, body: bytes,
@@ -260,14 +252,13 @@ class ReproServer:
     async def _dispatch(self, request: _Request) -> tuple[int, str, bytes]:
         route = self._route(request)
         if isinstance(route, tuple) and route and route[0] == "error":
-            _tag, status, code, message = route
-            return status, JSON_CONTENT_TYPE, _error_body(code, message)
+            return _error(*route[1:])
         endpoint, params = route
         if endpoint == "healthz":
-            return 200, JSON_CONTENT_TYPE, json.dumps({
+            return _json_body({
                 "ok": True,
                 "uptime_s": time.monotonic() - self.started_at,
-            }).encode("utf-8")
+            })
         if endpoint == "stats":
             return await self._stats(request)
         return await self._run_in_pool(request, endpoint, params)
@@ -346,13 +337,9 @@ class ReproServer:
         except asyncio.TimeoutError:
             self.timeouts_total += 1
             error = DeadlineExceeded(deadline, endpoint=endpoint)
-            return (error.http_status, JSON_CONTENT_TYPE,
-                    json.dumps(error.to_dict(),
-                               separators=(",", ":")).encode("utf-8"))
+            return _json_body(error.to_dict(), error.http_status)
         except ApiError as exc:  # defensive: the pool renders these itself
-            return (exc.http_status, JSON_CONTENT_TYPE,
-                    json.dumps(exc.to_dict(),
-                               separators=(",", ":")).encode("utf-8"))
+            return _json_body(exc.to_dict(), exc.http_status)
 
     async def _stats(self, request: _Request) -> tuple[int, str, bytes]:
         server = {
@@ -373,9 +360,7 @@ class ReproServer:
         except asyncio.TimeoutError:
             self.timeouts_total += 1
             error = DeadlineExceeded(deadline, endpoint="stats")
-            return (error.http_status, JSON_CONTENT_TYPE,
-                    json.dumps(error.to_dict(),
-                               separators=(",", ":")).encode("utf-8"))
+            return _json_body(error.to_dict(), error.http_status)
         payload = {
             "schema": 1, "kind": "server_stats",
             "data": {
@@ -385,8 +370,7 @@ class ReproServer:
                 "workers": service["workers"],
             },
         }
-        return (200, JSON_CONTENT_TYPE,
-                json.dumps(payload, separators=(",", ":")).encode("utf-8"))
+        return _json_body(payload)
 
 
 __all__ = ["ReproServer", "MAX_BODY_BYTES", "MAX_HEADER_BYTES"]

@@ -21,9 +21,13 @@ Two pieces live here, deliberately independent of HTTP framing:
   recomputing, and concurrent writers are safe because the store
   publishes atomically (see :mod:`repro.cache.store`).  On a single-CPU
   box — or when fork is unavailable — the pool degrades to one inline
-  service behind a single-thread executor, exactly mirroring the engine's
-  sweep degrade path: the event loop stays responsive while pipeline work
-  is serialized.
+  service behind a single-thread executor: the event loop stays
+  responsive while pipeline work is serialized.
+
+  This is the only process pool in the package.  Sentences are processed
+  and flagged independently, so the concurrency worth having is between
+  independent requests; a single request (a sweep included) runs in
+  process on whichever worker picked it up.
 """
 
 from __future__ import annotations
@@ -335,8 +339,8 @@ class WorkerPool:
     """Request execution over forked workers, or inline when that is moot.
 
     ``workers=None`` resolves automatically: ``os.cpu_count()`` processes
-    when the machine has more than one CPU, inline otherwise (the same
-    degrade the engine's parallel sweep makes).  An explicit ``workers=N``
+    when the machine has more than one CPU, inline otherwise (one worker
+    cannot beat in-process execution).  An explicit ``workers=N``
     with ``N >= 2`` forces a process pool even on one CPU — that is how
     the concurrency tests exercise multi-process cache sharing — and
     ``workers`` of 0 or 1 forces inline.  If fork itself is unavailable

@@ -221,8 +221,13 @@ class TestRequestResponseContracts:
 
     def test_sweep_request_round_trips(self):
         request = SweepRequest(protocols=("ICMP", "BFD"), parallel=False,
-                               max_workers=3, include_sentences=True)
+                               include_sentences=True)
         assert from_json(to_json(request)) == request
+        # Older clients still send the retired ``max_workers`` option; it
+        # decodes (and is dropped) rather than failing the request.
+        legacy = {"schema": 1, "kind": "sweep_request",
+                  "data": {**request.to_dict(), "max_workers": 3}}
+        assert from_json(json.dumps(legacy)) == request
 
     def test_process_response_round_trips(self, runs):
         response = ProcessResponse.from_run(runs["ICMP"], "revised",

@@ -2,6 +2,8 @@
 
 import io
 import json
+import multiprocessing
+import os
 import pathlib
 
 import pytest
@@ -18,6 +20,7 @@ from repro.api import (
     from_json,
     to_json,
 )
+from repro.api import binenc
 from repro.api.cli import main as cli_main
 from repro.core import SageEngine
 from repro.framework.addressing import ip_to_int
@@ -94,12 +97,19 @@ class TestSweep:
             single = service.process(ProcessRequest(protocol=name))
             assert sweep.responses[name] == single
 
-    def test_parallel_sweep_output_is_identical(self, service):
-        parallel = service.sweep(SweepRequest(parallel=True,
-                                              include_sentences=True))
-        sequential = service.sweep(SweepRequest(parallel=False,
-                                                include_sentences=True))
-        assert parallel.responses == sequential.responses
+    def test_default_sweep_runs_in_process(self, service, monkeypatch):
+        # ``parallel`` is accepted and ignored: the default sweep is the
+        # ``parallel=False`` sweep, byte for byte, and forks nothing.
+        def no_fork():
+            raise AssertionError("a sweep must not fork")
+
+        monkeypatch.setattr(os, "fork", no_fork)
+        default = service.sweep(SweepRequest())
+        assert multiprocessing.active_children() == []
+        explicit = service.sweep(SweepRequest(parallel=False))
+        assert default.parallel_workers == 0
+        assert to_json(default) == to_json(explicit)
+        assert binenc.to_bytes(default) == binenc.to_bytes(explicit)
 
     def test_sweep_round_trips(self, service):
         response = service.sweep(SweepRequest(parallel=False))

@@ -1,9 +1,8 @@
 """The persistent content-addressed cache store: byte-level store
 semantics (atomic publish, corruption quarantine, clear/stats), the
 promoted parse/compiled caches sharing warm state across registry
-instances, `REPRO_CACHE_DIR` pickup, the engine's single-worker
-parallel fallback, and a multiprocessing stress test racing writers
-into one store directory."""
+instances, `REPRO_CACHE_DIR` pickup, and a multiprocessing stress test
+racing writers into one store directory."""
 
 import multiprocessing
 import os
@@ -21,7 +20,6 @@ from repro.cache import (
 )
 from repro.ccg.chart import ParseResult
 from repro.ccg.semantics import Call, Const
-from repro.core import SageEngine
 from repro.rfc.registry import CompiledProgramCache, ParseCache, ProtocolRegistry
 
 
@@ -351,24 +349,6 @@ class TestRegistryPromotion:
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "env"))
         registry = ProtocolRegistry(cache_dir=tmp_path / "arg")
         assert registry.cache_dir == str(tmp_path / "arg")
-
-
-# -- the engine's single-worker parallel fallback ------------------------------
-
-class TestSingleWorkerFallback:
-    def test_one_worker_degrades_to_sequential(self):
-        engine = SageEngine(mode="revised")
-        baseline = engine.process_corpora(parallel=False)
-        fallback = engine.process_corpora(parallel=True, max_workers=1)
-        # No pool ran: the engine recorded no worker fan-out ...
-        assert engine.last_parallel_workers is None
-        # ... and the output is the sequential output, identically.
-        assert set(fallback) == set(baseline)
-        for name, run in baseline.items():
-            assert fallback[name].by_status() == run.by_status()
-            assert [r.status for r in fallback[name].results] == [
-                r.status for r in run.results
-            ]
 
 
 # -- concurrent writers (multiprocessing stress) -------------------------------

@@ -1,4 +1,4 @@
-"""The staged engine: stage contracts, parse caching, facade parity, fan-out."""
+"""The staged engine: stage contracts, parse caching, facade parity, batch runs."""
 
 import pytest
 
@@ -97,6 +97,7 @@ class TestProcessCorpora:
             assert run_fingerprint(runs[name]) == run_fingerprint(single)
 
     def test_parallel_matches_sequential(self):
+        # ``parallel`` is kept as an accepted, ignored keyword.
         engine = SageEngine(mode="revised")
         sequential = engine.process_corpora(parallel=False)
         parallel = engine.process_corpora(parallel=True)
@@ -104,32 +105,9 @@ class TestProcessCorpora:
         for name, run in sequential.items():
             assert run_fingerprint(parallel[name]) == run_fingerprint(run)
 
-    def test_parallel_strict_mode_and_small_chunks(self):
-        engine = SageEngine(mode="strict")
-        sequential = engine.process_corpora(["BFD", "IGMP"], parallel=False)
-        parallel = engine.process_corpora(
-            ["BFD", "IGMP"], parallel=True, chunk_size=3, max_workers=2
-        )
-        assert list(parallel) == ["BFD", "IGMP"]
-        for name, run in sequential.items():
-            assert run_fingerprint(parallel[name]) == run_fingerprint(run)
-
     def test_protocol_names_case_insensitive(self):
         runs = SageEngine().process_corpora(["icmp"], parallel=False)
         assert list(runs) == ["ICMP"]
-
-    def test_parallel_merges_worker_parses_into_cache(self):
-        registry = ProtocolRegistry()
-        engine = SageEngine(mode="revised", protocol_registry=registry)
-        cache = registry.parse_cache()
-        assert len(cache) == 0
-        engine.process_corpora(["IGMP"], parallel=True, chunk_size=4)
-        # The workers parsed in their own processes, yet the parent cache
-        # ends the call warm: a re-run adds no misses.
-        assert len(cache) > 0
-        misses = cache.stats()["misses"]
-        engine.process_corpora(["IGMP"], parallel=False)
-        assert cache.stats()["misses"] == misses
 
 
 # -- the shared parse cache -----------------------------------------------------
@@ -220,17 +198,6 @@ class TestParseCache:
         engine.process_corpus("IGMP")
         assert engine.parse_cache is None
         assert len(registry.parse_cache()) == 0
-
-    def test_parse_cache_merge_and_stats(self):
-        cache = ParseCache()
-        cache.put(("a",), 1)
-        assert cache.get(("a",)) == 1
-        assert cache.get(("b",)) is None
-        assert cache.stats() == {"size": 1, "hits": 1, "misses": 1}
-        added = cache.merge({("a",): 99, ("b",): 2})
-        assert added == 1  # existing entries are never overwritten
-        assert cache.get(("a",)) == 1
-        assert cache.get(("b",)) == 2
 
 
 # -- the role marker fix (word boundaries) --------------------------------------

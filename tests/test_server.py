@@ -67,7 +67,8 @@ class ServerHandle:
 @pytest.fixture(scope="module")
 def server():
     """An inline-mode server over the warm shared default registry."""
-    handle = ServerHandle(ReproServer(port=0, deadline_s=120.0)).start()
+    handle = ServerHandle(ReproServer(port=0, workers=1,
+                                      deadline_s=120.0)).start()
     yield handle
     handle.stop()
 
@@ -255,21 +256,31 @@ class TestErrorMapping:
 
 
 class TestStats:
-    def test_stats_shape_and_counters(self, server):
-        server.request("POST", "/v1/process",
-                       body=json.dumps({"protocol": "ICMP",
-                                        "include_sentences": False}))
-        status, _ct, body = server.request("GET", "/stats")
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_stats_shape_and_counters(self, workers):
+        handle = ServerHandle(
+            ReproServer(port=0, workers=workers, deadline_s=120.0)
+        ).start()
+        try:
+            mode = "process" if workers > 1 else "inline"
+            if handle.server.pool.mode != mode:
+                pytest.skip("fork process pool unavailable on this platform")
+            handle.request("POST", "/v1/process",
+                           body=json.dumps({"protocol": "ICMP",
+                                            "include_sentences": False}))
+            status, _ct, body = handle.request("GET", "/stats")
+        finally:
+            handle.stop()
         assert status == 200
         payload = json.loads(body)
         assert payload["kind"] == "server_stats"
         data = payload["data"]
         assert data["server"]["requests_total"] >= 2
         assert data["server"]["responses_by_status"]["200"] >= 1
-        assert data["pool"] == {"mode": "inline", "workers": 1,
+        assert data["pool"] == {"mode": mode, "workers": workers,
                                 "cache_dir": None}
         service = data["service"]
-        assert service["worker_count"] == 1
+        assert service["worker_count"] == workers
         assert service["parse_cache"]["hits"] >= 0
         assert 0.0 <= service["profile"]["span_reuse_rate"] <= 1.0
 
