@@ -2,13 +2,14 @@
 # Tier-1 verification + the CLI smoke + the pipeline perf smoke, exactly as
 # CI runs them.
 #
-#   ./scripts/ci.sh          # tests + CLI smoke + cache smoke + smoke benchmark + serve gate + fuzz gate
+#   ./scripts/ci.sh          # tests + CLI smoke + cache smoke + smoke benchmark + serve gate + fuzz gate + paper checks
 #   ./scripts/ci.sh tests    # tier-1 tests only
 #   ./scripts/ci.sh bench    # CLI smoke + parser parity + cache smoke + smoke benchmark
 #   ./scripts/ci.sh parity   # parser-backend parity suite only
 #   ./scripts/ci.sh cache    # persistent cache cross-process smoke only
 #   ./scripts/ci.sh serve-gate  # HTTP serving layer load gate only
 #   ./scripts/ci.sh fuzz-gate   # differential fuzzer cross-backend gate only
+#   ./scripts/ci.sh paper       # paper-table checks (benchmarks/bench_*.py) only
 #
 # The CLI smoke drives the `python -m repro` service entry point (a full
 # four-protocol sweep emitting the JSON wire contract, checked to cover all
@@ -32,6 +33,20 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 export PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}"
+
+# Paper-table checks: every figure and table benchmarks/bench_*.py
+# regenerates (Figs 5-6, Tables 2-11, the end-to-end interop run and the
+# fuzz matrix), asserted against the paper's numbers.  Timing rounds are
+# off: this step checks the tables, it does not time them.
+paper_checks() {
+  echo "== paper-table checks: benchmarks/bench_*.py =="
+  python -m pytest -q benchmarks/bench_*.py --benchmark-disable
+}
+
+if [ "${1:-all}" = "paper" ]; then
+  paper_checks
+  exit 0
+fi
 
 if [ "${1:-all}" = "parity" ]; then
   echo "== parser-backend parity suite =="
@@ -129,28 +144,43 @@ fi
 # and must come back with zero divergences, zero oracle violations, a full
 # green interop matrix (every backend pair × all four protocols × every
 # scenario family), a stable emitted-C fingerprint lock, and — run twice —
-# a byte-identical trace digest.  The report lands in FUZZ_matrix.json
+# a byte-identical trace digest that also equals the fuzz_traces_sha1
+# committed in BENCH_pipeline.json (read before --record-bench rewrites
+# it), so a change that alters any trace fails here even when it is
+# self-consistent.  The report lands in FUZZ_matrix.json
 # (uploaded as a CI artifact) and its headline numbers merge into
 # BENCH_pipeline.json under fuzz_* keys.  The CLI itself exits non-zero on
 # any divergence/violation; the python check below enforces coverage and
 # reproducibility on top.
 fuzz_gate() {
   echo "== fuzz gate: python -m repro fuzz, fixed seed, all backends =="
-  local rerun
+  local rerun pinned
   rerun="$(mktemp "${TMPDIR:-/tmp}/repro-fuzz-rerun.XXXXXX")"
   # shellcheck disable=SC2064
   trap "rm -f '$rerun'" RETURN
+  pinned="$( (git show HEAD:BENCH_pipeline.json 2>/dev/null \
+              || cat BENCH_pipeline.json) | python -c '
+import json, sys
+print(json.load(sys.stdin).get("fuzz_traces_sha1", ""))
+')"
   python -m repro fuzz --seed 0 --episodes 200 --json \
     --record-bench BENCH_pipeline.json > FUZZ_matrix.json
   python -m repro fuzz --seed 0 --episodes 200 --json > "$rerun"
-  python - "$rerun" <<'EOF'
+  python - "$rerun" "$pinned" <<'EOF'
 import json, sys
 
 first = json.load(open("FUZZ_matrix.json"))["data"]
 second = json.load(open(sys.argv[1]))["data"]
+pinned = sys.argv[2]
 if first["traces_sha1"] != second["traces_sha1"]:
     sys.exit("FUZZ FAILURE: seed 0 is not reproducible — trace digests "
              f"differ ({first['traces_sha1']} vs {second['traces_sha1']})")
+if not pinned:
+    sys.exit("FUZZ FAILURE: no fuzz_traces_sha1 in the committed "
+             "BENCH_pipeline.json to pin the seed-0 digest against")
+if first["traces_sha1"] != pinned:
+    sys.exit("FUZZ FAILURE: seed-0 trace digest changed — committed "
+             f"{pinned}, this run {first['traces_sha1']}")
 matrix = first["matrix"]
 if not first["clean"] or not matrix["all_green"]:
     sys.exit(f"FUZZ FAILURE: matrix not green: {matrix}")
@@ -169,7 +199,7 @@ if unstable:
     sys.exit(f"FUZZ FAILURE: unstable C renders for {unstable}")
 print(f"ok ({first['episodes']} episodes x {len(matrix['pairs'])} pairs, "
       f"{len(protocols)} protocols, matrix green, digest "
-      f"{first['traces_sha1'][:12]} reproducible)")
+      f"{first['traces_sha1'][:12]} reproducible and pinned)")
 EOF
 }
 
@@ -222,4 +252,5 @@ fi
 if [ "${1:-all}" = "all" ]; then
   serve_gate
   fuzz_gate
+  paper_checks
 fi

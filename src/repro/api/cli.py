@@ -683,14 +683,14 @@ def _render_rate(rate: float | None) -> str:
 
 
 def _cmd_serve(args, out) -> int:
-    """Boot the asyncio HTTP front end (blocks until interrupted).
+    """Boot the asyncio HTTP front end (blocks until SIGINT or SIGTERM,
+    then waits for the pool workers to exit).
 
     Unlike every other subcommand this does *not* build a service in this
     process first: with a process pool, each worker constructs its own
     service over the shared cache directory, and building one here would
     only burn memory in a parent that never answers requests.
     """
-    import asyncio
     import os
 
     from ..server import ReproServer, ServiceConfig
@@ -701,21 +701,14 @@ def _cmd_serve(args, out) -> int:
     server = ReproServer(args.host, args.port, config=config,
                          workers=args.workers, deadline_s=args.deadline)
 
-    async def _serve() -> None:
-        await server.start()
+    def announce(server) -> None:
         pool = server.pool
         plural = "" if pool.workers == 1 else "s"
         print(f"serving on {server.url} ({pool.mode} mode, "
               f"{pool.workers} worker{plural}; "
               f"cache {cache_dir or 'in-memory'})", file=out, flush=True)
-        await server.serve_forever()
 
-    try:
-        asyncio.run(_serve())
-    except KeyboardInterrupt:
-        pass
-    finally:
-        server.pool.close()
+    server.run(announce)
     return 0
 
 

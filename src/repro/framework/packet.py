@@ -43,19 +43,48 @@ class Header:
     carry one attribute per field plus ``payload`` (bytes following the fixed
     header).  Packing is big-endian bit-by-bit, so arbitrary sub-byte fields
     compose correctly.
+
+    Each class compiles its layout once, when it is defined
+    (:meth:`__init_subclass__`, which also covers classes built by
+    :meth:`HeaderLayout.to_header_class`): the field-name set, one
+    ``(name, shift, mask, spec)`` entry per field, and the total bit and
+    byte lengths.  ``unpack`` needs nothing else; ``__init__`` and ``pack``
+    take an exact-``int`` fast path and hand anything else (bools, other
+    types, out-of-range values) to :meth:`_check_range`, so every check
+    raises as it always has.
     """
 
     FIELDS: tuple[FieldSpec, ...] = ()
 
+    #: Compiled layout (see the class docstring); rebuilt per subclass.
+    _NAMES: frozenset = frozenset()
+    _LAYOUT: tuple[tuple[str, int, int, FieldSpec], ...] = ()
+    _BITS = 0
+    #: Header length in bytes, or None when the layout is not byte aligned.
+    _LENGTH: int | None = 0
+
+    def __init_subclass__(cls, **kwargs: Any) -> None:
+        super().__init_subclass__(**kwargs)
+        bits = sum(spec.bits for spec in cls.FIELDS)
+        layout = []
+        shift = bits
+        for spec in cls.FIELDS:
+            shift -= spec.bits
+            layout.append((spec.name, shift, spec.max_value, spec))
+        cls._NAMES = frozenset(spec.name for spec in cls.FIELDS)
+        cls._LAYOUT = tuple(layout)
+        cls._BITS = bits
+        cls._LENGTH = None if bits % 8 else bits // 8
+
     def __init__(self, payload: bytes = b"", **fields: int) -> None:
-        known = {spec.name for spec in self.FIELDS}
-        unknown = set(fields) - known
-        if unknown:
+        if not self._NAMES.issuperset(fields):
+            unknown = set(fields) - self._NAMES
             raise TypeError(f"unknown fields for {type(self).__name__}: {sorted(unknown)}")
-        for spec in self.FIELDS:
-            value = fields.get(spec.name, spec.default)
-            self._check_range(spec, value)
-            setattr(self, spec.name, value)
+        for name, _shift, mask, spec in self._LAYOUT:
+            value = fields.get(name, spec.default)
+            if type(value) is not int or not 0 <= value <= mask:
+                self._check_range(spec, value)
+            setattr(self, name, value)
         self.payload = bytes(payload)
 
     @staticmethod
@@ -69,14 +98,13 @@ class Header:
 
     @classmethod
     def header_bits(cls) -> int:
-        return sum(spec.bits for spec in cls.FIELDS)
+        return cls._BITS
 
     @classmethod
     def header_len(cls) -> int:
-        bits = cls.header_bits()
-        if bits % 8:
-            raise ValueError(f"{cls.__name__} is not byte aligned ({bits} bits)")
-        return bits // 8
+        if cls._LENGTH is None:
+            raise ValueError(f"{cls.__name__} is not byte aligned ({cls._BITS} bits)")
+        return cls._LENGTH
 
     def field_values(self) -> dict[str, int]:
         return {spec.name: getattr(self, spec.name) for spec in self.FIELDS}
@@ -84,32 +112,31 @@ class Header:
     def pack(self) -> bytes:
         """Serialize the header fields followed by the payload."""
         accumulator = 0
-        bit_count = 0
-        for spec in self.FIELDS:
-            value = getattr(self, spec.name)
-            self._check_range(spec, value)
-            accumulator = (accumulator << spec.bits) | value
-            bit_count += spec.bits
-        if bit_count % 8:
-            raise ValueError(f"{type(self).__name__} is not byte aligned ({bit_count} bits)")
-        header = accumulator.to_bytes(bit_count // 8, "big") if bit_count else b""
-        return header + self.payload
+        for name, shift, mask, spec in self._LAYOUT:
+            value = getattr(self, name)
+            if type(value) is not int or not 0 <= value <= mask:
+                self._check_range(spec, value)
+            accumulator |= value << shift
+        return accumulator.to_bytes(self.header_len(), "big") + self.payload
 
     @classmethod
     def unpack(cls, data: bytes) -> "Header":
-        """Parse ``data`` into a header instance; trailing bytes form payload."""
+        """Parse ``data`` into a header instance; trailing bytes form payload.
+
+        Every field comes out of the mask in range, so the instance is
+        filled directly instead of going back through ``__init__``.
+        """
         length = cls.header_len()
         if len(data) < length:
             raise ValueError(
                 f"truncated {cls.__name__}: need {length} bytes, got {len(data)}"
             )
         accumulator = int.from_bytes(data[:length], "big")
-        values: dict[str, int] = {}
-        remaining = cls.header_bits()
-        for spec in cls.FIELDS:
-            remaining -= spec.bits
-            values[spec.name] = (accumulator >> remaining) & spec.max_value
-        return cls(payload=data[length:], **values)
+        header = cls.__new__(cls)
+        for name, shift, mask, _spec in cls._LAYOUT:
+            setattr(header, name, (accumulator >> shift) & mask)
+        header.payload = bytes(data[length:])
+        return header
 
     def copy(self) -> "Header":
         return type(self)(payload=self.payload, **self.field_values())

@@ -16,8 +16,16 @@ Adding an oracle is one call::
 
     register_oracle("ICMP", no_giant_replies)
 
-Registered oracles run on every trace of their protocol, every backend,
-every episode.
+Registered oracles run on every distinct trace of their protocol, every
+episode.
+
+The contract: an oracle is a pure function of ``(episode, trace)``.  It
+must not mutate either argument, keep state between calls or depend on
+which backend produced the trace.  The runner
+(:meth:`~repro.fuzz.runner.DifferentialRunner.run_episode`) relies on
+this: backends that agree produce equal traces, so each distinct trace is
+checked once and its violations are reported for every backend that
+produced it (DESIGN.md §12.4).
 """
 
 from __future__ import annotations

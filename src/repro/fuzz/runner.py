@@ -9,9 +9,10 @@ fingerprints: :meth:`DifferentialRunner.c_fingerprints` renders each
 protocol's C twice and records the SHA-1, failing the lock if the
 rendering is unstable.
 
-Per-protocol invariant oracles (:mod:`repro.fuzz.oracles`) run over every
-trace; oracle violations and cross-backend divergences are both fatal to
-the interop matrix.
+Per-protocol invariant oracles (:mod:`repro.fuzz.oracles`) run once over
+every distinct trace, and their verdict counts for every backend that
+produced it; oracle violations and cross-backend divergences are both
+fatal to the interop matrix.
 """
 
 from __future__ import annotations
@@ -163,9 +164,14 @@ class DifferentialRunner:
         traces = {backend: self.trace(episode, backend)
                   for backend in self.backends}
         divergences = []
+        agree = {}
         for backend_a, backend_b in itertools.combinations(self.backends, 2):
-            found = first_difference(traces[backend_a], traces[backend_b])
+            left, right = traces[backend_a], traces[backend_b]
+            # Backends agree on almost every episode; only a real split
+            # pays for the recursive walk that names the differing path.
+            found = None if left == right else first_difference(left, right)
             diverged = found is not None
+            agree[backend_a, backend_b] = not diverged
             if diverged:
                 divergences.append(Divergence(
                     episode=episode, backend_a=backend_a, backend_b=backend_b,
@@ -174,10 +180,19 @@ class DifferentialRunner:
             if matrix is not None:
                 matrix.record(f"{backend_a}|{backend_b}", episode.protocol,
                               episode.family, diverged=diverged)
+        # Oracles are pure functions of (episode, trace): each distinct
+        # trace is checked once and its verdict reported for every backend
+        # that produced it.
+        verdicts: dict[str, list[str]] = {}
+        for backend, trace in traces.items():
+            twin = next((seen for seen in verdicts
+                         if agree.get((seen, backend))), None)
+            verdicts[backend] = (verdicts[twin] if twin is not None
+                                 else check_trace(episode, trace))
         violations = [
             Violation(episode=episode, backend=backend, message=message)
-            for backend, trace in traces.items()
-            for message in check_trace(episode, trace)
+            for backend, messages in verdicts.items()
+            for message in messages
         ]
         return divergences, violations, traces
 

@@ -35,7 +35,9 @@ warmed caches mean the retry is cheap.
 from __future__ import annotations
 
 import asyncio
+import signal
 import time
+from collections.abc import Callable
 
 from ..api.errors import ApiError, DeadlineExceeded
 from .pool import BINARY_CONTENT_TYPE, ServiceConfig, WorkerPool, _json_body
@@ -125,12 +127,6 @@ class ReproServer:
         self.port = self._server.sockets[0].getsockname()[1]
         self.started_at = time.monotonic()
 
-    async def serve_forever(self) -> None:
-        if self._server is None:
-            await self.start()
-        async with self._server:
-            await self._server.serve_forever()
-
     async def stop(self) -> None:
         if self._server is not None:
             self._server.close()
@@ -138,11 +134,25 @@ class ReproServer:
             self._server = None
         self.pool.close()
 
-    def run(self) -> None:
-        """Block serving until interrupted (the ``python -m repro serve``
-        entry point)."""
+    def run(self, announce: Callable[[ReproServer], None] | None = None
+            ) -> None:
+        """Block serving until SIGINT or SIGTERM (the ``python -m repro
+        serve`` entry point), then close the pool, which waits for its
+        workers to exit.  ``announce(server)`` runs once the socket is
+        bound."""
+        async def serve_until_signalled() -> None:
+            await self.start()
+            stop = asyncio.Event()
+            loop = asyncio.get_running_loop()
+            for signum in (signal.SIGINT, signal.SIGTERM):
+                loop.add_signal_handler(signum, stop.set)
+            if announce is not None:
+                announce(self)
+            await stop.wait()
+            self._server.close()
+
         try:
-            asyncio.run(self.serve_forever())
+            asyncio.run(serve_until_signalled())
         except KeyboardInterrupt:
             pass
         finally:

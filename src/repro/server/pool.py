@@ -467,7 +467,9 @@ class WorkerPool:
                 "cache_dir": self.config.cache_dir}
 
     def close(self) -> None:
-        self._executor.shutdown(wait=False, cancel_futures=True)
+        """Cancel queued work and wait for every worker to exit (a task
+        already running finishes first)."""
+        self._executor.shutdown(wait=True, cancel_futures=True)
 
     def __enter__(self) -> "WorkerPool":
         return self

@@ -156,6 +156,68 @@ class TestDifferentialRunner:
             _PEER_FACTORIES.pop(("NTP", "eager"))
 
 
+class TestOneOracleRunPerDistinctTrace:
+    """Oracles are pure in (episode, trace), so the runner checks each
+    distinct trace once and reports its verdict for every backend."""
+
+    def test_always_flagging_oracle_reports_once_per_backend(self, units):
+        calls = []
+
+        def always_flags(episode, trace):
+            calls.append(trace)
+            return ["synthetic violation"]
+
+        episode = TraceGenerator(seed=3, protocols=("IGMP",)).episodes(1)[0]
+        register_oracle("IGMP", always_flags)
+        try:
+            divergences, violations, traces = DifferentialRunner(
+                units).run_episode(episode)
+        finally:
+            ORACLES["IGMP"].remove(always_flags)
+        assert not divergences
+        synthetic = [v for v in violations
+                     if v.message == "synthetic violation"]
+        assert sorted(v.backend for v in synthetic) == sorted(
+            EXECUTABLE_BACKENDS)
+        assert len(synthetic) == 3
+        # The three backends agreed, so the oracle ran on one trace.
+        assert len(calls) == 1
+        assert calls[0] == traces["reference"]
+
+    def test_diverging_trace_gets_its_own_oracle_run(self, units):
+        class _EagerNTP:
+            @staticmethod
+            def timeout_predicate(peer):
+                return True
+
+        seen = []
+
+        def record(episode, trace):
+            seen.append(trace)
+            return []
+
+        register_peer("NTP", "eager", lambda unit: _EagerNTP())
+        register_oracle("NTP", record)
+        try:
+            runner = DifferentialRunner(
+                units, backends=("reference", "python", "eager"))
+            episodes = TraceGenerator(seed=1, protocols=("NTP",)).episodes(6)
+            episode = next(e for e in episodes if runner.diverges(e))
+            seen.clear()
+            divergences, _violations, traces = runner.run_episode(episode)
+        finally:
+            ORACLES["NTP"].remove(record)
+            _PEER_FACTORIES.pop(("NTP", "eager"))
+        assert traces["reference"] == traces["python"]
+        assert traces["eager"] != traces["reference"]
+        assert {(d.backend_a, d.backend_b) for d in divergences} == {
+            ("reference", "eager"), ("python", "eager")}
+        # reference and python share one run; eager gets its own.
+        assert len(seen) == 2
+        assert seen[0] == traces["reference"]
+        assert seen[1] == traces["eager"]
+
+
 class TestOracles:
     def test_registered_oracle_runs_and_reports(self):
         episode = Episode(protocol="IGMP", family="query", seed=0, params={})

@@ -4,7 +4,13 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from repro.framework.bfd import BFDControlHeader
+from repro.framework.icmp import ICMPHeader, ICMPTimestampHeader
+from repro.framework.igmp import IGMPHeader
+from repro.framework.ip import IPv4Header
+from repro.framework.ntp import NTPHeader
 from repro.framework.packet import FieldSpec, Header, HeaderLayout, LayoutField
+from repro.framework.udp import UDPHeader
 
 
 class TinyHeader(Header):
@@ -112,3 +118,148 @@ class TestHeaderLayout:
         layout = HeaderLayout("v", [LayoutField("version", 4), LayoutField("ihl", 4)])
         struct_text = layout.to_c_struct()
         assert "uint8_t version : 4;" in struct_text
+
+
+# -- every bundled layout against a bit-by-bit reference codec ----------------
+
+#: A generated class whose sub-byte fields straddle byte boundaries.
+SubByteHeader = HeaderLayout("sub_byte", [
+    LayoutField("flag", 1), LayoutField("kind", 3), LayoutField("level", 5),
+    LayoutField("span", 7), LayoutField("wide", 13), LayoutField("tail", 3),
+]).to_header_class()
+
+HEADER_CLASSES = (IPv4Header, ICMPHeader, ICMPTimestampHeader, UDPHeader,
+                  IGMPHeader, NTPHeader, BFDControlHeader, SubByteHeader)
+
+
+def reference_pack(cls, values, payload):
+    """Lay the fields out one bit at a time, most significant bit first."""
+    bits = []
+    for spec in cls.FIELDS:
+        value = values[spec.name]
+        bits.extend((value >> (spec.bits - 1 - i)) & 1 for i in range(spec.bits))
+    assert len(bits) % 8 == 0
+    out = bytearray()
+    for start in range(0, len(bits), 8):
+        byte = 0
+        for bit in bits[start:start + 8]:
+            byte = (byte << 1) | bit
+        out.append(byte)
+    return bytes(out) + payload
+
+
+def reference_unpack(cls, data):
+    """The inverse of :func:`reference_pack`: (field values, payload)."""
+    total = sum(spec.bits for spec in cls.FIELDS)
+    bits = [(data[i // 8] >> (7 - i % 8)) & 1 for i in range(total)]
+    values, position = {}, 0
+    for spec in cls.FIELDS:
+        value = 0
+        for bit in bits[position:position + spec.bits]:
+            value = (value << 1) | bit
+        values[spec.name] = value
+        position += spec.bits
+    return values, data[total // 8:]
+
+
+def _values_for(cls):
+    return st.fixed_dictionaries(
+        {spec.name: st.integers(0, spec.max_value) for spec in cls.FIELDS})
+
+
+class TestBundledCodecs:
+    def test_generated_class_has_sub_byte_fields(self):
+        assert SubByteHeader.header_bits() == 32
+        assert all(spec.bits % 8 for spec in SubByteHeader.FIELDS)
+
+    @pytest.mark.parametrize("cls", HEADER_CLASSES,
+                             ids=lambda cls: cls.__name__)
+    def test_compiled_lengths_match_the_fields(self, cls):
+        bits = sum(spec.bits for spec in cls.FIELDS)
+        assert cls.header_bits() == bits
+        assert cls.header_len() == bits // 8
+
+    @given(data=st.data())
+    def test_pack_matches_reference(self, data):
+        cls = data.draw(st.sampled_from(HEADER_CLASSES))
+        values = data.draw(_values_for(cls))
+        payload = data.draw(st.binary(max_size=24))
+        header = cls(payload=payload, **values)
+        assert header.pack() == reference_pack(cls, values, payload)
+
+    @given(data=st.data())
+    def test_unpack_matches_reference(self, data):
+        cls = data.draw(st.sampled_from(HEADER_CLASSES))
+        length = cls.header_len()
+        raw = data.draw(st.binary(min_size=length, max_size=length + 24))
+        header = cls.unpack(raw)
+        values, payload = reference_unpack(cls, raw)
+        assert header.field_values() == values
+        assert header.payload == payload
+        assert header == cls(payload=payload, **values)
+        assert header.pack() == raw
+
+
+class TestChecksStillRaise:
+    """The compiled fast paths keep every type and range check."""
+
+    @pytest.mark.parametrize("cls", HEADER_CLASSES,
+                             ids=lambda cls: cls.__name__)
+    def test_unknown_field(self, cls):
+        with pytest.raises(TypeError, match=r"unknown fields for .*\['bogus'\]"):
+            cls(bogus=1)
+
+    @pytest.mark.parametrize("cls", HEADER_CLASSES,
+                             ids=lambda cls: cls.__name__)
+    @pytest.mark.parametrize("bad", ["1", 1.0, None, b"\x01"])
+    def test_non_int_at_construction(self, cls, bad):
+        name = cls.FIELDS[-1].name
+        with pytest.raises(TypeError, match=f"field '{name}' must be an int"):
+            cls(**{name: bad})
+
+    @pytest.mark.parametrize("cls", HEADER_CLASSES,
+                             ids=lambda cls: cls.__name__)
+    def test_out_of_range_at_construction(self, cls):
+        for spec in cls.FIELDS:
+            for bad in (-1, spec.max_value + 1):
+                with pytest.raises(ValueError,
+                                   match=f"does not fit in {spec.bits} bits"):
+                    cls(**{spec.name: bad})
+
+    def test_out_of_range_at_pack_after_mutation(self):
+        header = IPv4Header()
+        header.ttl = 256
+        with pytest.raises(ValueError,
+                           match="field 'ttl' value 256 does not fit in 8 bits"):
+            header.pack()
+
+    def test_non_int_at_pack_after_mutation(self):
+        header = UDPHeader()
+        header.length = "8"
+        with pytest.raises(TypeError, match="field 'length' must be an int"):
+            header.pack()
+
+    def test_bools_are_still_accepted_as_ints(self):
+        header = BFDControlHeader(poll=True)
+        assert header.pack() == BFDControlHeader(poll=1).pack()
+        header.final = True
+        assert BFDControlHeader.unpack(header.pack()).final == 1
+        with pytest.raises(ValueError):
+            TinyHeader(length=True, flags=16)
+
+    @pytest.mark.parametrize("cls", HEADER_CLASSES,
+                             ids=lambda cls: cls.__name__)
+    def test_truncated_unpack(self, cls):
+        length = cls.header_len()
+        with pytest.raises(ValueError,
+                           match=f"need {length} bytes, got {length - 1}"):
+            cls.unpack(bytes(length - 1))
+
+    def test_unaligned_layout_raises_at_pack_and_unpack(self):
+        cls = HeaderLayout("odd", [LayoutField("a", 3),
+                                   LayoutField("b", 7)]).to_header_class()
+        header = cls(a=1, b=2)
+        with pytest.raises(ValueError, match=r"not byte aligned \(10 bits\)"):
+            header.pack()
+        with pytest.raises(ValueError, match="not byte aligned"):
+            cls.unpack(b"\x00\x00")

@@ -4,9 +4,14 @@ and concurrent multi-process access to one shared persistent store."""
 import asyncio
 import concurrent.futures
 import json
+import os
+import signal
+import subprocess
+import sys
 import threading
 import time
 from http.client import HTTPConnection
+from pathlib import Path
 
 import pytest
 
@@ -407,3 +412,59 @@ class TestConcurrentSharedStore:
             assert aggregate["parse_cache"]["disk_hits"] > 0
         finally:
             handle.stop()
+
+
+def _children(pid: int) -> set[int]:
+    """Live child PIDs of ``pid`` (every thread's ``children`` list)."""
+    found = set()
+    for task in Path(f"/proc/{pid}/task").iterdir():
+        found.update(int(child) for child in
+                     (task / "children").read_text().split())
+    return found
+
+
+def _alive(pid: int) -> bool:
+    """True while ``pid`` exists and is not a zombie."""
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except OSError:
+        return False
+    return stat[stat.rfind(")") + 2:].split()[0] != "Z"
+
+
+@pytest.mark.skipif(
+    not Path(f"/proc/{os.getpid()}/task/{os.getpid()}/children").exists(),
+    reason="needs /proc child lists to find the worker processes")
+class TestShutdown:
+    def test_sigterm_stops_the_forked_workers(self):
+        env = dict(os.environ)
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [src, env.get("PYTHONPATH")]))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro", "serve", "--port", "0",
+             "--workers", "2"],
+            stdout=subprocess.PIPE, stderr=subprocess.DEVNULL, env=env)
+        workers: set[int] = set()
+        try:
+            banner = proc.stdout.readline().decode()
+            if "process mode" not in banner:
+                pytest.skip(f"fork process pool unavailable: {banner!r}")
+            workers = _children(proc.pid)
+            assert len(workers) >= 2
+            proc.send_signal(signal.SIGTERM)
+            assert proc.wait(timeout=30) == 0
+            deadline = time.monotonic() + 10
+            while any(_alive(pid) for pid in workers):
+                assert time.monotonic() < deadline, (
+                    f"workers outlived the server: "
+                    f"{[pid for pid in workers if _alive(pid)]}")
+                time.sleep(0.05)
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.wait()
+            proc.stdout.close()
+            for pid in workers:
+                if _alive(pid):
+                    os.kill(pid, signal.SIGKILL)
