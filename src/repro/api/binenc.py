@@ -21,8 +21,10 @@ built through an intermediate dict).  ``schema:1b`` is the binary sibling:
   WinnowTrace, logical forms) encode straight from their objects and
   decode straight back, skipping the dict round-trip entirely.  Cooler
   types (requests, reports, artifacts, the IR program) reuse their JSON
-  ``to_dict`` forms under a generic value codec, so *every* ``schema:1``
-  kind round-trips through ``schema:1b`` losslessly.
+  dict forms under a generic value codec, so *every* ``schema:1`` kind
+  round-trips through ``schema:1b`` losslessly.  Both are read off the
+  same per-kind field tables as JSON (:mod:`repro.api.schema`); this
+  module holds the wire primitives the tables write through.
 
 :func:`to_bytes` / :func:`from_bytes` mirror ``to_json`` / ``from_json``
 exactly — same kinds, same registry resolution, same structured errors —
@@ -30,23 +32,35 @@ and ``from_bytes(to_bytes(x)) == from_json(to_json(x))`` is gated in
 ``benchmarks/pipeline_smoke.py`` and property-locked in
 ``tests/test_binenc.py``.  The persistent cache layer
 (:mod:`repro.cache.persistent`) reuses the same primitives for on-disk
-parse entries via :func:`parse_entry_to_bytes` /
-:func:`parse_entry_from_bytes`.
+parse and winnow entries via :func:`parse_entry_to_bytes` /
+:func:`parse_entry_from_bytes` and :func:`winnow_entry_to_bytes` /
+:func:`winnow_entry_from_bytes`.
 """
 
 from __future__ import annotations
 
 import struct
+from types import SimpleNamespace
 
 from ..ccg.chart import ParseResult
 from ..ccg.semantics import App, Call, Const, Lam, Sem, Var
-from ..codegen.ir import op_from_dict, op_to_dict, program_from_dict, program_to_dict
-from ..codegen.generator import SentenceCode
-from ..core.engine import SageRun, SentenceResult, SentenceStatus
-from ..disambiguation.winnow import WinnowTrace
-from ..rfc.corpus import Rewrite, SpecSentence
-from .contracts import _CONTRACTS, kind_of
-from .errors import ContractError, EnvelopeDecodeError, ProtocolNotFound
+from .contracts import TRACE, codec_named, codec_of, decoding
+from .errors import ContractError, EnvelopeDecodeError
+from .schema import (
+    BOOL,
+    SEM,
+    STR,
+    UINT,
+    Field,
+    ListOf,
+    Record,
+    _EMPTY_FLAGS,
+    _new_app,
+    _new_call,
+    _new_const,
+    _new_lam,
+    _new_var,
+)
 
 #: The wire schema tag this module writes and reads (JSON's ``schema:1``
 #: sibling; the magic below is its byte-level spelling).
@@ -73,67 +87,12 @@ _T_LAM = 19
 _T_APP = 20
 _T_CALL = 21     # aux byte: bit0 trigger, bit1 flags
 _T_SEM_REF = 22  # varint node index (preorder assignment)
-# direct-coded structures
-_T_RUN = 32
-_T_RESULT = 33   # aux byte: bit0 trace, bit1 lf, bit2 rewrite,
-                 #           bit3 subject_supplied, bit4 pruned
-_T_TRACE = 34
-_T_SPEC = 35
-_T_REWRITE = 36
-_T_SCODE = 37
-_T_PARSE_ENTRY = 48
+# Record tags (32+) are declared with their field tables: sage_run 32,
+# sentence_result 33, winnow_trace 34, spec_sentence 35, rewrite 36,
+# sentence_code 37 (repro.api.contracts) and parse_entry 48 (below).
 
 _pack_double = struct.Struct(">d").pack
 _unpack_double = struct.Struct(">d").unpack_from
-
-_EMPTY_FLAGS = frozenset()
-
-
-# -- fast constructors ---------------------------------------------------------
-# The semantic term classes are frozen dataclasses: their __init__ routes
-# every field through object.__setattr__, which the decode hot loop pays
-# tens of thousands of times per payload.  They have no __post_init__ and
-# no slots, so building via __new__ + direct __dict__ fill is
-# behavior-identical (__eq__/__hash__ read attributes) and much cheaper.
-
-def _new_const(value, span):
-    term = Const.__new__(Const)
-    d = term.__dict__
-    d["value"] = value
-    d["span"] = span
-    return term
-
-
-def _new_var(name):
-    term = Var.__new__(Var)
-    term.__dict__["name"] = name
-    return term
-
-
-def _new_lam(param, body):
-    term = Lam.__new__(Lam)
-    d = term.__dict__
-    d["param"] = param
-    d["body"] = body
-    return term
-
-
-def _new_app(fn, arg):
-    term = App.__new__(App)
-    d = term.__dict__
-    d["fn"] = fn
-    d["arg"] = arg
-    return term
-
-
-def _new_call(pred, args, trigger, flags):
-    term = Call.__new__(Call)
-    d = term.__dict__
-    d["pred"] = pred
-    d["args"] = args
-    d["trigger"] = trigger
-    d["flags"] = flags
-    return term
 
 
 # -- the writer ----------------------------------------------------------------
@@ -426,233 +385,24 @@ class _Reader:
         return self.sem()
 
 
-# -- direct structure codecs ---------------------------------------------------
-
-def _enc_spec(w: _Writer, spec: SpecSentence) -> None:
-    w.buf.append(_T_SPEC)
-    w.string(spec.text)
-    w.string(spec.protocol)
-    w.string(spec.message)
-    w.string(spec.field)
-    w.string(spec.kind)
-    w.string(spec.field_group)
-
-
-def _dec_spec(r: _Reader) -> SpecSentence:
-    if r.data[r.pos] != _T_SPEC:
-        raise ContractError("expected a spec_sentence record")
-    r.pos += 1
-    return SpecSentence(
-        text=r.string(), protocol=r.string(), message=r.string(),
-        field=r.string(), kind=r.string(), field_group=r.string(),
-    )
-
-
-def _enc_rewrite(w: _Writer, rewrite: Rewrite) -> None:
-    w.buf.append(_T_REWRITE)
-    w.string(rewrite.original)
-    w.string(rewrite.revised)
-    w.string(rewrite.category)
-    w.string(rewrite.note)
-
-
-def _dec_rewrite(r: _Reader) -> Rewrite:
-    if r.data[r.pos] != _T_REWRITE:
-        raise ContractError("expected a rewrite record")
-    r.pos += 1
-    return Rewrite(original=r.string(), revised=r.string(),
-                   category=r.string(), note=r.string())
-
-
-def _enc_trace(w: _Writer, trace: WinnowTrace) -> None:
-    w.buf.append(_T_TRACE)
-    w.string(trace.sentence)
-    counts = trace.counts
-    w.varint(len(counts))
-    for stage, count in counts.items():
-        w.string(stage)
-        w.varint(count)
-    base_forms = trace.base_forms
-    w.varint(len(base_forms))
-    for form in base_forms:
-        w.sem(form)
-    # Survivors are (by construction) members of the base-form list, so
-    # this is usually a run of back-references.
-    survivors = trace.survivors
-    w.varint(len(survivors))
-    for form in survivors:
-        w.sem(form)
-
-
-def _dec_trace(r: _Reader) -> WinnowTrace:
-    if r.data[r.pos] != _T_TRACE:
-        raise ContractError("expected a winnow_trace record")
-    r.pos += 1
-    sentence = r.string()
-    counts = {}
-    for _ in range(r._bounded("stage count")):
-        stage = r.string()
-        counts[stage] = r.varint()
-    base_forms = [r.sem() for _ in range(r._bounded("base-form count"))]
-    survivors = [r.sem() for _ in range(r._bounded("survivor count"))]
-    return WinnowTrace(sentence=sentence, counts=counts,
-                       survivors=survivors, base_forms=base_forms)
-
-
-def _enc_scode(w: _Writer, code: SentenceCode) -> None:
-    w.buf.append(_T_SCODE)
-    w.string(code.sentence)
-    w.string(code.status)
-    w.string(code.goal_message)
-    w.string(code.role)
-    w.string(code.reason)
-    w.value([op_to_dict(op) for op in code.ops])
-
-
-def _dec_scode(r: _Reader) -> SentenceCode:
-    if r.data[r.pos] != _T_SCODE:
-        raise ContractError("expected a sentence-code record")
-    r.pos += 1
-    sentence = r.string()
-    status = r.string()
-    goal_message = r.string()
-    role = r.string()
-    reason = r.string()
-    ops = [op_from_dict(record) for record in r.value()]
-    return SentenceCode(sentence=sentence, ops=ops,
-                        goal_message=goal_message, role=role,
-                        status=status, reason=reason)
-
-
-def _enc_result(w: _Writer, result: SentenceResult) -> None:
-    w.buf.append(_T_RESULT)
-    trace = result.trace
-    form = result.logical_form
-    rewrite = result.rewrite
-    w.buf.append(
-        (1 if trace is not None else 0)
-        | (2 if form is not None else 0)
-        | (4 if rewrite is not None else 0)
-        | (8 if result.subject_supplied else 0)
-        | (16 if result.pruned else 0)
-    )
-    _enc_spec(w, result.spec)
-    w.string(str(result.status))
-    w.string(result.reason)
-    if trace is not None:
-        _enc_trace(w, trace)
-    if form is not None:
-        w.sem(form)
-    if rewrite is not None:
-        _enc_rewrite(w, rewrite)
-    codes = result.codes
-    w.varint(len(codes))
-    for code in codes:
-        _enc_scode(w, code)
-    subs = result.sub_results
-    w.varint(len(subs))
-    for sub in subs:
-        _enc_result(w, sub)
-
-
-def _dec_result(r: _Reader) -> SentenceResult:
-    if r.data[r.pos] != _T_RESULT:
-        raise ContractError("expected a sentence_result record")
-    r.pos += 1
-    aux = r.data[r.pos]
-    r.pos += 1
-    spec = _dec_spec(r)
-    status = SentenceStatus.coerce(r.string())
-    reason = r.string()
-    trace = _dec_trace(r) if aux & 1 else None
-    form = r.sem() if aux & 2 else None
-    rewrite = _dec_rewrite(r) if aux & 4 else None
-    codes = [_dec_scode(r) for _ in range(r._bounded("code count"))]
-    subs = [_dec_result(r) for _ in range(r._bounded("sub-result count"))]
-    return SentenceResult(
-        spec=spec, status=status, trace=trace, logical_form=form,
-        codes=codes, rewrite=rewrite, sub_results=subs,
-        subject_supplied=bool(aux & 8), reason=reason,
-        pruned=bool(aux & 16),
-    )
-
-
-def _enc_run(w: _Writer, run: SageRun, registry) -> None:
-    try:
-        registry.spec(run.corpus.protocol)
-    except KeyError:
-        raise ContractError(
-            f"corpus {run.corpus.protocol!r} is not registered: SageRun "
-            "serialization references corpora by registered protocol name"
-        ) from None
-    w.buf.append(_T_RUN)
-    w.string(run.corpus.protocol)
-    results = run.results
-    w.varint(len(results))
-    for result in results:
-        _enc_result(w, result)
-    w.value(program_to_dict(run.code_unit))
-
-
-def _dec_run(r: _Reader, registry) -> SageRun:
-    if r.data[r.pos] != _T_RUN:
-        raise ContractError("expected a sage_run record")
-    r.pos += 1
-    name = r.string()
-    try:
-        corpus = registry.load_corpus(name)
-    except KeyError:
-        raise ProtocolNotFound(name, registry.protocols()) from None
-    results = [_dec_result(r) for _ in range(r._bounded("result count"))]
-    code_unit = program_from_dict(r.value())
-    return SageRun(corpus=corpus, results=results, code_unit=code_unit)
-
-
-def _resolve_registry(registry):
-    if registry is None:
-        from ..rfc.registry import default_registry
-
-        return default_registry()
-    return registry
-
-
-#: Kinds with a direct object<->bytes path; everything else goes through
-#: its schema:1 dict form under the generic value codec.
-_DIRECT_ENCODERS = {
-    "sage_run": lambda w, obj, registry: _enc_run(w, obj, registry),
-    "sentence_result": lambda w, obj, registry: _enc_result(w, obj),
-    "winnow_trace": lambda w, obj, registry: _enc_trace(w, obj),
-    "spec_sentence": lambda w, obj, registry: _enc_spec(w, obj),
-    "rewrite": lambda w, obj, registry: _enc_rewrite(w, obj),
-}
-
-_DIRECT_DECODERS = {
-    "sage_run": lambda r, registry: _dec_run(r, registry),
-    "sentence_result": lambda r, registry: _dec_result(r),
-    "winnow_trace": lambda r, registry: _dec_trace(r),
-    "spec_sentence": lambda r, registry: _dec_spec(r),
-    "rewrite": lambda r, registry: _dec_rewrite(r),
-}
-
-
 # -- the entry points ----------------------------------------------------------
 
 def to_bytes(obj, registry=None) -> bytes:
     """Serialize any wire-contract object under the ``schema:1b`` envelope.
 
-    Mirrors :func:`repro.api.contracts.to_json`: same kinds, same registry
-    resolution, same :class:`ContractError` on unserializable objects.
+    Mirrors :func:`repro.api.contracts.to_json`: same kinds, same field
+    tables, same registry resolution, same :class:`ContractError` on
+    unserializable objects.
     """
-    kind = kind_of(obj)
-    registry = _resolve_registry(registry)
+    codec = codec_of(obj)
+    return _encode(codec, obj, registry, codec.kind)
+
+
+def _encode(record, obj, registry=None, kind: str = "") -> bytes:
     writer = _Writer()
-    writer.string(kind)
-    direct = _DIRECT_ENCODERS.get(kind)
-    if direct is not None:
-        direct(writer, obj, registry)
-    else:
-        _type, encode, _decode = _CONTRACTS[kind]
-        writer.value(encode(obj, registry))
+    if kind:
+        writer.string(kind)
+    record.write(writer, obj, registry)
     return bytes(writer.buf)
 
 
@@ -668,100 +418,54 @@ def from_bytes(data: bytes, registry=None):
             "payload does not start with the schema:1b magic "
             f"{MAGIC!r} (is this a schema:1 JSON payload?)"
         )
-    registry = _resolve_registry(registry)
     reader = _Reader(data)
-    try:
-        kind = reader.string()
-        direct = _DIRECT_DECODERS.get(kind)
-        if direct is not None:
-            return direct(reader, registry)
-        if kind not in _CONTRACTS:
-            raise ContractError(
-                f"unknown payload kind {kind!r}; readable kinds are "
-                f"{', '.join(sorted(_CONTRACTS))}"
-            )
-        _type, _encode, decode = _CONTRACTS[kind]
-        return decode(reader.value(), registry)
-    except ContractError:
-        raise
-    except (IndexError, KeyError, TypeError, ValueError,
-            UnicodeDecodeError, struct.error) as exc:
-        raise EnvelopeDecodeError(
-            f"malformed schema:1b payload: {exc!r}"
-        ) from exc
+    return decoding("schema:1b", lambda: codec_named(reader.string()).read(
+        reader, registry), EnvelopeDecodeError)
 
 
-# -- parse-cache entries -------------------------------------------------------
+# -- persistent cache entries --------------------------------------------------
+# The store's values, with full provenance (spans, triggers, flags) so a
+# disk-warmed pipeline run is byte-identical to a cold one.
+
+#: One parse-cache value: the ``(ParseResult, subject_supplied)`` pair the
+#: parse stage stores.
+PARSE_ENTRY = Record("parse_entry", ParseResult, [
+    Field("subject_supplied", BOOL),
+    Field("backend", STR),
+    Field("token_count", UINT),
+    Field("cells_filled", UINT),
+    Field("dropped_items", UINT),
+    Field("unknown_words", ListOf(STR)),
+    Field("logical_forms", ListOf(SEM)),
+], tag=48, aux=("subject_supplied",),
+   make=lambda subject_supplied, **fields: (ParseResult(**fields),
+                                            subject_supplied))
+
 
 def parse_entry_to_bytes(result: ParseResult, subject_supplied: bool) -> bytes:
-    """One persistent parse-cache value: the ``(ParseResult, bool)`` pair
-    the parse stage stores, with full provenance (spans, triggers, flags)
-    so a disk-warmed pipeline run is byte-identical to a cold one."""
-    writer = _Writer()
-    writer.buf.append(_T_PARSE_ENTRY)
-    writer.buf.append(1 if subject_supplied else 0)
-    writer.string(result.backend)
-    writer.varint(result.token_count)
-    writer.varint(result.cells_filled)
-    writer.varint(result.dropped_items)
-    unknown = result.unknown_words
-    writer.varint(len(unknown))
-    for word in unknown:
-        writer.string(word)
-    forms = result.logical_forms
-    writer.varint(len(forms))
-    for form in forms:
-        writer.sem(form)
-    return bytes(writer.buf)
+    return _encode(PARSE_ENTRY, SimpleNamespace(
+        **vars(result), subject_supplied=subject_supplied))
 
 
 def parse_entry_from_bytes(data: bytes) -> tuple[ParseResult, bool]:
-    if bytes(data[:len(MAGIC)]) != MAGIC:
-        raise ContractError("not a schema:1b parse entry (bad magic)")
-    reader = _Reader(bytes(data))
-    try:
-        if reader.data[reader.pos] != _T_PARSE_ENTRY:
-            raise ContractError("not a parse-entry payload")
-        reader.pos += 1
-        subject_supplied = bool(reader.data[reader.pos])
-        reader.pos += 1
-        backend = reader.string()
-        token_count = reader.varint()
-        cells_filled = reader.varint()
-        dropped_items = reader.varint()
-        unknown_words = [reader.string()
-                         for _ in range(reader._bounded("word count"))]
-        logical_forms = [reader.sem()
-                         for _ in range(reader._bounded("form count"))]
-    except (IndexError, UnicodeDecodeError, struct.error) as exc:
-        raise EnvelopeDecodeError(f"malformed parse entry: {exc!r}") from exc
-    result = ParseResult(
-        logical_forms=logical_forms,
-        unknown_words=unknown_words,
-        token_count=token_count,
-        cells_filled=cells_filled,
-        dropped_items=dropped_items,
-        backend=backend,
-    )
-    return result, subject_supplied
+    return _entry(data, PARSE_ENTRY, "parse entry")
 
 
-# -- winnow-cache entries ------------------------------------------------------
-
-def winnow_entry_to_bytes(trace: WinnowTrace) -> bytes:
-    """One persistent winnow-cache value: the whole :class:`WinnowTrace`
-    (per-stage counts, base forms, survivors) with full provenance, so a
+def winnow_entry_to_bytes(trace) -> bytes:
+    """One winnow-cache value: the whole :class:`~repro.disambiguation.
+    winnow.WinnowTrace` (per-stage counts, base forms, survivors), so a
     disk-warmed winnow stage replays byte-identical traces."""
-    writer = _Writer()
-    _enc_trace(writer, trace)
-    return bytes(writer.buf)
+    return _encode(TRACE, trace)
 
 
-def winnow_entry_from_bytes(data: bytes) -> WinnowTrace:
-    if bytes(data[:len(MAGIC)]) != MAGIC:
-        raise ContractError("not a schema:1b winnow entry (bad magic)")
-    reader = _Reader(bytes(data))
-    try:
-        return _dec_trace(reader)
-    except (IndexError, UnicodeDecodeError, struct.error) as exc:
-        raise EnvelopeDecodeError(f"malformed winnow entry: {exc!r}") from exc
+def winnow_entry_from_bytes(data: bytes):
+    return _entry(data, TRACE, "winnow entry")
+
+
+def _entry(data: bytes, record: Record, what: str):
+    data = bytes(data)
+    if data[:len(MAGIC)] != MAGIC:
+        raise ContractError(f"not a schema:1b {what} (bad magic)")
+    reader = _Reader(data)
+    return decoding(what, lambda: record.read(reader, None),
+                    EnvelopeDecodeError)

@@ -32,6 +32,7 @@ from .contracts import (
     SweepRequest,
     SweepResponse,
     _check_mode,
+    from_envelope,
     from_json,
 )
 from .errors import ApiError, ProtocolNotFound, RequestError
@@ -39,30 +40,27 @@ from .session import DisambiguationSession
 
 
 def _coerce_request(request, request_type, **kwargs):
-    """Accept a request object, a plain dict, a JSON envelope, or kwargs."""
+    """Accept a request object, a plain field dict, a ``schema:1``
+    envelope (as JSON text or an already-parsed dict), or kwargs."""
     if request is None:
-        return request_type.from_dict(kwargs) if kwargs else request_type.from_dict({})
-    if kwargs:
+        request = kwargs
+    elif kwargs:
         raise RequestError(
             f"pass either a {request_type.__name__} or keyword arguments, "
             "not both"
         )
-    if isinstance(request, request_type):
-        return request
     if isinstance(request, str):
-        decoded = from_json(request)
-        if not isinstance(decoded, request_type):
-            raise RequestError(
-                f"expected a {request_type.__name__} payload, got "
-                f"{type(decoded).__name__}"
-            )
-        return decoded
-    if isinstance(request, dict):
-        return request_type.from_dict(request)
-    raise RequestError(
-        f"cannot interpret {type(request).__name__} as a "
-        f"{request_type.__name__}"
-    )
+        request = from_json(request)
+    elif isinstance(request, dict):
+        if "schema" not in request:
+            return request_type.from_dict(request)
+        request = from_envelope(request)
+    if not isinstance(request, request_type):
+        raise RequestError(
+            f"expected a {request_type.__name__} payload, got "
+            f"{type(request).__name__}"
+        )
+    return request
 
 
 class SageService:

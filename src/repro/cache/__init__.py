@@ -6,11 +6,12 @@ The package has two layers:
   versioned directory of content-addressed entries with atomic
   rename-based writes (safe for concurrent writers) and
   corruption-quarantining reads;
-* :mod:`repro.cache.persistent` — :class:`PersistentParseCache` /
-  :class:`PersistentWinnowCache` / :class:`PersistentCompiledCache`, the
-  registry cache classes promoted to write through one shared store, so
-  every fresh process (CLI call, CI job, HTTP worker)
-  starts warm.
+* :mod:`repro.cache.persistent` — :class:`ContentCache`, the one cache
+  class behind every registry cache: an in-memory memo that, bound to a
+  namespace and a codec (:class:`PersistentParseCache` /
+  :class:`PersistentWinnowCache` / :class:`PersistentCompiledCache`),
+  writes through to one shared store, so every fresh process (CLI call,
+  CI job, HTTP worker) starts warm.
 
 A registry opts in via ``ProtocolRegistry(cache_dir=...)`` or the
 ``REPRO_CACHE_DIR`` environment variable; see DESIGN.md §9 for the layout
@@ -21,6 +22,7 @@ from .persistent import (
     COMPILED_NAMESPACE,
     PARSE_NAMESPACE,
     WINNOW_NAMESPACE,
+    ContentCache,
     PersistentCompiledCache,
     PersistentParseCache,
     PersistentWinnowCache,
@@ -33,6 +35,7 @@ __all__ = [
     "PARSE_NAMESPACE",
     "WINNOW_NAMESPACE",
     "COMPILED_NAMESPACE",
+    "ContentCache",
     "PersistentParseCache",
     "PersistentWinnowCache",
     "PersistentCompiledCache",

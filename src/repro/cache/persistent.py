@@ -1,9 +1,10 @@
-"""Persistent promotions of the registry's in-memory caches.
+"""The content-addressed cache class behind every registry cache.
 
-:class:`PersistentParseCache` and :class:`PersistentCompiledCache` keep the
-exact interface (and the in-memory front layer) of their base classes in
-:mod:`repro.rfc.registry`, and add write-through to a shared
-:class:`~repro.cache.store.CacheStore`:
+:class:`ContentCache` is one in-memory front layer over an optional
+shared :class:`~repro.cache.store.CacheStore`, bound to a store
+``namespace`` and a value ``codec``.  With ``store=None`` it is a plain
+thread-safe memo (the run memo, and every cache of a registry without a
+cache directory).  With a store:
 
 * a ``get`` miss in memory falls through to the store; a disk hit is
   decoded, promoted into the memory layer, and counted as a hit (plus a
@@ -14,16 +15,20 @@ exact interface (and the in-memory front layer) of their base classes in
   warm state the moment any one of them computes it;
 * a corrupt or undecodable disk entry degrades to an ordinary miss (the
   store quarantines the file), and the recompute's ``put`` republishes a
-  good copy.
+  good copy;
+* ``clear()`` clears the in-memory layer only — the disk store outlives
+  processes by design (the ``cache clear`` CLI drops persisted entries).
 
-Parse entries serialize through the ``schema:1b`` binary envelope
-(:mod:`repro.api.binenc`: the logical forms with their provenance spans /
-triggers / flags, plus the parse metadata), imported lazily to keep this
-layer importable before the api package.  Compiled-program entries cannot
-persist their values (compiled callables), so the disk layer stores the
-*rendered source* of text-rendering backends instead — a fresh process
-skips the render and pays only the ``exec``; see
-:func:`repro.runtime.harness.compile_unit`.
+The named classes below are bindings of that one class, one per registry
+cache: a namespace and a codec, nothing else.  Parse entries serialize
+through the ``schema:1b`` parse-entry table and winnow entries through the
+winnow-trace table (:mod:`repro.api.binenc`, imported lazily to keep this
+layer importable before the api package).  Compiled-program values
+(compiled callables) cannot persist, so that binding has no codec; its
+disk layer stores the *rendered source* of text-rendering backends
+through :meth:`ContentCache.get_source`/:meth:`~ContentCache.put_source`
+instead — a fresh process skips the render and pays only the ``exec``;
+see :func:`repro.runtime.harness.compile_unit`.
 
 Cache *keys* are content fingerprints all the way down (backend id +
 lexicon/chunker SHA-1 + sentence text for parses, backend + IR SHA-1 for
@@ -34,8 +39,7 @@ needs no explicit invalidation — stale entries are unreachable, and
 
 from __future__ import annotations
 
-from ..rfc.registry import CompiledProgramCache, ParseCache
-from .store import CacheStore
+import threading
 
 #: Store namespaces, one per promoted cache.
 PARSE_NAMESPACE = "parse"
@@ -50,28 +54,41 @@ def _key_string(key: tuple) -> str:
     return _KEY_SEP.join(str(part) for part in key)
 
 
-class PersistentParseCache(ParseCache):
-    """The shared sentence-parse cache, promoted to a disk store.
+class ContentCache:
+    """A content-addressed memo, optionally written through to a store.
 
-    ``clear()`` clears the in-memory layer only — the disk store outlives
-    processes by design; use :meth:`clear_disk` (or the ``cache clear``
-    CLI) to drop the persisted entries too.
+    Values are shared objects and must be treated as read-only.  A
+    binding sets ``namespace`` (its slice of the store) and ``codec``: an
+    object with ``encode(value) -> bytes`` and ``decode(bytes) -> value``,
+    or None when values never leave the process.
     """
 
-    def __init__(self, store: CacheStore) -> None:
-        super().__init__()
+    namespace = ""
+    codec = None
+
+    def __init__(self, store=None) -> None:
         self.store = store
+        self._entries: dict[tuple, object] = {}
+        self._lock = threading.Lock()
+        self.hits = 0
+        self.misses = 0
         self.disk_hits = 0
+        #: Bumped by every :meth:`clear`, so a memo built on top of this
+        #: cache (the engine's run memo) can tell its entries predate it.
+        self.generation = 0
+
+    def _persists(self) -> bool:
+        return self.store is not None and self.codec is not None
 
     def get(self, key: tuple):
         with self._lock:
-            hit = self._entries.get(key)
-            if hit is not None:
+            if key in self._entries:
                 self.hits += 1
-                return hit
-        payload = self.store.get(PARSE_NAMESPACE, _key_string(key))
-        if payload is not None:
-            value = self._decode(payload)
+                return self._entries[key]
+        if self._persists():
+            payload = self.store.get(self.namespace, _key_string(key))
+            value = None if payload is None else _attempt(self.codec.decode,
+                                                          payload)
             if value is not None:
                 with self._lock:
                     self._entries[key] = value
@@ -83,147 +100,149 @@ class PersistentParseCache(ParseCache):
         return None
 
     def put(self, key: tuple, value) -> None:
-        super().put(key, value)
-        payload = self._encode(value)
-        if payload is not None:
-            self.store.put(PARSE_NAMESPACE, _key_string(key), payload)
+        with self._lock:
+            self._entries[key] = value
+        if self._persists():
+            # Ad-hoc values outside the codec's contract stay memory-only
+            # rather than failing the stage that computed them.
+            payload = _attempt(self.codec.encode, value)
+            if payload is not None:
+                self.store.put(self.namespace, _key_string(key), payload)
 
-    def clear_disk(self) -> int:
-        return self.store.clear()
+    def get_source(self, key: tuple) -> str | None:
+        """A rendered source published under ``key``, or None (always
+        None without a store: memory has nowhere to keep sources across
+        processes)."""
+        if self.store is None:
+            return None
+        payload = self.store.get(self.namespace, _key_string(key))
+        return None if payload is None else _attempt(bytes.decode, payload)
+
+    def put_source(self, key: tuple, source: str) -> None:
+        if self.store is not None:
+            self.store.put(self.namespace, _key_string(key),
+                           source.encode("utf-8"))
+
+    def __len__(self) -> int:
+        return len(self._entries)
+
+    def __contains__(self, key: tuple) -> bool:
+        return key in self._entries
 
     def stats(self) -> dict:
-        counters = super().stats()
         with self._lock:
-            counters["disk_hits"] = self.disk_hits
-        counters["store"] = self.store.stats()
+            counters = {"size": len(self._entries), "hits": self.hits,
+                        "misses": self.misses}
+            if self._persists():
+                counters["disk_hits"] = self.disk_hits
+        if self.store is not None:
+            counters["store"] = self.store.stats()
         return counters
 
+    def clear(self) -> None:
+        with self._lock:
+            self._entries.clear()
+            self.hits = 0
+            self.misses = 0
+            self.generation += 1
+
+
+def _attempt(convert, value):
+    """``convert(value)``, or None when it fails: an entry that does not
+    decode (say, one written by a future schema) degrades to a recompute,
+    never a crash."""
+    try:
+        return convert(value)
+    except Exception:
+        return None
+
+
+class _ParseEntries:
+    """``(ParseResult, subject_supplied)`` pairs as ``schema:1b`` parse
+    entries."""
+
     @staticmethod
-    def _encode(value) -> bytes | None:
+    def encode(value) -> bytes:
         from ..api.binenc import parse_entry_to_bytes
 
-        try:
-            result, subject_supplied = value
-            return parse_entry_to_bytes(result, subject_supplied)
-        except Exception:
-            # Ad-hoc cache values outside the pipeline's (ParseResult,
-            # bool) contract stay memory-only rather than failing the parse.
-            return None
+        result, subject_supplied = value
+        return parse_entry_to_bytes(result, subject_supplied)
 
     @staticmethod
-    def _decode(payload: bytes):
+    def decode(payload: bytes):
         from ..api.binenc import parse_entry_from_bytes
 
-        try:
-            return parse_entry_from_bytes(payload)
-        except Exception:
-            # Decodable-header-but-bad-body entries (e.g. written by a
-            # future schema) degrade to a recompute, never a crash.
-            return None
+        return parse_entry_from_bytes(payload)
 
 
-class PersistentWinnowCache(ParseCache):
+class _WinnowEntries:
+    """:class:`~repro.disambiguation.winnow.WinnowTrace` objects as
+    ``schema:1b`` winnow entries."""
+
+    @staticmethod
+    def encode(value) -> bytes:
+        from ..api.binenc import winnow_entry_to_bytes
+
+        return winnow_entry_to_bytes(value)
+
+    @staticmethod
+    def decode(payload: bytes):
+        from ..api.binenc import winnow_entry_from_bytes
+
+        return winnow_entry_from_bytes(payload)
+
+
+# -- bindings ------------------------------------------------------------------
+# Distinct classes on purpose: each names one registry cache in stats,
+# tracebacks and per-class instrumentation.
+
+#: The in-memory binding: no namespace, no codec (the run memo, and the
+#: parse and winnow caches of a registry without a cache directory).
+ParseCache = ContentCache
+
+
+class PersistentParseCache(ContentCache):
+    """The shared sentence-parse cache, promoted to a disk store.  Values
+    are the parse stage's ``(ParseResult, subject_supplied)`` pairs."""
+
+    namespace = PARSE_NAMESPACE
+    codec = _ParseEntries
+
+
+class PersistentWinnowCache(ContentCache):
     """The shared winnow-result cache, promoted to the same disk store.
 
     Values are whole :class:`~repro.disambiguation.winnow.WinnowTrace`
-    objects, serialized through the ``schema:1b`` trace codec (per-stage
-    counts plus survivor and base forms with full provenance), so a
-    warm-booting process replays every previously winnowed sentence —
-    byte-identical counts, survivors, and survivor order — without running
-    one check.  Keys are content fingerprints of the check suite, grammar
-    substrate, sentence, and LF set (see
+    objects (per-stage counts plus survivor and base forms with full
+    provenance), so a warm-booting process replays every previously
+    winnowed sentence — byte-identical counts, survivors, and survivor
+    order — without running one check.  Keys are content fingerprints of
+    the check suite, grammar substrate, sentence, and LF set (see
     :meth:`~repro.core.stages.WinnowStage.cache_key`), so rule edits make
     stale entries unreachable rather than wrong.
     """
 
-    def __init__(self, store: CacheStore) -> None:
-        super().__init__()
-        self.store = store
-        self.disk_hits = 0
+    namespace = WINNOW_NAMESPACE
+    codec = _WinnowEntries
 
-    def get(self, key: tuple):
-        with self._lock:
-            hit = self._entries.get(key)
-            if hit is not None:
-                self.hits += 1
-                return hit
-        payload = self.store.get(WINNOW_NAMESPACE, _key_string(key))
-        if payload is not None:
-            value = self._decode(payload)
-            if value is not None:
-                with self._lock:
-                    self._entries[key] = value
-                    self.hits += 1
-                    self.disk_hits += 1
-                return value
-        with self._lock:
-            self.misses += 1
-        return None
 
-    def put(self, key: tuple, value) -> None:
-        super().put(key, value)
-        payload = self._encode(value)
-        if payload is not None:
-            self.store.put(WINNOW_NAMESPACE, _key_string(key), payload)
+class CompiledProgramCache(ContentCache):
+    """A content-addressed store for compiled generated programs.
 
-    def clear_disk(self) -> int:
-        return self.store.clear()
+    Keys are built by the runtime harness as ``(backend_name, sha1)`` where
+    the SHA-1 covers the Python source (exec backend) or the IR fingerprint
+    (interpreter backend), so identical generated code compiles exactly
+    once per process no matter how many engines or scenarios request it.
+    Values are function dictionaries (name → callable); compiled functions
+    are not picklable, so they never leave the process that compiled them.
+    """
 
-    def stats(self) -> dict:
-        counters = super().stats()
-        with self._lock:
-            counters["disk_hits"] = self.disk_hits
-        counters["store"] = self.store.stats()
-        return counters
-
-    @staticmethod
-    def _encode(value) -> bytes | None:
-        from ..api.binenc import winnow_entry_to_bytes
-
-        try:
-            return winnow_entry_to_bytes(value)
-        except Exception:
-            # Ad-hoc values outside the WinnowTrace contract stay
-            # memory-only rather than failing the winnow.
-            return None
-
-    @staticmethod
-    def _decode(payload: bytes):
-        from ..api.binenc import winnow_entry_from_bytes
-
-        try:
-            return winnow_entry_from_bytes(payload)
-        except Exception:
-            return None
+    namespace = COMPILED_NAMESPACE
 
 
 class PersistentCompiledCache(CompiledProgramCache):
-    """The compiled-program cache with a disk layer for rendered sources.
-
-    Values (compiled function tables) stay process-local; what persists is
-    each text backend's rendered source under the same ``(backend, SHA-1)``
-    key, letting a cold process skip the render step (the compile itself —
-    an ``exec`` — is re-paid once per process by construction).
-    """
-
-    def __init__(self, store: CacheStore) -> None:
-        super().__init__()
-        self.store = store
-
-    def get_source(self, key: tuple) -> str | None:
-        payload = self.store.get(COMPILED_NAMESPACE, _key_string(key))
-        if payload is None:
-            return None
-        try:
-            return payload.decode("utf-8")
-        except UnicodeDecodeError:
-            return None
-
-    def put_source(self, key: tuple, source: str) -> None:
-        self.store.put(COMPILED_NAMESPACE, _key_string(key),
-                       source.encode("utf-8"))
-
-    def stats(self) -> dict:
-        counters = super().stats()
-        counters["store"] = self.store.stats()
-        return counters
+    """The compiled-program cache with a disk layer for rendered sources:
+    each text backend's source persists under the same ``(backend,
+    SHA-1)`` key, letting a cold process skip the render step (the
+    compile itself — an ``exec`` — is re-paid once per process by
+    construction)."""

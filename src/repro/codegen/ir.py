@@ -631,32 +631,6 @@ def op_from_dict(record: dict) -> Op:
     return op_type(**kwargs)
 
 
-def sentence_code_to_dict(code: SentenceCode) -> dict:
-    record: dict = {"sentence": code.sentence}
-    if code.ops:
-        record["ops"] = [op_to_dict(op) for op in code.ops]
-    if code.goal_message:
-        record["goal_message"] = code.goal_message
-    if code.role:
-        record["role"] = code.role
-    if code.status != "ok":
-        record["status"] = code.status
-    if code.reason:
-        record["reason"] = code.reason
-    return record
-
-
-def sentence_code_from_dict(record: dict) -> SentenceCode:
-    return SentenceCode(
-        sentence=record["sentence"],
-        ops=[op_from_dict(op) for op in record.get("ops", [])],
-        goal_message=record.get("goal_message", ""),
-        role=record.get("role", ""),
-        status=record.get("status", "ok"),
-        reason=record.get("reason", ""),
-    )
-
-
 def function_to_dict(function: Function) -> dict:
     record: dict = {
         "protocol": function.protocol,

@@ -36,6 +36,15 @@ import threading
 from dataclasses import dataclass
 from importlib import resources
 
+from ..cache.persistent import (
+    CompiledProgramCache,
+    ContentCache,
+    ParseCache,
+    PersistentCompiledCache,
+    PersistentParseCache,
+    PersistentWinnowCache,
+)
+from ..cache.store import CacheStore
 from ..ccg.chart import CCGChartParser
 from ..ccg.lexicon import Lexicon, build_lexicon
 from ..parsing import DEFAULT_PARSER_BACKEND, create_parser
@@ -108,83 +117,6 @@ class ProtocolSpec:
         return resources.files(self.package).joinpath(self.source).read_text()
 
 
-class ParseCache:
-    """A content-addressed store for sentence parses.
-
-    Keys are built by the parse stage as ``(substrate_fingerprint,
-    sentence_text, field)`` — the fingerprint covers the lexicon and chunker
-    content, so a cache shared across Sage instances, both pipeline modes,
-    and processes (through the disk store) can never serve a parse
-    produced under a different grammar.  Values are whatever the stage stores (the pipeline stores the
-    ``(ParseResult, subject_supplied)`` pair); they are shared objects and
-    must be treated as read-only.
-    """
-
-    def __init__(self) -> None:
-        self._entries: dict[tuple, object] = {}
-        self._lock = threading.Lock()
-        self.hits = 0
-        self.misses = 0
-        #: Bumped by every :meth:`clear`, so a memo built on top of this
-        #: cache (the engine's run memo) can tell its entries predate it.
-        self.generation = 0
-
-    def get(self, key: tuple):
-        with self._lock:
-            if key in self._entries:
-                self.hits += 1
-                return self._entries[key]
-            self.misses += 1
-            return None
-
-    def put(self, key: tuple, value) -> None:
-        with self._lock:
-            self._entries[key] = value
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def __contains__(self, key: tuple) -> bool:
-        return key in self._entries
-
-    def stats(self) -> dict[str, int]:
-        with self._lock:
-            return {"size": len(self._entries), "hits": self.hits,
-                    "misses": self.misses}
-
-    def clear(self) -> None:
-        with self._lock:
-            self._entries.clear()
-            self.hits = 0
-            self.misses = 0
-            self.generation += 1
-
-
-class CompiledProgramCache(ParseCache):
-    """A content-addressed store for compiled generated programs.
-
-    Keys are built by the runtime harness as ``(backend_name, sha1)`` where
-    the SHA-1 covers the Python source (exec backend) or the IR fingerprint
-    (interpreter backend), so identical generated code compiles exactly
-    once per process no matter how many engines or scenarios request it.
-    Values are function dictionaries (name → callable); they are shared
-    objects and must be treated as read-only.  Unlike parse-cache entries,
-    compiled functions are not picklable, so they never leave the process
-    that compiled them.
-    """
-
-    # Source-persistence hooks, overridden by the disk-backed
-    # PersistentCompiledCache (repro.cache.persistent): the harness asks
-    # for a previously rendered source before re-rendering, and publishes
-    # the source it renders.  The in-memory cache has nowhere to keep
-    # sources across processes, so these are deliberate no-ops.
-    def get_source(self, key: tuple) -> str | None:
-        return None
-
-    def put_source(self, key: tuple, source: str) -> None:
-        return None
-
-
 class ProtocolRegistry:
     """Protocol registration plus memoized corpus/dictionary/lexicon access.
 
@@ -220,10 +152,8 @@ class ProtocolRegistry:
         self._rewrites: list[Rewrite] | None = None
         self._rewrites_by_original: dict[str, Rewrite] | None = None
         self._journal = None
-        self._parse_cache: ParseCache | None = None
-        self._winnow_cache: ParseCache | None = None
-        self._run_cache: ParseCache | None = None
-        self._compiled_cache: CompiledProgramCache | None = None
+        #: The parse, winnow, run and compiled caches, built on first use.
+        self._caches: dict[str, ContentCache] = {}
         self._lock = threading.RLock()
         if bundled:
             for name, source, description, sender_built in BUNDLED_PROTOCOLS:
@@ -379,14 +309,32 @@ class ProtocolRegistry:
             return None
         with self._lock:
             if self._cache_store is None:
-                from ..cache.store import CacheStore
-
                 self._cache_store = CacheStore(self.cache_dir)
             return self._cache_store
 
-    def parse_cache(self) -> ParseCache:
-        """The shared sentence-parse cache (see :class:`ParseCache`).
+    def _cache(self, name: str, memory_class,
+               persistent_class=None) -> ContentCache:
+        """The registry's ``name`` cache, built on first use: a
+        ``persistent_class`` over the shared store when there is one to
+        persist to, else a ``memory_class``."""
+        with self._lock:
+            cache = self._caches.get(name)
+            if cache is not None:
+                return cache
+        store = self.cache_store() if persistent_class is not None else None
+        with self._lock:
+            if name not in self._caches:
+                self._caches[name] = (persistent_class(store) if store is not None
+                                      else memory_class())
+            return self._caches[name]
 
+    def parse_cache(self) -> ParseCache:
+        """The shared sentence-parse cache: ``(substrate_fingerprint,
+        sentence_text, field)`` → the parse stage's ``(ParseResult,
+        subject_supplied)`` pair.
+
+        The fingerprint covers the lexicon and chunker content, so the
+        cache can never serve a parse produced under a different grammar.
         Living here rather than on ``Sage`` means every engine built over
         this registry — strict and revised mode alike — reuses each other's
         parses: identical sentence text under the same lexicon/chunker
@@ -394,19 +342,7 @@ class ProtocolRegistry:
         directory configured the cache is additionally disk-backed
         (:class:`~repro.cache.persistent.PersistentParseCache`): parses
         persist across processes and are shared with concurrent ones."""
-        with self._lock:
-            if self._parse_cache is not None:
-                return self._parse_cache
-        store = self.cache_store()
-        with self._lock:
-            if self._parse_cache is None:
-                if store is not None:
-                    from ..cache.persistent import PersistentParseCache
-
-                    self._parse_cache = PersistentParseCache(store)
-                else:
-                    self._parse_cache = ParseCache()
-            return self._parse_cache
+        return self._cache("parse", ParseCache, PersistentParseCache)
 
     def winnow_cache(self) -> ParseCache:
         """The shared winnow-result cache (whole :class:`~repro.
@@ -420,19 +356,7 @@ class ProtocolRegistry:
         cache is disk-backed (:class:`~repro.cache.persistent.
         PersistentWinnowCache`): a warm-booting process replays every
         previously winnowed sentence without running a single check."""
-        with self._lock:
-            if self._winnow_cache is not None:
-                return self._winnow_cache
-        store = self.cache_store()
-        with self._lock:
-            if self._winnow_cache is None:
-                if store is not None:
-                    from ..cache.persistent import PersistentWinnowCache
-
-                    self._winnow_cache = PersistentWinnowCache(store)
-                else:
-                    self._winnow_cache = ParseCache()
-            return self._winnow_cache
+        return self._cache("winnow", ParseCache, PersistentWinnowCache)
 
     def run_cache(self) -> ParseCache:
         """The shared whole-run memo: corpus → :class:`~repro.core.engine.
@@ -445,10 +369,7 @@ class ProtocolRegistry:
         Runs are shared objects and must be treated as read-only.  The
         memo is in-memory only; the stage caches beneath it are what
         persist across processes."""
-        with self._lock:
-            if self._run_cache is None:
-                self._run_cache = ParseCache()
-            return self._run_cache
+        return self._cache("run", ParseCache)
 
     def compiled_cache(self) -> CompiledProgramCache:
         """The shared compiled-program cache (see :class:`CompiledProgramCache`).
@@ -460,19 +381,8 @@ class ProtocolRegistry:
         cache directory configured, rendered sources additionally persist
         (:class:`~repro.cache.persistent.PersistentCompiledCache`), so a
         cold process skips the render step."""
-        with self._lock:
-            if self._compiled_cache is not None:
-                return self._compiled_cache
-        store = self.cache_store()
-        with self._lock:
-            if self._compiled_cache is None:
-                if store is not None:
-                    from ..cache.persistent import PersistentCompiledCache
-
-                    self._compiled_cache = PersistentCompiledCache(store)
-                else:
-                    self._compiled_cache = CompiledProgramCache()
-            return self._compiled_cache
+        return self._cache("compiled", CompiledProgramCache,
+                           PersistentCompiledCache)
 
     # -- rewrites and journaled decisions --------------------------------------
     REWRITES_FILENAME = "rewrites.json"
@@ -574,14 +484,8 @@ class ProtocolRegistry:
             self._chunker = None
             self._rewrites = None
             self._rewrites_by_original = None
-            if self._parse_cache is not None:
-                self._parse_cache.clear()
-            if self._winnow_cache is not None:
-                self._winnow_cache.clear()
-            if self._run_cache is not None:
-                self._run_cache.clear()
-            if self._compiled_cache is not None:
-                self._compiled_cache.clear()
+            for cache in self._caches.values():
+                cache.clear()
 
     def clear(self) -> None:
         """Alias for full invalidation."""
@@ -596,14 +500,8 @@ class ProtocolRegistry:
         with every lock the registry owns.
         """
         self._lock = threading.RLock()
-        if self._parse_cache is not None:
-            self._parse_cache._lock = threading.Lock()
-        if self._winnow_cache is not None:
-            self._winnow_cache._lock = threading.Lock()
-        if self._run_cache is not None:
-            self._run_cache._lock = threading.Lock()
-        if self._compiled_cache is not None:
-            self._compiled_cache._lock = threading.Lock()
+        for cache in self._caches.values():
+            cache._lock = threading.Lock()
         if self._cache_store is not None:
             self._cache_store.reset_lock_after_fork()
 

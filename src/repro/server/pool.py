@@ -38,7 +38,7 @@ from concurrent.futures import Future, ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import dataclass
 
 from ..api.binenc import from_bytes, to_bytes
-from ..api.contracts import ProcessRequest, SweepRequest, to_json
+from ..api.contracts import to_json
 from ..api.errors import ApiError, RequestError
 from ..api.service import SageService
 
@@ -101,24 +101,18 @@ def _json_body(payload: dict, status: int = 200) -> tuple[int, str, bytes]:
     return status, JSON_CONTENT_TYPE, body
 
 
-def _decode_request(body: bytes, binary_in: bool, request_type):
-    """The request object (or JSON envelope string) for a wire body.
+def _decode_request(body: bytes, binary_in: bool):
+    """The decoded wire body, for the service to coerce and type-check.
 
-    Binary bodies must decode to exactly ``request_type``.  JSON bodies
-    may be the full ``schema:1`` envelope *or* a bare field dict
+    Binary bodies are ``schema:1b`` envelopes.  JSON bodies may be the
+    full ``schema:1`` envelope *or* a bare field dict
     (``{"protocol": "ICMP"}``) for curl ergonomics; an empty body means
     an all-defaults request.
     """
     if binary_in:
-        decoded = from_bytes(bytes(body))
-        if not isinstance(decoded, request_type):
-            raise RequestError(
-                f"expected a {request_type.__name__} payload, got "
-                f"{type(decoded).__name__}"
-            )
-        return decoded
+        return from_bytes(bytes(body))
     if not body or not body.strip():
-        return request_type.from_dict({})
+        return None
     try:
         text = body.decode("utf-8")
     except UnicodeDecodeError:
@@ -130,9 +124,10 @@ def _decode_request(body: bytes, binary_in: bool, request_type):
         payload = json.loads(text)
     except ValueError as exc:
         raise RequestError(f"request body is not valid JSON: {exc}") from None
-    if isinstance(payload, dict) and "schema" not in payload:
-        return request_type.from_dict(payload)
-    return text  # full envelope: the service coerces and type-checks it
+    if not isinstance(payload, dict):
+        raise RequestError("request body must be a JSON object, got "
+                           f"{type(payload).__name__}")
+    return payload
 
 
 def _encode_response(response, binary_out: bool) -> tuple[int, str, bytes]:
@@ -189,10 +184,10 @@ def run_endpoint(service: SageService, endpoint: str, body: bytes = b"", *,
     params = params or {}
     try:
         if endpoint == "process":
-            request = _decode_request(body, binary_in, ProcessRequest)
+            request = _decode_request(body, binary_in)
             return _encode_response(service.process(request), binary_out)
         if endpoint == "sweep":
-            request = _decode_request(body, binary_in, SweepRequest)
+            request = _decode_request(body, binary_in)
             return _encode_response(service.sweep(request), binary_out)
         if endpoint == "parse":
             report = service.parse_diagnostics(

@@ -208,7 +208,7 @@ class TestPersistentParseCache:
         cache = PersistentParseCache(CacheStore(tmp_path))
         cache.put(KEY, _parse_value())
         cache.clear()
-        assert cache.clear_disk() == 1
+        assert cache.store.clear() == 1
         assert cache.get(KEY) is None
         assert cache.stats()["misses"] == 1
 
