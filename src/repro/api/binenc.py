@@ -398,11 +398,11 @@ def to_bytes(obj, registry=None) -> bytes:
     return _encode(codec, obj, registry, codec.kind)
 
 
-def _encode(record, obj, registry=None, kind: str = "") -> bytes:
+def _encode(codec, obj, registry=None, kind: str = "") -> bytes:
     writer = _Writer()
     if kind:
         writer.string(kind)
-    record.write(writer, obj, registry)
+    codec.write(writer, obj, registry)
     return bytes(writer.buf)
 
 

@@ -344,7 +344,8 @@ class _CorpusRef(JsonValue):
 #: string of an ad-hoc status) in memory.
 STATUS = JsonValue(str, str, SentenceStatus.coerce)
 #: The IR's own program codec (it verifies fingerprints on the way in).
-CODE_UNIT = JsonValue(dict, program_to_dict, program_from_dict)
+CODE_UNIT = JsonValue(dict, program_to_dict, program_from_dict,
+                      kind="code_unit", cls=Program)
 OPS = JsonValue(list, lambda ops: [op_to_dict(op) for op in ops],
                 lambda raw: [op_from_dict(op) for op in raw])
 
@@ -485,12 +486,10 @@ SWEEP_RESPONSE = Record("sweep_response", SweepResponse, [
 #: kind tag → codec: the field tables, plus the IR's program codec for
 #: ``code_unit``.
 KINDS = {codec.kind: codec for codec in (
-    SAGE_RUN, RESULT, TRACE, RESOLUTION, SPEC, REWRITE, PROCESS_REQUEST,
-    SWEEP_REQUEST, PROCESS_RESPONSE, SWEEP_RESPONSE, SENTENCE_REPORT,
-    GENERATED_ARTIFACT,
+    SAGE_RUN, RESULT, TRACE, CODE_UNIT, RESOLUTION, SPEC, REWRITE,
+    PROCESS_REQUEST, SWEEP_REQUEST, PROCESS_RESPONSE, SWEEP_RESPONSE,
+    SENTENCE_REPORT, GENERATED_ARTIFACT,
 )}
-CODE_UNIT.kind, CODE_UNIT.cls = "code_unit", Program
-KINDS["code_unit"] = CODE_UNIT
 _BY_TYPE = {codec.cls: codec for codec in KINDS.values()}
 
 

@@ -223,7 +223,10 @@ class Scalar:
         return raw
 
     def write(self, w, value, reg) -> None:
-        w.string(value) if self.type is str else w.varint(value)
+        if self.type is str:
+            w.string(value)
+        else:
+            w.varint(value)
 
     def read(self, r, reg):
         return r.string() if self.type is str else r.varint()
@@ -257,9 +260,13 @@ class JsonValue:
     """A JSON value of one container type.  Opaque by default (decoded as a
     copy, never walked); ``to_json``/``from_json`` adapt a codec owned by
     another layer (the IR's program and op codecs).  schema:1b writes the
-    JSON form under the generic value codec."""
+    JSON form under the generic value codec.  A ``kind`` makes it an
+    envelope codec for ``cls`` objects, like a :class:`Record`."""
 
-    def __init__(self, type_: type, to_json=None, from_json=None) -> None:
+    def __init__(self, type_: type, to_json=None, from_json=None, *,
+                 kind: str = "", cls: type | None = None) -> None:
+        self.kind = kind
+        self.cls = cls
         self.type = type_
         self.identity = to_json is None
         self.to_json = to_json

@@ -116,7 +116,10 @@ class ContentCache:
         if self.store is None:
             return None
         payload = self.store.get(self.namespace, _key_string(key))
-        return None if payload is None else _attempt(bytes.decode, payload)
+        try:
+            return None if payload is None else payload.decode("utf-8")
+        except UnicodeDecodeError:
+            return None
 
     def put_source(self, key: tuple, source: str) -> None:
         if self.store is not None:
