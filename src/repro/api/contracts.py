@@ -36,14 +36,13 @@ from dataclasses import dataclass, field as dataclass_field
 from ..ccg.semantics import signature
 from ..codegen.ir import (
     FingerprintMismatch,
+    Function,
     IRError,
     Program,
     SentenceCode,
     backend_names,
     op_from_dict,
     op_to_dict,
-    program_from_dict,
-    program_to_dict,
 )
 from ..core.engine import (
     FLAGGED_STATUSES,
@@ -240,20 +239,17 @@ class GeneratedArtifact(_Contract):
             protocol=program.protocol, backend=backend, mode=mode,
             fingerprint=program.fingerprint(),
             functions=[fn.name for fn in program.programs],
-            source=source, program=program_to_dict(program),
+            source=source, program=CODE_UNIT.enc(program, None),
         )
 
-    def to_program(self, verify: bool = True) -> Program:
-        """Rebuild the typed IR (fingerprint-verified by default)."""
+    def to_program(self) -> Program:
+        """Rebuild the typed IR, fingerprint-verified."""
         if not self.program:
             raise ContractError("artifact carries no IR payload")
-        rebuilt = program_from_dict(self.program, verify=verify)
-        if verify and self.fingerprint and rebuilt.fingerprint() != self.fingerprint:
-            raise FingerprintMismatch(
-                f"artifact {self.protocol}/{self.backend}",
-                self.fingerprint, rebuilt.fingerprint(),
-            )
-        return rebuilt
+        rebuilt = decoding("code_unit",
+                           lambda: CODE_UNIT.dec(self.program, None))
+        return _verified(self.fingerprint, rebuilt,
+                         f"artifact {self.protocol}/{self.backend}")
 
 
 @dataclass
@@ -343,11 +339,28 @@ class _CorpusRef(JsonValue):
 #: A sentence status: its string on the wire, the enum member (or the raw
 #: string of an ad-hoc status) in memory.
 STATUS = JsonValue(str, str, SentenceStatus.coerce)
-#: The IR's own program codec (it verifies fingerprints on the way in).
-CODE_UNIT = JsonValue(dict, program_to_dict, program_from_dict,
-                      kind="code_unit", cls=Program)
 OPS = JsonValue(list, lambda ops: [op_to_dict(op) for op in ops],
                 lambda raw: [op_from_dict(op) for op in raw])
+
+
+def _verified(fingerprint: str, built, what: str):
+    """``built``, after checking its content SHA-1 against the recorded
+    one: a stored artifact is tamper-evident end to end."""
+    if fingerprint and fingerprint != built.fingerprint():
+        raise FingerprintMismatch(what, fingerprint, built.fingerprint())
+    return built
+
+
+def _function(fingerprint: str, **fields) -> Function:
+    function = Function(**fields)
+    return _verified(fingerprint, function, f"function {function.name}")
+
+
+def _program(fingerprint: str, programs: list, **fields) -> Program:
+    program = Program(**fields)
+    for function in programs:
+        program.add(function)  # collision-guarded, as at assembly
+    return _verified(fingerprint, program, f"program {program.protocol}")
 
 
 # -- the field tables ----------------------------------------------------------
@@ -405,6 +418,22 @@ RESULT = Record("sentence_result", SentenceResult, [
 ], tag=33, binary=("spec", "status", "reason", "trace", "logical_form",
                    "rewrite", "codes", "sub_results"),
    aux=("trace", "logical_form", "rewrite", "subject_supplied", "pruned"))
+
+FUNCTION = Record("function", Function, [
+    Field("protocol", STR),
+    Field("message_name", STR),
+    Field("role", STR),
+    Field("ops", OPS, []),
+    Field("fingerprint", STR, "", attr=Function.fingerprint),
+    Field("name_override", STR, "", omit=True),
+], make=_function)
+
+CODE_UNIT = Record("code_unit", Program, [
+    Field("protocol", STR),
+    Field("struct_c", STR, ""),
+    Field("functions", ListOf(FUNCTION), [], attr="programs"),
+    Field("fingerprint", STR, "", attr=Program.fingerprint),
+], make=_program)
 
 SAGE_RUN = Record("sage_run", SageRun, [
     Field("protocol", _CorpusRef(), attr="corpus"),
@@ -483,8 +512,7 @@ SWEEP_RESPONSE = Record("sweep_response", SweepResponse, [
 
 # -- the envelope --------------------------------------------------------------
 
-#: kind tag → codec: the field tables, plus the IR's program codec for
-#: ``code_unit``.
+#: kind tag → field table.
 KINDS = {codec.kind: codec for codec in (
     SAGE_RUN, RESULT, TRACE, CODE_UNIT, RESOLUTION, SPEC, REWRITE,
     PROCESS_REQUEST, SWEEP_REQUEST, PROCESS_RESPONSE, SWEEP_RESPONSE,

@@ -259,14 +259,10 @@ SEM = _SemCodec()
 class JsonValue:
     """A JSON value of one container type.  Opaque by default (decoded as a
     copy, never walked); ``to_json``/``from_json`` adapt a codec owned by
-    another layer (the IR's program and op codecs).  schema:1b writes the
-    JSON form under the generic value codec.  A ``kind`` makes it an
-    envelope codec for ``cls`` objects, like a :class:`Record`."""
+    another layer (the IR's op codec).  schema:1b writes the JSON form
+    under the generic value codec."""
 
-    def __init__(self, type_: type, to_json=None, from_json=None, *,
-                 kind: str = "", cls: type | None = None) -> None:
-        self.kind = kind
-        self.cls = cls
+    def __init__(self, type_: type, to_json=None, from_json=None) -> None:
         self.type = type_
         self.identity = to_json is None
         self.to_json = to_json
@@ -358,18 +354,20 @@ class MapOf:
 
 class Field:
     """One table row: the JSON key, its codec and default, whether the key
-    is omitted while it holds that default, and the object attribute it
-    reads (default: the key)."""
+    is omitted while it holds that default, and where the value comes
+    from: an object attribute (default: the key) or a function of the
+    object (a computed field, passed to ``make`` under its key)."""
 
-    __slots__ = ("key", "codec", "default", "omit", "attr")
+    __slots__ = ("key", "codec", "default", "omit", "attr", "get")
 
     def __init__(self, key: str, codec, default=REQUIRED, *,
-                 omit: bool = False, attr: str = "") -> None:
+                 omit: bool = False, attr="") -> None:
         self.key = key
         self.codec = codec
         self.default = default
         self.omit = omit
-        self.attr = attr or key
+        self.attr = key if callable(attr) else attr or key
+        self.get = attr if callable(attr) else attrgetter(self.attr)
 
 
 def _omission(row: Field):
@@ -408,16 +406,15 @@ class Record:
             if isinstance(row.codec, ListOf) and row.codec.item is SELF:
                 row.codec.item = self
         # Interpreter plans, precomputed once per table.
-        self._json = [(row.key, attrgetter(row.attr),
+        self._json = [(row.key, row.get,
                        None if row.codec.identity else row.codec,
                        _omission(row)) for row in fields]
         self._dec = [(row.key, row.attr, row.codec, row.default,
                       type(row.default) in (list, dict)) for row in fields]
-        self._aux = [(1 << bit, attrgetter(by_key[key].attr),
+        self._aux = [(1 << bit, by_key[key].get,
                       by_key[key].codec is BOOL, by_key[key].attr)
                      for bit, key in enumerate(aux)]
-        self._bin = [(attrgetter(row.attr), row.attr, row.codec,
-                      row.key in aux)
+        self._bin = [(row.get, row.attr, row.codec, row.key in aux)
                      for row in map(by_key.get, binary or by_key)
                      if not (row.key in aux and row.codec is BOOL)]
 

@@ -529,10 +529,9 @@ def build_function(
 #
 # Ops, Value, and Condition are plain dataclasses over JSON-safe scalars
 # (plus nested Value/Condition/list[Op]), so serialization is generic over
-# dataclasses.fields.  Functions and programs additionally carry their
-# content SHA-1: `function_from_dict`/`program_from_dict` recompute it over
-# the rebuilt IR and raise :class:`FingerprintMismatch` on drift, making a
-# serialized artifact tamper-evident end to end.
+# dataclasses.fields.  Functions and programs are field tables in
+# repro.api.contracts (the ``code_unit`` wire kind), which carry each one's
+# content SHA-1 and raise :class:`FingerprintMismatch` on drift.
 
 import dataclasses as _dataclasses
 
@@ -629,57 +628,6 @@ def op_from_dict(record: dict) -> Op:
             value = [op_from_dict(inner) for inner in value]
         kwargs[name] = value
     return op_type(**kwargs)
-
-
-def function_to_dict(function: Function) -> dict:
-    record: dict = {
-        "protocol": function.protocol,
-        "message_name": function.message_name,
-        "role": function.role,
-        "ops": [op_to_dict(op) for op in function.ops],
-        "fingerprint": function.fingerprint(),
-    }
-    if function.name_override:
-        record["name_override"] = function.name_override
-    return record
-
-
-def function_from_dict(record: dict, verify: bool = True) -> Function:
-    function = Function(
-        protocol=record["protocol"],
-        message_name=record["message_name"],
-        role=record["role"],
-        ops=[op_from_dict(op) for op in record.get("ops", [])],
-        name_override=record.get("name_override", ""),
-    )
-    recorded = record.get("fingerprint", "")
-    if verify and recorded and recorded != function.fingerprint():
-        raise FingerprintMismatch(
-            f"function {function.name}", recorded, function.fingerprint()
-        )
-    return function
-
-
-def program_to_dict(program: Program) -> dict:
-    return {
-        "protocol": program.protocol,
-        "struct_c": program.struct_c,
-        "functions": [function_to_dict(fn) for fn in program.programs],
-        "fingerprint": program.fingerprint(),
-    }
-
-
-def program_from_dict(record: dict, verify: bool = True) -> Program:
-    program = Program(protocol=record["protocol"],
-                      struct_c=record.get("struct_c", ""))
-    for entry in record.get("functions", []):
-        program.add(function_from_dict(entry, verify=verify))
-    recorded = record.get("fingerprint", "")
-    if verify and recorded and recorded != program.fingerprint():
-        raise FingerprintMismatch(
-            f"program {program.protocol}", recorded, program.fingerprint()
-        )
-    return program
 
 
 # -- the backend registry ------------------------------------------------------
