@@ -9,20 +9,18 @@ sentences that needed rewriting (co-reference and rephrasing).
 
 from conftest import print_table
 
-from repro.core import (
-    STATUS_AMBIGUOUS_LF,
-    STATUS_AMBIGUOUS_REF,
-    STATUS_UNPARSED,
-)
+from repro.core import SentenceStatus
 from repro.rfc import load_rewrites
 
 
 def _table6(run_strict):
     ambiguous = [
         r for r in run_strict.results
-        if r.status in (STATUS_AMBIGUOUS_LF, STATUS_AMBIGUOUS_REF)
+        if r.status in (SentenceStatus.AMBIGUOUS_LF,
+                        SentenceStatus.AMBIGUOUS_REF)
     ]
-    unparsed = [r for r in run_strict.results if r.status == STATUS_UNPARSED
+    unparsed = [r for r in run_strict.results
+                if r.status == SentenceStatus.UNPARSED
                 and r.spec.kind == "field"]
     imprecise = [
         rewrite for rewrite in load_rewrites()

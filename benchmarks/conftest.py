@@ -33,7 +33,7 @@ def revised_engine(registry):
 def revised_runs(revised_engine):
     """All four protocols in one batch call (sequential keeps the parses in
     this process's cache for the fixtures that follow)."""
-    return revised_engine.process_corpora(parallel=False)
+    return revised_engine.process_corpora()
 
 
 @pytest.fixture(scope="session")

@@ -4,8 +4,8 @@ Measures, with wall-clock timers:
 
 * cold vs cached corpus load (fresh :class:`ProtocolRegistry` parsing RFC
   792 vs the memoized dict hit);
-* cold vs cached ``Sage()`` construction (lexicon/parser/chunker build vs
-  registry reuse);
+* cold vs cached ``SageEngine()`` construction (lexicon/parser/chunker
+  build vs registry reuse);
 * the parser backends head-to-head: every registered backend
   (``reference`` CKY and the category-indexed ``indexed`` forest parser)
   cold-parses all four corpora through an uncached ParseStage — measured
@@ -55,8 +55,8 @@ git SHA, newest last) tracking the parser speedup across runs — and exits
 non-zero when a headline speedup regresses (CI runs this via
 ``scripts/ci.sh``):
 
-* cached corpus load and Sage construction must stay >10x cheaper than
-  cold;
+* cached corpus load and engine construction must stay >10x cheaper
+  than cold;
 * the parser backends must agree sentence-for-sentence on every corpus
   (LF signature sets — the parity gate), and the optimized backend must
   deliver ≥5x the reference backend's cold-parse throughput on the
@@ -76,8 +76,8 @@ non-zero when a headline speedup regresses (CI runs this via
   return the memoized runs, and be >10x faster than the warm-cache
   re-run; the memoized service sweep must be >5x faster than the
   warm-stage-cache one;
-* ``networkx`` must never be imported: the canonical-signature rewrite
-  keeps the VF2 isomorphism oracle off the production winnow path;
+* ``networkx`` must never be imported: canonical signatures carry
+  associativity detection alone, and the VF2 oracle lives in the tests;
 * a cached compile of the ICMP program must stay >10x cheaper than a cold
   compile (the compiled-program-cache regression gate);
 * the serialized ICMP run must deserialize back equal to the original
@@ -103,7 +103,7 @@ import pathlib
 import sys
 import time
 
-from repro.core import Sage, SageEngine
+from repro.core import SageEngine
 from repro.framework.addressing import ip_to_int
 from repro.framework.icmp import make_echo
 from repro.framework.ip import PROTO_ICMP, make_ip_packet
@@ -158,13 +158,13 @@ def main() -> int:
     )
 
     registry = default_registry()
-    registry.clear()
+    registry.invalidate()
     # Truly cold: registry caches are instance-level, but the default
     # dictionary is process-wide — force the re-read so the cold number
     # includes it.
     load_default_dictionary(refresh=True)
-    numbers["sage_construct_cold_s"], _ = timed(Sage)
-    numbers["sage_construct_cached_s"], _ = timed(Sage, repeat=10)
+    numbers["engine_construct_cold_s"], _ = timed(SageEngine)
+    numbers["engine_construct_cached_s"], _ = timed(SageEngine, repeat=10)
 
     # -- parser backends head-to-head, truly cold ---------------------------
     # This must run before anything CCG-parses: the indexed backend's
@@ -202,7 +202,7 @@ def main() -> int:
     # of the ratio.)
     import gc
 
-    from repro.parsing.profile import PROFILE, profile_delta
+    from repro.parsing.profile import PROFILE
 
     # Best of two cold rounds: interleaving spreads *slow* drift across
     # both sides of the ratio, but a single burst of machine noise (a
@@ -222,8 +222,7 @@ def main() -> int:
             # The profile delta covers exactly round one — the truly
             # process-cold sweep (round two is cold-by-reset, which the
             # counters would otherwise double).
-            numbers["parse_profile"] = profile_delta(profile_before,
-                                                     PROFILE.counts())
+            numbers["parse_profile"] = PROFILE.delta(profile_before)
             reset_parser_state()
         elapsed_by_backend = {backend: 0.0 for backend in backends}
         gc.collect()
@@ -266,12 +265,12 @@ def main() -> int:
     cache = registry.parse_cache()
     cache.clear()
     numbers["icmp_strict_run_s"], strict = timed(
-        lambda: Sage(mode="strict").process_corpus(corpus)
+        lambda: SageEngine(mode="strict").process_corpus(corpus)
     )
     # The revised run reuses the strict run's parses through the shared
     # cache; before the cache both modes re-parsed everything.
     numbers["icmp_revised_run_s"], revised = timed(
-        lambda: Sage(mode="revised").process_corpus(corpus)
+        lambda: SageEngine(mode="revised").process_corpus(corpus)
     )
 
     numbers["icmp_sentences"] = len(corpus.sentences)
@@ -289,9 +288,6 @@ def main() -> int:
     numbers["cpu_count"] = os.cpu_count() or 1
 
     from repro.disambiguation.profile import PROFILE as WINNOW_PROFILE
-    from repro.disambiguation.profile import (
-        profile_delta as winnow_profile_delta,
-    )
 
     cache.clear()
     winnow_cache.clear()
@@ -305,9 +301,7 @@ def main() -> int:
     # The check-memo / traversal-cache / stage-cache counters for exactly
     # the cold sweep: this is the window where the canonical-
     # signature and type memos do their cross-sentence work.
-    numbers["winnow_profile"] = winnow_profile_delta(
-        winnow_profile_before, WINNOW_PROFILE.counts()
-    )
+    numbers["winnow_profile"] = WINNOW_PROFILE.delta(winnow_profile_before)
 
     misses_before_rerun = cache.stats()["misses"]
     winnow_misses_before_rerun = winnow_cache.stats()["misses"]
@@ -433,18 +427,6 @@ def main() -> int:
                 run_back_bin = result
     numbers["api_serialize_run_s"] = min(wire_times["json_enc"])
     numbers["api_deserialize_run_s"] = min(wire_times["json_dec"])
-    # The pre-lazy encode path for comparison: build the full envelope
-    # dict eagerly (per-Sem-node dict construction), then dump it.
-    # ``to_json`` now defers Sem rendering into a json.dumps default
-    # hook; this pair of numbers records what that bought.
-    from repro.api.contracts import to_envelope
-
-    numbers["api_serialize_eager_run_s"], _ = timed(
-        lambda: json.dumps(to_envelope(revised, registry=registry)), repeat=5
-    )
-    numbers["api_serialize_lazy_speedup"] = (
-        numbers["api_serialize_eager_run_s"] / numbers["api_serialize_run_s"]
-    )
     numbers["api_run_json_bytes"] = len(run_json)
     numbers["api_roundtrip_equal"] = run_back == revised
     numbers["api_bin_encode_run_s"] = min(wire_times["bin_enc"])
@@ -588,8 +570,10 @@ def main() -> int:
         )
     if not numbers["corpus_load_cached_s"] < numbers["corpus_load_cold_s"] / 10:
         failures.append("cached corpus load is not >10x cheaper than cold")
-    if not numbers["sage_construct_cached_s"] < numbers["sage_construct_cold_s"] / 10:
-        failures.append("cached Sage construction is not >10x cheaper than cold")
+    if not (numbers["engine_construct_cached_s"]
+            < numbers["engine_construct_cold_s"] / 10):
+        failures.append(
+            "cached engine construction is not >10x cheaper than cold")
     # The warm-rerun multiple shrank by design when the indexed backend's
     # span memo landed: a parse-cache-cold sweep now reuses whole chart
     # cells across sentences (the memos were warmed by the head-to-head
@@ -684,9 +668,9 @@ def main() -> int:
                         "generated ICMP C)")
     if numbers["networkx_imported"]:
         failures.append(
-            "networkx was imported during the benchmark: the VF2 oracle "
-            "leaked onto the production winnow path (canonical signatures "
-            "must carry associativity detection alone)"
+            "networkx was imported during the benchmark: something in "
+            "src/ imports it again (canonical signatures must carry "
+            "associativity detection alone)"
         )
     if failures:
         for failure in failures:

@@ -57,7 +57,7 @@ def main() -> int:
         registry.load_corpus(name)
 
     start = time.perf_counter()
-    runs = engine.process_corpora(parallel=False)
+    runs = engine.process_corpora()
     sweep_s = time.perf_counter() - start
 
     lf_digest = hashlib.sha1()

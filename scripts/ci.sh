@@ -34,6 +34,24 @@ cd "$(dirname "$0")/.."
 
 export PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}"
 
+# Teardown runs on every exit path.  Under `set -e` a failing step exits
+# the script at once and a function's RETURN trap never fires, so the
+# gates record what they leave behind here — the server they booted and
+# their temp paths — and one EXIT trap stops and removes it.
+server_pid=""
+temp_paths=()
+stop_server() {
+  if [ -n "$server_pid" ]; then
+    kill "$server_pid" 2>/dev/null && wait "$server_pid" 2>/dev/null || true
+    server_pid=""
+  fi
+}
+teardown() {
+  stop_server
+  rm -rf ${temp_paths[@]+"${temp_paths[@]}"}
+}
+trap teardown EXIT
+
 # Paper-table checks: every figure and table benchmarks/bench_*.py
 # regenerates (Figs 5-6, Tables 2-11, the end-to-end interop run and the
 # fuzz matrix), asserted against the paper's numbers.  Timing rounds are
@@ -62,7 +80,7 @@ cache_smoke() {
   echo "== cache smoke: python -m repro cache warm twice, separate processes =="
   local store
   store="$(mktemp -d "${TMPDIR:-/tmp}/repro-cache-ci.XXXXXX")"
-  trap 'rm -rf "$store"' RETURN
+  temp_paths+=("$store")
   python -m repro cache warm --cache-dir "$store" --json > /dev/null
   python -m repro cache warm --cache-dir "$store" --json \
     | python -c '
@@ -93,21 +111,20 @@ fi
 # BENCH_pipeline.json.  Boot #2's numbers land under serve_* keys there.
 serve_gate() {
   echo "== serve gate: load harness against python -m repro serve =="
-  local store log pid=""
+  local store log
   store="$(mktemp -d "${TMPDIR:-/tmp}/repro-serve-ci.XXXXXX")"
+  temp_paths+=("$store")
   log="$store/serve.log"
-  # shellcheck disable=SC2064
-  trap "[ -n \"\$pid\" ] && kill \"\$pid\" 2>/dev/null; rm -rf '$store'" RETURN
 
   local port
-  # Sets $pid and $port (no subshell: the trap needs the real pid).
+  # Sets $server_pid and $port (no subshell: teardown needs the real pid).
   boot_server() {
     python -m repro serve --port 0 --cache-dir "$store/cache" > "$log" 2>&1 &
-    pid=$!
+    server_pid=$!
     local i
     for i in $(seq 1 100); do
       grep -q "serving on" "$log" 2>/dev/null && break
-      if ! kill -0 "$pid" 2>/dev/null; then
+      if ! kill -0 "$server_pid" 2>/dev/null; then
         echo "SERVE FAILURE: server died during boot:" >&2
         cat "$log" >&2
         return 1
@@ -123,15 +140,13 @@ serve_gate() {
   python benchmarks/load_harness.py --url "http://127.0.0.1:$port" \
     --requests 24 --warmup 4 --concurrency 3 \
     --min-throughput-fraction 0 --no-write
-  kill "$pid" 2>/dev/null && wait "$pid" 2>/dev/null || true
-  pid=""
+  stop_server
 
   boot_server || return 1
   echo "-- boot 2 (warm store, port $port): throughput + warm-start gates"
   python benchmarks/load_harness.py --url "http://127.0.0.1:$port" \
     --requests 24 --warmup 4 --concurrency 3 --expect-warm
-  kill "$pid" 2>/dev/null && wait "$pid" 2>/dev/null || true
-  pid=""
+  stop_server
 }
 
 if [ "${1:-all}" = "serve-gate" ]; then
@@ -156,8 +171,7 @@ fuzz_gate() {
   echo "== fuzz gate: python -m repro fuzz, fixed seed, all backends =="
   local rerun pinned
   rerun="$(mktemp "${TMPDIR:-/tmp}/repro-fuzz-rerun.XXXXXX")"
-  # shellcheck disable=SC2064
-  trap "rm -f '$rerun'" RETURN
+  temp_paths+=("$rerun")
   pinned="$( (git show HEAD:BENCH_pipeline.json 2>/dev/null \
               || cat BENCH_pipeline.json) | python -c '
 import json, sys

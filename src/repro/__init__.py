@@ -10,8 +10,8 @@ entry points:
   journal :class:`~repro.api.Resolution` decisions the registry replays),
   and the ``python -m repro`` CLI (``process``, ``sweep``, ``resolve``,
   ``emit``);
-* :class:`repro.core.Sage` — the pipeline facade (parse → disambiguate →
-  codegen) over the staged :class:`~repro.core.SageEngine`;
+* :class:`repro.core.SageEngine` — the pipeline (parse → disambiguate →
+  codegen) as three composable stages;
 * :mod:`repro.rfc` — bundled RFC corpora (ICMP, IGMP, NTP, BFD) behind the
   cached protocol registry;
 * :mod:`repro.codegen` — the typed IR with C / Python / interpreter
@@ -29,7 +29,7 @@ from .api import (
     Resolution,
     SageService,
 )
-from .core import Sage, SageRun, SentenceStatus
+from .core import SageEngine, SageRun, SentenceStatus
 
 __version__ = "1.1.0"
 __all__ = [
@@ -37,7 +37,7 @@ __all__ = [
     "ProcessRequest",
     "ProcessResponse",
     "Resolution",
-    "Sage",
+    "SageEngine",
     "SageRun",
     "SageService",
     "SentenceStatus",

@@ -15,12 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..core.engine import (
-    FLAGGED_STATUSES,
-    STATUS_OK,
-    STATUS_REWRITTEN,
-    SageEngine,
-)
+from ..core.engine import FLAGGED_STATUSES, SageEngine, SentenceStatus
 from ..rfc.corpus import Corpus
 from ..rfc.registry import default_registry
 
@@ -186,8 +181,8 @@ class PipelineCoverage:
     @property
     def actionable(self) -> int:
         """Sentences that produced code (directly or through a rewrite)."""
-        return (self.by_status.get(STATUS_OK, 0)
-                + self.by_status.get(STATUS_REWRITTEN, 0))
+        return (self.by_status.get(SentenceStatus.OK, 0)
+                + self.by_status.get(SentenceStatus.REWRITTEN, 0))
 
     @property
     def flagged(self) -> int:

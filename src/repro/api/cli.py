@@ -113,7 +113,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_winnow.add_argument("--profile", action="store_true",
                           help="print the winnow hot-path counters for this "
                                "batch (canonical-sid and check-memo hit "
-                               "rates, stage-cache hits, oracle calls)")
+                               "rates, stage-cache hits)")
     common(p_winnow)
 
     p_resolve = sub.add_parser(

@@ -182,7 +182,7 @@ class SageService:
         import time
 
         from ..ccg.semantics import signature
-        from ..parsing.profile import PROFILE, profile_delta
+        from ..parsing.profile import PROFILE
 
         if parser_backend:
             self._check_parser_backend(parser_backend)
@@ -193,7 +193,7 @@ class SageService:
         parsed = engine.parse_batch(corpus,
                                     parser_backend=parser_backend or None)
         elapsed = time.perf_counter() - started
-        profile = profile_delta(counters_before, PROFILE.counts())
+        profile = PROFILE.delta(counters_before)
         backend = (parser_backend
                    or self.registry.parser_backend_for(corpus.protocol))
         sentences = []
@@ -241,14 +241,14 @@ class SageService:
         throughput, the winnow-result cache stats, and — under
         ``"profile"`` — the :mod:`repro.disambiguation.profile` counter
         delta for exactly this batch (canonical-sid and check-memo hit
-        rates, per-form cache hits, stage-cache hits, oracle calls).  No
+        rates, per-form cache hits, stage-cache hits).  No
         code generation runs.
         """
         import hashlib
         import time
 
         from ..ccg.semantics import signature
-        from ..disambiguation.profile import PROFILE, profile_delta
+        from ..disambiguation.profile import PROFILE
 
         if parser_backend:
             self._check_parser_backend(parser_backend)
@@ -260,7 +260,7 @@ class SageService:
         started = time.perf_counter()
         traces = [engine.winnow_stage.run(item) for item in parsed]
         elapsed = time.perf_counter() - started
-        profile = profile_delta(counters_before, PROFILE.counts())
+        profile = PROFILE.delta(counters_before)
         sentences = []
         for index, (item, trace) in enumerate(zip(parsed, traces)):
             survivor_sigs = [signature(form) for form in trace.survivors]

@@ -292,19 +292,5 @@ class CCGChartParser:
         return chart, unknown, dropped
 
 
-def combine(left: Item, right: Item) -> list[Item]:
-    """All items derivable from an adjacent pair (unreduced semantics).
-
-    A thin :class:`Item` wrapper over the pure rules in
-    :mod:`repro.ccg.combinators`, kept for the historical call signature.
-    """
-    return [
-        Item(category, sem)
-        for category, sem in all_productions(
-            left.category, left.sem, right.category, right.sem
-        )
-    ]
-
-
 def _is_terminal_punct(token: Token) -> bool:
     return token.kind == KIND_PUNCT and token.text in ".!?:"

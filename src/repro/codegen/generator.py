@@ -6,9 +6,9 @@ function", one per (message, role), named from the context dictionaries
 the protocol, the message type, and the role").  The assembly itself — op
 filtering by goal/role, the reordering passes implementing the paper's
 discussion of code order, and validation — lives in the typed IR
-(:mod:`repro.codegen.ir`); this module keeps the historical surface
-(:func:`assemble_message_program`, :class:`MessageProgram`,
-:class:`CodeUnit`) and the role policy:
+(:mod:`repro.codegen.ir`); this module keeps
+:func:`assemble_message_program`, the :class:`CodeUnit` name and the role
+policy.  The IR's two reordering passes:
 
 * **advice** — ops tagged ``advice_before`` are moved immediately before the
   first op of the advised function (@AdvBefore, the checksum-zeroing case);
@@ -20,19 +20,15 @@ discussion of code order, and validation — lives in the typed IR
 from __future__ import annotations
 
 from .ir import (
-    AdvicePlacementPass,
-    ChecksumFinalizationPass,
     Function,
     Program,
     SentenceCode,
     build_function,
     function_name,
 )
-from .ops import Op
 
-# Historical aliases: the IR's Function/Program are the same objects the
-# pre-IR generator called MessageProgram/CodeUnit.
-MessageProgram = Function
+# The IR's Program is the object the pre-IR generator called CodeUnit; the
+# name stays because it is the wire kind's name (``code_unit``).
 CodeUnit = Program
 
 # Which side of the exchange constructs each ICMP message.  This is the
@@ -54,16 +50,6 @@ def builder_role(message_name: str,
     return "sender" if message_name in built_by_sender else "receiver"
 
 
-def reorder_advice(ops: list[Op]) -> list[Op]:
-    """The advice-placement pass, as a plain function (historical name)."""
-    return AdvicePlacementPass().run(ops)
-
-
-def finalize_checksums_last(ops: list[Op]) -> list[Op]:
-    """The checksum-finalization pass, as a plain function (historical name)."""
-    return ChecksumFinalizationPass().run(ops)
-
-
 def assemble_message_program(
     protocol: str,
     message_name: str,
@@ -71,7 +57,7 @@ def assemble_message_program(
     type_value: int | None = None,
     code_value: int | None = None,
     sender_built: frozenset[str] | None = None,
-) -> MessageProgram:
+) -> Function:
     """Assemble one message's builder from its sentences plus the structural
     value bindings (the "0 = Echo Reply" idiom and bare field values)."""
     return build_function(

@@ -408,7 +408,7 @@ class Function:
     def invalidate_fingerprint(self) -> None:
         self._fingerprint = None
 
-    # -- convenience renderings (the historical MessageProgram surface) -------
+    # -- convenience renderings ------------------------------------------------
     def render_c(self) -> str:
         return _backend("c")().emit_function(self)
 

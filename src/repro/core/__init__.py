@@ -1,19 +1,12 @@
 """The SAGE pipeline: the paper's primary contribution, end to end."""
 
 from .engine import (
-    STATUS_AMBIGUOUS_LF,
-    STATUS_AMBIGUOUS_REF,
-    STATUS_NON_ACTIONABLE,
-    STATUS_OK,
-    STATUS_REWRITTEN,
-    STATUS_UNPARSED,
     SageEngine,
     SageRun,
     SentenceResult,
     SentenceStatus,
     modal_sentences,
 )
-from .pipeline import Sage
 from .stages import (
     GenerateStage,
     ParsedSentence,
@@ -23,16 +16,9 @@ from .stages import (
 )
 
 __all__ = [
-    "STATUS_AMBIGUOUS_LF",
-    "STATUS_AMBIGUOUS_REF",
-    "STATUS_NON_ACTIONABLE",
-    "STATUS_OK",
-    "STATUS_REWRITTEN",
-    "STATUS_UNPARSED",
     "GenerateStage",
     "ParsedSentence",
     "ParseStage",
-    "Sage",
     "SageEngine",
     "SageRun",
     "SentenceResult",

@@ -1,12 +1,27 @@
-"""The staged execution engine composing parse → winnow → generate.
+"""The staged execution engine: parse → winnow → generate (Figure 1).
 
 :class:`SageEngine` owns one instance of each stage from ``stages.py`` and
 orchestrates the control flow the paper's Figure 4 describes — rewrite
 lookup, stage sequencing, status flagging, and the human-rewrite recursion.
-On top of the per-sentence pipeline it adds two batch surfaces:
+Per sentence:
 
-* :meth:`SageEngine.process_corpus` — one corpus (identical in output to
-  the historical ``Sage.process_corpus``);
+1. NP-chunk and CCG-parse; on zero logical forms, re-parse with the
+   header-field subject supplied from document structure (§4.1);
+2. winnow logical forms through the §4.2 checks;
+3. route the survivor to code generation; non-actionable sentences become
+   ``@AdvComment`` annotations, ambiguous references are flagged.
+
+Two modes mirror Figure 4's human-in-the-loop:
+
+* ``strict`` — the RFC text as-is: ambiguous/unparsed sentences are flagged
+  and produce no code (and the naive reading of under-specified sentences
+  flows through, ready to fail unit tests);
+* ``revised`` — sentences with entries in ``rewrites.json`` are replaced by
+  their human rewrite before parsing, yielding clean code.
+
+On top of the per-sentence pipeline the engine adds two batch surfaces:
+
+* :meth:`SageEngine.process_corpus` — one corpus;
 * :meth:`SageEngine.process_corpora` — every registered protocol in one
   call, in process.  The parses it computes land in the shared
   :class:`~repro.rfc.registry.ParseCache`, so a follow-up run skips
@@ -15,9 +30,6 @@ On top of the per-sentence pipeline it adds two batch surfaces:
 Whole runs are memoized too: :meth:`SageEngine.run_key` addresses a run
 by the content of everything it depends on, and the registry's run memo
 answers a repeated ``process_corpus`` without running a single stage.
-
-The historical :class:`~repro.core.pipeline.Sage` class remains as a thin
-facade over this engine.
 """
 
 from __future__ import annotations
@@ -45,10 +57,9 @@ class SentenceStatus(str, enum.Enum):
     """What the pipeline concluded about one sentence.
 
     Members are plain strings (``SentenceStatus.OK == "ok"``, hashes like
-    ``"ok"``, serializes as ``"ok"``), so every historical call site that
-    compared against the old string constants — and every JSON consumer —
-    keeps working; the enum adds the closed set and the ``flagged`` property
-    the service layer dispatches on.
+    ``"ok"``, serializes as ``"ok"``), so members and raw strings compare
+    equal and every JSON consumer keeps working; the enum adds the closed
+    set and the ``flagged`` property the service layer dispatches on.
     """
 
     OK = "ok"
@@ -83,16 +94,9 @@ class SentenceStatus(str, enum.Enum):
         return member if member is not None else value
 
 
-# Historical constant names, kept as aliases of the enum members.
-STATUS_OK = SentenceStatus.OK
-STATUS_NON_ACTIONABLE = SentenceStatus.NON_ACTIONABLE
-STATUS_AMBIGUOUS_LF = SentenceStatus.AMBIGUOUS_LF
-STATUS_AMBIGUOUS_REF = SentenceStatus.AMBIGUOUS_REF
-STATUS_UNPARSED = SentenceStatus.UNPARSED
-STATUS_REWRITTEN = SentenceStatus.REWRITTEN
-
 #: Statuses a human must look at (Figure 4's feedback arrows).
-FLAGGED_STATUSES = (STATUS_AMBIGUOUS_LF, STATUS_AMBIGUOUS_REF, STATUS_UNPARSED)
+FLAGGED_STATUSES = (SentenceStatus.AMBIGUOUS_LF, SentenceStatus.AMBIGUOUS_REF,
+                    SentenceStatus.UNPARSED)
 
 
 @dataclass
@@ -144,7 +148,7 @@ class SageRun:
         ]
 
     def rewritten(self) -> list[SentenceResult]:
-        return [r for r in self.results if r.status == STATUS_REWRITTEN]
+        return [r for r in self.results if r.status == SentenceStatus.REWRITTEN]
 
     def traces(self) -> list[WinnowTrace]:
         return [r.trace for r in self.results if r.trace is not None]
@@ -376,7 +380,8 @@ class SageEngine:
         rewrite = self._decision_for(self.rewrites, spec)
         if rewrite is not None and rewrite.category == "non-actionable":
             return SentenceResult(
-                spec=spec, status=STATUS_NON_ACTIONABLE, rewrite=rewrite,
+                spec=spec, status=SentenceStatus.NON_ACTIONABLE,
+                rewrite=rewrite,
                 reason="annotated non-actionable",
                 codes=[SentenceCode(sentence=spec.text, status="non-actionable")],
             )
@@ -384,25 +389,26 @@ class SageEngine:
         parsed = self._stage_for(spec).run(spec)
         trace = self.winnow_stage.run(parsed)
         result = SentenceResult(
-            spec=spec, status=STATUS_OK, trace=trace,
+            spec=spec, status=SentenceStatus.OK, trace=trace,
             subject_supplied=parsed.subject_supplied,
             pruned=parsed.pruned,
         )
         context = self.generate_stage.context_for(spec)
 
         if trace.final_count == 0:
-            return self._flagged(result, STATUS_UNPARSED, rewrite)
+            return self._flagged(result, SentenceStatus.UNPARSED, rewrite)
         if trace.final_count > 1:
             form = self._journaled_selection(spec, trace.survivors)
             if form is None:
                 if self.generate_stage.all_non_actionable(trace.survivors, context):
                     if rewrite is not None and rewrite.revised:
-                        return self._flagged(result, STATUS_NON_ACTIONABLE, rewrite)
-                    result.status = STATUS_NON_ACTIONABLE
+                        return self._flagged(
+                            result, SentenceStatus.NON_ACTIONABLE, rewrite)
+                    result.status = SentenceStatus.NON_ACTIONABLE
                     result.reason = "descriptive prose (no actionable reading)"
                     result.codes = [SentenceCode(sentence=spec.text, status="non-actionable")]
                     return result
-                return self._flagged(result, STATUS_AMBIGUOUS_LF, rewrite)
+                return self._flagged(result, SentenceStatus.AMBIGUOUS_LF, rewrite)
             result.reason = "journaled LF selection"
         else:
             form = trace.survivors[0]
@@ -415,18 +421,18 @@ class SageEngine:
             # Figure 4's unit-test loop: the sentence parses cleanly but its
             # naive reading fails interoperability tests (§6.5); in revised
             # mode the post-test rewrite replaces it.
-            return self._flagged(result, STATUS_AMBIGUOUS_LF, rewrite)
+            return self._flagged(result, SentenceStatus.AMBIGUOUS_LF, rewrite)
         try:
             handled = self.generate_stage.generate(form, context)
         except AmbiguousReference as exc:
             result.reason = str(exc)
-            return self._flagged(result, STATUS_AMBIGUOUS_REF, rewrite)
+            return self._flagged(result, SentenceStatus.AMBIGUOUS_REF, rewrite)
         except (NonActionable, UnknownReference) as exc:
             if rewrite is not None and rewrite.revised:
                 # The fragment-annotation case (Table 5's "rephrasing"): code
                 # generation fails on the original, the rewrite succeeds.
-                return self._flagged(result, STATUS_NON_ACTIONABLE, rewrite)
-            result.status = STATUS_NON_ACTIONABLE
+                return self._flagged(result, SentenceStatus.NON_ACTIONABLE, rewrite)
+            result.status = SentenceStatus.NON_ACTIONABLE
             result.reason = getattr(exc, "reason", str(exc))
             result.codes = [SentenceCode(sentence=spec.text, status="non-actionable")]
             return result
@@ -465,7 +471,7 @@ class SageEngine:
         result.status = status
         result.rewrite = rewrite
         if self.mode == "revised" and rewrite is not None and rewrite.revised:
-            result.status = STATUS_REWRITTEN
+            result.status = SentenceStatus.REWRITTEN
             for revised_sentence in split_sentences(rewrite.revised):
                 sub_spec = SpecSentence(
                     text=revised_sentence,
@@ -541,9 +547,10 @@ class SageEngine:
         """Run every protocol (default: all registered) in one call.
 
         Identical to calling :meth:`process_corpus` per protocol, in
-        registration order.  ``parallel`` is accepted for compatibility
-        and ignored: sentences are independent, so concurrency lives
-        between requests (the server's worker pool), not inside one.
+        registration order.  ``parallel`` is ignored: sentences are
+        independent, so concurrency lives between requests (the server's
+        worker pool), not inside one.  The keyword stays only because
+        ``perfbench/workloads.py`` still passes it; no other caller does.
         """
         names = [name.upper() for name in (
             protocols if protocols is not None

@@ -11,12 +11,7 @@ from .checks import (
     TypeCheck,
     reset_winnow_state,
 )
-from .profile import (
-    WinnowProfile,
-    profile_delta,
-    profile_snapshot,
-    reset_profile,
-)
+from .profile import WinnowProfile
 from .resolution import (
     RESOLUTION_KINDS,
     DecisionJournal,
@@ -51,9 +46,6 @@ __all__ = [
     "WinnowSummary",
     "WinnowTrace",
     "isolated_effects",
-    "profile_delta",
-    "profile_snapshot",
-    "reset_profile",
     "reset_winnow_state",
     "resolution_for_rewrite",
     "summarize",

@@ -39,14 +39,11 @@ so the fingerprint identifies them by ``(name, predicate)``.
 
 ``reset_winnow_state()`` drops every global table (cold-benchmark
 bracketing, mirroring ``reset_parser_state``); per-node caches die with
-their nodes.  Set ``REPRO_WINNOW_ORACLE=1`` to cross-check the
-associativity canonical form against the legacy VF2 matcher on every
-sentence (slow; imports networkx).
+their nodes.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from hashlib import sha1
 
@@ -55,7 +52,6 @@ from ..lf.graph import (
     _CANON_SID,
     canon_of_sid,
     canonical_signature,
-    isomorphic,
     reset_canonical_memos,
     sid_for_term,
 )
@@ -69,9 +65,6 @@ from ..lf.predicates import (
 )
 from ..parsing.values import _KEY_OF
 from .profile import PROFILE
-
-#: Environment flag: verify the canonical form against VF2 per sentence.
-ORACLE_ENV = "REPRO_WINNOW_ORACLE"
 
 #: check fingerprint → its process-global sid-keyed memo table.  Tables are
 #: cleared in place by :func:`reset_winnow_state` so checks holding a
@@ -419,8 +412,8 @@ class AssociativityCheck(Check):
     Equivalence-class membership is one canonical sid per form
     (:func:`repro.lf.graph.canonical_sid` — exact for these rooted trees),
     so the filter is a set probe per form instead of the O(n²) VF2 runs it
-    replaced.  ``REPRO_WINNOW_ORACLE=1`` re-runs the legacy
-    bucket-then-VF2 path per sentence and asserts agreement.
+    replaced.  The test suite replays the bucket-then-VF2 filter as an
+    oracle and checks it keeps the same forms in the same order.
     """
 
     name = "Associativity"
@@ -436,8 +429,6 @@ class AssociativityCheck(Check):
                 continue
             seen.add(key)
             kept.append(form)
-        if os.environ.get(ORACLE_ENV):
-            self._check_oracle(forms, kept)
         return kept
 
     @staticmethod
@@ -454,48 +445,6 @@ class AssociativityCheck(Check):
         # the regrouping-invariant string is the same equivalence (non-Call
         # subtrees compare as leaf labels either way).
         return canonical_signature(form)
-
-    def _check_oracle(self, forms: list[Sem], kept: list[Sem]) -> None:
-        """Replay the legacy VF2 path and assert it kept the same forms."""
-        legacy = self._filter_vf2(forms)
-        if [id(form) for form in legacy] != [id(form) for form in kept]:
-            raise AssertionError(
-                "associativity canonical form disagrees with the VF2 "
-                f"oracle: kept {[canonical_signature(f) for f in kept]} "
-                f"vs oracle {[canonical_signature(f) for f in legacy]}"
-            )
-
-    @staticmethod
-    def _filter_vf2(forms: list[Sem]) -> list[Sem]:
-        """The pre-canonical implementation: signature buckets confirmed
-        pairwise with VF2, candidates ordered cheapest-signature-first so
-        the ``any`` scan short-circuits on the smallest graphs."""
-        buckets: dict[str, list[Sem]] = {}
-        order: list[str] = []
-        for form in forms:
-            key = canonical_signature(form)
-            if key not in buckets:
-                buckets[key] = []
-                order.append(key)
-            buckets[key].append(form)
-        representatives: list[Sem] = []
-        for key in order:
-            kept: list[Sem] = []
-            for form in buckets[key]:
-                candidates = sorted(
-                    kept, key=lambda f: len(canonical_signature(f))
-                )
-                matched = False
-                for existing in candidates:
-                    PROFILE.oracle_calls += 1
-                    if isomorphic(form, existing):
-                        matched = True
-                        break
-                if matched:
-                    continue
-                kept.append(form)
-            representatives.extend(kept)
-        return representatives
 
 
 @dataclass

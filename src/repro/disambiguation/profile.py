@@ -1,15 +1,11 @@
-"""Lightweight instrumentation counters for the winnow hot path.
+"""Instrumentation counters for the winnow hot path.
 
-One process-global :class:`WinnowProfile` accumulates what the memoized
-§4.2 checks (:mod:`.checks`) and the cached :class:`WinnowStage` actually
-did: winnow calls and form flow, per-memo hit/miss counts for the
-sid-keyed canonical-signature / type / nesting tables, the per-node
-span/calls traversal caches, the stage-level winnow result cache, and how
-often the VF2 oracle (debug flag) was consulted.  Counting is always on —
-plain integer attribute increments, noise next to the traversals they
-describe — so a snapshot is always truthful for the process and a *delta*
-between two snapshots is truthful for any bracketed region (one
-``WinnowStage.run``, one benchmark sweep).
+One process-global :class:`WinnowProfile` (a
+:class:`~repro.counters.Counters`) accumulates what the memoized §4.2
+checks (:mod:`.checks`) and the cached :class:`WinnowStage` actually did:
+winnow calls and form flow, per-memo hit/miss counts for the sid-keyed
+canonical-signature / type / nesting tables, the per-node span/calls
+traversal caches, and the stage-level winnow result cache.
 
 Consumers:
 
@@ -18,96 +14,48 @@ Consumers:
 * ``python -m repro winnow --profile`` renders the same delta;
 * ``benchmarks/pipeline_smoke.py`` records the warm sweep's counters into
   ``BENCH_pipeline.json`` under ``winnow_profile``.
-
-Hit *rates* are derived at snapshot time, never stored: a rate is only
-meaningful relative to the window it was measured over.
 """
 
 from __future__ import annotations
 
-__all__ = ["WinnowProfile", "PROFILE", "profile_snapshot", "reset_profile",
-           "profile_delta"]
+from ..counters import Counters
 
-#: The raw counter names, in reporting order.  Each is a monotonically
-#: increasing int on :data:`PROFILE`.
-COUNTER_NAMES = (
-    "winnows",              # winnow() calls (cache misses at the stage level)
-    "forms_in",             # base logical forms entering winnow()
-    "forms_survived",       # survivors leaving winnow()
-    "canon_memo_hits",      # sid → canonical-form probes answered
-    "canon_memo_misses",
-    "type_memo_hits",       # sid → well-typed probes answered
-    "type_memo_misses",
-    "nesting_memo_hits",    # sid → nesting-ordered probes answered
-    "nesting_memo_misses",
-    "span_cache_hits",      # per-node span_of results answered
-    "span_cache_misses",
-    "calls_cache_hits",     # per-node iter_calls tuples answered
-    "calls_cache_misses",
-    "form_cache_hits",      # per-form provenance check results answered
-    "form_cache_misses",    # (argument ordering + distributivity)
-    "stage_cache_hits",     # WinnowStage result-cache probes answered
-    "stage_cache_misses",
-    "oracle_calls",         # VF2 isomorphism runs (debug oracle only)
-)
-
-#: hit/miss counter pairs → the derived rate key reported in snapshots.
-_RATES = (
-    ("canon_memo_hits", "canon_memo_misses", "canon_memo_hit_rate"),
-    ("type_memo_hits", "type_memo_misses", "type_memo_hit_rate"),
-    ("nesting_memo_hits", "nesting_memo_misses", "nesting_memo_hit_rate"),
-    ("span_cache_hits", "span_cache_misses", "span_cache_hit_rate"),
-    ("calls_cache_hits", "calls_cache_misses", "calls_cache_hit_rate"),
-    ("form_cache_hits", "form_cache_misses", "form_cache_hit_rate"),
-    ("stage_cache_hits", "stage_cache_misses", "stage_cache_hit_rate"),
-)
+__all__ = ["WinnowProfile", "PROFILE"]
 
 
-class WinnowProfile:
-    """A bundle of monotonic counters (see module docstring)."""
+class WinnowProfile(Counters):
+    """The winnow stage's counters, in reporting order."""
 
-    __slots__ = COUNTER_NAMES
+    __slots__ = (
+        "winnows",              # winnow() calls (cache misses at the stage level)
+        "forms_in",             # base logical forms entering winnow()
+        "forms_survived",       # survivors leaving winnow()
+        "canon_memo_hits",      # sid → canonical-form probes answered
+        "canon_memo_misses",
+        "type_memo_hits",       # sid → well-typed probes answered
+        "type_memo_misses",
+        "nesting_memo_hits",    # sid → nesting-ordered probes answered
+        "nesting_memo_misses",
+        "span_cache_hits",      # per-node span_of results answered
+        "span_cache_misses",
+        "calls_cache_hits",     # per-node iter_calls tuples answered
+        "calls_cache_misses",
+        "form_cache_hits",      # per-form provenance check results answered
+        "form_cache_misses",    # (argument ordering + distributivity)
+        "stage_cache_hits",     # WinnowStage result-cache probes answered
+        "stage_cache_misses",
+    )
 
-    def __init__(self) -> None:
-        self.reset()
-
-    def reset(self) -> None:
-        for name in COUNTER_NAMES:
-            setattr(self, name, 0)
-
-    def counts(self) -> dict:
-        """The raw counters as a plain dict (JSON-safe)."""
-        return {name: getattr(self, name) for name in COUNTER_NAMES}
-
-    def snapshot(self) -> dict:
-        """Raw counters plus the derived hit rates (JSON-safe)."""
-        return _with_rates(self.counts())
-
-
-def _with_rates(counts: dict) -> dict:
-    out = dict(counts)
-    for hits, misses, rate in _RATES:
-        total = counts[hits] + counts[misses]
-        out[rate] = (counts[hits] / total) if total else 0.0
-    return out
+    RATES = (
+        ("canon_memo_hits", "canon_memo_misses", "canon_memo_hit_rate"),
+        ("type_memo_hits", "type_memo_misses", "type_memo_hit_rate"),
+        ("nesting_memo_hits", "nesting_memo_misses", "nesting_memo_hit_rate"),
+        ("span_cache_hits", "span_cache_misses", "span_cache_hit_rate"),
+        ("calls_cache_hits", "calls_cache_misses", "calls_cache_hit_rate"),
+        ("form_cache_hits", "form_cache_misses", "form_cache_hit_rate"),
+        ("stage_cache_hits", "stage_cache_misses", "stage_cache_hit_rate"),
+    )
 
 
 #: The process-global profile every winnow in this process reports into.
 PROFILE = WinnowProfile()
-
-
-def profile_snapshot() -> dict:
-    """Counters-plus-rates for everything winnowed so far in this process."""
-    return PROFILE.snapshot()
-
-
-def reset_profile() -> None:
-    """Zero the process-global counters (test/benchmark bracketing)."""
-    PROFILE.reset()
-
-
-def profile_delta(before: dict, after: dict) -> dict:
-    """The counter delta ``after - before``, with rates recomputed over the
-    delta window.  Both arguments are ``counts()``/``snapshot()`` dicts."""
-    delta = {name: after[name] - before[name] for name in COUNTER_NAMES}
-    return _with_rates(delta)

@@ -1,12 +1,10 @@
-"""Logical forms: predicate registry, type system, graphs, isomorphism."""
+"""Logical forms: predicate registry, type system, canonical forms."""
 
 from .graph import (
     canonical_sid,
     canonical_signature,
     flatten_associative,
-    isomorphic,
     reset_canonical_memos,
-    to_graph,
 )
 from .logical_form import LogicalForm, SentenceLFs
 from .predicates import (
@@ -51,8 +49,6 @@ __all__ = [
     "canonical_signature",
     "default_type_rules",
     "flatten_associative",
-    "isomorphic",
     "reset_canonical_memos",
     "rules_by_predicate",
-    "to_graph",
 ]

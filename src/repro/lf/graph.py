@@ -1,4 +1,4 @@
-"""Logical forms as graphs: canonicalization and isomorphism.
+"""Logical forms as graphs: canonicalization up to associative regrouping.
 
 §4.2 Associativity: "If predicates are associative, their logical form trees
 (Figure 3) will be isomorphic.  sage detects associativity using a standard
@@ -6,23 +6,16 @@ graph isomorphism algorithm."  We flatten chains of associative predicates
 (@Of, @And, @Or) into n-ary nodes and compare the results up to permutation
 of commutative arguments.
 
-Two equivalent implementations live here:
-
-* the **canonical form** — grounded logical forms (Call/Const trees, the
-  only kind the winnow stage ever sees) canonicalize in one pass over
-  their interned structural ids (:mod:`repro.parsing.values`): flatten
-  associative chains and sort commutative argument lists at the sid level,
-  interning the canonical shape as a sid of its own.  Two forms are
-  isomorphic **iff** their canonical sids are equal — for rooted trees,
-  hereditary canonical labeling is exact, no hashing heuristics — and the
-  memoized tables make repeat forms (formulaic RFC prose) a dict probe.
-  This is the hot path; it never imports networkx.
-* the **VF2 oracle** — :func:`to_graph` + :func:`isomorphic` convert to
-  labeled networkx DiGraphs and run the VF2 matcher, exactly as before.
-  networkx is imported lazily inside these functions only, so the warm
-  pipeline never pays the import; the oracle survives for property tests
-  and the ``REPRO_WINNOW_ORACLE`` debug flag in
-  :class:`repro.disambiguation.checks.AssociativityCheck`.
+Grounded logical forms (Call/Const trees, the only kind the winnow stage
+ever sees) canonicalize in one pass over their interned structural ids
+(:mod:`repro.parsing.values`): flatten associative chains and sort
+commutative argument lists at the sid level, interning the canonical shape
+as a sid of its own.  Two forms are isomorphic **iff** their canonical sids
+are equal — for rooted trees, hereditary canonical labeling is exact, no
+hashing heuristics — and the memoized tables make repeat forms (formulaic
+RFC prose) a dict probe.  The VF2 matcher this replaced lives on in the
+test suite (``tests/vf2_oracle.py``) as the oracle the canonical form is
+checked against.
 
 The string :func:`canonical_signature` (regrouping-invariant render) is
 unchanged in output; for grounded forms it renders from the canonical sid
@@ -58,57 +51,6 @@ def flatten_associative(term: Sem) -> Sem:
         flattened_args = merged
     return Call(
         term.pred, tuple(flattened_args), trigger=term.trigger, flags=term.flags
-    )
-
-
-def to_graph(term: Sem):
-    """Convert a logical form into a labeled DiGraph (Figure 3's trees).
-
-    Internal nodes are predicates, leaves are constants; edges carry the
-    argument position (dropped for associative predicates, where order does
-    not matter).  networkx loads lazily — only oracle/test callers pay it.
-    """
-    import networkx as nx
-
-    graph = nx.DiGraph()
-    counter = [0]
-
-    def add(node: Sem) -> int:
-        node_id = counter[0]
-        counter[0] += 1
-        if isinstance(node, Call):
-            graph.add_node(node_id, label=f"@{node.pred}")
-            ordered = node.pred not in COMMUTATIVE_PREDICATES
-            for position, arg in enumerate(node.args):
-                child = add(arg)
-                graph.add_edge(node_id, child, position=position if ordered else -1)
-        elif isinstance(node, Const):
-            graph.add_node(node_id, label=node.value)
-        else:
-            graph.add_node(node_id, label=str(node))
-        return node_id
-
-    add(term)
-    return graph
-
-
-def isomorphic(a: Sem, b: Sem) -> bool:
-    """True when two LFs are equal up to associative regrouping.
-
-    Flattens associative chains, then runs VF2 isomorphism over the labeled
-    graphs (matching both node labels and argument positions).  This is the
-    oracle the canonical form is property-tested against — the hot path
-    uses :func:`canonical_sid` instead and never imports networkx.
-    """
-    import networkx as nx
-
-    graph_a = to_graph(flatten_associative(a))
-    graph_b = to_graph(flatten_associative(b))
-    return nx.is_isomorphic(
-        graph_a,
-        graph_b,
-        node_match=lambda n1, n2: n1["label"] == n2["label"],
-        edge_match=lambda e1, e2: e1["position"] == e2["position"],
     )
 
 
@@ -195,10 +137,10 @@ def canonical_sid(term: Sem) -> int | None:
     """The canonical sid of ``term``, or None when it is not grounded.
 
     Two grounded forms have equal canonical sids **iff** they are
-    :func:`isomorphic` — the equivalence the associativity check collapses.
-    (Exactness assumes constant values with faithful string renders, true
-    of every token-derived constant; the property suite locks agreement
-    with the VF2 oracle.)
+    isomorphic up to regrouping — the equivalence the associativity check
+    collapses.  (Exactness assumes constant values with faithful string
+    renders, true of every token-derived constant; the property suite
+    locks agreement with the VF2 oracle.)
     """
     sid, grounded = sid_for_term(term)
     if not grounded:

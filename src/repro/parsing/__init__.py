@@ -20,7 +20,7 @@ from .backend import (
 )
 from .forest import PackedItem, ParseForest, PruneBudget
 from .indexed import IndexedChartParser, reset_parser_state, reset_span_memo
-from .profile import PROFILE, profile_delta, profile_snapshot, reset_profile
+from .profile import PROFILE
 from .values import normalize_batch
 
 __all__ = [
@@ -39,8 +39,5 @@ __all__ = [
     "reset_parser_state",
     "reset_span_memo",
     "PROFILE",
-    "profile_delta",
-    "profile_snapshot",
-    "reset_profile",
     "normalize_batch",
 ]

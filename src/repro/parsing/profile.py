@@ -1,14 +1,11 @@
-"""Lightweight instrumentation counters for the parser hot path.
+"""Instrumentation counters for the parser hot path.
 
-One process-global :class:`ParseProfile` accumulates what the agenda-driven
+One process-global :class:`ParseProfile` (a
+:class:`~repro.counters.Counters`) accumulates what the agenda-driven
 indexed backend (:mod:`.indexed`) and the fused normalizer (:mod:`.values`)
 actually did: agenda pops and scheduled targets, cells visited vs seeded
 from the cross-sentence span memo, per-memo hit/miss counts, and budget
-drops.  Counting is always on — the counters are plain integer attribute
-increments, a few per agenda pop, which is noise next to the term
-construction they describe — so a snapshot is always truthful for the
-process, and a *delta* between two snapshots is truthful for any bracketed
-region (one ``ParseStage.run_batch``, one benchmark sweep).
+drops.
 
 Consumers:
 
@@ -19,93 +16,47 @@ Consumers:
   counters into ``BENCH_pipeline.json`` and gates the span-memo reuse rate
   (formulaic RFC prose must keep reusing spans, or the cross-sentence
   memo silently stopped paying for itself).
-
-Hit *rates* are derived at snapshot time, never stored: a rate is only
-meaningful relative to the window it was measured over.
 """
 
 from __future__ import annotations
 
-__all__ = ["ParseProfile", "PROFILE", "profile_snapshot", "reset_profile",
-           "profile_delta"]
+from ..counters import Counters
 
-#: The raw counter names, in reporting order.  Each is a monotonically
-#: increasing int on :data:`PROFILE`.
-COUNTER_NAMES = (
-    "parses",               # parse_forest calls (indexed backend)
-    "agenda_pops",          # targets popped off the combination agenda
-    "agenda_scheduled",     # distinct targets ever pushed
-    "cells_visited",        # popped targets actually combined (memo misses)
-    "cells_seeded",         # popped targets seeded whole from the span memo
-    "span_memo_hits",       # span-memo probes answered
-    "span_memo_misses",     # span-memo probes that had to combine
-    "items_reused",         # packed items adopted from the span memo
-    "production_memo_hits",   # structural production outcomes answered
-    "production_memo_misses",
-    "apply_memo_hits",      # normal-form applications answered by identity
-    "apply_memo_misses",
-    "lexical_cache_hits",   # lexical span lookups answered
-    "lexical_cache_misses",
-    "budget_drops",         # items the PruneBudget rejected (counted drops)
-    "deferred_items",       # combined items inserted without building terms
-    "forced_items",         # deferred items whose term was later demanded
-)
-
-#: hit/miss counter pairs → the derived rate key reported in snapshots.
-_RATES = (
-    ("span_memo_hits", "span_memo_misses", "span_reuse_rate"),
-    ("production_memo_hits", "production_memo_misses",
-     "production_memo_hit_rate"),
-    ("apply_memo_hits", "apply_memo_misses", "apply_memo_hit_rate"),
-    ("lexical_cache_hits", "lexical_cache_misses", "lexical_cache_hit_rate"),
-)
+__all__ = ["ParseProfile", "PROFILE"]
 
 
-class ParseProfile:
-    """A bundle of monotonic counters (see module docstring)."""
+class ParseProfile(Counters):
+    """The parser's counters, in reporting order."""
 
-    __slots__ = COUNTER_NAMES
+    __slots__ = (
+        "parses",               # parse_forest calls (indexed backend)
+        "agenda_pops",          # targets popped off the combination agenda
+        "agenda_scheduled",     # distinct targets ever pushed
+        "cells_visited",        # popped targets actually combined (memo misses)
+        "cells_seeded",         # popped targets seeded whole from the span memo
+        "span_memo_hits",       # span-memo probes answered
+        "span_memo_misses",     # span-memo probes that had to combine
+        "items_reused",         # packed items adopted from the span memo
+        "production_memo_hits",   # structural production outcomes answered
+        "production_memo_misses",
+        "apply_memo_hits",      # normal-form applications answered by identity
+        "apply_memo_misses",
+        "lexical_cache_hits",   # lexical span lookups answered
+        "lexical_cache_misses",
+        "budget_drops",         # items the PruneBudget rejected (counted drops)
+        "deferred_items",       # combined items inserted without building terms
+        "forced_items",         # deferred items whose term was later demanded
+    )
 
-    def __init__(self) -> None:
-        self.reset()
-
-    def reset(self) -> None:
-        for name in COUNTER_NAMES:
-            setattr(self, name, 0)
-
-    def counts(self) -> dict:
-        """The raw counters as a plain dict (JSON-safe)."""
-        return {name: getattr(self, name) for name in COUNTER_NAMES}
-
-    def snapshot(self) -> dict:
-        """Raw counters plus the derived hit rates (JSON-safe)."""
-        return _with_rates(self.counts())
-
-
-def _with_rates(counts: dict) -> dict:
-    out = dict(counts)
-    for hits, misses, rate in _RATES:
-        total = counts[hits] + counts[misses]
-        out[rate] = (counts[hits] / total) if total else 0.0
-    return out
+    RATES = (
+        ("span_memo_hits", "span_memo_misses", "span_reuse_rate"),
+        ("production_memo_hits", "production_memo_misses",
+         "production_memo_hit_rate"),
+        ("apply_memo_hits", "apply_memo_misses", "apply_memo_hit_rate"),
+        ("lexical_cache_hits", "lexical_cache_misses",
+         "lexical_cache_hit_rate"),
+    )
 
 
 #: The process-global profile every parser in this process reports into.
 PROFILE = ParseProfile()
-
-
-def profile_snapshot() -> dict:
-    """Counters-plus-rates for everything parsed so far in this process."""
-    return PROFILE.snapshot()
-
-
-def reset_profile() -> None:
-    """Zero the process-global counters (test/benchmark bracketing)."""
-    PROFILE.reset()
-
-
-def profile_delta(before: dict, after: dict) -> dict:
-    """The counter delta ``after - before``, with rates recomputed over the
-    delta window.  Both arguments are ``counts()``/``snapshot()`` dicts."""
-    delta = {name: after[name] - before[name] for name in COUNTER_NAMES}
-    return _with_rates(delta)

@@ -5,7 +5,7 @@ parsed RFC corpora, the ~400-term networking dictionary, the CCG lexicon,
 and a chart parser built over it.  Before this module each consumer rebuilt
 them on demand: four hardcoded ``*_corpus()`` loaders re-read and re-parsed
 their RFC text on every call, ``build_lexicon()`` was invoked at eight call
-sites, and each ``Sage()`` re-paid dictionary + lexicon + parser
+sites, and each pipeline object re-paid dictionary + lexicon + parser
 construction.
 
 :class:`ProtocolRegistry` replaces that with a single registration +
@@ -335,7 +335,7 @@ class ProtocolRegistry:
 
         The fingerprint covers the lexicon and chunker content, so the
         cache can never serve a parse produced under a different grammar.
-        Living here rather than on ``Sage`` means every engine built over
+        Living here rather than on an engine means every engine built over
         this registry — strict and revised mode alike — reuses each other's
         parses: identical sentence text under the same lexicon/chunker
         fingerprint is parsed exactly once per process.  With a cache
@@ -486,10 +486,6 @@ class ProtocolRegistry:
             self._rewrites_by_original = None
             for cache in self._caches.values():
                 cache.clear()
-
-    def clear(self) -> None:
-        """Alias for full invalidation."""
-        self.invalidate()
 
     def reset_locks_after_fork(self) -> None:
         """Replace this registry's locks (and its caches') with fresh ones.

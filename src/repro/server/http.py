@@ -50,7 +50,7 @@ MAX_BODY_BYTES = 8 * 1024 * 1024
 #: Largest request line + header block (readuntil limit).
 MAX_HEADER_BYTES = 64 * 1024
 
-_STATUS_REASONS = {
+_REASON_PHRASES = {
     200: "OK", 400: "Bad Request", 404: "Not Found",
     405: "Method Not Allowed", 408: "Request Timeout",
     413: "Payload Too Large", 431: "Request Header Fields Too Large",
@@ -248,7 +248,7 @@ class ReproServer:
         self.responses_by_status[status] = (
             self.responses_by_status.get(status, 0) + 1
         )
-        reason = _STATUS_REASONS.get(status, "Unknown")
+        reason = _REASON_PHRASES.get(status, "Unknown")
         head = (
             f"HTTP/1.1 {status} {reason}\r\n"
             f"Content-Type: {content_type}\r\n"

@@ -151,7 +151,7 @@ def service_stats(service: SageService) -> dict:
     hit rates (the run memo, the parse and winnow caches beneath it,
     compiled programs), persistent-store footprint, and the parser
     profile."""
-    from ..parsing.profile import profile_snapshot
+    from ..parsing.profile import PROFILE
 
     registry = service.registry
     layers = {name: _with_rate(getattr(registry, name)().stats())
@@ -167,7 +167,7 @@ def service_stats(service: SageService) -> dict:
         "cache_dir": registry.cache_dir,
         **layers,
         "store": store_stats,
-        "profile": profile_snapshot(),
+        "profile": PROFILE.snapshot(),
     }
 
 
@@ -301,7 +301,7 @@ def aggregate_stats(per_worker: list[dict]) -> dict:
     """Fold per-worker stats into one truthful view: counters sum, rates
     are recomputed over the summed window, the on-disk footprint (shared
     by construction) comes from any one worker."""
-    from ..parsing.profile import COUNTER_NAMES, profile_delta
+    from ..parsing.profile import ParseProfile
 
     layers = {
         name: _with_rate(_sum_counters(
@@ -322,8 +322,8 @@ def aggregate_stats(per_worker: list[dict]) -> dict:
                     "quarantine_entries"):
             store[key] = stores[0].get(key)
     profiles = [w["profile"] for w in per_worker]
-    zeros = {name: 0 for name in COUNTER_NAMES}
-    profile = profile_delta(zeros, _sum_counters(profiles, COUNTER_NAMES))
+    profile = ParseProfile.with_rates(
+        _sum_counters(profiles, ParseProfile.__slots__))
     return {
         "worker_count": len(per_worker),
         **layers,

@@ -49,13 +49,13 @@ PROTOCOLS = ("ICMP", "IGMP", "NTP", "BFD")
 def runs():
     """One revised-mode run per bundled protocol (warm shared substrate)."""
     engine = SageEngine(mode="revised")
-    return engine.process_corpora(parallel=False)
+    return engine.process_corpora()
 
 
 @pytest.fixture(scope="module")
 def strict_runs():
     engine = SageEngine(mode="strict")
-    return engine.process_corpora(parallel=False)
+    return engine.process_corpora()
 
 
 # -- pipeline results over the real corpora ------------------------------------

@@ -389,7 +389,7 @@ class TestInterpreterExecParity:
 
 @pytest.fixture(scope="module")
 def revised_runs():
-    return SageEngine(mode="revised").process_corpora(parallel=False)
+    return SageEngine(mode="revised").process_corpora()
 
 
 @pytest.mark.parametrize("protocol", ["ICMP", "IGMP", "NTP", "BFD"])

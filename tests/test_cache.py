@@ -284,12 +284,12 @@ class TestPersistentWinnowCache:
         must answer every winnow from disk — zero recomputes, the
         cross-process warm-boot contract ``scripts/ci.sh`` gates via
         ``python -m repro cache stats``."""
-        from repro.core import Sage
+        from repro.core import SageEngine
 
         def sweep(registry):
             corpus = registry.load_corpus("IGMP")
-            sage = Sage(mode="revised", protocol_registry=registry)
-            return sage.process_corpus(corpus)
+            engine = SageEngine(mode="revised", protocol_registry=registry)
+            return engine.process_corpus(corpus)
 
         cold = ProtocolRegistry(cache_dir=tmp_path)
         first = sweep(cold)

@@ -15,12 +15,8 @@ from repro.codegen import (
     builder_role,
     function_name,
 )
-from repro.codegen.generator import (
-    SentenceCode,
-    assemble_message_program,
-    finalize_checksums_last,
-    reorder_advice,
-)
+from repro.codegen.generator import SentenceCode, assemble_message_program
+from repro.codegen.ir import AdvicePlacementPass, ChecksumFinalizationPass
 from repro.codegen.ops import ComputeChecksum, SetField, Value
 
 
@@ -189,7 +185,7 @@ class TestAssembly:
             SetField("icmp", "identifier", Value.constant(1)),
             ComputeChecksum("icmp", "checksum", "internet_checksum"),
         ]
-        result = finalize_checksums_last(ops)
+        result = ChecksumFinalizationPass().run(ops)
         assert isinstance(result[0], SetField)
         assert sum(isinstance(op, ComputeChecksum) for op in result) == 1
 
@@ -197,7 +193,7 @@ class TestAssembly:
         zero = SetField("icmp", "checksum", Value.constant(0),
                         advice_before="compute_checksum")
         compute = ComputeChecksum("icmp", "checksum", "internet_checksum")
-        result = reorder_advice([compute, zero])
+        result = AdvicePlacementPass().run([compute, zero])
         assert result.index(zero) < result.index(compute)
 
     def test_goal_scoping(self):

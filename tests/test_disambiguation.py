@@ -14,7 +14,9 @@ from repro.disambiguation import (
     summarize,
     winnow,
 )
-from repro.lf import canonical_signature, flatten_associative, isomorphic, to_graph
+from repro.lf import canonical_signature, flatten_associative
+
+from vf2_oracle import filter_vf2, isomorphic, to_graph
 
 
 def const(value, span=None):
@@ -265,21 +267,24 @@ class TestCorpusAssociativityPairs:
         assert pairs > 100  # the corpus is genuinely ambiguous
         assert equivalent > 0  # ...including real regrouping pairs
 
+    def test_filter_keeps_what_the_vf2_filter_keeps(self):
+        """The associativity filter keeps the same forms, in the same
+        order, as the bucket-then-VF2 filter it replaced, on every ICMP
+        sentence's full parse."""
+        from repro.rfc.registry import ProtocolRegistry
 
-class TestOracleFlag:
-    def test_oracle_replay_agrees_with_canonical_fast_path(self, monkeypatch):
-        from repro.disambiguation.checks import ORACLE_ENV
-        from repro.disambiguation.profile import PROFILE
-
-        monkeypatch.setenv(ORACLE_ENV, "1")
+        registry = ProtocolRegistry()
+        chunker = registry.chunker()
+        parser = registry.parser()
         check = AssociativityCheck()
-        left = call("Of", call("Of", const("a"), const("b")), const("c"))
-        right = call("Of", const("a"), call("Of", const("b"), const("c")))
-        other = call("And", const("x"), const("y"))
-        before = PROFILE.oracle_calls
-        kept = check.filter([left, right, other])  # raises on disagreement
-        assert len(kept) == 2
-        assert PROFILE.oracle_calls > before
+        collapsed = 0
+        for spec in registry.load_corpus("ICMP").sentences:
+            forms = parser.parse(chunker.chunk_text(spec.text)).logical_forms
+            kept = check.filter(forms)
+            assert ([id(form) for form in kept]
+                    == [id(form) for form in filter_vf2(forms)]), spec.text
+            collapsed += len(forms) - len(kept)
+        assert collapsed > 0  # some sentence really has regroupings
 
 
 class TestWinnowDriver:

@@ -1,9 +1,9 @@
-"""The staged engine: stage contracts, parse caching, facade parity, batch runs."""
+"""The staged engine: stage contracts, parse caching, batch runs."""
 
 import pytest
 
 from repro.ccg.lexicon import build_lexicon
-from repro.core import Sage, SageEngine, role_of
+from repro.core import SageEngine, role_of
 from repro.core.stages import ParseStage
 from repro.nlp.chunker import ChunkerConfig, NounPhraseChunker
 from repro.nlp.tokenizer import KIND_NOUN_PHRASE, Token
@@ -28,52 +28,28 @@ def run_fingerprint(run):
     )
 
 
-# -- facade / engine parity (the tentpole's compatibility guarantee) -----------
+# -- construction and substrate views ------------------------------------------
 
-class TestFacadeParity:
-    @pytest.mark.parametrize("protocol", ALL_PROTOCOLS)
-    @pytest.mark.parametrize("mode", BOTH_MODES)
-    def test_sage_and_engine_identical(self, protocol, mode):
-        facade_run = Sage(mode=mode).process_corpus(protocol)
-        engine_run = SageEngine(mode=mode).process_corpus(protocol)
-        assert run_fingerprint(facade_run) == run_fingerprint(engine_run)
-
-    def test_facade_exposes_engine_and_substrate(self):
-        sage = Sage(mode="strict")
-        assert sage.mode == "strict"
-        assert sage.engine.mode == "strict"
-        assert sage.lexicon is sage.engine.lexicon
-        assert sage.parser is sage.engine.parser
-        assert sage.chunker is sage.engine.chunker
-        assert sage.suite is sage.engine.suite
-        assert sage.registry is sage.engine.generate_stage.handlers
-
+class TestEngineConstruction:
     def test_engine_rejects_unknown_mode(self):
         with pytest.raises(ValueError):
             SageEngine(mode="lenient")
 
-    def test_facade_attributes_stay_writable(self):
-        # Pre-engine these were plain instance attributes; assignment must
-        # keep working through the facade.
-        sage = Sage(mode="strict")
-        sage.mode = "revised"
-        assert sage.engine.mode == "revised"
-        with pytest.raises(ValueError):
-            sage.mode = "lenient"
-        sage.rewrites = {}
-        assert sage.engine.rewrites == {}
+    def test_substrate_swaps_land_on_the_owning_stage(self):
+        from repro.codegen.handlers import HandlerRegistry
         from repro.disambiguation.checks import CheckSuite
 
-        suite = CheckSuite.default()
-        sage.suite = suite
-        assert sage.engine.winnow_stage.suite is suite
-        chunker = NounPhraseChunker()
-        sage.chunker = chunker
-        assert sage.engine.chunker is chunker
+        engine = SageEngine(mode="strict")
         lexicon = build_lexicon()
-        sage.lexicon = lexicon
-        assert sage.lexicon is lexicon
-        assert sage.parser.lexicon is lexicon
+        engine.set_lexicon(lexicon)
+        assert engine.lexicon is lexicon
+        assert engine.parser.lexicon is lexicon
+        suite = CheckSuite.default()
+        engine.winnow_stage.suite = suite
+        assert engine.suite is suite
+        handlers = HandlerRegistry()
+        engine.generate_stage.handlers = handlers
+        assert engine.generate_stage.handlers is handlers
 
     def test_generate_stage_rejects_conflicting_args(self):
         from repro.codegen.context import ContextResolver
@@ -90,23 +66,24 @@ class TestFacadeParity:
 class TestProcessCorpora:
     def test_sequential_matches_per_corpus_runs(self):
         engine = SageEngine(mode="revised")
-        runs = engine.process_corpora(parallel=False)
+        runs = engine.process_corpora()
         assert list(runs) == list(ALL_PROTOCOLS)
         for name in ALL_PROTOCOLS:
             single = engine.process_corpus(name)
             assert run_fingerprint(runs[name]) == run_fingerprint(single)
 
     def test_parallel_matches_sequential(self):
-        # ``parallel`` is kept as an accepted, ignored keyword.
+        # ``parallel`` is an accepted, ignored keyword: the benchmark
+        # harness (perfbench/workloads.py) passes ``parallel=False``.
         engine = SageEngine(mode="revised")
-        sequential = engine.process_corpora(parallel=False)
-        parallel = engine.process_corpora(parallel=True)
+        sequential = engine.process_corpora()
+        parallel = engine.process_corpora(parallel=False)
         assert list(parallel) == list(sequential)
         for name, run in sequential.items():
             assert run_fingerprint(parallel[name]) == run_fingerprint(run)
 
     def test_protocol_names_case_insensitive(self):
-        runs = SageEngine().process_corpora(["icmp"], parallel=False)
+        runs = SageEngine().process_corpora(["icmp"])
         assert list(runs) == ["ICMP"]
 
 
@@ -272,18 +249,18 @@ class TestRunMemo:
         from repro.lf.predicates import FUNCTION
 
         registry = ProtocolRegistry()
-        sage = Sage(mode="revised", protocol_registry=registry)
-        first = sage.process_corpus("NTP")
-        sage.lexicon = build_lexicon()  # same content: still a hit
-        assert sage.process_corpus("NTP") is first
-        entry = sage.lexicon.entries()[0]
-        sage.lexicon.add(entry.__class__(
+        engine = SageEngine(mode="revised", protocol_registry=registry)
+        first = engine.process_corpus("NTP")
+        engine.set_lexicon(build_lexicon())  # same content: still a hit
+        assert engine.process_corpus("NTP") is first
+        entry = engine.lexicon.entries()[0]
+        engine.lexicon.add(entry.__class__(
             phrase="zorpliness", category=entry.category, sem=entry.sem,
         ))
-        regrammared = sage.process_corpus("NTP")
+        regrammared = engine.process_corpus("NTP")
         assert regrammared is not first
-        sage.suite.type_check.classes.register("frobnicate", FUNCTION)
-        assert sage.process_corpus("NTP") is not regrammared
+        engine.suite.type_check.classes.register("frobnicate", FUNCTION)
+        assert engine.process_corpus("NTP") is not regrammared
 
     def test_clearing_a_stage_cache_retires_memoized_runs(self):
         registry = ProtocolRegistry()
@@ -307,10 +284,10 @@ class TestRunMemo:
         custom = SageEngine(protocol_registry=registry,
                             resolver=ContextResolver())
         assert custom.run_key(corpus) is None
-        sage = Sage(protocol_registry=registry)
-        assert sage.engine.run_key(corpus) is not None
-        sage.registry = HandlerRegistry()
-        assert sage.engine.run_key(corpus) is None
+        engine = SageEngine(protocol_registry=registry)
+        assert engine.run_key(corpus) is not None
+        engine.generate_stage.handlers = HandlerRegistry()
+        assert engine.run_key(corpus) is None
         by_hand = Corpus(protocol="IGMP", document=corpus.document,
                          sentences=list(corpus.sentences))
         assert SageEngine(protocol_registry=registry).run_key(by_hand) is None

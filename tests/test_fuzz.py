@@ -39,8 +39,7 @@ from repro.fuzz.scenarios import _PEER_FACTORIES
 
 @pytest.fixture(scope="module")
 def units():
-    runs = SageEngine(mode="revised").process_corpora(list(PROTOCOLS),
-                                                      parallel=False)
+    runs = SageEngine(mode="revised").process_corpora(list(PROTOCOLS))
     return {name: run.code_unit for name, run in runs.items()}
 
 

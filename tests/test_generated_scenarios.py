@@ -46,7 +46,7 @@ BACKENDS = ("python", "interp")
 
 @pytest.fixture(scope="module")
 def runs():
-    return SageEngine(mode="revised").process_corpora(parallel=False)
+    return SageEngine(mode="revised").process_corpora()
 
 
 class TestGoldenC:

@@ -44,7 +44,6 @@ from repro.parsing import (
     backend_id,
     create_parser,
     parser_backend_names,
-    profile_delta,
     reset_parser_state,
 )
 from repro.rfc.corpus import SpecSentence
@@ -278,7 +277,7 @@ def runs_by_backend(registry):
         for backend in ("reference", "indexed"):
             engine = SageEngine(mode=mode, protocol_registry=registry,
                                 parser_backend=backend)
-            runs[mode][backend] = engine.process_corpora(parallel=False)
+            runs[mode][backend] = engine.process_corpora()
     return runs
 
 
@@ -700,7 +699,7 @@ class TestProfileCounters:
         parser = IndexedChartParser(registry.lexicon())
         before = PROFILE.counts()
         parser.parse_forest(tokens)
-        delta = profile_delta(before, PROFILE.counts())
+        delta = PROFILE.delta(before)
         assert delta["parses"] == 1
         assert delta["agenda_pops"] > 0
         # Every popped target is either answered by the span memo or
@@ -716,7 +715,7 @@ class TestProfileCounters:
         IndexedChartParser(registry.lexicon()).parse_forest(tokens)  # warm
         before = PROFILE.counts()
         IndexedChartParser(registry.lexicon()).parse_forest(tokens)
-        delta = profile_delta(before, PROFILE.counts())
+        delta = PROFILE.delta(before)
         assert delta["span_memo_hits"] == delta["agenda_pops"] > 0
         assert delta["span_memo_misses"] == 0
         assert delta["span_reuse_rate"] == 1.0
@@ -728,7 +727,7 @@ class TestProfileCounters:
         reset_parser_state()
         before = PROFILE.counts()
         cold = parser.parse_forest(tokens)
-        delta = profile_delta(before, PROFILE.counts())
+        delta = PROFILE.delta(before)
         # A genuinely cold parse: nothing answered from the span memo,
         # every combined span paid for fresh — and the output is
         # unaffected by the reset (sids survive; only memos dropped).

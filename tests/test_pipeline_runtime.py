@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core import Sage, modal_sentences
+from repro.core import SageEngine, modal_sentences
 from repro.framework.addressing import ip_to_int
 from repro.netsim import course_topology, ping
 from repro.rfc import bfd_corpus, icmp_corpus
@@ -11,12 +11,12 @@ from repro.runtime import GeneratedICMP, load_functions
 
 @pytest.fixture(scope="module")
 def strict_run():
-    return Sage(mode="strict").process_corpus(icmp_corpus())
+    return SageEngine(mode="strict").process_corpus(icmp_corpus())
 
 
 @pytest.fixture(scope="module")
 def revised_run():
-    return Sage(mode="revised").process_corpus(icmp_corpus())
+    return SageEngine(mode="revised").process_corpus(icmp_corpus())
 
 
 class TestStrictPipeline:
@@ -149,7 +149,7 @@ class TestEchoReplySemantics:
 
 class TestBFDPipeline:
     def test_bfd_corpus_processes(self):
-        run = Sage(mode="revised").process_corpus(bfd_corpus())
+        run = SageEngine(mode="revised").process_corpus(bfd_corpus())
         assert run.by_status().get("unparsed", 0) == 0
         program = run.code_unit.program_named(
             "bfd_reception_of_bfd_control_packets_receiver"

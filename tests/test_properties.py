@@ -10,7 +10,9 @@ from repro.framework import icmp
 from repro.framework.addressing import ip_to_int
 from repro.framework.ip import PROTO_ICMP, IPv4Header, make_ip_packet
 from repro.framework.tcpdump import decode_packet
-from repro.lf import canonical_signature, flatten_associative, isomorphic
+from repro.lf import canonical_signature, flatten_associative
+
+from vf2_oracle import filter_vf2, isomorphic
 
 # -- strategies -----------------------------------------------------------------
 
@@ -114,6 +116,9 @@ class TestCanonicalOracle:
         for form in forms:
             assert sum(1 for survivor in kept
                        if isomorphic(form, survivor)) == 1
+        # Same forms in the same order as the bucket-then-VF2 filter.
+        assert ([id(form) for form in kept]
+                == [id(form) for form in filter_vf2(list(forms))])
 
 
 class TestWireInvariants:

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.ccg.chart import CCGChartParser
-from repro.core import Sage
+from repro.core import SageEngine
 from repro.nlp import NounPhraseChunker
 from repro.rfc import icmp_corpus, load_corpus
 from repro.rfc.registry import (
@@ -115,7 +115,7 @@ class TestMemoization:
     def test_clear_drops_everything_but_keeps_registrations(self, registry):
         corpus = registry.load_corpus("ICMP")
         lexicon = registry.lexicon()
-        registry.clear()
+        registry.invalidate()
         assert set(registry.protocols()) == {"ICMP", "IGMP", "NTP", "BFD"}
         assert registry.load_corpus("ICMP") is not corpus
         assert registry.lexicon() is not lexicon
@@ -127,8 +127,8 @@ class TestMemoization:
 
 class TestSageIntegration:
     def test_default_sages_share_substrate(self):
-        first = Sage()
-        second = Sage()
+        first = SageEngine()
+        second = SageEngine()
         assert first.parser is second.parser
         assert first.lexicon is second.lexicon
         assert first.chunker is second.chunker
@@ -136,13 +136,13 @@ class TestSageIntegration:
 
     def test_explicit_arguments_stay_private(self, registry):
         chunker = NounPhraseChunker()
-        sage = Sage(lexicon=registry.lexicon(), chunker=chunker)
+        sage = SageEngine(lexicon=registry.lexicon(), chunker=chunker)
         assert sage.chunker is chunker
         assert isinstance(sage.parser, CCGChartParser)
         assert sage.parser is not default_registry().parser()
 
     def test_process_corpus_accepts_protocol_names(self, registry):
-        run = Sage(protocol_registry=registry).process_corpus("ICMP")
+        run = SageEngine(protocol_registry=registry).process_corpus("ICMP")
         assert run.corpus is registry.load_corpus("ICMP")
         assert len(run.results) == 87
 
@@ -160,7 +160,8 @@ class TestFifthProtocol:
         assert section is not None
         assert section.diagram.layout.field_names() == ["type", "code", "checksum"]
 
-        run = Sage(mode="revised", protocol_registry=registry).process_corpus("TOY")
+        run = SageEngine(mode="revised",
+                         protocol_registry=registry).process_corpus("TOY")
         assert run.flagged() == []
         program = run.code_unit.program_named("toy_toy_probe_receiver")
         assert program is not None

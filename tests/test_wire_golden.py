@@ -45,7 +45,7 @@ def _sha1(data) -> str:
 
 def _fixed_objects() -> dict:
     """name → contract object, one or more per envelope kind."""
-    runs = {mode: SageEngine(mode=mode).process_corpora(parallel=False)
+    runs = {mode: SageEngine(mode=mode).process_corpora()
             for mode in MODES}
     objects = {f"sage_run/{name}/{mode}": runs[mode][name]
                for name in PROTOCOLS for mode in MODES}
