@@ -30,9 +30,10 @@ import argparse
 import json
 import sys
 
+from ..counters import hit_rate
 from .contracts import ProcessRequest, SweepRequest, to_json
 from .errors import ApiError, RequestError
-from .service import SageService
+from .service import SageService, ServiceConfig
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -209,29 +210,17 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _service(args) -> SageService:
-    cache_dir = getattr(args, "cache_dir", None)
-    if args.no_bundled_rewrites or args.journal or cache_dir:
-        from ..rfc.registry import ProtocolRegistry
+def _print_payload(kind: str, data, out) -> None:
+    """One schema-versioned ``--json`` payload."""
+    print(json.dumps({"schema": 1, "kind": kind, "data": data}), file=out)
 
-        registry = ProtocolRegistry(
-            bundled_rewrites=not args.no_bundled_rewrites,
-            cache_dir=cache_dir,
-        )
-    else:
-        # The default registry still picks up $REPRO_CACHE_DIR on its own.
-        registry = None
-    journal = None
-    if args.journal:
-        from ..disambiguation.resolution import DecisionJournal, ResolutionError
 
-        try:
-            journal = DecisionJournal.load(args.journal)
-        except (json.JSONDecodeError, ResolutionError, OSError) as exc:
-            raise RequestError(
-                f"cannot read journal {args.journal}: {exc}"
-            ) from exc
-    return SageService(registry=registry, journal=journal)
+def _print_profile(profile: dict, out) -> None:
+    print("  profile:", file=out)
+    for key in sorted(profile):
+        value = profile[key]
+        rendered = f"{value:.3f}" if isinstance(value, float) else value
+        print(f"    {key:<28} {rendered}", file=out)
 
 
 def _print_response(response, out) -> None:
@@ -317,12 +306,10 @@ def _cmd_resolve(service: SageService, args, out) -> int:
         return 0
     reports = session.pending() if args.pending else session.flagged()
     if args.json:
-        payload = {
-            "schema": 1, "kind": "sentence_report_list",
-            "data": {"protocol": session.protocol,
-                     "reports": [report.to_dict() for report in reports]},
-        }
-        print(json.dumps(payload), file=out)
+        _print_payload("sentence_report_list",
+                       {"protocol": session.protocol,
+                        "reports": [report.to_dict() for report in reports]},
+                       out)
         return 0
     label = "pending" if args.pending else "flagged"
     print(f"{session.protocol}: {len(reports)} {label} sentences", file=out)
@@ -362,14 +349,12 @@ def _cmd_parse(service: SageService, args, out) -> int:
         }
         parity = len(set(lf_sets.values())) == 1
         if args.json:
-            payload = {
-                "schema": 1, "kind": "parse_comparison",
-                "data": {"protocol": args.protocol, "parity": parity,
-                         "backends": {name: {k: v for k, v in rep.items()
-                                             if k != "sentences"}
-                                      for name, rep in reports.items()}},
-            }
-            print(json.dumps(payload), file=out)
+            _print_payload("parse_comparison", {
+                "protocol": args.protocol, "parity": parity,
+                "backends": {name: {k: v for k, v in rep.items()
+                                    if k != "sentences"}
+                             for name, rep in reports.items()},
+            }, out)
         else:
             print(f"{args.protocol}: parser-backend comparison "
                   f"({'parity OK' if parity else 'PARITY MISMATCH'})",
@@ -384,8 +369,7 @@ def _cmd_parse(service: SageService, args, out) -> int:
         args.protocol, parser_backend=args.parser_backend, mode=args.mode
     )
     if args.json:
-        payload = {"schema": 1, "kind": "parse_diagnostics", "data": report}
-        print(json.dumps(payload), file=out)
+        _print_payload("parse_diagnostics", report, out)
         return 0
     print(f"{report['protocol']} via {report['parser_backend']}: "
           f"{report['sentence_count']} sentences in "
@@ -407,12 +391,7 @@ def _cmd_parse(service: SageService, args, out) -> int:
             print(f"  #{sentence['index']:>3} LFs={sentence['lf_count']:<3}"
                   f" {sentence['text'][:60]}{suffix}", file=out)
     if args.profile:
-        profile = report["profile"]
-        print("  profile:", file=out)
-        for key in sorted(profile):
-            value = profile[key]
-            rendered = f"{value:.3f}" if isinstance(value, float) else value
-            print(f"    {key:<28} {rendered}", file=out)
+        _print_profile(report["profile"], out)
     return 0
 
 
@@ -422,8 +401,7 @@ def _cmd_winnow(service: SageService, args, out) -> int:
         args.protocol, parser_backend=args.parser_backend, mode=args.mode
     )
     if args.json:
-        payload = {"schema": 1, "kind": "winnow_diagnostics", "data": report}
-        print(json.dumps(payload), file=out)
+        _print_payload("winnow_diagnostics", report, out)
         return 0
     print(f"{report['protocol']}: winnowed {report['sentence_count']} "
           f"sentences in {report['elapsed_s']:.3f}s "
@@ -446,12 +424,7 @@ def _cmd_winnow(service: SageService, args, out) -> int:
             print(f"  #{sentence['index']:>3} {stages:<24} "
                   f"{sentence['text'][:56]}{flag}", file=out)
     if args.profile:
-        profile = report["profile"]
-        print("  profile:", file=out)
-        for key in sorted(profile):
-            value = profile[key]
-            rendered = f"{value:.3f}" if isinstance(value, float) else value
-            print(f"    {key:<28} {rendered}", file=out)
+        _print_profile(report["profile"], out)
     return 0
 
 
@@ -491,14 +464,12 @@ def _cmd_fuzz(service: SageService, args, out) -> int:
         divergences, violations, _traces = runner.run_episode(episode)
         failed = bool(divergences or violations)
         if args.json:
-            payload = {
-                "schema": 1, "kind": "fuzz_replay",
-                "data": {"episode": episode.to_dict(),
-                         "divergences": [d.to_dict() for d in divergences],
-                         "violations": [v.to_dict() for v in violations],
-                         "clean": not failed},
-            }
-            print(json.dumps(payload), file=out)
+            _print_payload("fuzz_replay", {
+                "episode": episode.to_dict(),
+                "divergences": [d.to_dict() for d in divergences],
+                "violations": [v.to_dict() for v in violations],
+                "clean": not failed,
+            }, out)
         else:
             print(f"replayed {episode.key}: "
                   f"{len(divergences)} divergences, "
@@ -538,8 +509,7 @@ def _cmd_fuzz(service: SageService, args, out) -> int:
     report["cases"] = cases
 
     if args.json:
-        print(json.dumps({"schema": 1, "kind": "fuzz_report",
-                          "data": report}), file=out)
+        _print_payload("fuzz_report", report, out)
         return 0 if report["clean"] else 1
     print(f"fuzz seed {report['seed']}: {report['episodes']} episodes "
           f"across {', '.join(report['backends'])} — "
@@ -586,37 +556,30 @@ def _cmd_cache(service: SageService, args, out) -> int:
         registry.winnow_cache().clear()
         registry.compiled_cache().clear()
         if args.json:
-            payload = {"schema": 1, "kind": "cache_clear",
-                       "data": {"root": store.root, "removed": removed}}
-            print(json.dumps(payload), file=out)
+            _print_payload("cache_clear",
+                           {"root": store.root, "removed": removed}, out)
         else:
             print(f"cleared {removed} entries from {store.root}", file=out)
         return 0
 
     if args.action == "warm":
-        from .contracts import SweepRequest as _SweepRequest
+        response = service.sweep(SweepRequest(mode=args.mode))
 
-        response = service.sweep(_SweepRequest(mode=args.mode))
-
-        def _layer(stats: dict) -> dict:
-            layer = {key: stats[key] for key in ("size", "hits", "misses")
-                     if key in stats}
-            if "disk_hits" in stats:
-                layer["disk_hits"] = stats["disk_hits"]
-            layer["hit_rate"] = _hit_rate(layer.get("hits", 0),
-                                          layer.get("misses", 0))
-            return layer
+        def _layer(cache) -> dict:
+            stats = cache.stats()
+            stats.pop("store", None)
+            return {**stats,
+                    "hit_rate": hit_rate(stats["hits"], stats["misses"])}
 
         data = {
             "root": store.root,
             "protocols": list(response.protocols),
-            "parse": _layer(registry.parse_cache().stats()),
-            "winnow": _layer(registry.winnow_cache().stats()),
+            "parse": _layer(registry.parse_cache()),
+            "winnow": _layer(registry.winnow_cache()),
             "store": store.stats(),
         }
         if args.json:
-            print(json.dumps({"schema": 1, "kind": "cache_warm",
-                              "data": data}), file=out)
+            _print_payload("cache_warm", data, out)
         else:
             print(f"warmed {len(data['protocols'])} protocols into "
                   f"{store.root}", file=out)
@@ -639,15 +602,14 @@ def _cmd_cache(service: SageService, args, out) -> int:
     parse_stats = registry.parse_cache().stats()
     winnow_stats = registry.winnow_cache().stats()
     stats["rates"] = {
-        "parse_hit_rate": _hit_rate(parse_stats.get("hits", 0),
-                                    parse_stats.get("misses", 0)),
-        "winnow_hit_rate": _hit_rate(winnow_stats.get("hits", 0),
-                                     winnow_stats.get("misses", 0)),
-        "disk_hit_rate": _hit_rate(stats["disk_hits"], stats["disk_misses"]),
+        "parse_hit_rate": hit_rate(parse_stats["hits"],
+                                   parse_stats["misses"]),
+        "winnow_hit_rate": hit_rate(winnow_stats["hits"],
+                                    winnow_stats["misses"]),
+        "disk_hit_rate": hit_rate(stats["disk_hits"], stats["disk_misses"]),
     }
     if args.json:
-        print(json.dumps({"schema": 1, "kind": "cache_stats",
-                          "data": stats}), file=out)
+        _print_payload("cache_stats", stats, out)
     else:
         print(f"cache store {stats['root']} "
               f"(layout v{stats['layout_version']})", file=out)
@@ -671,13 +633,6 @@ def _cmd_cache(service: SageService, args, out) -> int:
     return 0
 
 
-def _hit_rate(hits: int, misses: int) -> float | None:
-    """hits / (hits + misses), or None before any traffic — a rate is only
-    meaningful over a window that saw lookups."""
-    total = hits + misses
-    return (hits / total) if total else None
-
-
 def _render_rate(rate: float | None) -> str:
     return "n/a (no lookups)" if rate is None else f"{rate:.1%}"
 
@@ -693,7 +648,7 @@ def _cmd_serve(args, out) -> int:
     """
     import os
 
-    from ..server import ReproServer, ServiceConfig
+    from ..server import ReproServer
 
     cache_dir = args.cache_dir or os.environ.get("REPRO_CACHE_DIR") or None
     config = ServiceConfig(cache_dir=cache_dir, journal_path=args.journal,
@@ -730,7 +685,9 @@ def main(argv: list[str] | None = None, out=None) -> int:
     try:
         if args.command == "serve":
             return _cmd_serve(args, out)
-        service = _service(args)
+        service = ServiceConfig(
+            args.cache_dir, args.journal,
+            bundled_rewrites=not args.no_bundled_rewrites).build_service()
         return _COMMANDS[args.command](service, args, out)
     except ApiError as exc:
         if getattr(args, "json", False):

@@ -447,7 +447,7 @@ RESOLUTION = Record("resolution", Resolution, [
     *(Field(name, STR, "", omit=True)
       for name in ("protocol", "revised", "category", "lf_signature", "note",
                    "status_before")),
-], closed=True)
+], closed=True, error=ResolutionError)
 
 PROCESS_REQUEST = Record("process_request", ProcessRequest, [
     Field("protocol", STR),

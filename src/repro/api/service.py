@@ -22,8 +22,11 @@ error payloads.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 from ..codegen.ir import backend_names
 from ..core.engine import SageEngine, SageRun
+from ..disambiguation.resolution import DecisionJournal
 from ..rfc.registry import ProtocolRegistry, UnknownProtocolError
 from .contracts import (
     GeneratedArtifact,
@@ -61,6 +64,38 @@ def _coerce_request(request, request_type, **kwargs):
             f"{type(request).__name__}"
         )
     return request
+
+
+@dataclass(frozen=True)
+class ServiceConfig:
+    """Everything needed to build the service the CLI and every server
+    worker run.
+
+    Picklable by construction — it crosses the process boundary as the
+    server pool's initializer argument, so it carries *paths*, never live
+    objects.
+    """
+
+    cache_dir: str | None = None
+    journal_path: str | None = None
+    bundled_rewrites: bool = True
+
+    def build_service(self) -> "SageService":
+        """With nothing to customize, a service over the shared default
+        registry (it still reads ``$REPRO_CACHE_DIR``); else a new registry
+        replaying the journal.  A bad journal is a :class:`RequestError`."""
+        registry = journal = None
+        if self.cache_dir or self.journal_path or not self.bundled_rewrites:
+            registry = ProtocolRegistry(bundled_rewrites=self.bundled_rewrites,
+                                        cache_dir=self.cache_dir)
+        if self.journal_path:
+            try:
+                journal = DecisionJournal.load(self.journal_path)
+            except (OSError, ValueError) as exc:  # ResolutionError included
+                raise RequestError(
+                    f"cannot read journal {self.journal_path}: {exc}"
+                ) from exc
+        return SageService(registry=registry, journal=journal)
 
 
 class SageService:

@@ -55,3 +55,10 @@ class Counters:
             total = counts[hits] + counts[misses]
             out[rate] = (counts[hits] / total) if total else 0.0
         return out
+
+
+def hit_rate(hits: int, misses: int) -> float | None:
+    """``hits / (hits + misses)`` for a cache report, or None before any
+    lookups: a rate is only meaningful over a window that saw traffic."""
+    total = hits + misses
+    return (hits / total) if total else None

@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import json
 import pathlib
-from dataclasses import dataclass, field as dataclass_field, replace
+from dataclasses import dataclass
 
 from ..rfc.corpus import Rewrite, sentence_key
 
@@ -142,27 +142,6 @@ class Resolution:
                            category="non-actionable", note=self.note)
         return None
 
-    # -- serialization --------------------------------------------------------
-    def to_dict(self) -> dict:
-        record = {"kind": self.kind, "original": self.original}
-        for name in ("protocol", "revised", "category", "lf_signature",
-                     "note", "status_before"):
-            value = getattr(self, name)
-            if value:
-                record[name] = value
-        return record
-
-    @classmethod
-    def from_dict(cls, record: dict) -> "Resolution":
-        known = {"kind", "original", "protocol", "revised", "category",
-                 "lf_signature", "note", "status_before"}
-        unknown = set(record) - known
-        if unknown:
-            raise ResolutionError(
-                f"unknown resolution fields: {', '.join(sorted(unknown))}"
-            )
-        return cls(**record)
-
 
 class DecisionJournal:
     """An append-only, persistable record of operator resolutions.
@@ -230,26 +209,41 @@ class DecisionJournal:
         }
 
     # -- persistence ----------------------------------------------------------
+    # Entries are written and read through the ``resolution`` wire table
+    # (repro.api.contracts.RESOLUTION), imported lazily because repro.api
+    # imports this module.
     def to_json(self, indent: int | None = 2) -> str:
+        from ..api.contracts import RESOLUTION
+
         payload = {
             "schema": JOURNAL_SCHEMA_VERSION,
-            "resolutions": [r.to_dict() for r in self.resolutions],
+            "resolutions": [RESOLUTION.enc(r, None) for r in self.resolutions],
         }
         return json.dumps(payload, indent=indent) + "\n"
 
     @classmethod
     def from_json(cls, text: str,
                   path: str | pathlib.Path | None = None) -> "DecisionJournal":
+        """The journal ``text`` holds; a payload or entry of the wrong
+        shape raises :class:`ResolutionError`."""
+        from ..api.contracts import RESOLUTION
+
         payload = json.loads(text)
+        if not isinstance(payload, dict):
+            raise ResolutionError("a journal must be a JSON object, got "
+                                  f"{type(payload).__name__}")
         schema = payload.get("schema")
         if schema != JOURNAL_SCHEMA_VERSION:
             raise ResolutionError(
                 f"unsupported journal schema {schema!r} "
                 f"(this build reads schema {JOURNAL_SCHEMA_VERSION})"
             )
-        resolutions = [Resolution.from_dict(r)
-                       for r in payload.get("resolutions", [])]
-        return cls(resolutions, path=path)
+        entries = payload.get("resolutions", [])
+        if not isinstance(entries, list):
+            raise ResolutionError("journal resolutions must be a list, got "
+                                  f"{type(entries).__name__}")
+        return cls([RESOLUTION.dec(entry, None) for entry in entries],
+                   path=path)
 
     def save(self, path: str | pathlib.Path | None = None) -> pathlib.Path:
         """Write the journal as JSON; remembers ``path`` for later saves."""

@@ -31,7 +31,6 @@ from .pool import (
     ServiceConfig,
     WorkerPool,
     run_endpoint,
-    service_stats,
 )
 
 __all__ = [
@@ -41,5 +40,4 @@ __all__ = [
     "ServiceConfig",
     "WorkerPool",
     "run_endpoint",
-    "service_stats",
 ]

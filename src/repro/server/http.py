@@ -220,13 +220,14 @@ class ReproServer:
             name, sep, value = line.partition(":")
             if sep:
                 headers[name.strip().lower()] = value.strip()
-        try:
-            length = int(headers.get("content-length", "0") or "0")
-        except ValueError:
+        raw_length = headers.get("content-length") or "0"
+        # ASCII digits only: int() would also read "1_0", "+7" and "-1".
+        if not (raw_length.isascii() and raw_length.isdigit()):
             self._refuse(writer, 400, "bad-request",
                          "unreadable Content-Length")
             return None
-        if length < 0 or length > MAX_BODY_BYTES:
+        length = int(raw_length)
+        if length > MAX_BODY_BYTES:
             self._refuse(writer, 413, "bad-request",
                          f"request body of {length} bytes exceeds the "
                          f"{MAX_BODY_BYTES}-byte cap")
@@ -279,16 +280,10 @@ class ReproServer:
         path = request.path.rstrip("/") or "/"
         method = request.method
         query = request.query
-        if path == "/healthz":
-            expected = "GET"
-            if method != expected:
-                return ("error", 405, "bad-request",
-                        f"{path} only answers {expected}")
-            return "healthz", {}
-        if path == "/stats":
+        if path in ("/healthz", "/stats"):
             if method != "GET":
                 return ("error", 405, "bad-request", f"{path} only answers GET")
-            return "stats", {}
+            return path[1:], {}
         if path in ("/v1/process", "/v1/sweep"):
             if method != "POST":
                 return ("error", 405, "bad-request",
@@ -369,10 +364,9 @@ class ReproServer:
         }
         deadline = self._deadline_for(request)
         try:
+            # Off the event loop only for the store's footprint scan.
             service = await asyncio.wait_for(
-                asyncio.to_thread(self.pool.collect_stats,
-                                  min(deadline, 15.0)),
-                timeout=deadline,
+                asyncio.to_thread(self.pool.collect_stats), timeout=deadline
             )
         except asyncio.TimeoutError:
             self.timeouts_total += 1

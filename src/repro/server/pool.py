@@ -28,19 +28,30 @@ Two pieces live here, deliberately independent of HTTP framing:
   and flagged independently, so the concurrency worth having is between
   independent requests; a single request (a sweep included) runs in
   process on whichever worker picked it up.
+
+  Cache and profile counters are per process, so every pool task hands
+  back its process's cumulative counters with its answer, and the parent
+  keeps the latest per worker pid.  :meth:`WorkerPool.collect_stats`
+  folds that table in memory: ``/stats`` never waits on a worker, and
+  reports each one as of its last completed request.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import weakref
 from concurrent.futures import Future, ProcessPoolExecutor, ThreadPoolExecutor
-from dataclasses import dataclass
+from functools import partial
+from operator import attrgetter
 
 from ..api.binenc import from_bytes, to_bytes
 from ..api.contracts import to_json
 from ..api.errors import ApiError, RequestError
-from ..api.service import SageService
+from ..api.service import SageService, ServiceConfig
+from ..cache.store import CacheStore
+from ..counters import hit_rate
+from ..parsing.profile import PROFILE, ParseProfile
 
 JSON_CONTENT_TYPE = "application/json"
 #: The ``schema:1b`` binary envelope (see :mod:`repro.api.binenc`), used
@@ -48,53 +59,10 @@ JSON_CONTENT_TYPE = "application/json"
 BINARY_CONTENT_TYPE = "application/x-repro-bin"
 
 #: Endpoint names :func:`run_endpoint` understands.
-ENDPOINTS = ("process", "sweep", "parse", "session", "stats")
-
-
-@dataclass(frozen=True)
-class ServiceConfig:
-    """Everything a worker process needs to rebuild the service.
-
-    Picklable by construction — it crosses the process boundary as the
-    pool initializer argument, so it carries *paths*, never live objects.
-    """
-
-    cache_dir: str | None = None
-    journal_path: str | None = None
-    bundled_rewrites: bool = True
-
-    def build_service(self) -> SageService:
-        from ..rfc.registry import ProtocolRegistry
-
-        if (self.cache_dir is None and self.journal_path is None
-                and self.bundled_rewrites):
-            # Nothing to customize: share the process-wide warm registry
-            # (substrate, lexicons, parse cache) instead of rebuilding it.
-            return SageService()
-        registry = ProtocolRegistry(bundled_rewrites=self.bundled_rewrites,
-                                    cache_dir=self.cache_dir)
-        journal = None
-        if self.journal_path:
-            from ..disambiguation.resolution import (
-                DecisionJournal,
-                ResolutionError,
-            )
-
-            try:
-                journal = DecisionJournal.load(self.journal_path)
-            except (json.JSONDecodeError, ResolutionError, OSError) as exc:
-                raise RequestError(
-                    f"cannot read journal {self.journal_path}: {exc}"
-                ) from exc
-        return SageService(registry=registry, journal=journal)
+ENDPOINTS = ("process", "sweep", "parse", "session")
 
 
 # -- endpoint execution --------------------------------------------------------
-
-def _rate(hits: int, misses: int) -> float | None:
-    total = hits + misses
-    return (hits / total) if total else None
-
 
 def _json_body(payload: dict, status: int = 200) -> tuple[int, str, bytes]:
     body = json.dumps(payload, separators=(",", ":")).encode("utf-8")
@@ -136,41 +104,6 @@ def _encode_response(response, binary_out: bool) -> tuple[int, str, bytes]:
     return 200, JSON_CONTENT_TYPE, to_json(response).encode("utf-8")
 
 
-def _with_rate(stats: dict) -> dict:
-    stats = dict(stats)
-    stats["hit_rate"] = _rate(stats.get("hits", 0), stats.get("misses", 0))
-    return stats
-
-
-#: The in-memory cache layers ``/stats`` reports, by registry accessor.
-_CACHE_LAYERS = ("run_cache", "parse_cache", "winnow_cache", "compiled_cache")
-
-
-def service_stats(service: SageService) -> dict:
-    """The worker-side half of ``GET /stats``: cache counters with derived
-    hit rates (the run memo, the parse and winnow caches beneath it,
-    compiled programs), persistent-store footprint, and the parser
-    profile."""
-    from ..parsing.profile import PROFILE
-
-    registry = service.registry
-    layers = {name: _with_rate(getattr(registry, name)().stats())
-              for name in _CACHE_LAYERS}
-    store = registry.cache_store()
-    store_stats = None
-    if store is not None:
-        store_stats = store.stats()
-        store_stats["disk_hit_rate"] = _rate(store_stats["disk_hits"],
-                                             store_stats["disk_misses"])
-    return {
-        "pid": os.getpid(),
-        "cache_dir": registry.cache_dir,
-        **layers,
-        "store": store_stats,
-        "profile": PROFILE.snapshot(),
-    }
-
-
 def run_endpoint(service: SageService, endpoint: str, body: bytes = b"", *,
                  binary_in: bool = False, binary_out: bool = False,
                  params: dict | None = None) -> tuple[int, str, bytes]:
@@ -209,9 +142,6 @@ def run_endpoint(service: SageService, endpoint: str, body: bytes = b"", *,
                          "reports": [report.to_dict()
                                      for report in reports]},
             })
-        if endpoint == "stats":
-            return _json_body({"schema": 1, "kind": "service_stats",
-                               "data": service_stats(service)})
         raise RequestError(
             f"unknown endpoint {endpoint!r}; known endpoints are "
             f"{', '.join(ENDPOINTS)}"
@@ -256,83 +186,99 @@ def _worker_ping() -> int:
     return os.getpid()
 
 
-def _pool_run(endpoint: str, body: bytes, binary_in: bool, binary_out: bool,
-              params: dict) -> tuple[int, str, bytes]:
-    return run_endpoint(_worker_service(), endpoint, body,
-                        binary_in=binary_in, binary_out=binary_out,
-                        params=params)
+def _pool_run(service: SageService | None, endpoint: str, body: bytes,
+              binary_in: bool, binary_out: bool, params: dict) -> tuple:
+    """One pool task, inline or in a worker (``service`` None): the wire
+    triple, plus this process's pid and cumulative counters for
+    :meth:`WorkerPool.collect_stats`."""
+    service = service or _worker_service()
+    triple = run_endpoint(service, endpoint, body, binary_in=binary_in,
+                          binary_out=binary_out, params=params)
+    return triple, os.getpid(), _counters(service)
 
 
-def _pool_stats(rendezvous: str, expected: int, patience: float) -> dict:
-    """One worker's stats, gathered under a filesystem rendezvous.
+# -- stats: counters that ride on results --------------------------------------
 
-    Cache and profile counters are process-local, so ``/stats`` must hear
-    from *every* worker.  A ``ProcessPoolExecutor`` worker runs one task
-    at a time, so ``expected`` tasks that all block until ``expected``
-    check-ins exist necessarily occupy ``expected`` distinct workers —
-    the check-in files (one per pid) are the barrier.  ``patience``
-    bounds the wait: a worker stuck behind a long pipeline request just
-    means a partial (pid-deduplicated) aggregate, never a hang.
-    """
-    import time
-
-    pid_file = os.path.join(rendezvous, str(os.getpid()))
-    try:
-        with open(pid_file, "w"):
-            pass
-    except OSError:
-        return service_stats(_worker_service())
-    give_up = time.monotonic() + patience
-    while time.monotonic() < give_up:
-        try:
-            if len(os.listdir(rendezvous)) >= expected:
-                break
-        except OSError:
-            break
-        time.sleep(0.02)
-    return service_stats(_worker_service())
+#: The in-memory cache layers ``/stats`` reports, by registry accessor.
+_CACHE_LAYERS = ("run_cache", "parse_cache", "winnow_cache", "compiled_cache")
+_LAYER_COUNTERS = ("size", "hits", "misses", "disk_hits")
+#: The per-process counters of the shared :class:`CacheStore`.
+_STORE_COUNTERS = ("disk_hits", "disk_misses", "writes", "quarantined")
+_read_cache = attrgetter(*_LAYER_COUNTERS[1:])
+_read_store = attrgetter("root", *_STORE_COUNTERS)
+_read_profile = attrgetter(*ParseProfile.__slots__)
 
 
-def _sum_counters(dicts: list[dict], keys: tuple[str, ...]) -> dict:
-    return {key: sum(d.get(key) or 0 for d in dicts) for key in keys}
+def _counters(service: SageService) -> tuple:
+    """This process's cumulative counters: ``_LAYER_COUNTERS`` per cache
+    layer, the store's root and ``_STORE_COUNTERS`` (None without a
+    store), and the parse profile's counters in declared order.
+
+    They ride on every result, so they are flat tuples of attribute reads
+    (cheap to build and to pickle); the on-disk footprint is shared by
+    every worker, so the parent reads it once per ``/stats`` instead."""
+    registry = service.registry
+    store = registry.cache_store()
+    return (tuple((len(cache), *_read_cache(cache)) for cache in
+                  [getattr(registry, name)() for name in _CACHE_LAYERS]),
+            None if store is None else _read_store(store),
+            _read_profile(PROFILE))
 
 
-def aggregate_stats(per_worker: list[dict]) -> dict:
-    """Fold per-worker stats into one truthful view: counters sum, rates
-    are recomputed over the summed window, the on-disk footprint (shared
-    by construction) comes from any one worker."""
-    from ..parsing.profile import ParseProfile
+#: What a worker reports before it has answered a request.
+_IDLE = (((0, 0, 0, 0),) * len(_CACHE_LAYERS), None,
+         (0,) * len(ParseProfile.__slots__))
 
-    layers = {
-        name: _with_rate(_sum_counters(
-            [w[name] for w in per_worker],
-            ("size", "hits", "misses", "disk_hits"),
-        ))
-        for name in _CACHE_LAYERS
+
+def _with_rate(stats: dict) -> dict:
+    return {**stats, "hit_rate": hit_rate(stats.get("hits", 0),
+                                          stats.get("misses", 0))}
+
+
+def _view(counters: tuple, shared_store: dict) -> dict:
+    """:func:`_counters` as ``/stats`` reports them: keyed, with derived
+    hit rates, and the store over ``shared_store``, the on-disk footprint
+    every worker shares."""
+    layers, store, profile = counters
+    if store is not None:
+        store = {**shared_store,
+                 **dict(zip(("root", *_STORE_COUNTERS), store))}
+        store["disk_hit_rate"] = hit_rate(store["disk_hits"],
+                                          store["disk_misses"])
+    return {
+        **{name: _with_rate(dict(zip(_LAYER_COUNTERS, values)))
+           for name, values in zip(_CACHE_LAYERS, layers)},
+        "store": store,
+        "profile": ParseProfile.with_rates(
+            dict(zip(ParseProfile.__slots__, profile))),
     }
-    stores = [w["store"] for w in per_worker if w.get("store")]
+
+
+def _summed(columns) -> tuple:
+    return tuple(map(sum, zip(*columns)))
+
+
+def aggregate_stats(table: list[tuple], shared_store: dict) -> dict:
+    """Fold every worker's :func:`_counters` into one truthful view:
+    counters sum, rates are recomputed over the summed window, and the
+    store's root (shared by construction) comes from any one worker."""
+    layers = tuple(map(_summed, zip(*(layers for layers, _s, _p in table))))
+    stores = [store for _l, store, _p in table if store is not None]
     store = None
     if stores:
-        store = _sum_counters(
-            stores, ("disk_hits", "disk_misses", "writes", "quarantined")
-        )
-        store["disk_hit_rate"] = _rate(store["disk_hits"],
-                                       store["disk_misses"])
-        for key in ("root", "layout_version", "namespaces",
-                    "quarantine_entries"):
-            store[key] = stores[0].get(key)
-    profiles = [w["profile"] for w in per_worker]
-    profile = ParseProfile.with_rates(
-        _sum_counters(profiles, ParseProfile.__slots__))
-    return {
-        "worker_count": len(per_worker),
-        **layers,
-        "store": store,
-        "profile": profile,
-    }
+        store = (stores[0][0], *_summed(store[1:] for store in stores))
+    profile = _summed(profile for _l, _s, profile in table)
+    return {"worker_count": len(table),
+            **_view((layers, store, profile), shared_store)}
 
 
 # -- the pool ------------------------------------------------------------------
+
+def _unqueue(task_ref, answer: Future) -> None:
+    task = task_ref()
+    if task is not None and answer.cancelled():
+        task.cancel()
+
 
 class WorkerPool:
     """Request execution over forked workers, or inline when that is moot.
@@ -353,15 +299,14 @@ class WorkerPool:
     def __init__(self, config: ServiceConfig | None = None, *,
                  workers: int | None = None, registry=None) -> None:
         self.config = config or ServiceConfig()
-        cpu = os.cpu_count() or 1
-        if workers is None:
-            requested = cpu if cpu > 1 else 1
-        else:
-            requested = max(int(workers), 1)
+        requested = ((os.cpu_count() or 1) if workers is None
+                     else max(int(workers), 1))
         self.mode = "inline"
         self.workers = 1
         self._service: SageService | None = None
         self._executor = None
+        #: pid → that worker's counters as of its last completed request.
+        self._counters: dict[int, tuple] = {}
         if requested > 1:
             self._executor = self._start_process_pool(requested)
         if self._executor is None:
@@ -372,6 +317,7 @@ class WorkerPool:
             self._executor = ThreadPoolExecutor(
                 max_workers=1, thread_name_prefix="repro-serve"
             )
+            self._counters = {os.getpid(): _IDLE}
         else:
             self.mode = "process"
             self.workers = requested
@@ -391,25 +337,47 @@ class WorkerPool:
             # Fork every worker *now*, from a quiet single-threaded
             # parent, instead of lazily under concurrent request load.
             pings = [executor.submit(_worker_ping) for _ in range(requested)]
-            for ping in pings:
-                ping.result(timeout=60)
+            pids = {ping.result(timeout=60) for ping in pings}
         except (OSError, ValueError, TimeoutError):
             return None
+        # One worker may answer two pings; fork launches them all on the
+        # first submit, so the executor already knows every pid.
+        pids.update(getattr(executor, "_processes", ()))
+        self._counters = dict.fromkeys(pids, _IDLE)
         return executor
 
     # -- execution --------------------------------------------------------------
     def submit(self, endpoint: str, body: bytes = b"", *,
                binary_in: bool = False, binary_out: bool = False,
                params: dict | None = None) -> Future:
-        """A future resolving to the ``(status, content_type, body)`` triple."""
-        params = dict(params or {})
-        if self.mode == "process":
-            return self._executor.submit(_pool_run, endpoint, bytes(body),
-                                         binary_in, binary_out, params)
-        return self._executor.submit(
-            run_endpoint, self._service, endpoint, body,
-            binary_in=binary_in, binary_out=binary_out, params=params,
-        )
+        """A future resolving to the ``(status, content_type, body)`` triple.
+
+        The worker's counters are recorded before that future resolves, so
+        a caller holding its answer already sees its request counted."""
+        task = self._executor.submit(_pool_run, self._service, endpoint,
+                                     bytes(body), binary_in, binary_out,
+                                     dict(params or {}))
+        answer = Future()
+        task.add_done_callback(partial(self._settle, answer))
+        # A caller that gives up (a deadline) unqueues the task if it can;
+        # weakly, as a cycle would keep both alive until a gc pass.
+        answer.add_done_callback(partial(_unqueue, weakref.ref(task)))
+        return answer
+
+    def _settle(self, answer: Future, task: Future) -> None:
+        if task.cancelled():
+            answer.cancel()
+            return
+        error = task.exception()
+        if error is None:
+            triple, pid, counters = task.result()
+            self._counters[pid] = counters
+        # False when the caller already cancelled its answer.
+        if answer.set_running_or_notify_cancel():
+            if error is None:
+                answer.set_result(triple)
+            else:
+                answer.set_exception(error)
 
     def run(self, endpoint: str, body: bytes = b"", *,
             binary_in: bool = False, binary_out: bool = False,
@@ -420,41 +388,25 @@ class WorkerPool:
                            binary_out=binary_out, params=params
                            ).result(timeout=timeout)
 
-    def collect_stats(self, patience: float = 10.0) -> dict:
-        """Stats from *every* worker plus the summed aggregate.
+    def collect_stats(self) -> dict:
+        """Every worker's stats, as of its last completed request, plus
+        the summed aggregate.
 
-        Inline mode asks the one service directly.  Process mode fans a
-        blocking rendezvous task out to each worker (see
-        :func:`_pool_stats`); under concurrent load the barrier may time
-        out and the aggregate covers the workers that answered — the
-        ``worker_count`` field says how many that was.
+        Counters ride back on each task's result (see :meth:`submit`), so
+        this submits nothing: it folds the per-pid table in memory and
+        reads the shared store's on-disk footprint once.  A request still
+        in flight is not counted yet.
         """
-        if self.mode != "process":
-            future = self._executor.submit(service_stats, self._service)
-            worker = future.result(timeout=patience + 30)
-            return {"workers": [worker], "aggregate": aggregate_stats([worker])}
-        import shutil
-        import tempfile
-
-        rendezvous = tempfile.mkdtemp(prefix="repro-stats-")
-        try:
-            futures = [
-                self._executor.submit(_pool_stats, rendezvous, self.workers,
-                                      patience)
-                for _ in range(self.workers)
-            ]
-            gathered: dict[int, dict] = {}
-            for future in futures:
-                try:
-                    worker = future.result(timeout=patience + 30)
-                except Exception:
-                    continue  # a dying worker must not take /stats down
-                gathered[worker["pid"]] = worker
-        finally:
-            shutil.rmtree(rendezvous, ignore_errors=True)
-        per_worker = [gathered[pid] for pid in sorted(gathered)]
+        table = sorted(dict(self._counters).items())
+        roots = [store[0] for _pid, (_l, store, _p) in table if store]
+        # A fresh store's stats: zero counters over the on-disk footprint.
+        shared_store = CacheStore(roots[0]).stats() if roots else {}
+        per_worker = [{"pid": pid, "cache_dir": store[0] if store else None,
+                       **_view((layers, store, profile), shared_store)}
+                      for pid, (layers, store, profile) in table]
         return {"workers": per_worker,
-                "aggregate": aggregate_stats(per_worker)}
+                "aggregate": aggregate_stats([c for _pid, c in table],
+                                             shared_store)}
 
     # -- introspection / lifecycle ----------------------------------------------
     def describe(self) -> dict:
@@ -480,5 +432,4 @@ __all__ = [
     "ServiceConfig",
     "WorkerPool",
     "run_endpoint",
-    "service_stats",
 ]

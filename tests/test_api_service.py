@@ -243,6 +243,19 @@ class TestCli:
         assert code == 2
         assert "bad-request" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("journal", [
+        '{"schema": 1, "resolutions": [{"original": "x"}]}',
+        '{"schema": 1, "resolutions": [{"kind": "annotate", "original": 5}]}',
+        '[1]',
+    ], ids=["missing-kind", "mistyped-original", "not-an-object"])
+    def test_malformed_journal_entry_is_a_structured_error(
+            self, tmp_path, capsys, journal):
+        path = tmp_path / "journal.json"
+        path.write_text(journal)
+        code = cli_main(["process", "ICMP", "--journal", str(path), "--json"])
+        assert code == 2
+        assert json.loads(capsys.readouterr().err)["error"] == "bad-request"
+
     def test_unknown_backend_fails_before_the_run(self, service):
         with pytest.raises(BackendNotFound):
             service.artifact("ICMP", backend="rust")

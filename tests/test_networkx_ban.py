@@ -5,6 +5,10 @@ replaced is a test-side oracle (``tests/vf2_oracle.py``).  Two checks keep
 it there: a static scan of every module under ``src/repro`` for a networkx
 import, and a fresh interpreter that runs the revised ICMP pipeline and
 then looks for networkx in ``sys.modules``.
+
+A second fresh interpreter runs the CLI and checks that it stays clear of
+the serving layer and what that imports (asyncio, multiprocessing): the
+CLI's start-up time is most of a warm run.
 """
 
 import ast
@@ -40,11 +44,16 @@ def test_no_module_under_src_imports_networkx():
     assert not offenders, offenders
 
 
-def test_revised_icmp_run_leaves_networkx_unimported():
+def _fresh_env() -> dict:
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [str(SRC), env.get("PYTHONPATH")]))
     env.pop("REPRO_CACHE_DIR", None)
+    return env
+
+
+def test_revised_icmp_run_leaves_networkx_unimported():
+    env = _fresh_env()
     script = (
         "import sys\n"
         "from repro.core import SageEngine\n"
@@ -56,3 +65,17 @@ def test_revised_icmp_run_leaves_networkx_unimported():
                          capture_output=True, text=True, timeout=300)
     assert out.returncode == 0, out.stderr
     assert out.stdout.strip() == "False"
+
+
+def test_cli_process_leaves_the_serving_layer_unimported():
+    script = (
+        "import io, sys\n"
+        "from repro.api.cli import main\n"
+        "assert main(['process', 'ICMP', '--json'], out=io.StringIO()) == 0\n"
+        "print(sorted(name for name in ('repro.server', 'multiprocessing',\n"
+        "                               'asyncio') if name in sys.modules))\n"
+    )
+    out = subprocess.run([sys.executable, "-c", script], env=_fresh_env(),
+                         capture_output=True, text=True, timeout=300)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "[]"

@@ -6,6 +6,7 @@ import concurrent.futures
 import json
 import os
 import signal
+import socket
 import subprocess
 import sys
 import threading
@@ -259,6 +260,23 @@ class TestErrorMapping:
         finally:
             conn.close()
 
+    @pytest.mark.parametrize("length", [
+        b"1_0", b" +7 ", b"-1", "\u0661\u0660".encode("utf-8"),
+    ], ids=["underscore", "signed", "negative", "arabic-indic"])
+    def test_unreadable_content_length_is_400(self, server, length):
+        # int() reads the first two as 10 and 7 and the third as a
+        # negative size; only ASCII digits are a length.
+        with socket.create_connection(("127.0.0.1", server.server.port),
+                                      timeout=10) as sock:
+            sock.sendall(b"POST /v1/process HTTP/1.1\r\nHost: test\r\n"
+                         b"Content-Length: " + length + b"\r\n\r\n")
+            with sock.makefile("rb") as stream:
+                reply = stream.read()
+        head, _sep, body = reply.partition(b"\r\n\r\n")
+        assert head.startswith(b"HTTP/1.1 400 ")
+        assert json.loads(body) == {"error": "bad-request",
+                                    "message": "unreadable Content-Length"}
+
 
 class TestStats:
     @pytest.mark.parametrize("workers", [1, 2])
@@ -288,6 +306,67 @@ class TestStats:
         assert service["worker_count"] == workers
         assert service["parse_cache"]["hits"] >= 0
         assert 0.0 <= service["profile"]["span_reuse_rate"] <= 1.0
+
+
+def _gated(run_endpoint):
+    """``run_endpoint``, except that a request whose params carry a
+    ``gate`` path first creates ``<gate>.entered`` and then waits (a
+    minute at most) until the ``gate`` file exists."""
+    def run(service, endpoint, body=b"", **kwargs):
+        gate = (kwargs.get("params") or {}).get("gate")
+        if gate:
+            Path(gate + ".entered").touch()
+            give_up = time.monotonic() + 60
+            while not os.path.exists(gate) and time.monotonic() < give_up:
+                time.sleep(0.01)
+        return run_endpoint(service, endpoint, body, **kwargs)
+    return run
+
+
+class TestStatsDoNotWait:
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_stats_answer_while_a_worker_is_busy(self, workers, tmp_path,
+                                                 monkeypatch):
+        from repro.server import pool as pool_module
+
+        # Patched before the pool forks, so the workers inherit it.
+        monkeypatch.setattr(pool_module, "run_endpoint",
+                            _gated(pool_module.run_endpoint))
+        gate = tmp_path / "release"
+        body = json.dumps({"protocol": "NTP",
+                           "include_sentences": False}).encode()
+        with WorkerPool(workers=workers) as pool:
+            if pool.mode != ("process" if workers > 1 else "inline"):
+                pytest.skip("fork process pool unavailable on this platform")
+            side = concurrent.futures.ThreadPoolExecutor(max_workers=1)
+            try:
+                blocked = pool.submit("process", body,
+                                      params={"gate": str(gate)})
+                entered = Path(f"{gate}.entered")
+                give_up = time.monotonic() + 60
+                while not entered.exists():
+                    assert time.monotonic() < give_up, "request never ran"
+                    time.sleep(0.01)
+                during = side.submit(pool.collect_stats).result(timeout=5)
+                assert during["aggregate"]["worker_count"] == workers
+                if workers > 1:
+                    # The idle worker answers; inline mode serializes
+                    # pipeline work by design.
+                    status, _ct, _body = pool.run(
+                        "parse", params={"protocol": "NTP"}, timeout=30)
+                    assert status == 200
+                assert not blocked.done()
+            finally:
+                gate.touch()
+                side.shutdown(wait=True)
+            assert blocked.result(timeout=120)[0] == 200
+            after = pool.collect_stats()["aggregate"]
+
+        def lookups(stats):
+            return stats["run_cache"]["hits"] + stats["run_cache"]["misses"]
+
+        # A caller holding its answer sees its request counted.
+        assert lookups(after) > lookups(during["aggregate"])
 
 
 class TestPoolUnit:

@@ -74,6 +74,24 @@ class TestResolutionRecords:
             sentence_key("Some sentence."): "@Is('a','b')"
         }
 
+    def test_journal_text_is_pinned(self):
+        # Key order and omit-when-empty: journals on disk stay readable
+        # by, and byte-identical to, what earlier builds wrote.
+        journal = DecisionJournal([
+            Resolution.rewrite("Old.", "New.", category="unparsed",
+                               protocol="ICMP"),
+            Resolution.select_lf("S.", "@Is('a','b')", note="n"),
+        ])
+        assert journal.to_json() == (
+            '{\n  "schema": 1,\n  "resolutions": [\n    {\n'
+            '      "kind": "rewrite",\n      "original": "Old.",\n'
+            '      "protocol": "ICMP",\n      "revised": "New.",\n'
+            '      "category": "unparsed"\n    },\n    {\n'
+            '      "kind": "select_lf",\n      "original": "S.",\n'
+            '      "lf_signature": "@Is(\'a\',\'b\')",\n      "note": "n"\n'
+            '    }\n  ]\n}\n'
+        )
+
     def test_loading_a_missing_journal_is_empty_but_bound(self, tmp_path):
         journal = DecisionJournal.load(tmp_path / "new.json")
         assert len(journal) == 0
