@@ -15,9 +15,11 @@ What it does:
   ``ProcessRequest`` sent under both envelopes must decode to equal
   ``ProcessResponse`` objects (``from_json(json) == from_bytes(bin)``);
 * with ``--expect-warm``: reads ``GET /stats`` afterwards and requires
-  the aggregate parse cache to show **zero misses** and at least one
-  disk hit — the cross-process warm-start criterion, observed through
-  the server;
+  the aggregate parse and winnow caches to show **zero misses** and at
+  least one disk hit summed over the parse, winnow and run layers (a
+  warm server answers whole runs from the run layer, so its parse layer
+  may never be read) — the cross-process warm-start criterion,
+  observed through the server;
 * gates: p99 ≤ ``--p99-ceiling``, zero non-timeout errors, and sustained
   warm throughput ≥ ``--min-throughput-fraction`` (default ½) of the
   in-process ``api_sweep_warm_sentences_per_s`` recorded in
@@ -219,8 +221,9 @@ def main() -> int:
                              "fraction of the in-process warm sweep number "
                              "from BENCH_pipeline.json (default: 0.5)")
     parser.add_argument("--expect-warm", action="store_true",
-                        help="require /stats to show zero parse misses and "
-                             ">0 disk hits after the replay (warm-start gate)")
+                        help="require /stats to show zero parse and winnow "
+                             "misses and >0 disk hits over the parse, winnow "
+                             "and run layers (warm-start gate)")
     parser.add_argument("--no-write", action="store_true",
                         help="do not update BENCH_pipeline.json")
     args = parser.parse_args()
@@ -299,9 +302,13 @@ def main() -> int:
         status_code, body = _get(host, port, "/stats", args.timeout)
         if status_code == 200:
             aggregate = json.loads(body.decode("utf-8"))["data"]["service"]
-            parse = aggregate["parse_cache"]
-            warm = {"misses": parse.get("misses"),
-                    "disk_hits": parse.get("disk_hits", 0)}
+            warm = {
+                "misses": sum(aggregate[layer].get("misses", 0)
+                              for layer in ("parse_cache", "winnow_cache")),
+                "disk_hits": sum(aggregate[layer].get("disk_hits", 0)
+                                 for layer in ("parse_cache", "winnow_cache",
+                                               "run_cache")),
+            }
         numbers["serve_warm_stats"] = warm
 
     print(json.dumps(numbers, indent=2))
@@ -340,8 +347,9 @@ def main() -> int:
             failures.append("--expect-warm: /stats was unreadable")
         elif warm["misses"] != 0:
             failures.append(
-                f"--expect-warm: {warm['misses']} parse misses through the "
-                "server (the shared cache directory did not warm-start it)"
+                f"--expect-warm: {warm['misses']} parse/winnow misses "
+                "through the server (the shared cache directory did not "
+                "warm-start it)"
             )
         elif not warm["disk_hits"]:
             failures.append("--expect-warm: zero disk hits — the server "

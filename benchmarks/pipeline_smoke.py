@@ -47,7 +47,8 @@ Measures, with wall-clock timers:
 * the cross-process warm start: ``warm_start_probe.py`` runs the
   4-protocol sweep twice in *separate* Python processes sharing one
   persistent cache-store directory — the first populates it cold, the
-  second must answer every parse from disk.
+  second must recompute nothing (zero parse and winnow misses; its runs
+  come off the run layer).
 
 Writes ``BENCH_pipeline.json`` at the repository root so successive PRs can
 diff the numbers — including a bounded ``history`` array (one entry per
@@ -483,6 +484,7 @@ def main() -> int:
     numbers["xproc_warm_parse_misses"] = warm_probe["parse"]["misses"]
     numbers["xproc_warm_disk_hits"] = warm_probe["parse"].get("disk_hits", 0)
     numbers["xproc_warm_winnow_misses"] = warm_probe["winnow"]["misses"]
+    numbers["xproc_warm_run_disk_hits"] = warm_probe["run"].get("disk_hits", 0)
     numbers["xproc_warm_winnow_disk_hits"] = (
         warm_probe["winnow"].get("disk_hits", 0)
     )

@@ -18,6 +18,8 @@ Prints one JSON object on stdout:
   warm run; ``disk_hits`` shows the store answering);
 * ``winnow`` — the winnow-result cache's counters (same contract: zero
   misses on the warm run means not one §4.2 check re-ran);
+* ``run`` — the run layer's counters: on the warm run every protocol is
+  one disk hit here, so the parse and winnow layers see no lookups;
 * ``trace_sha1`` — SHA-1 over every sentence's full winnow trace
   (per-stage counts plus ordered survivor signatures), in corpus order
   (winnow-output identity across runs);
@@ -85,6 +87,7 @@ def main() -> int:
         "sweep_s": sweep_s,
         "parse": registry.parse_cache().stats(),
         "winnow": registry.winnow_cache().stats(),
+        "run": registry.run_cache().stats(),
         "statuses": {name: runs[name].by_status()
                      for name in registry.protocols()},
         "lf_sha1": lf_digest.hexdigest(),

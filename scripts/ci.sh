@@ -73,9 +73,10 @@ if [ "${1:-all}" = "parity" ]; then
 fi
 
 # Persistent cache cross-process smoke: warm the store from one process,
-# then sweep again from a *second* process — the second run must answer
-# every parse AND every winnow from disk (zero misses in both layers: the
-# warm boot re-runs no CKY chart and no §4.2 check).
+# then sweep again from a *second* process — the second run must recompute
+# nothing (zero parse AND winnow misses: the warm boot re-runs no CKY
+# chart and no §4.2 check) and must answer every protocol with one
+# run-layer disk hit (the whole run read back, not rebuilt per sentence).
 cache_smoke() {
   echo "== cache smoke: python -m repro cache warm twice, separate processes =="
   local store
@@ -94,6 +95,12 @@ for layer in ("parse", "winnow"):
         sys.exit(f"CACHE FAILURE: second-process sweep recomputed {misses} "
                  f"{layer} entries (disk hits: {disk_hits})")
     print(f"ok ({layer}: 0 misses, {disk_hits} disk hits)")
+protocols = len(data["protocols"])
+run_disk_hits = data["run"].get("disk_hits", 0)
+if run_disk_hits != protocols:
+    sys.exit(f"CACHE FAILURE: second-process sweep read {run_disk_hits} "
+             f"run entries from disk for {protocols} protocols")
+print(f"ok (run: {run_disk_hits} disk hits, one per protocol)")
 '
 }
 
@@ -105,8 +112,9 @@ fi
 # Serving-layer load gate: boot `python -m repro serve` twice over one
 # shared cache directory.  Boot #1 runs the harness cold (gates latency
 # and error rate only — its traffic populates the store); boot #2 runs it
-# with --expect-warm, which additionally requires zero parse misses
-# through the server (disk warm-start) and sustained throughput >= 1/2 of
+# with --expect-warm, which additionally requires zero parse and winnow
+# misses through the server plus disk hits in the parse, winnow or run
+# layer (disk warm-start) and sustained throughput >= 1/2 of
 # the in-process api_sweep_warm_sentences_per_s baseline recorded in
 # BENCH_pipeline.json.  Boot #2's numbers land under serve_* keys there.
 serve_gate() {

@@ -22,24 +22,14 @@ entry points:
 * :mod:`repro.framework` — the static framework (codecs, checksums, pcap).
 """
 
-from .api import (
-    DisambiguationSession,
-    ProcessRequest,
-    ProcessResponse,
-    Resolution,
-    SageService,
-)
-from .core import SageEngine, SageRun, SentenceStatus
+from ._lazy import lazy_exports
+
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    ".api": ("DisambiguationSession", "ProcessRequest", "ProcessResponse",
+             "Resolution", "SageService"),
+    ".core": ("SageEngine", "SageRun", "SentenceStatus"),
+})
 
 __version__ = "1.1.0"
-__all__ = [
-    "DisambiguationSession",
-    "ProcessRequest",
-    "ProcessResponse",
-    "Resolution",
-    "SageEngine",
-    "SageRun",
-    "SageService",
-    "SentenceStatus",
-    "__version__",
-]
+__all__ += ["__version__"]
+

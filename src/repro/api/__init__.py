@@ -19,54 +19,17 @@ Three surfaces over the SAGE pipeline:
   repro`` CLI.
 """
 
-from ..disambiguation.resolution import DecisionJournal, Resolution
-from .binenc import SCHEMA_1B, from_bytes, to_bytes
-from .contracts import (
-    SCHEMA_VERSION,
-    GeneratedArtifact,
-    ProcessRequest,
-    ProcessResponse,
-    SentenceReport,
-    SweepRequest,
-    SweepResponse,
-    from_json,
-    to_json,
-)
-from .errors import (
-    ApiError,
-    BackendNotFound,
-    ContractError,
-    ProtocolNotFound,
-    RequestError,
-    SchemaVersionError,
-    SentenceNotFound,
-)
-from .service import SageService
-from .session import DisambiguationSession, open_session
+from .._lazy import lazy_exports
 
-__all__ = [
-    "SCHEMA_1B",
-    "SCHEMA_VERSION",
-    "ApiError",
-    "BackendNotFound",
-    "ContractError",
-    "DecisionJournal",
-    "DisambiguationSession",
-    "GeneratedArtifact",
-    "ProcessRequest",
-    "ProcessResponse",
-    "ProtocolNotFound",
-    "RequestError",
-    "Resolution",
-    "SageService",
-    "SchemaVersionError",
-    "SentenceNotFound",
-    "SentenceReport",
-    "SweepRequest",
-    "SweepResponse",
-    "from_bytes",
-    "from_json",
-    "open_session",
-    "to_bytes",
-    "to_json",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "..disambiguation.resolution": ("DecisionJournal", "Resolution"),
+    ".binenc": ("SCHEMA_1B", "from_bytes", "to_bytes"),
+    ".contracts": ("SCHEMA_VERSION", "GeneratedArtifact", "ProcessRequest",
+                   "ProcessResponse", "SentenceReport", "SweepRequest",
+                   "SweepResponse", "from_json", "to_json"),
+    ".errors": ("ApiError", "BackendNotFound", "ContractError",
+                "ProtocolNotFound", "RequestError", "SchemaVersionError",
+                "SentenceNotFound"),
+    ".service": ("SageService",),
+    ".session": ("DisambiguationSession", "open_session"),
+})

@@ -2,7 +2,7 @@
 
 ``schema:1`` (:mod:`repro.api.contracts`) is JSON: self-describing,
 greppable, and the right default for small payloads.  Bulk payloads — a
-full :class:`~repro.core.engine.SageRun`, a sweep response, the persistent
+full :class:`~repro.core.results.SageRun`, a sweep response, the persistent
 parse-cache entries — pay JSON twice: the bytes (every ``"t": "call"`` key
 repeated tens of thousands of times) and the time (every semantic term
 built through an intermediate dict).  ``schema:1b`` is the binary sibling:
@@ -32,19 +32,21 @@ and ``from_bytes(to_bytes(x)) == from_json(to_json(x))`` is gated in
 ``benchmarks/pipeline_smoke.py`` and property-locked in
 ``tests/test_binenc.py``.  The persistent cache layer
 (:mod:`repro.cache.persistent`) reuses the same primitives for on-disk
-parse and winnow entries via :func:`parse_entry_to_bytes` /
-:func:`parse_entry_from_bytes` and :func:`winnow_entry_to_bytes` /
-:func:`winnow_entry_from_bytes`.
+parse, winnow and run entries via :func:`parse_entry_to_bytes` /
+:func:`parse_entry_from_bytes`, :func:`winnow_entry_to_bytes` /
+:func:`winnow_entry_from_bytes` and :func:`run_entry_to_bytes` /
+:func:`run_entry_from_bytes`.
 """
 
 from __future__ import annotations
 
 import struct
+from functools import cache
 from types import SimpleNamespace
+from typing import TYPE_CHECKING
 
-from ..ccg.chart import ParseResult
 from ..ccg.semantics import App, Call, Const, Lam, Sem, Var
-from .contracts import TRACE, codec_named, codec_of, decoding
+from .contracts import SAGE_RUN, TRACE, codec_named, codec_of, decoding
 from .errors import ContractError, EnvelopeDecodeError
 from .schema import (
     BOOL,
@@ -61,6 +63,9 @@ from .schema import (
     _new_lam,
     _new_var,
 )
+
+if TYPE_CHECKING:
+    from ..ccg.chart import ParseResult
 
 #: The wire schema tag this module writes and reads (JSON's ``schema:1``
 #: sibling; the magic below is its byte-level spelling).
@@ -427,28 +432,33 @@ def from_bytes(data: bytes, registry=None):
 # The store's values, with full provenance (spans, triggers, flags) so a
 # disk-warmed pipeline run is byte-identical to a cold one.
 
-#: One parse-cache value: the ``(ParseResult, subject_supplied)`` pair the
-#: parse stage stores.
-PARSE_ENTRY = Record("parse_entry", ParseResult, [
-    Field("subject_supplied", BOOL),
-    Field("backend", STR),
-    Field("token_count", UINT),
-    Field("cells_filled", UINT),
-    Field("dropped_items", UINT),
-    Field("unknown_words", ListOf(STR)),
-    Field("logical_forms", ListOf(SEM)),
-], tag=48, aux=("subject_supplied",),
-   make=lambda subject_supplied, **fields: (ParseResult(**fields),
-                                            subject_supplied))
+@cache
+def _parse_entry() -> Record:
+    """One parse-cache value: the ``(ParseResult, subject_supplied)`` pair
+    the parse stage stores.  Built on first use: the chart module it
+    names is not needed by anything that only reads runs."""
+    from ..ccg.chart import ParseResult
+
+    return Record("parse_entry", ParseResult, [
+        Field("subject_supplied", BOOL),
+        Field("backend", STR),
+        Field("token_count", UINT),
+        Field("cells_filled", UINT),
+        Field("dropped_items", UINT),
+        Field("unknown_words", ListOf(STR)),
+        Field("logical_forms", ListOf(SEM)),
+    ], tag=48, aux=("subject_supplied",),
+       make=lambda subject_supplied, **fields: (ParseResult(**fields),
+                                                subject_supplied))
 
 
 def parse_entry_to_bytes(result: ParseResult, subject_supplied: bool) -> bytes:
-    return _encode(PARSE_ENTRY, SimpleNamespace(
+    return _encode(_parse_entry(), SimpleNamespace(
         **vars(result), subject_supplied=subject_supplied))
 
 
 def parse_entry_from_bytes(data: bytes) -> tuple[ParseResult, bool]:
-    return _entry(data, PARSE_ENTRY, "parse entry")
+    return _entry(data, _parse_entry(), "parse entry")
 
 
 def winnow_entry_to_bytes(trace) -> bytes:
@@ -462,10 +472,21 @@ def winnow_entry_from_bytes(data: bytes):
     return _entry(data, TRACE, "winnow entry")
 
 
-def _entry(data: bytes, record: Record, what: str):
+def run_entry_to_bytes(run, registry) -> bytes:
+    """One run-layer value: a whole :class:`~repro.core.results.SageRun`
+    (the ``sage_run`` table, tag 32), its corpus by reference into
+    ``registry``.  Decoding verifies the program fingerprint."""
+    return _encode(SAGE_RUN, run, registry)
+
+
+def run_entry_from_bytes(data: bytes, registry):
+    return _entry(data, SAGE_RUN, "run entry", registry)
+
+
+def _entry(data: bytes, record: Record, what: str, registry=None):
     data = bytes(data)
     if data[:len(MAGIC)] != MAGIC:
         raise ContractError(f"not a schema:1b {what} (bad magic)")
     reader = _Reader(data)
-    return decoding(what, lambda: record.read(reader, None),
+    return decoding(what, lambda: record.read(reader, registry),
                     EnvelopeDecodeError)

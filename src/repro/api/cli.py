@@ -29,11 +29,12 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from typing import TYPE_CHECKING
 
-from ..counters import hit_rate
-from .contracts import ProcessRequest, SweepRequest, to_json
 from .errors import ApiError, RequestError
-from .service import SageService, ServiceConfig
+
+if TYPE_CHECKING:
+    from .service import SageService
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -238,6 +239,8 @@ def _print_response(response, out) -> None:
 
 
 def _cmd_process(service: SageService, args, out) -> int:
+    from .contracts import ProcessRequest, to_json
+
     response = service.process(ProcessRequest(
         protocol=args.protocol, mode=args.mode,
         include_sentences=not args.no_sentences,
@@ -252,6 +255,8 @@ def _cmd_process(service: SageService, args, out) -> int:
 
 
 def _cmd_sweep(service: SageService, args, out) -> int:
+    from .contracts import SweepRequest, to_json
+
     if not args.protocols and not args.all:
         raise RequestError("sweep needs protocol names or --all")
     response = service.sweep(SweepRequest(
@@ -271,6 +276,8 @@ def _cmd_sweep(service: SageService, args, out) -> int:
 
 
 def _cmd_resolve(service: SageService, args, out) -> int:
+    from .contracts import to_json
+
     session = service.session(args.protocol, mode=args.mode)
     resolving = bool(args.rewrite or args.annotate or args.select_lf)
     if resolving:
@@ -429,6 +436,8 @@ def _cmd_winnow(service: SageService, args, out) -> int:
 
 
 def _cmd_emit(service: SageService, args, out) -> int:
+    from .contracts import to_json
+
     artifact = service.artifact(args.protocol, backend=args.backend,
                                 mode=args.mode)
     if args.json:
@@ -542,6 +551,9 @@ def _cmd_fuzz(service: SageService, args, out) -> int:
 
 def _cmd_cache(service: SageService, args, out) -> int:
     """Persistent-cache maintenance over the service's registry store."""
+    from ..counters import hit_rate
+    from .contracts import SweepRequest
+
     registry = service.registry
     store = registry.cache_store()
     if store is None:
@@ -552,9 +564,9 @@ def _cmd_cache(service: SageService, args, out) -> int:
 
     if args.action == "clear":
         removed = store.clear()
-        registry.parse_cache().clear()
-        registry.winnow_cache().clear()
-        registry.compiled_cache().clear()
+        for cache in (registry.run_cache(), registry.parse_cache(),
+                      registry.winnow_cache(), registry.compiled_cache()):
+            cache.clear()
         if args.json:
             _print_payload("cache_clear",
                            {"root": store.root, "removed": removed}, out)
@@ -576,6 +588,7 @@ def _cmd_cache(service: SageService, args, out) -> int:
             "protocols": list(response.protocols),
             "parse": _layer(registry.parse_cache()),
             "winnow": _layer(registry.winnow_cache()),
+            "run": _layer(registry.run_cache()),
             "store": store.stats(),
         }
         if args.json:
@@ -583,7 +596,7 @@ def _cmd_cache(service: SageService, args, out) -> int:
         else:
             print(f"warmed {len(data['protocols'])} protocols into "
                   f"{store.root}", file=out)
-            for name in ("parse", "winnow"):
+            for name in ("parse", "winnow", "run"):
                 layer = data[name]
                 print(f"  {name}: {layer.get('size', 0)} entries, "
                       f"{layer.get('hits', 0)} hits "
@@ -599,15 +612,14 @@ def _cmd_cache(service: SageService, args, out) -> int:
     verification = store.verify()
     stats = store.stats()
     stats["verification"] = verification
-    parse_stats = registry.parse_cache().stats()
-    winnow_stats = registry.winnow_cache().stats()
     stats["rates"] = {
-        "parse_hit_rate": hit_rate(parse_stats["hits"],
-                                   parse_stats["misses"]),
-        "winnow_hit_rate": hit_rate(winnow_stats["hits"],
-                                    winnow_stats["misses"]),
-        "disk_hit_rate": hit_rate(stats["disk_hits"], stats["disk_misses"]),
+        f"{name}_hit_rate": hit_rate(layer["hits"], layer["misses"])
+        for name, layer in (("parse", registry.parse_cache().stats()),
+                            ("winnow", registry.winnow_cache().stats()),
+                            ("run", registry.run_cache().stats()))
     }
+    stats["rates"]["disk_hit_rate"] = hit_rate(stats["disk_hits"],
+                                               stats["disk_misses"])
     if args.json:
         _print_payload("cache_stats", stats, out)
     else:
@@ -623,6 +635,7 @@ def _cmd_cache(service: SageService, args, out) -> int:
         rates = stats["rates"]
         print(f"  parse hit rate {_render_rate(rates['parse_hit_rate'])}, "
               f"winnow hit rate {_render_rate(rates['winnow_hit_rate'])}, "
+              f"run hit rate {_render_rate(rates['run_hit_rate'])}, "
               f"disk hit rate {_render_rate(rates['disk_hit_rate'])} "
               "(this process)", file=out)
     if verification["corrupt"]:
@@ -649,6 +662,7 @@ def _cmd_serve(args, out) -> int:
     import os
 
     from ..server import ReproServer
+    from .service import ServiceConfig
 
     cache_dir = args.cache_dir or os.environ.get("REPRO_CACHE_DIR") or None
     config = ServiceConfig(cache_dir=cache_dir, journal_path=args.journal,
@@ -685,6 +699,8 @@ def main(argv: list[str] | None = None, out=None) -> int:
     try:
         if args.command == "serve":
             return _cmd_serve(args, out)
+        from .service import ServiceConfig
+
         service = ServiceConfig(
             args.cache_dir, args.journal,
             bundled_rewrites=not args.no_bundled_rewrites).build_service()

@@ -1,6 +1,6 @@
 """The serializable wire contracts of the service layer.
 
-Every pipeline result — :class:`~repro.core.engine.SageRun`,
+Every pipeline result — :class:`~repro.core.results.SageRun`,
 :class:`~repro.disambiguation.winnow.WinnowTrace`, the codegen
 :class:`~repro.codegen.ir.Program` (``CodeUnit``), per-sentence results,
 operator :class:`~repro.disambiguation.resolution.Resolution` records — and
@@ -44,7 +44,7 @@ from ..codegen.ir import (
     op_from_dict,
     op_to_dict,
 )
-from ..core.engine import (
+from ..core.results import (
     FLAGGED_STATUSES,
     SageRun,
     SentenceResult,

@@ -23,11 +23,11 @@ error payloads.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from ..codegen.ir import backend_names
-from ..core.engine import SageEngine, SageRun
-from ..disambiguation.resolution import DecisionJournal
-from ..rfc.registry import ProtocolRegistry, UnknownProtocolError
+from ..core.results import SageRun, run_key_for
+from ..rfc.registry import ProtocolRegistry
 from .contracts import (
     GeneratedArtifact,
     ProcessRequest,
@@ -39,7 +39,10 @@ from .contracts import (
     from_json,
 )
 from .errors import ApiError, ProtocolNotFound, RequestError
-from .session import DisambiguationSession
+
+if TYPE_CHECKING:
+    from ..core.engine import SageEngine
+    from .session import DisambiguationSession
 
 
 def _coerce_request(request, request_type, **kwargs):
@@ -89,6 +92,8 @@ class ServiceConfig:
             registry = ProtocolRegistry(bundled_rewrites=self.bundled_rewrites,
                                         cache_dir=self.cache_dir)
         if self.journal_path:
+            from ..disambiguation.resolution import DecisionJournal
+
             try:
                 journal = DecisionJournal.load(self.journal_path)
             except (OSError, ValueError) as exc:  # ResolutionError included
@@ -126,6 +131,8 @@ class SageService:
         key = (mode, parser_backend)
         engine = self._engines.get(key)
         if engine is None:
+            from ..core.engine import SageEngine
+
             engine = SageEngine(mode=mode, protocol_registry=self.registry,
                                 parser_backend=parser_backend or None)
             self._engines[key] = engine
@@ -138,13 +145,44 @@ class SageService:
         except KeyError:
             raise ProtocolNotFound(protocol, self.registry.protocols()) from None
 
+    def _stored_run(self, corpus, mode: str,
+                    parser_backend: str) -> SageRun | None:
+        """The run layer's answer for a ``(mode, parser_backend)`` whose
+        engine this service has not built yet, or None.
+
+        Such an engine would run over the default substrate, so while the
+        registry's substrate is pristine its :meth:`~repro.core.engine.
+        SageEngine.run_key` is computable from names and tables alone: a
+        warm request reads one run entry and never builds a lexicon,
+        parser, chunker or check suite.  A miss is not counted here; the
+        engine's own lookup counts it.
+        """
+        if ((mode, parser_backend) in self._engines
+                or not self.registry.substrate_pristine()):
+            return None
+        _check_mode(mode)
+        if parser_backend:
+            self._check_parser_backend(parser_backend)
+        registry = self.registry
+        backends = tuple(sorted({
+            parser_backend or registry.parser_backend_for(protocol)
+            for protocol in {spec.protocol for spec in corpus.sentences}
+        }))
+        key = run_key_for(registry, corpus, mode, backends,
+                          registry.rewrites(), registry.selections())
+        return registry.run_cache().get(key, count_miss=False)
+
     # -- endpoints --------------------------------------------------------------
     def run(self, protocol: str, mode: str = "revised",
             parser_backend: str = "") -> SageRun:
-        """The raw pipeline run (power users; everything else wraps this)."""
-        return self.engine(mode, parser_backend).process_corpus(
-            self._load_corpus(protocol)
-        )
+        """The raw pipeline run (power users; everything else wraps this).
+
+        Served from the run layer when it can be, else by the engine."""
+        corpus = self._load_corpus(protocol)
+        run = self._stored_run(corpus, mode, parser_backend)
+        if run is None:
+            run = self.engine(mode, parser_backend).process_corpus(corpus)
+        return run
 
     def process(self, request: ProcessRequest | dict | str | None = None,
                 **kwargs) -> ProcessResponse:
@@ -163,15 +201,12 @@ class SageService:
         """The batch endpoint: many protocols in one call."""
         request = _coerce_request(request, SweepRequest, **kwargs)
         self._check_artifacts(request.artifacts)
-        engine = self.engine(request.mode, request.parser_backend)
-        names = [name.upper() for name in request.protocols] or None
-        if names:
-            for name in names:
-                self._load_corpus(name)  # fail structured before the sweep
-        try:
-            runs = engine.process_corpora(names)
-        except UnknownProtocolError as exc:
-            raise ProtocolNotFound(exc.name, exc.known) from None
+        names = ([name.upper() for name in request.protocols]
+                 or self.registry.protocols())
+        for name in names:
+            self._load_corpus(name)  # fail structured before the sweep
+        runs = {name: self.run(name, request.mode, request.parser_backend)
+                for name in names}
         responses = {
             name: ProcessResponse.from_run(
                 run, request.mode,
@@ -197,6 +232,8 @@ class SageService:
     def session(self, protocol: str, mode: str = "revised",
                 **kwargs) -> DisambiguationSession:
         """Open the interactive disambiguation surface on ``protocol``."""
+        from .session import DisambiguationSession
+
         return DisambiguationSession(protocol, mode=mode,
                                      registry=self.registry, **kwargs)
 
@@ -381,17 +418,16 @@ class SageService:
 
     @staticmethod
     def _check_artifacts(backends: tuple[str, ...]) -> None:
+        if not backends:
+            return  # nothing to validate: load no backend
+        from ..codegen.ir import _ensure_default_backends
         from .errors import BackendNotFound
 
+        # The bundled backends register when their modules import, which
+        # nothing before this point needs: import them all, so "c",
+        # "python" and "interp" validate whatever rendered first.
+        _ensure_default_backends()
         known = backend_names()
-        # The registry lazily imports the bundled backends on first use;
-        # resolve through the ir helper so "c"/"python"/"interp" always
-        # validate even before anything rendered.
-        if not known:
-            from ..codegen.ir import _ensure_default_backends
-
-            _ensure_default_backends()
-            known = backend_names()
         for backend in backends:
             if backend not in known:
                 raise BackendNotFound(backend, known)

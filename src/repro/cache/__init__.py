@@ -9,7 +9,8 @@ The package has two layers:
 * :mod:`repro.cache.persistent` — :class:`ContentCache`, the one cache
   class behind every registry cache: an in-memory memo that, bound to a
   namespace and a codec (:class:`PersistentParseCache` /
-  :class:`PersistentWinnowCache` / :class:`PersistentCompiledCache`),
+  :class:`PersistentWinnowCache` / :class:`PersistentRunCache` /
+  :class:`PersistentCompiledCache`),
   writes through to one shared store, so every fresh process (CLI call,
   CI job, HTTP worker) starts warm.
 
@@ -18,25 +19,12 @@ A registry opts in via ``ProtocolRegistry(cache_dir=...)`` or the
 and invalidation rules.
 """
 
-from .persistent import (
-    COMPILED_NAMESPACE,
-    PARSE_NAMESPACE,
-    WINNOW_NAMESPACE,
-    ContentCache,
-    PersistentCompiledCache,
-    PersistentParseCache,
-    PersistentWinnowCache,
-)
-from .store import LAYOUT_VERSION, CacheStore
+from .._lazy import lazy_exports
 
-__all__ = [
-    "CacheStore",
-    "LAYOUT_VERSION",
-    "PARSE_NAMESPACE",
-    "WINNOW_NAMESPACE",
-    "COMPILED_NAMESPACE",
-    "ContentCache",
-    "PersistentParseCache",
-    "PersistentWinnowCache",
-    "PersistentCompiledCache",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    ".persistent": ("COMPILED_NAMESPACE", "PARSE_NAMESPACE",
+                    "RUN_NAMESPACE", "WINNOW_NAMESPACE", "ContentCache",
+                    "PersistentCompiledCache", "PersistentParseCache",
+                    "PersistentRunCache", "PersistentWinnowCache"),
+    ".store": ("LAYOUT_VERSION", "CacheStore"),
+})

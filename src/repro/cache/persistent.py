@@ -3,8 +3,8 @@
 :class:`ContentCache` is one in-memory front layer over an optional
 shared :class:`~repro.cache.store.CacheStore`, bound to a store
 ``namespace`` and a value ``codec``.  With ``store=None`` it is a plain
-thread-safe memo (the run memo, and every cache of a registry without a
-cache directory).  With a store:
+thread-safe memo (every cache of a registry without a cache directory).
+With a store:
 
 * a ``get`` miss in memory falls through to the store; a disk hit is
   decoded, promoted into the memory layer, and counted as a hit (plus a
@@ -21,9 +21,10 @@ cache directory).  With a store:
 
 The named classes below are bindings of that one class, one per registry
 cache: a namespace and a codec, nothing else.  Parse entries serialize
-through the ``schema:1b`` parse-entry table and winnow entries through the
-winnow-trace table (:mod:`repro.api.binenc`, imported lazily to keep this
-layer importable before the api package).  Compiled-program values
+through the ``schema:1b`` parse-entry table, winnow entries through the
+winnow-trace table and run entries through the ``sage_run`` table
+(:mod:`repro.api.binenc`, imported lazily to keep this layer importable
+before the api package).  Compiled-program values
 (compiled callables) cannot persist, so that binding has no codec; its
 disk layer stores the *rendered source* of text-rendering backends
 through :meth:`ContentCache.get_source`/:meth:`~ContentCache.put_source`
@@ -44,6 +45,7 @@ import threading
 #: Store namespaces, one per promoted cache.
 PARSE_NAMESPACE = "parse"
 WINNOW_NAMESPACE = "winnow"
+RUN_NAMESPACE = "run"
 COMPILED_NAMESPACE = "compiled"
 
 _KEY_SEP = "\x1f"
@@ -80,12 +82,19 @@ class ContentCache:
     def _persists(self) -> bool:
         return self.store is not None and self.codec is not None
 
-    def get(self, key: tuple):
+    def _stored(self, key: tuple) -> bool:
+        """Whether ``key``'s entry lives in the store as well as in memory."""
+        return self._persists()
+
+    def get(self, key: tuple, *, count_miss: bool = True):
+        """The value under ``key``, or None.  ``count_miss=False`` is for a
+        probe whose miss the caller follows with a counted ``get``."""
         with self._lock:
-            if key in self._entries:
+            value = self._entries.get(key)
+            if value is not None:
                 self.hits += 1
-                return self._entries[key]
-        if self._persists():
+                return value
+        if self._stored(key):
             payload = self.store.get(self.namespace, _key_string(key))
             value = None if payload is None else _attempt(self.codec.decode,
                                                           payload)
@@ -95,14 +104,15 @@ class ContentCache:
                     self.hits += 1
                     self.disk_hits += 1
                 return value
-        with self._lock:
-            self.misses += 1
+        if count_miss:
+            with self._lock:
+                self.misses += 1
         return None
 
     def put(self, key: tuple, value) -> None:
         with self._lock:
             self._entries[key] = value
-        if self._persists():
+        if self._stored(key):
             # Ad-hoc values outside the codec's contract stay memory-only
             # rather than failing the stage that computed them.
             payload = _attempt(self.codec.encode, value)
@@ -195,12 +205,30 @@ class _WinnowEntries:
         return winnow_entry_from_bytes(payload)
 
 
+class _RunEntries:
+    """:class:`~repro.core.results.SageRun` objects as ``schema:1b`` run
+    entries, their corpus by reference into ``registry``."""
+
+    def __init__(self, registry) -> None:
+        self.registry = registry
+
+    def encode(self, value) -> bytes:
+        from ..api.binenc import run_entry_to_bytes
+
+        return run_entry_to_bytes(value, self.registry)
+
+    def decode(self, payload: bytes):
+        from ..api.binenc import run_entry_from_bytes
+
+        return run_entry_from_bytes(payload, self.registry)
+
+
 # -- bindings ------------------------------------------------------------------
 # Distinct classes on purpose: each names one registry cache in stats,
 # tracebacks and per-class instrumentation.
 
-#: The in-memory binding: no namespace, no codec (the run memo, and the
-#: parse and winnow caches of a registry without a cache directory).
+#: The in-memory binding: no namespace, no codec (every cache of a registry
+#: without a cache directory).
 ParseCache = ContentCache
 
 
@@ -227,6 +255,29 @@ class PersistentWinnowCache(ContentCache):
 
     namespace = WINNOW_NAMESPACE
     codec = _WinnowEntries
+
+
+class PersistentRunCache(ContentCache):
+    """The whole-run memo, promoted to the same disk store.
+
+    Values are whole :class:`~repro.core.results.SageRun` objects, so a
+    fresh process answers a warm request with one read per protocol.
+    Only keys whose last part — the engine's substrate part — is empty
+    persist: those runs were computed over the pristine default lexicon,
+    chunker and check suite, which the key's package digest pins.  Runs
+    over a mutated or custom substrate stay in memory (see
+    :meth:`~repro.core.engine.SageEngine.run_key`).  Decoding verifies
+    the program fingerprint; an entry that fails it is a miss.
+    """
+
+    namespace = RUN_NAMESPACE
+
+    def __init__(self, store, registry) -> None:
+        super().__init__(store)
+        self.codec = _RunEntries(registry)
+
+    def _stored(self, key: tuple) -> bool:
+        return self._persists() and not key[-1]
 
 
 class CompiledProgramCache(ContentCache):

@@ -1,76 +1,19 @@
 """Code generation: contexts, predicate handlers, the typed IR, backends."""
 
-from .context import (
-    AmbiguousReference,
-    ContextResolver,
-    ResolutionError,
-    SentenceContext,
-    StaticContext,
-    Target,
-    UnknownReference,
-)
-from .emitters import CEmitter, PyEmitter
-from .generator import (
-    CodeUnit,
-    SentenceCode,
-    assemble_message_program,
-    builder_role,
-    function_name,
-)
-from .handlers import HandlerRegistry, HandlerResult, NonActionable
-from .interp import IRInterpreter
-from .ir import (
-    DEFAULT_PASSES,
-    Backend,
-    Function,
-    FunctionNameCollision,
-    IRError,
-    IRPass,
-    IRValidationError,
-    Program,
-    SymbolTable,
-    backend_names,
-    build_function,
-    collect_symbols,
-    get_backend,
-    register_backend,
-    run_passes,
-    validate_function,
-)
+from .._lazy import lazy_exports
 
-__all__ = [
-    "AmbiguousReference",
-    "Backend",
-    "CEmitter",
-    "CodeUnit",
-    "ContextResolver",
-    "DEFAULT_PASSES",
-    "Function",
-    "FunctionNameCollision",
-    "HandlerRegistry",
-    "HandlerResult",
-    "IRError",
-    "IRInterpreter",
-    "IRPass",
-    "IRValidationError",
-    "NonActionable",
-    "Program",
-    "PyEmitter",
-    "ResolutionError",
-    "SentenceCode",
-    "SentenceContext",
-    "StaticContext",
-    "SymbolTable",
-    "Target",
-    "UnknownReference",
-    "assemble_message_program",
-    "backend_names",
-    "build_function",
-    "builder_role",
-    "collect_symbols",
-    "function_name",
-    "get_backend",
-    "register_backend",
-    "run_passes",
-    "validate_function",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    ".context": ("AmbiguousReference", "ContextResolver", "ResolutionError",
+                 "SentenceContext", "StaticContext", "Target",
+                 "UnknownReference"),
+    ".emitters": ("CEmitter", "PyEmitter"),
+    ".generator": ("CodeUnit", "SentenceCode", "assemble_message_program",
+                   "builder_role", "function_name"),
+    ".handlers": ("HandlerRegistry", "HandlerResult", "NonActionable"),
+    ".interp": ("IRInterpreter",),
+    ".ir": ("DEFAULT_PASSES", "Backend", "Function", "FunctionNameCollision",
+            "IRError", "IRPass", "IRValidationError", "Program",
+            "SymbolTable", "backend_names", "build_function",
+            "collect_symbols", "get_backend", "register_backend",
+            "run_passes", "validate_function"),
+})

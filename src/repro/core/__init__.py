@@ -1,29 +1,11 @@
 """The SAGE pipeline: the paper's primary contribution, end to end."""
 
-from .engine import (
-    SageEngine,
-    SageRun,
-    SentenceResult,
-    SentenceStatus,
-    modal_sentences,
-)
-from .stages import (
-    GenerateStage,
-    ParsedSentence,
-    ParseStage,
-    WinnowStage,
-    role_of,
-)
+from .._lazy import lazy_exports
 
-__all__ = [
-    "GenerateStage",
-    "ParsedSentence",
-    "ParseStage",
-    "SageEngine",
-    "SageRun",
-    "SentenceResult",
-    "SentenceStatus",
-    "WinnowStage",
-    "modal_sentences",
-    "role_of",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    ".engine": ("SageEngine",),
+    ".results": ("SageRun", "SentenceResult", "SentenceStatus",
+                 "modal_sentences"),
+    ".stages": ("GenerateStage", "ParsedSentence", "ParseStage",
+                "WinnowStage", "role_of"),
+})

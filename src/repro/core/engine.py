@@ -34,137 +34,30 @@ answers a repeated ``process_corpus`` without running a single stage.
 
 from __future__ import annotations
 
-import enum
-from dataclasses import dataclass, field as dataclass_field
+from typing import TYPE_CHECKING
 
-from ..ccg.chart import CCGChartParser, ParseResult
-from ..ccg.lexicon import Lexicon
-from ..parsing import backend_id, create_parser
-from ..ccg.semantics import Sem, iter_calls, signature
-from ..codegen.context import AmbiguousReference, ContextResolver, UnknownReference
+from ..ccg.semantics import Sem, signature
 from ..codegen.generator import CodeUnit, SentenceCode
-from ..codegen.handlers import NonActionable
-from ..disambiguation.checks import CheckSuite
-from ..disambiguation.winnow import WinnowTrace
-from ..nlp.chunker import NounPhraseChunker
 from ..nlp.tokenizer import split_sentences
+from ..parsing.backend import backend_id, create_parser
 from ..rfc.corpus import Corpus, Rewrite, SpecSentence, sentence_key
 from ..rfc.registry import ParseCache, ProtocolRegistry, default_registry
-from .stages import GenerateStage, ParseStage, WinnowStage, role_of
+from .results import (  # noqa: F401  (re-exported: the engine's results)
+    FLAGGED_STATUSES,
+    SageRun,
+    SentenceResult,
+    SentenceStatus,
+    modal_sentences,
+    run_key_for,
+)
 
-
-class SentenceStatus(str, enum.Enum):
-    """What the pipeline concluded about one sentence.
-
-    Members are plain strings (``SentenceStatus.OK == "ok"``, hashes like
-    ``"ok"``, serializes as ``"ok"``), so members and raw strings compare
-    equal and every JSON consumer keeps working; the enum adds the closed
-    set and the ``flagged`` property the service layer dispatches on.
-    """
-
-    OK = "ok"
-    NON_ACTIONABLE = "non-actionable"
-    AMBIGUOUS_LF = "ambiguous-lf"
-    AMBIGUOUS_REF = "ambiguous-ref"
-    UNPARSED = "unparsed"
-    REWRITTEN = "rewritten"
-
-    # String transparency: render and hash as the value so enum members and
-    # raw strings interoperate as dict keys and in f-strings.
-    __str__ = str.__str__
-    __format__ = str.__format__
-
-    def __hash__(self) -> int:
-        return str.__hash__(self)
-
-    @property
-    def flagged(self) -> bool:
-        """True when a human must look at the sentence (Figure 4)."""
-        return self in FLAGGED_STATUSES
-
-    @classmethod
-    def coerce(cls, value: "SentenceStatus | str") -> "SentenceStatus | str":
-        """The member for ``value`` when it names one, else the raw string
-        (ad-hoc experiment statuses pass through untouched)."""
-        # Dict probe instead of EnumMeta.__call__: coerce sits on the
-        # deserialisation hot path (once per sentence) and the metaclass
-        # call is ~10x the cost of the lookup.  Members hash as their
-        # value, so passing an existing member through is a hit too.
-        member = cls._value2member_map_.get(value)
-        return member if member is not None else value
-
-
-#: Statuses a human must look at (Figure 4's feedback arrows).
-FLAGGED_STATUSES = (SentenceStatus.AMBIGUOUS_LF, SentenceStatus.AMBIGUOUS_REF,
-                    SentenceStatus.UNPARSED)
-
-
-@dataclass
-class SentenceResult:
-    """Everything the pipeline derived from one specification sentence."""
-
-    spec: SpecSentence
-    status: SentenceStatus | str
-    trace: WinnowTrace | None = None
-    logical_form: Sem | None = None
-    codes: list[SentenceCode] = dataclass_field(default_factory=list)
-    rewrite: Rewrite | None = None
-    sub_results: list["SentenceResult"] = dataclass_field(default_factory=list)
-    subject_supplied: bool = False
-    reason: str = ""
-    #: True when the parser's cell budget truncated this sentence's chart:
-    #: the winnow provenance may be incomplete (honest-pruning flag).
-    pruned: bool = False
-
-    @property
-    def base_lf_count(self) -> int:
-        return self.trace.base_count if self.trace else 0
-
-    @property
-    def final_lf_count(self) -> int:
-        return self.trace.final_count if self.trace else 0
-
-
-@dataclass
-class SageRun:
-    """One full pipeline run over a corpus."""
-
-    corpus: Corpus
-    results: list[SentenceResult]
-    code_unit: CodeUnit
-
-    def by_status(self) -> dict[str, int]:
-        counts: dict[str, int] = {}
-        for result in self.results:
-            counts[result.status] = counts.get(result.status, 0) + 1
-        return counts
-
-    def flagged(self) -> list[SentenceResult]:
-        """Sentences a human must look at (Figure 4's feedback arrows)."""
-        return [
-            result
-            for result in self.results
-            if result.status in FLAGGED_STATUSES
-        ]
-
-    def rewritten(self) -> list[SentenceResult]:
-        return [r for r in self.results if r.status == SentenceStatus.REWRITTEN]
-
-    def traces(self) -> list[WinnowTrace]:
-        return [r.trace for r in self.results if r.trace is not None]
-
-
-def modal_sentences(run: SageRun) -> list[SentenceResult]:
-    """Sentences whose code came from a @May reading — the candidates the
-    §6.5 unit tests flag as under-specified."""
-    flagged = []
-    for result in run.results:
-        form = result.logical_form
-        if form is None:
-            continue
-        if any(call.pred == "May" for call in iter_calls(form)):
-            flagged.append(result)
-    return flagged
+if TYPE_CHECKING:  # the stages and their substrate load with the first engine
+    from ..ccg.chart import CCGChartParser, ParseResult
+    from ..ccg.lexicon import Lexicon
+    from ..codegen.context import ContextResolver
+    from ..disambiguation.checks import CheckSuite
+    from ..nlp.chunker import NounPhraseChunker
+    from .stages import GenerateStage, ParseStage, WinnowStage
 
 
 class SageEngine:
@@ -182,6 +75,8 @@ class SageEngine:
         winnow_cache: ParseCache | None | bool = True,
         parser_backend: str | None = None,
     ) -> None:
+        from .stages import GenerateStage, ParseStage, WinnowStage
+
         if mode not in ("strict", "revised"):
             raise ValueError(f"unknown mode {mode!r}")
         shared_caches = parse_cache is True and winnow_cache is True
@@ -324,6 +219,8 @@ class SageEngine:
         so entries never cross."""
         stage = self._parse_stages.get(backend)
         if stage is None:
+            from .stages import ParseStage
+
             if self._custom_lexicon:
                 parser = create_parser(backend, self.lexicon)
             else:
@@ -377,6 +274,9 @@ class SageEngine:
         return table.get(key)
 
     def process_sentence(self, spec: SpecSentence) -> SentenceResult:
+        from ..codegen.context import AmbiguousReference, UnknownReference
+        from ..codegen.handlers import NonActionable
+
         rewrite = self._decision_for(self.rewrites, spec)
         if rewrite is not None and rewrite.category == "non-actionable":
             return SentenceResult(
@@ -492,29 +392,41 @@ class SageEngine:
         this engine does not memoize runs (see ``__init__``) or the corpus
         has no content fingerprint.
 
-        The key holds every input a run depends on: the mode, the corpus
-        source, the grammar identity (backend, lexicon, chunker) of each
-        parse stage the corpus uses, the check suite, the role metadata
-        the assembler reads, and the rewrite and selection tables this
-        engine consults.  The stage caches' clear generations ride along,
-        so clearing a stage cache also retires the runs built over it.
+        The key is :func:`run_key_for` over this engine's mode, the parser
+        backend of each protocol the corpus uses, and the rewrite and
+        selection tables it consults.  Its last part, the substrate part,
+        is empty while every parse stage runs over the registry's default
+        lexicon and chunker as built, the suite is the default one, and
+        neither stage cache was cleared; the key is then what a fresh
+        process computes before building any substrate.  Otherwise the
+        part carries the grammar fingerprint of each parse stage, the
+        suite fingerprint and the stage caches' clear generations, so a
+        mutated grammar or suite, or a cleared stage cache, retires the
+        runs built before it.
         """
+        from .stages import default_suite_fingerprint
+
         if (self._run_cache is None or not corpus.fingerprint
                 or self.generate_stage.handlers is not self._memo_handlers):
             return None
         one_per_protocol = {spec.protocol: spec for spec in corpus.sentences}
-        grammar = tuple(sorted({self._stage_for(spec).fingerprint()
-                                for spec in one_per_protocol.values()}))
-        try:
-            sender_built = self.protocol_registry.sender_built(corpus.protocol)
-        except KeyError:
-            sender_built = None
-        return (self.mode, corpus.fingerprint, grammar,
-                self.winnow_stage.suite_fingerprint(), sender_built,
-                frozenset(self.rewrites.items()),
-                frozenset(self.selections.items()),
-                self.parse_stage.cache.generation,
-                self.winnow_stage.cache.generation)
+        stages = [self._stage_for(spec) for spec in one_per_protocol.values()]
+        suite = self.winnow_stage.suite_fingerprint()
+        registry = self.protocol_registry
+        pristine = registry.pristine_fingerprint()
+        substrate = ()
+        if not (registry.substrate_pristine()
+                and suite == default_suite_fingerprint()
+                and all(stage.substrate_fingerprint() == pristine
+                        for stage in stages)):
+            substrate = (tuple(sorted({stage.fingerprint()
+                                       for stage in stages})),
+                         suite, self.parse_stage.cache.generation,
+                         self.winnow_stage.cache.generation)
+        backends = tuple(sorted({backend_id(stage.parser)
+                                 for stage in stages}))
+        return run_key_for(registry, corpus, self.mode, backends,
+                           self.rewrites, self.selections, substrate)
 
     def process_corpus(self, corpus: Corpus | str) -> SageRun:
         """Run the pipeline over ``corpus`` — a :class:`Corpus` object or a

@@ -1,0 +1,186 @@
+"""What a pipeline run produces, and its content address.
+
+:class:`SageRun` holds one :class:`SentenceResult` per corpus sentence plus
+the assembled program.  :func:`run_key_for` addresses a run by the
+content of everything it depends on.  This module is all the run layer of
+the cache needs: a warm process decodes a stored run and answers from it
+without loading the engine, the parser or the check suite
+(:mod:`repro.core.engine` builds those).
+"""
+
+from __future__ import annotations
+
+import enum
+import hashlib
+import os
+from dataclasses import dataclass, field as dataclass_field
+from functools import cache
+from typing import TYPE_CHECKING
+
+from ..ccg.semantics import Sem, iter_calls
+from ..codegen.generator import CodeUnit, SentenceCode
+from ..rfc.corpus import Corpus, Rewrite, SpecSentence
+
+if TYPE_CHECKING:
+    from ..disambiguation.winnow import WinnowTrace
+    from ..rfc.registry import ProtocolRegistry
+
+
+class SentenceStatus(str, enum.Enum):
+    """What the pipeline concluded about one sentence.
+
+    Members are plain strings (``SentenceStatus.OK == "ok"``, hashes like
+    ``"ok"``, serializes as ``"ok"``), so members and raw strings compare
+    equal and every JSON consumer keeps working; the enum adds the closed
+    set and the ``flagged`` property the service layer dispatches on.
+    """
+
+    OK = "ok"
+    NON_ACTIONABLE = "non-actionable"
+    AMBIGUOUS_LF = "ambiguous-lf"
+    AMBIGUOUS_REF = "ambiguous-ref"
+    UNPARSED = "unparsed"
+    REWRITTEN = "rewritten"
+
+    # String transparency: render and hash as the value so enum members and
+    # raw strings interoperate as dict keys and in f-strings.
+    __str__ = str.__str__
+    __format__ = str.__format__
+
+    def __hash__(self) -> int:
+        return str.__hash__(self)
+
+    @property
+    def flagged(self) -> bool:
+        """True when a human must look at the sentence (Figure 4)."""
+        return self in FLAGGED_STATUSES
+
+    @classmethod
+    def coerce(cls, value: "SentenceStatus | str") -> "SentenceStatus | str":
+        """The member for ``value`` when it names one, else the raw string
+        (ad-hoc experiment statuses pass through untouched)."""
+        # Dict probe instead of EnumMeta.__call__: coerce sits on the
+        # deserialisation hot path (once per sentence) and the metaclass
+        # call is ~10x the cost of the lookup.  Members hash as their
+        # value, so passing an existing member through is a hit too.
+        member = cls._value2member_map_.get(value)
+        return member if member is not None else value
+
+
+#: Statuses a human must look at (Figure 4's feedback arrows).
+FLAGGED_STATUSES = (SentenceStatus.AMBIGUOUS_LF, SentenceStatus.AMBIGUOUS_REF,
+                    SentenceStatus.UNPARSED)
+
+
+@dataclass
+class SentenceResult:
+    """Everything the pipeline derived from one specification sentence."""
+
+    spec: SpecSentence
+    status: SentenceStatus | str
+    trace: WinnowTrace | None = None
+    logical_form: Sem | None = None
+    codes: list[SentenceCode] = dataclass_field(default_factory=list)
+    rewrite: Rewrite | None = None
+    sub_results: list["SentenceResult"] = dataclass_field(default_factory=list)
+    subject_supplied: bool = False
+    reason: str = ""
+    #: True when the parser's cell budget truncated this sentence's chart:
+    #: the winnow provenance may be incomplete (honest-pruning flag).
+    pruned: bool = False
+
+    @property
+    def base_lf_count(self) -> int:
+        return self.trace.base_count if self.trace else 0
+
+    @property
+    def final_lf_count(self) -> int:
+        return self.trace.final_count if self.trace else 0
+
+
+@dataclass
+class SageRun:
+    """One full pipeline run over a corpus."""
+
+    corpus: Corpus
+    results: list[SentenceResult]
+    code_unit: CodeUnit
+
+    def by_status(self) -> dict[str, int]:
+        counts: dict[str, int] = {}
+        for result in self.results:
+            counts[result.status] = counts.get(result.status, 0) + 1
+        return counts
+
+    def flagged(self) -> list[SentenceResult]:
+        """Sentences a human must look at (Figure 4's feedback arrows)."""
+        return [
+            result
+            for result in self.results
+            if result.status in FLAGGED_STATUSES
+        ]
+
+    def rewritten(self) -> list[SentenceResult]:
+        return [r for r in self.results if r.status == SentenceStatus.REWRITTEN]
+
+    def traces(self) -> list[WinnowTrace]:
+        return [r.trace for r in self.results if r.trace is not None]
+
+
+def modal_sentences(run: SageRun) -> list[SentenceResult]:
+    """Sentences whose code came from a @May reading — the candidates the
+    §6.5 unit tests flag as under-specified."""
+    flagged = []
+    for result in run.results:
+        form = result.logical_form
+        if form is None:
+            continue
+        if any(call.pred == "May" for call in iter_calls(form)):
+            flagged.append(result)
+    return flagged
+
+
+@cache
+def source_digest() -> str:
+    """SHA-1 over the bytes of every file in the ``repro`` package, code
+    and data alike.  The lexicon and the check suite are Python code, so
+    this is what pins a persisted run to the grammar and rules that
+    computed it without building either."""
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    digest = hashlib.sha1()
+    for directory, subdirs, files in os.walk(root):
+        subdirs[:] = sorted(name for name in subdirs if name != "__pycache__")
+        for name in sorted(files):
+            path = os.path.join(directory, name)
+            digest.update(os.path.relpath(path, root).encode("utf-8") + b"\0")
+            with open(path, "rb") as handle:
+                digest.update(handle.read())
+    return digest.hexdigest()
+
+
+def _sorted_items(table: dict) -> tuple:
+    """A decision table as a tuple in a process-independent order.  Keys
+    are unique, so no value is ever compared; a table mixing sentence
+    keys with ``(PROTOCOL, key)`` pairs sorts by the keys' repr."""
+    try:
+        return tuple(sorted(table.items()))
+    except TypeError:
+        return tuple(sorted(table.items(), key=lambda item: repr(item[0])))
+
+
+def run_key_for(registry: ProtocolRegistry, corpus: Corpus, mode: str,
+                backends: tuple[str, ...], rewrites: dict,
+                selections: dict, substrate: tuple = ()) -> tuple:
+    """The content address of a run of ``corpus`` in ``mode``.
+
+    Computable without a lexicon, parser, chunker or check suite:
+    ``substrate`` is empty for the default substrate, which
+    :func:`source_digest` pins.  Every part prints the same way in every
+    process (no sets), so its string form is a stable store key.
+    """
+    try:
+        sender_built = tuple(sorted(registry.sender_built(corpus.protocol)))
+    except KeyError:
+        sender_built = None
+    return (mode, source_digest(), corpus.fingerprint, backends, sender_built,
+            _sorted_items(rewrites), _sorted_items(selections), substrate)

@@ -24,6 +24,7 @@ which is what makes the stage caches here and the engine's run memo safe.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from hashlib import sha1
 import re
 
@@ -259,6 +260,13 @@ class ParseStage:
             if token.text == ",":
                 yield tokens[: index + 1] + [field_np] + tokens[index + 1:]
                 break
+
+
+@cache
+def default_suite_fingerprint() -> str:
+    """The fingerprint of a fresh :meth:`CheckSuite.default` — what an
+    engine built without a suite winnows with."""
+    return CheckSuite.default().fingerprint()
 
 
 class WinnowStage:

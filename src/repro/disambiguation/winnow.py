@@ -8,10 +8,13 @@ on its own, and how many sentences it touches).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 from ..ccg.semantics import Sem, consts_of
-from .checks import Check, CheckSuite
 from .profile import PROFILE
+
+if TYPE_CHECKING:  # the checks load with the first winnow, not with traces
+    from .checks import CheckSuite
 
 STAGE_BASE = "Base"
 STAGE_FINAL = "Final Selection"
@@ -39,9 +42,17 @@ class WinnowTrace:
         return self.final_count > 1
 
 
+def _default(suite: CheckSuite | None) -> CheckSuite:
+    if suite is None:
+        from .checks import CheckSuite
+
+        suite = CheckSuite.default()
+    return suite
+
+
 def winnow(sentence: str, forms: list[Sem], suite: CheckSuite | None = None) -> WinnowTrace:
     """Apply the §4.2 checks in order, recording the count after each."""
-    suite = suite or CheckSuite.default()
+    suite = _default(suite)
     PROFILE.winnows += 1
     PROFILE.forms_in += len(forms)
     trace = WinnowTrace(sentence=sentence, base_forms=list(forms))
@@ -99,7 +110,7 @@ def isolated_effects(
     sentences: list[tuple[str, list[Sem]]], suite: CheckSuite | None = None
 ) -> list[IsolatedEffect]:
     """Apply each check alone to every sentence's base LF set (Figure 6)."""
-    suite = suite or CheckSuite.default()
+    suite = _default(suite)
     effects = []
     for check in suite.in_order():
         effect = IsolatedEffect(check_name=check.name)
@@ -144,7 +155,7 @@ def summarize(traces: list[WinnowTrace], ambiguous_only: bool = True) -> WinnowS
     if not relevant:
         return WinnowSummary([], [], [], [], 0)
     stages = [STAGE_BASE] + [
-        check.name for check in CheckSuite.default().in_order()
+        check.name for check in _default(None).in_order()
     ] + [STAGE_FINAL]
     max_counts, avg_counts, min_counts = [], [], []
     for stage in stages:

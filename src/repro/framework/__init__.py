@@ -8,56 +8,17 @@ UDP/IGMP/NTP/BFD codecs, interface/clock/buffer services, and the pcap +
 tcpdump tooling used to verify emitted packets.
 """
 
-from .addressing import Subnet, int_to_ip, ip_to_int
-from .byteorder import htonl, htons, ntohl, ntohs, swap16, swap32
-from .checksum import (
-    incremental_update,
-    internet_checksum,
-    ones_complement_sum,
-    verify_checksum,
-)
-from .netdev import BufferPool, Clock, Interface, OSServices
-from .packet import FieldSpec, Header, HeaderLayout, LayoutField
-from .pcap import (
-    CapturedPacket,
-    packets_to_pcap_bytes,
-    read_pcap,
-    read_pcap_file,
-    write_pcap,
-    write_pcap_file,
-)
-from .tcpdump import DecodedPacket, decode_capture, decode_packet, verify_clean
+from .._lazy import lazy_exports
 
-__all__ = [
-    "BufferPool",
-    "CapturedPacket",
-    "Clock",
-    "DecodedPacket",
-    "FieldSpec",
-    "Header",
-    "HeaderLayout",
-    "Interface",
-    "LayoutField",
-    "OSServices",
-    "Subnet",
-    "decode_capture",
-    "decode_packet",
-    "htonl",
-    "htons",
-    "incremental_update",
-    "int_to_ip",
-    "internet_checksum",
-    "ip_to_int",
-    "ntohl",
-    "ntohs",
-    "ones_complement_sum",
-    "packets_to_pcap_bytes",
-    "read_pcap",
-    "read_pcap_file",
-    "swap16",
-    "swap32",
-    "verify_checksum",
-    "verify_clean",
-    "write_pcap",
-    "write_pcap_file",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    ".addressing": ("Subnet", "int_to_ip", "ip_to_int"),
+    ".byteorder": ("htonl", "htons", "ntohl", "ntohs", "swap16", "swap32"),
+    ".checksum": ("incremental_update", "internet_checksum",
+                  "ones_complement_sum", "verify_checksum"),
+    ".netdev": ("BufferPool", "Clock", "Interface", "OSServices"),
+    ".packet": ("FieldSpec", "Header", "HeaderLayout", "LayoutField"),
+    ".pcap": ("CapturedPacket", "packets_to_pcap_bytes", "read_pcap",
+              "read_pcap_file", "write_pcap", "write_pcap_file"),
+    ".tcpdump": ("DecodedPacket", "decode_capture", "decode_packet",
+                 "verify_clean"),
+})

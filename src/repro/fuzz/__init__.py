@@ -20,55 +20,16 @@ A seeded pipeline over the network simulator:
 Exposed via ``python -m repro fuzz`` and ``SageService.fuzz``.
 """
 
-from .generator import FAMILIES, PROTOCOLS, Episode, TraceGenerator, synthesize
-from .matrix import InteropMatrix, MatrixCell, bench_keys, record_bench
-from .oracles import ORACLES, check_trace, register_oracle
-from .runner import (
-    DifferentialRunner,
-    Divergence,
-    FuzzReport,
-    Violation,
-    first_difference,
-    run_fuzz,
-)
-from .scenarios import (
-    EXECUTABLE_BACKENDS,
-    BFDNode,
-    ReferenceIGMP,
-    deliver_bfd,
-    make_peer,
-    register_peer,
-    replay,
-)
-from .shrink import case_name, load_case, save_case, shrink
+from .._lazy import lazy_exports
 
-__all__ = [
-    "BFDNode",
-    "DifferentialRunner",
-    "Divergence",
-    "EXECUTABLE_BACKENDS",
-    "Episode",
-    "FAMILIES",
-    "FuzzReport",
-    "InteropMatrix",
-    "MatrixCell",
-    "ORACLES",
-    "PROTOCOLS",
-    "ReferenceIGMP",
-    "TraceGenerator",
-    "Violation",
-    "bench_keys",
-    "case_name",
-    "check_trace",
-    "deliver_bfd",
-    "first_difference",
-    "load_case",
-    "make_peer",
-    "record_bench",
-    "register_peer",
-    "replay",
-    "run_fuzz",
-    "save_case",
-    "shrink",
-    "synthesize",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    ".generator": ("FAMILIES", "PROTOCOLS", "Episode", "TraceGenerator",
+                   "synthesize"),
+    ".matrix": ("InteropMatrix", "MatrixCell", "bench_keys", "record_bench"),
+    ".oracles": ("ORACLES", "check_trace", "register_oracle"),
+    ".runner": ("DifferentialRunner", "Divergence", "FuzzReport",
+                "Violation", "first_difference", "run_fuzz"),
+    ".scenarios": ("EXECUTABLE_BACKENDS", "BFDNode", "ReferenceIGMP",
+                   "deliver_bfd", "make_peer", "register_peer", "replay"),
+    ".shrink": ("case_name", "load_case", "save_case", "shrink"),
+})

@@ -6,59 +6,22 @@ end-to-end evaluation (§6.2) and student study (§2.1) do.  IGMP switches,
 BFD sessions, and NTP peers cover the generality experiments (§6.3-6.4).
 """
 
-from .bfd_session import BFDSession, run_handshake
-from .core import Link, LinkFaults, Network, Node, StepClock, Transmission
-from .generated import (
-    GeneratedBFDSession,
-    IGMPQueryScenario,
-    generated_bfd_handshake,
-    generated_course_topology,
-    generated_ntp_peer,
-    igmp_query_scenario,
-)
-from .host import Host
-from .icmp_impl import ICMPImplementation, ReferenceICMP
-from .igmp_switch import ForwardingIGMPSwitch, IGMPSwitch
-from .ntp_peer import NTPPeer, reference_timeout_predicate
-from .ping import Ping, PingResult, ping
-from .router import Router, fill_buffer
-from .routing import Route, RoutingTable
-from .topologies import CourseTopology, add_redirect_route, course_topology
-from .traceroute import Traceroute, TracerouteResult, traceroute
+from .._lazy import lazy_exports
 
-__all__ = [
-    "BFDSession",
-    "CourseTopology",
-    "ForwardingIGMPSwitch",
-    "GeneratedBFDSession",
-    "Host",
-    "ICMPImplementation",
-    "IGMPQueryScenario",
-    "IGMPSwitch",
-    "Link",
-    "LinkFaults",
-    "NTPPeer",
-    "Network",
-    "Node",
-    "Ping",
-    "PingResult",
-    "ReferenceICMP",
-    "Route",
-    "Router",
-    "RoutingTable",
-    "StepClock",
-    "Traceroute",
-    "TracerouteResult",
-    "Transmission",
-    "add_redirect_route",
-    "course_topology",
-    "fill_buffer",
-    "generated_bfd_handshake",
-    "generated_course_topology",
-    "generated_ntp_peer",
-    "igmp_query_scenario",
-    "ping",
-    "reference_timeout_predicate",
-    "run_handshake",
-    "traceroute",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    ".bfd_session": ("BFDSession", "run_handshake"),
+    ".core": ("Link", "LinkFaults", "Network", "Node", "StepClock",
+              "Transmission"),
+    ".generated": ("GeneratedBFDSession", "IGMPQueryScenario",
+                   "generated_bfd_handshake", "generated_course_topology",
+                   "generated_ntp_peer", "igmp_query_scenario"),
+    ".host": ("Host",),
+    ".icmp_impl": ("ICMPImplementation", "ReferenceICMP"),
+    ".igmp_switch": ("ForwardingIGMPSwitch", "IGMPSwitch"),
+    ".ntp_peer": ("NTPPeer", "reference_timeout_predicate"),
+    ".ping": ("Ping", "PingResult", "ping"),
+    ".router": ("Router", "fill_buffer"),
+    ".routing": ("Route", "RoutingTable"),
+    ".topologies": ("CourseTopology", "add_redirect_route", "course_topology"),
+    ".traceroute": ("Traceroute", "TracerouteResult", "traceroute"),
+})

@@ -6,37 +6,13 @@ tokens via the domain dictionary plus a rule-based tagger, and the result
 feeds the CCG parser.
 """
 
-from .chunker import ChunkerConfig, NounPhraseChunker, chunk_counts
-from .tagger import tag_word
-from .terms import TermDictionary, load_default_dictionary
-from .tokenizer import (
-    KIND_NOUN_PHRASE,
-    KIND_NUMBER,
-    KIND_OP,
-    KIND_PUNCT,
-    KIND_STATEVAR,
-    KIND_WORD,
-    Token,
-    normalize_term,
-    split_sentences,
-    tokenize,
-)
+from .._lazy import lazy_exports
 
-__all__ = [
-    "ChunkerConfig",
-    "KIND_NOUN_PHRASE",
-    "KIND_NUMBER",
-    "KIND_OP",
-    "KIND_PUNCT",
-    "KIND_STATEVAR",
-    "KIND_WORD",
-    "NounPhraseChunker",
-    "TermDictionary",
-    "Token",
-    "chunk_counts",
-    "load_default_dictionary",
-    "normalize_term",
-    "split_sentences",
-    "tag_word",
-    "tokenize",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    ".chunker": ("ChunkerConfig", "NounPhraseChunker", "chunk_counts"),
+    ".tagger": ("tag_word",),
+    ".terms": ("TermDictionary", "load_default_dictionary"),
+    ".tokenizer": ("KIND_NOUN_PHRASE", "KIND_NUMBER", "KIND_OP",
+                   "KIND_PUNCT", "KIND_STATEVAR", "KIND_WORD", "Token",
+                   "normalize_term", "split_sentences", "tokenize"),
+})

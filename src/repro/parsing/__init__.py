@@ -8,36 +8,16 @@ tests and gated in CI.  See DESIGN.md §8, and §10 for the agenda-driven
 hot path, the cross-sentence span memo, and the :mod:`.profile` counters.
 """
 
-from .backend import (
-    DEFAULT_PARSER_BACKEND,
-    REFERENCE_PARSER_BACKEND,
-    ParserBackend,
-    UnknownParserBackendError,
-    backend_id,
-    create_parser,
-    parser_backend_names,
-    register_parser_backend,
-)
-from .forest import PackedItem, ParseForest, PruneBudget
-from .indexed import IndexedChartParser, reset_parser_state, reset_span_memo
-from .profile import PROFILE
-from .values import normalize_batch
+from .._lazy import lazy_exports
 
-__all__ = [
-    "DEFAULT_PARSER_BACKEND",
-    "REFERENCE_PARSER_BACKEND",
-    "ParserBackend",
-    "UnknownParserBackendError",
-    "backend_id",
-    "create_parser",
-    "parser_backend_names",
-    "register_parser_backend",
-    "PackedItem",
-    "ParseForest",
-    "PruneBudget",
-    "IndexedChartParser",
-    "reset_parser_state",
-    "reset_span_memo",
-    "PROFILE",
-    "normalize_batch",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    ".backend": ("DEFAULT_PARSER_BACKEND", "REFERENCE_PARSER_BACKEND",
+                 "ParserBackend", "UnknownParserBackendError", "backend_id",
+                 "create_parser", "parser_backend_names",
+                 "register_parser_backend"),
+    ".forest": ("PackedItem", "ParseForest", "PruneBudget"),
+    ".indexed": ("IndexedChartParser", "reset_parser_state",
+                 "reset_span_memo"),
+    ".profile": ("PROFILE",),
+    ".values": ("normalize_batch",),
+})

@@ -23,12 +23,12 @@ code on every bundled corpus in both pipeline modes — is locked by
 
 from __future__ import annotations
 
-from typing import Callable, Protocol, runtime_checkable
+from typing import TYPE_CHECKING, Callable, Protocol, runtime_checkable
 
-from ..ccg.chart import CCGChartParser, ParseResult
-from ..ccg.lexicon import Lexicon
-from ..nlp.tokenizer import Token
-from .indexed import IndexedChartParser
+if TYPE_CHECKING:
+    from ..ccg.chart import ParseResult
+    from ..ccg.lexicon import Lexicon
+    from ..nlp.tokenizer import Token
 
 #: The backend the pipeline uses when nothing selects one explicitly.
 DEFAULT_PARSER_BACKEND = "indexed"
@@ -115,5 +115,19 @@ def backend_id(parser) -> str:
     return cls.__name__
 
 
-register_parser_backend(REFERENCE_PARSER_BACKEND, CCGChartParser)
-register_parser_backend(DEFAULT_PARSER_BACKEND, IndexedChartParser)
+def _reference(lexicon: Lexicon, **kwargs) -> ParserBackend:
+    from ..ccg.chart import CCGChartParser
+
+    return CCGChartParser(lexicon, **kwargs)
+
+
+def _indexed(lexicon: Lexicon, **kwargs) -> ParserBackend:
+    from .indexed import IndexedChartParser
+
+    return IndexedChartParser(lexicon, **kwargs)
+
+
+# The bundled backends import their parser on first construction, so
+# naming the default backend (registry, run keys) loads no parser.
+register_parser_backend(REFERENCE_PARSER_BACKEND, _reference)
+register_parser_backend(DEFAULT_PARSER_BACKEND, _indexed)

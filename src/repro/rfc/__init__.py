@@ -1,61 +1,15 @@
 """RFC document processing: structure, diagrams, corpora, the registry."""
 
-from .corpus import (
-    Corpus,
-    Rewrite,
-    SpecSentence,
-    bfd_corpus,
-    corpus_from_text,
-    extract_sentences,
-    find_rewrite,
-    icmp_corpus,
-    igmp_corpus,
-    load_rewrites,
-    ntp_corpus,
-)
-from .document import (
-    FieldDescription,
-    IntroSection,
-    MessageSection,
-    RFCDocument,
-    ValueBinding,
-)
-from .header_diagram import DiagramParse, extract_layout, is_diagram_line
-from .preprocess import parse_rfc_text
-from .registry import (
-    ProtocolRegistry,
-    ProtocolSpec,
-    UnknownProtocolError,
-    default_registry,
-    load_corpus,
-    register_protocol,
-)
+from .._lazy import lazy_exports
 
-__all__ = [
-    "Corpus",
-    "DiagramParse",
-    "FieldDescription",
-    "IntroSection",
-    "MessageSection",
-    "ProtocolRegistry",
-    "ProtocolSpec",
-    "RFCDocument",
-    "Rewrite",
-    "SpecSentence",
-    "UnknownProtocolError",
-    "ValueBinding",
-    "bfd_corpus",
-    "corpus_from_text",
-    "default_registry",
-    "extract_layout",
-    "extract_sentences",
-    "find_rewrite",
-    "icmp_corpus",
-    "igmp_corpus",
-    "is_diagram_line",
-    "load_corpus",
-    "load_rewrites",
-    "ntp_corpus",
-    "parse_rfc_text",
-    "register_protocol",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    ".corpus": ("Corpus", "Rewrite", "SpecSentence", "bfd_corpus",
+                "corpus_from_text", "extract_sentences", "find_rewrite",
+                "icmp_corpus", "igmp_corpus", "load_rewrites", "ntp_corpus"),
+    ".document": ("FieldDescription", "IntroSection", "MessageSection",
+                  "RFCDocument", "ValueBinding"),
+    ".header_diagram": ("DiagramParse", "extract_layout", "is_diagram_line"),
+    ".preprocess": ("parse_rfc_text",),
+    ".registry": ("ProtocolRegistry", "ProtocolSpec", "UnknownProtocolError",
+                  "default_registry", "load_corpus", "register_protocol"),
+})

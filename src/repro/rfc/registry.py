@@ -35,6 +35,7 @@ import os
 import threading
 from dataclasses import dataclass
 from importlib import resources
+from typing import TYPE_CHECKING
 
 from ..cache.persistent import (
     CompiledProgramCache,
@@ -42,15 +43,18 @@ from ..cache.persistent import (
     ParseCache,
     PersistentCompiledCache,
     PersistentParseCache,
+    PersistentRunCache,
     PersistentWinnowCache,
 )
 from ..cache.store import CacheStore
-from ..ccg.chart import CCGChartParser
-from ..ccg.lexicon import Lexicon, build_lexicon
-from ..parsing import DEFAULT_PARSER_BACKEND, create_parser
-from ..nlp.chunker import NounPhraseChunker
-from ..nlp.terms import TermDictionary, load_default_dictionary
+from ..parsing.backend import DEFAULT_PARSER_BACKEND, create_parser
 from .corpus import Corpus, Rewrite, corpus_from_text, sentence_key
+
+if TYPE_CHECKING:  # the substrate loads on first use (see lexicon()/chunker())
+    from ..ccg.chart import CCGChartParser
+    from ..ccg.lexicon import Lexicon
+    from ..nlp.chunker import NounPhraseChunker
+    from ..nlp.terms import TermDictionary
 
 DEFAULT_PACKAGE = "repro.data"
 
@@ -152,6 +156,9 @@ class ProtocolRegistry:
         self._rewrites: list[Rewrite] | None = None
         self._rewrites_by_original: dict[str, Rewrite] | None = None
         self._journal = None
+        #: Lexicon and chunker fingerprints of the default substrate, taken
+        #: as it was built, before anything could mutate it.
+        self._pristine: dict[str, str] = {}
         #: The parse, winnow, run and compiled caches, built on first use.
         self._caches: dict[str, ContentCache] = {}
         self._lock = threading.RLock()
@@ -251,6 +258,8 @@ class ProtocolRegistry:
     # -- NLP / CCG substrate ---------------------------------------------------
     def dictionary(self) -> TermDictionary:
         """The bundled term dictionary (shared instance; treat as read-only)."""
+        from ..nlp.terms import load_default_dictionary
+
         with self._lock:
             if self._dictionary is None:
                 self._dictionary = load_default_dictionary()
@@ -258,20 +267,27 @@ class ProtocolRegistry:
 
     def chunker(self) -> NounPhraseChunker:
         """The default chunker, sharing the memoized dictionary."""
+        from ..nlp.chunker import NounPhraseChunker
+
         with self._lock:
             if self._chunker is None:
                 self._chunker = NounPhraseChunker(dictionary=self.dictionary())
+                self._pristine["chunker"] = self._chunker.fingerprint()
             return self._chunker
 
     def lexicon(self, groups: tuple[str, ...] | None = None,
                 include_overgen: bool = True) -> Lexicon:
         """The CCG lexicon for ``groups`` (default: every group), memoized."""
+        from ..ccg.lexicon import build_lexicon
+
         key = (groups, include_overgen)
         with self._lock:
             lexicon = self._lexicons.get(key)
             if lexicon is None:
                 if groups is None:
                     lexicon = build_lexicon(include_overgen=include_overgen)
+                    if include_overgen:
+                        self._pristine["lexicon"] = lexicon.fingerprint()
                 else:
                     lexicon = build_lexicon(groups, include_overgen=include_overgen)
                 self._lexicons[key] = lexicon
@@ -298,6 +314,28 @@ class ProtocolRegistry:
                 self._parsers[key] = parser
             return parser
 
+    def pristine_fingerprint(self) -> str | None:
+        """The ``lexicon:chunker`` fingerprint the default substrate had
+        when it was built (a parse stage's ``substrate_fingerprint``
+        over it), or None while either half is unbuilt."""
+        with self._lock:
+            if "lexicon" in self._pristine and "chunker" in self._pristine:
+                return f"{self._pristine['lexicon']}:{self._pristine['chunker']}"
+            return None
+
+    def substrate_pristine(self) -> bool:
+        """True while a new default engine would compute exactly what a
+        fresh process computes: the default lexicon is unbuilt or still
+        holds the entries it was built with, and neither stage cache has
+        been cleared (a clear retires the runs built over it)."""
+        with self._lock:
+            lexicon = self._lexicons.get((None, True))
+            caches = [self._caches.get(name) for name in ("parse", "winnow")]
+        if (lexicon is not None
+                and lexicon.fingerprint() != self._pristine.get("lexicon")):
+            return False
+        return all(cache is None or cache.generation == 0 for cache in caches)
+
     def cache_store(self):
         """The shared on-disk :class:`~repro.cache.store.CacheStore`, or
         None when the registry has no cache directory configured.
@@ -315,8 +353,8 @@ class ProtocolRegistry:
     def _cache(self, name: str, memory_class,
                persistent_class=None) -> ContentCache:
         """The registry's ``name`` cache, built on first use: a
-        ``persistent_class`` over the shared store when there is one to
-        persist to, else a ``memory_class``."""
+        ``persistent_class`` over the shared store (called with the store)
+        when there is one to persist to, else a ``memory_class``."""
         with self._lock:
             cache = self._caches.get(name)
             if cache is not None:
@@ -359,17 +397,26 @@ class ProtocolRegistry:
         return self._cache("winnow", ParseCache, PersistentWinnowCache)
 
     def run_cache(self) -> ParseCache:
-        """The shared whole-run memo: corpus → :class:`~repro.core.engine.
+        """The shared whole-run memo: corpus → :class:`~repro.core.results.
         SageRun`, keyed by :meth:`~repro.core.engine.SageEngine.run_key`.
 
-        The key covers every input a run depends on (mode, corpus content,
-        grammar, check suite, decision tables, role metadata), so engines
+        The key covers every input a run depends on (the package's code
+        and data, mode, corpus content, parser backends, decision tables,
+        role metadata, and — once the default substrate is mutated or
+        replaced — the grammar and check-suite fingerprints), so engines
         built over this registry serve each other's runs: a warm server
         worker answers a repeated request without touching a sentence.
-        Runs are shared objects and must be treated as read-only.  The
-        memo is in-memory only; the stage caches beneath it are what
-        persist across processes."""
-        return self._cache("run", ParseCache)
+        Runs are shared objects and must be treated as read-only.
+
+        With a cache directory configured the memo is disk-backed
+        (:class:`~repro.cache.persistent.PersistentRunCache`, the ``run``
+        namespace): a fresh process answers a warm request with one store
+        read per protocol, before it builds an engine
+        (:meth:`~repro.api.service.SageService.run`).  Only runs over the
+        pristine default substrate persist; a mutated or custom grammar
+        or suite keeps its runs in memory."""
+        return self._cache("run", ParseCache,
+                           lambda store: PersistentRunCache(store, self))
 
     def compiled_cache(self) -> CompiledProgramCache:
         """The shared compiled-program cache (see :class:`CompiledProgramCache`).
@@ -482,6 +529,7 @@ class ProtocolRegistry:
             self._parsers.clear()
             self._dictionary = None
             self._chunker = None
+            self._pristine.clear()
             self._rewrites = None
             self._rewrites_by_original = None
             for cache in self._caches.values():

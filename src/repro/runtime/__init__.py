@@ -1,37 +1,12 @@
 """Runtime for SAGE-generated code: compilation, execution, integration."""
 
-from .harness import (
-    ExecutionContext,
-    GeneratedICMP,
-    GeneratedIGMP,
-    GeneratedImplementation,
-    IGMPExecutionContext,
-    compile_unit,
-    generated_implementation,
-    load_functions,
-)
-from .state_runtime import (
-    BFDExecutionContext,
-    GeneratedBFD,
-    GeneratedNTP,
-    GeneratedNTPTimeout,
-    NTPExecutionContext,
-    StateValue,
-)
+from .._lazy import lazy_exports
 
-__all__ = [
-    "BFDExecutionContext",
-    "ExecutionContext",
-    "GeneratedBFD",
-    "GeneratedICMP",
-    "GeneratedIGMP",
-    "GeneratedImplementation",
-    "GeneratedNTP",
-    "GeneratedNTPTimeout",
-    "IGMPExecutionContext",
-    "NTPExecutionContext",
-    "StateValue",
-    "compile_unit",
-    "generated_implementation",
-    "load_functions",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    ".harness": ("ExecutionContext", "GeneratedICMP", "GeneratedIGMP",
+                 "GeneratedImplementation", "IGMPExecutionContext",
+                 "compile_unit", "generated_implementation", "load_functions"),
+    ".state_runtime": ("BFDExecutionContext", "GeneratedBFD", "GeneratedNTP",
+                       "GeneratedNTPTimeout", "NTPExecutionContext",
+                       "StateValue"),
+})

@@ -299,7 +299,7 @@ class GeneratedImplementation:
 
     @classmethod
     def from_run(cls, run, **kwargs):
-        """Build from a :class:`~repro.core.engine.SageRun`."""
+        """Build from a :class:`~repro.core.results.SageRun`."""
         return cls.from_unit(run.code_unit, **kwargs)
 
     @classmethod

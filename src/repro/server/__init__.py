@@ -24,20 +24,10 @@ Driven by ``python -m repro serve`` and load-gated by
 ``benchmarks/load_harness.py`` (see ``scripts/ci.sh serve-gate``).
 """
 
-from .http import ReproServer
-from .pool import (
-    BINARY_CONTENT_TYPE,
-    JSON_CONTENT_TYPE,
-    ServiceConfig,
-    WorkerPool,
-    run_endpoint,
-)
+from .._lazy import lazy_exports
 
-__all__ = [
-    "BINARY_CONTENT_TYPE",
-    "JSON_CONTENT_TYPE",
-    "ReproServer",
-    "ServiceConfig",
-    "WorkerPool",
-    "run_endpoint",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    ".http": ("ReproServer",),
+    ".pool": ("BINARY_CONTENT_TYPE", "JSON_CONTENT_TYPE", "ServiceConfig",
+              "WorkerPool", "run_endpoint"),
+})

@@ -180,6 +180,15 @@ def _worker_service() -> SageService:
     return _WORKER_SERVICE
 
 
+#: The pipeline modules a worker needs for its first engine (a cold run,
+#: a parse or winnow diagnostic, a session, an artifact).  The parent
+#: imports them before it forks, so workers share one copy instead of each
+#: compiling its own in the middle of a request.
+_WORKER_MODULES = ("repro.core.stages", "repro.parsing.indexed",
+                   "repro.api.session", "repro.codegen.emitters",
+                   "repro.codegen.interp")
+
+
 def _worker_ping() -> int:
     """Warmup no-op: forces the process to exist before the event loop
     starts adding threads that fork must not race with."""
@@ -323,12 +332,15 @@ class WorkerPool:
             self.workers = requested
 
     def _start_process_pool(self, requested: int):
+        import importlib
         import multiprocessing
 
         try:
             context = multiprocessing.get_context("fork")
         except ValueError:
             return None
+        for name in _WORKER_MODULES:
+            importlib.import_module(name)
         try:
             executor = ProcessPoolExecutor(
                 max_workers=requested, mp_context=context,

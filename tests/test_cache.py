@@ -12,10 +12,12 @@ import pytest
 from repro.cache import (
     COMPILED_NAMESPACE,
     PARSE_NAMESPACE,
+    RUN_NAMESPACE,
     WINNOW_NAMESPACE,
     CacheStore,
     PersistentCompiledCache,
     PersistentParseCache,
+    PersistentRunCache,
     PersistentWinnowCache,
 )
 from repro.ccg.chart import ParseResult
@@ -299,7 +301,9 @@ class TestPersistentWinnowCache:
         second = sweep(warm)
         stats = warm.winnow_cache().stats()
         assert stats["misses"] == 0
-        assert stats["disk_hits"] > 0
+        # The whole run came off disk, so no winnow was even looked up;
+        # TestRunLayer covers the winnow layer under a run-layer miss.
+        assert stats["disk_hits"] + warm.run_cache().stats()["disk_hits"] > 0
         assert second.by_status() == first.by_status()
 
 
@@ -335,6 +339,7 @@ class TestRegistryPromotion:
         assert isinstance(registry.parse_cache(), PersistentParseCache)
         assert isinstance(registry.winnow_cache(), PersistentWinnowCache)
         assert isinstance(registry.compiled_cache(), PersistentCompiledCache)
+        assert isinstance(registry.run_cache(), PersistentRunCache)
         # All promoted caches share the registry's one store.
         assert registry.parse_cache().store is registry.compiled_cache().store
         assert registry.winnow_cache().store is registry.parse_cache().store
@@ -349,6 +354,171 @@ class TestRegistryPromotion:
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "env"))
         registry = ProtocolRegistry(cache_dir=tmp_path / "arg")
         assert registry.cache_dir == str(tmp_path / "arg")
+
+
+# -- the run layer -------------------------------------------------------------
+
+def _cli(*argv) -> str:
+    import io
+
+    from repro.api.cli import main as cli_main
+
+    out = io.StringIO()
+    assert cli_main(list(argv), out=out) == 0
+    return out.getvalue()
+
+
+def _run_entry(root) -> str:
+    """The path of the one entry in the store's run namespace."""
+    store = CacheStore(root)
+    paths = list(store._entry_paths(RUN_NAMESPACE))
+    assert len(paths) == 1, paths
+    return paths[0]
+
+
+def _rewrite_entry(path, payload: bytes) -> None:
+    """Replace an entry's payload, keeping its header valid (magic, then
+    the payload's SHA-1), so only decoding can reject it."""
+    import hashlib
+
+    with open(path, "rb") as handle:
+        magic = handle.read(4)
+    with open(path, "wb") as handle:
+        handle.write(magic + hashlib.sha1(payload).digest() + payload)
+
+
+class TestRunLayer:
+    """Whole runs persist in the store's ``run`` namespace: a warm process
+    reads one entry per protocol, and a damaged entry is never served."""
+
+    @pytest.mark.parametrize("damage", ["truncate", "flip"])
+    def test_damaged_entry_is_quarantined_and_recomputed(self, tmp_path,
+                                                         damage):
+        argv = ("process", "IGMP", "--cache-dir", str(tmp_path), "--json")
+        expected = _cli(*argv)
+        path = _run_entry(tmp_path)
+        with open(path, "rb") as handle:
+            blob = handle.read()
+        if damage == "truncate":
+            blob = blob[:len(blob) // 2]
+        else:
+            blob = blob[:-7] + bytes([blob[-7] ^ 0x10]) + blob[-6:]
+        with open(path, "wb") as handle:
+            handle.write(blob)
+
+        assert _cli(*argv) == expected
+        store = CacheStore(tmp_path)
+        assert store.quarantine_count() == 1
+        # The recompute republished a good entry.
+        assert store.verify() == {"checked": store.entry_count(),
+                                  "corrupt": 0}
+        assert _run_entry(tmp_path) == path
+
+    def test_entry_failing_fingerprint_verification_is_a_miss(self, tmp_path):
+        from repro.api import SageService
+
+        cold = SageService(registry=ProtocolRegistry(cache_dir=tmp_path))
+        fingerprint = cold.run("IGMP").code_unit.fingerprint()
+        path = _run_entry(tmp_path)
+        with open(path, "rb") as handle:
+            payload = handle.read()[24:]
+        assert fingerprint.encode() in payload
+        _rewrite_entry(path, payload.replace(fingerprint.encode(),
+                                             b"0" * len(fingerprint)))
+
+        registry = ProtocolRegistry(cache_dir=tmp_path)
+        run = SageService(registry=registry).run("IGMP")
+        assert run.code_unit.fingerprint() == fingerprint
+        stats = registry.run_cache().stats()
+        assert (stats["hits"], stats["misses"], stats["disk_hits"]) == (0, 1, 0)
+        assert registry.parse_cache().stats()["misses"] == 0
+        # The recompute overwrote the bad entry with one that verifies.
+        warm = ProtocolRegistry(cache_dir=tmp_path)
+        assert SageService(registry=warm).run("IGMP").code_unit.fingerprint() \
+            == fingerprint
+        assert warm.run_cache().stats()["disk_hits"] == 1
+
+    def test_new_decision_misses_runs_but_not_stages(self, tmp_path):
+        from repro.api import SageService
+        from repro.disambiguation.resolution import Resolution
+
+        from repro.api.contracts import to_json
+
+        cold = SageService(registry=ProtocolRegistry(cache_dir=tmp_path))
+        expected = to_json(cold.process(protocol="IGMP"))
+
+        # A journaled decision (about an ICMP sentence) changes the
+        # decision tables every run key carries: a fresh process misses the
+        # run layer and is carried by the disk-warm stage chain beneath it.
+        registry = ProtocolRegistry(cache_dir=tmp_path)
+        registry.apply_resolution(Resolution(
+            kind="annotate", original="A sentence no corpus contains.",
+            protocol="ICMP"))
+        service = SageService(registry=registry)
+        assert to_json(service.process(protocol="IGMP")) == expected
+        run_stats = registry.run_cache().stats()
+        assert (run_stats["misses"], run_stats["disk_hits"]) == (1, 0)
+        for layer in (registry.parse_cache(), registry.winnow_cache()):
+            stats = layer.stats()
+            assert stats["misses"] == 0
+            assert stats["disk_hits"] > 0
+
+    def test_warm_process_reads_only_run_entries(self, tmp_path):
+        from repro.api import SageService
+
+        SageService(registry=ProtocolRegistry(cache_dir=tmp_path)).sweep()
+        registry = ProtocolRegistry(cache_dir=tmp_path)
+        service = SageService(registry=registry)
+        service.sweep()
+        store = registry.cache_store().stats()
+        assert (store["disk_hits"], store["disk_misses"], store["writes"]) \
+            == (len(registry.protocols()), 0, 0)
+        assert service._engines == {}  # answered without building an engine
+
+    def test_mutated_substrate_is_never_served_a_persisted_run(self,
+                                                               tmp_path):
+        from repro.core import SageEngine
+
+        SageEngine(protocol_registry=ProtocolRegistry(
+            cache_dir=tmp_path)).process_corpus("IGMP")
+        registry = ProtocolRegistry(cache_dir=tmp_path)
+        engine = SageEngine(protocol_registry=registry)
+        entry = engine.lexicon.entries()[0]
+        engine.lexicon.add(entry.__class__(
+            phrase="zorpliness", category=entry.category, sem=entry.sem,
+        ))
+        engine.process_corpus("IGMP")
+        stats = registry.run_cache().stats()
+        assert (stats["misses"], stats["disk_hits"]) == (1, 0)
+        # The mutated run stays in memory: the store still holds one run.
+        _run_entry(tmp_path)
+
+    def test_cache_cli_reports_and_clears_the_run_layer(self, tmp_path):
+        import argparse
+        import io
+        import json
+
+        from repro.api.cli import _cmd_cache
+        from repro.api.service import ServiceConfig
+
+        def warm() -> dict:
+            return json.loads(_cli("cache", "warm", "--cache-dir",
+                                   str(tmp_path), "--json"))["data"]
+
+        assert warm()["run"]["misses"] == 4
+        assert warm()["run"]["disk_hits"] == 4
+        stats = json.loads(_cli("cache", "stats", "--cache-dir",
+                                str(tmp_path), "--json"))["data"]
+        assert stats["namespaces"][RUN_NAMESPACE]["entries"] == 4
+        assert "run_hit_rate" in stats["rates"]
+
+        service = ServiceConfig(cache_dir=str(tmp_path)).build_service()
+        service.run("IGMP")
+        assert len(service.registry.run_cache()) == 1
+        _cmd_cache(service, argparse.Namespace(action="clear", json=True),
+                   io.StringIO())
+        assert len(service.registry.run_cache()) == 0
+        assert CacheStore(tmp_path).entry_count() == 0
 
 
 # -- concurrent writers (multiprocessing stress) -------------------------------

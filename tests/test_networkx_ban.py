@@ -8,7 +8,13 @@ then looks for networkx in ``sys.modules``.
 
 A second fresh interpreter runs the CLI and checks that it stays clear of
 the serving layer and what that imports (asyncio, multiprocessing): the
-CLI's start-up time is most of a warm run.
+CLI's start-up time is most of a warm run.  Further fresh interpreters run
+``--help`` and warm ``process``/``sweep`` commands and check that they
+load none of the parser, chart, lexicon, check suite, handlers, emitters
+or session code: a warm answer comes from one run entry per protocol.
+
+The run layer's store key must also print the same in every process, so
+two interpreters with different hash seeds compute it and compare.
 """
 
 import ast
@@ -79,3 +85,66 @@ def test_cli_process_leaves_the_serving_layer_unimported():
                          capture_output=True, text=True, timeout=300)
     assert out.returncode == 0, out.stderr
     assert out.stdout.strip() == "[]"
+
+
+#: Modules a warm CLI answer must never load.
+SUBSTRATE_MODULES = (
+    "repro.parsing.indexed", "repro.ccg.chart", "repro.ccg.lexicon",
+    "repro.disambiguation.checks", "repro.codegen.handlers",
+    "repro.codegen.emitters", "repro.api.session", "networkx",
+)
+
+
+def _loaded_by_cli(argv: list[str]) -> list[str]:
+    """Run ``python -m repro *argv`` in a fresh interpreter; the
+    :data:`SUBSTRATE_MODULES` it loaded."""
+    script = (
+        "import contextlib, io, runpy, sys\n"
+        f"sys.argv = ['repro', *{argv!r}]\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    try:\n"
+        "        runpy.run_module('repro', run_name='__main__')\n"
+        "    except SystemExit as exc:\n"
+        "        assert exc.code in (0, None), exc.code\n"
+        f"print(sorted(set({SUBSTRATE_MODULES!r}) & set(sys.modules)))\n"
+    )
+    out = subprocess.run([sys.executable, "-c", script], env=_fresh_env(),
+                         capture_output=True, text=True, timeout=300)
+    assert out.returncode == 0, out.stderr
+    return ast.literal_eval(out.stdout.strip())
+
+
+def test_help_and_warm_cli_runs_load_no_substrate(tmp_path):
+    from repro.api import SageService
+    from repro.rfc.registry import ProtocolRegistry
+
+    store = str(tmp_path / "store")
+    SageService(registry=ProtocolRegistry(cache_dir=store)).sweep()
+    assert _loaded_by_cli(["--help"]) == []
+    for command in (["process", "ICMP"], ["sweep", "--all"]):
+        assert _loaded_by_cli([*command, "--cache-dir", store, "--json"]) \
+            == [], command
+
+
+def test_run_store_key_is_independent_of_the_hash_seed():
+    script = (
+        "from repro.cache.persistent import _key_string\n"
+        "from repro.core import SageEngine\n"
+        "from repro.disambiguation.resolution import Resolution\n"
+        "from repro.rfc.registry import ProtocolRegistry\n"
+        "registry = ProtocolRegistry()\n"
+        "for text in ('First chosen sentence.', 'Second chosen sentence.'):\n"
+        "    registry.apply_resolution(Resolution(\n"
+        "        kind='select_lf', original=text, lf_signature='@Is(a, b)'))\n"
+        "engine = SageEngine(protocol_registry=registry)\n"
+        "print(_key_string(engine.run_key(registry.load_corpus('ICMP'))))\n"
+    )
+    keys = []
+    for seed in ("1", "2"):
+        env = dict(_fresh_env(), PYTHONHASHSEED=seed)
+        out = subprocess.run([sys.executable, "-c", script], env=env,
+                             capture_output=True, text=True, timeout=300)
+        assert out.returncode == 0, out.stderr
+        keys.append(out.stdout)
+    assert keys[0] == keys[1]
+    assert "first chosen sentence" in keys[0]

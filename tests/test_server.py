@@ -471,7 +471,8 @@ class TestConcurrentSharedStore:
         assert store.entry_count() > 0
 
         # A fresh single-worker boot over the same directory must answer
-        # the whole protocol from disk: zero parse misses.
+        # the whole protocol from disk: zero parse and winnow misses, and
+        # disk hits in the layer that answered (the run layer here).
         handle = ServerHandle(
             ReproServer(port=0, config=config, workers=1, deadline_s=300.0)
         ).start()
@@ -488,7 +489,10 @@ class TestConcurrentSharedStore:
                                                      timeout=300.0)
             aggregate = json.loads(stats_body)["data"]["service"]
             assert aggregate["parse_cache"]["misses"] == 0
-            assert aggregate["parse_cache"]["disk_hits"] > 0
+            assert aggregate["winnow_cache"]["misses"] == 0
+            assert sum(aggregate[layer]["disk_hits"] for layer in
+                       ("parse_cache", "winnow_cache", "run_cache")) > 0
+            assert aggregate["run_cache"]["disk_hits"] == 1
         finally:
             handle.stop()
 
