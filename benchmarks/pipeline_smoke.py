@@ -50,11 +50,12 @@ Measures, with wall-clock timers:
   second must recompute nothing (zero parse and winnow misses; its runs
   come off the run layer).
 
-Writes ``BENCH_pipeline.json`` at the repository root so successive PRs can
-diff the numbers — including a bounded ``history`` array (one entry per
-git SHA, newest last) tracking the parser speedup across runs — and exits
+Writes ``BENCH_pipeline.json`` at the repository root — exactly what this
+run measured, nothing carried over from an earlier file; it is the only
+writer of that file, and nothing reads it back as a reference — and exits
 non-zero when a headline speedup regresses (CI runs this via
-``scripts/ci.sh``):
+``scripts/ci.sh``).  Every throughput gate is a ratio between two numbers
+measured in this same run:
 
 * cached corpus load and engine construction must stay >10x cheaper
   than cold;
@@ -66,13 +67,10 @@ non-zero when a headline speedup regresses (CI runs this via
   construction counters for the sweep are recorded under
   ``parse_profile``, and the span-signature memo must answer >30% of
   combined spans — the cross-sentence reuse sanity floor);
-* the warm-cache sweep re-run must stay >1.5x faster than the cold
-  sweep (the cached-vs-cold speedup gate — the multiple is
-  modest because a "cold" sweep already reuses chart cells through the
-  span-signature memo), must add zero parse-cache misses and zero
-  winnow-cache misses, must clear a ≥4600 sentences/s throughput floor
-  (~3x the pre-winnow-cache warm re-run), and must produce winnow traces
-  byte-identical to the cold sweep's;
+* the warm-cache sweep re-run must deliver ≥5x the sentences/s of the
+  cold sweep (the stage caches must keep carrying the warm path), must
+  add zero parse-cache misses and zero winnow-cache misses, and must
+  produce winnow traces byte-identical to the cold sweep's;
 * the run-memo sweep re-run must make zero parse/winnow cache lookups,
   return the memoized runs, and be >10x faster than the warm-cache
   re-run; the memoized service sweep must be >5x faster than the
@@ -113,6 +111,9 @@ from repro.rfc.registry import ProtocolRegistry, default_registry
 from repro.runtime import ExecutionContext, compile_unit, load_functions
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
+#: The warm-cache sweep re-run's floor, as a multiple of the cold sweep's
+#: sentences/s in the same run.
+WARM_OVER_COLD = 5.0
 
 
 def timed(fn, repeat: int = 1):
@@ -314,6 +315,10 @@ def main() -> int:
     numbers["sweep_warm_rerun_sentences_per_s"] = (
         total_sentences / numbers["sweep_warm_rerun_s"]
     )
+    numbers["sweep_warm_over_cold"] = (
+        numbers["sweep_warm_rerun_sentences_per_s"]
+        / numbers["sweep_sequential_cold_sentences_per_s"]
+    )
     numbers["sweep_warm_rerun_new_misses"] = (
         cache.stats()["misses"] - misses_before_rerun
     )
@@ -443,14 +448,10 @@ def main() -> int:
     service = SageService(registry=registry)
     sweep_request = SweepRequest()
     service.sweep(sweep_request)  # warm the service path once
-    # The warm-stage-cache sweep (a worker's first request on a warm
-    # store) stays the serve gate's in-process baseline; the run-memo
-    # sweep is what a repeated request costs.
+    # The warm-stage-cache sweep is a worker's first request on a warm
+    # store; the run-memo sweep is what a repeated request costs.
     numbers["api_sweep_warm_s"], _ = timed(
         lambda: (run_cache.clear(), service.sweep(sweep_request))
-    )
-    numbers["api_sweep_warm_sentences_per_s"] = (
-        total_sentences / numbers["api_sweep_warm_s"]
     )
     numbers["api_sweep_memo_s"], _ = timed(
         lambda: service.sweep(sweep_request), repeat=20
@@ -501,54 +502,7 @@ def main() -> int:
     # an import anywhere above means something fell back onto it.
     numbers["networkx_imported"] = "networkx" in sys.modules
 
-    # -- speedup history ----------------------------------------------------
-    # Append this run's headline parser numbers to the `history` array
-    # (keyed by git SHA, newest last, bounded) carried over from the
-    # previous BENCH_pipeline.json — successive PRs see the trend, not
-    # just the latest point.
-    import subprocess
-
     out = REPO_ROOT / "BENCH_pipeline.json"
-    history = []
-    carried = {}
-    if out.exists():
-        try:
-            previous = json.loads(out.read_text())
-            history = previous.get("history", [])
-            # The serving-layer numbers (`serve_*`, written by
-            # benchmarks/load_harness.py against a live server) and the
-            # fuzz-gate numbers (`fuzz_*`, written by `python -m repro
-            # fuzz --record-bench`) ride in the same file; a smoke
-            # re-run must not erase them.
-            carried = {key: value for key, value in previous.items()
-                       if key.startswith(("serve_", "fuzz_"))}
-        except (json.JSONDecodeError, OSError):
-            history = []
-    numbers.update(carried)
-    try:
-        sha = subprocess.run(
-            ["git", "rev-parse", "--short", "HEAD"], cwd=REPO_ROOT,
-            capture_output=True, text=True, check=True,
-        ).stdout.strip()
-    except (OSError, subprocess.CalledProcessError):
-        sha = "unknown"
-    history = [entry for entry in history if entry.get("sha") != sha]
-    history.append({
-        "sha": sha,
-        "parse_backend_speedup": numbers["parse_backend_speedup"],
-        "parse_cold_indexed_s": numbers["parse_cold_indexed_s"],
-        "parse_cold_reference_s": numbers["parse_cold_reference_s"],
-        "span_reuse_rate": numbers["parse_profile"]["span_reuse_rate"],
-        "sweep_warm_rerun_sentences_per_s":
-            numbers["sweep_warm_rerun_sentences_per_s"],
-        "winnow_type_memo_hit_rate":
-            numbers["winnow_profile"]["type_memo_hit_rate"],
-        "winnow_canon_memo_hit_rate":
-            numbers["winnow_profile"]["canon_memo_hit_rate"],
-        "api_serialize_run_s": numbers["api_serialize_run_s"],
-    })
-    numbers["history"] = history[-50:]
-
     out.write_text(json.dumps(numbers, indent=2) + "\n")
     print(json.dumps(numbers, indent=2))
 
@@ -576,15 +530,19 @@ def main() -> int:
             < numbers["engine_construct_cold_s"] / 10):
         failures.append(
             "cached engine construction is not >10x cheaper than cold")
-    # The warm-rerun multiple shrank by design when the indexed backend's
-    # span memo landed: a parse-cache-cold sweep now reuses whole chart
-    # cells across sentences (the memos were warmed by the head-to-head
-    # above — the production steady state), so skipping the parse
-    # entirely buys ~2x, not the ~4x it bought when every cold parse
-    # re-combined every span.  The floor guards the cache still paying
-    # for itself; the zero-miss gate below guards its correctness.
-    if not numbers["sweep_warm_rerun_s"] < numbers["sweep_sequential_cold_s"] / 1.5:
-        failures.append("warm-cache sweep re-run is not >1.5x faster than cold")
+    # The warm re-run skips parse and winnow; what is left (generate,
+    # assemble) runs 8-15x the cold sweep's sentences/s on a 2-CPU host.
+    # The ratio guards the stage caches still carrying the warm path; the
+    # zero-miss gates below guard their correctness.
+    if not numbers["sweep_warm_over_cold"] >= WARM_OVER_COLD:
+        failures.append(
+            "warm-cache sweep re-run is not >="
+            f"{WARM_OVER_COLD:g}x the cold sweep's throughput (got "
+            f"{numbers['sweep_warm_over_cold']:.2f}x: "
+            f"{numbers['sweep_warm_rerun_sentences_per_s']:.0f} vs "
+            f"{numbers['sweep_sequential_cold_sentences_per_s']:.0f} "
+            "sentences/s)"
+        )
     if numbers["sweep_warm_rerun_new_misses"] != 0:
         failures.append("warm-cache sweep re-run re-parsed sentences")
     if numbers["sweep_warm_rerun_new_winnow_misses"] != 0:
@@ -592,13 +550,6 @@ def main() -> int:
             "warm-cache sweep re-run re-winnowed sentences "
             f"({numbers['sweep_warm_rerun_new_winnow_misses']} winnow-cache "
             "misses)"
-        )
-    if not numbers["sweep_warm_rerun_sentences_per_s"] >= 4600:
-        failures.append(
-            "warm-cache sweep re-run throughput fell below the 4600 "
-            "sentences/s floor (got "
-            f"{numbers['sweep_warm_rerun_sentences_per_s']:.0f}/s): the "
-            "winnow-result cache stopped carrying the warm path"
         )
     if not numbers["winnow_traces_identical"]:
         failures.append(

@@ -16,13 +16,15 @@
 # four protocols in process) — a packaging check that the api layer is
 # importable and executable outside pytest.
 #
-# The smoke benchmark writes BENCH_pipeline.json and exits non-zero when a
-# headline speedup regresses (parser-backend parity and the indexed
+# The smoke benchmark is the only writer of BENCH_pipeline.json (a report
+# of that run; no gate reads it back) and exits non-zero when a headline
+# speedup regresses (parser-backend parity and the indexed
 # backend's >=5x cold-parse speedup floor with >30% span-memo reuse,
 # cached-vs-cold load/construction, the
 # warm-cache sweep re-run — which must add zero parse AND winnow cache
-# misses, clear the 4600 sentences/s floor, and reproduce byte-identical
-# winnow traces with networkx never imported — the run-memo re-run, which
+# misses, deliver >=5x the cold sweep's sentences/s in the same run, and
+# reproduce byte-identical winnow traces with networkx never imported —
+# the run-memo re-run, which
 # must make zero parse/winnow cache lookups and beat the warm re-run >10x,
 # the codegen
 # compiled-program cache: a cached compile must stay >10x cheaper than a
@@ -110,13 +112,14 @@ if [ "${1:-all}" = "cache" ]; then
 fi
 
 # Serving-layer load gate: boot `python -m repro serve` twice over one
-# shared cache directory.  Boot #1 runs the harness cold (gates latency
-# and error rate only — its traffic populates the store); boot #2 runs it
-# with --expect-warm, which additionally requires zero parse and winnow
-# misses through the server plus disk hits in the parse, winnow or run
-# layer (disk warm-start) and sustained throughput >= 1/2 of
-# the in-process api_sweep_warm_sentences_per_s baseline recorded in
-# BENCH_pipeline.json.  Boot #2's numbers land under serve_* keys there.
+# shared cache directory.  The harness sends every request over HTTP and
+# then runs it in process on the server's store, so its throughput
+# reference is measured in the same run.  Boot #1 runs it cold (gates
+# latency and error rate only — its traffic populates the store); boot #2
+# runs it with --expect-warm, which additionally requires zero parse and winnow
+# misses through the server, disk hits in the parse, winnow or run layer
+# (disk warm-start), and a median HTTP / in-process throughput ratio of
+# at least load_harness.MIN_HTTP_OVER_INPROCESS.
 serve_gate() {
   echo "== serve gate: load harness against python -m repro serve =="
   local store log
@@ -145,15 +148,13 @@ serve_gate() {
 
   boot_server || return 1
   echo "-- boot 1 (cold store, port $port): latency + error gates"
-  python benchmarks/load_harness.py --url "http://127.0.0.1:$port" \
-    --requests 24 --warmup 4 --concurrency 3 \
-    --min-throughput-fraction 0 --no-write
+  python benchmarks/load_harness.py --url "http://127.0.0.1:$port"
   stop_server
 
   boot_server || return 1
   echo "-- boot 2 (warm store, port $port): throughput + warm-start gates"
   python benchmarks/load_harness.py --url "http://127.0.0.1:$port" \
-    --requests 24 --warmup 4 --concurrency 3 --expect-warm
+    --expect-warm
   stop_server
 }
 
@@ -167,42 +168,35 @@ fi
 # and must come back with zero divergences, zero oracle violations, a full
 # green interop matrix (every backend pair × all four protocols × every
 # scenario family), a stable emitted-C fingerprint lock, and — run twice —
-# a byte-identical trace digest that also equals the fuzz_traces_sha1
-# committed in BENCH_pipeline.json (read before --record-bench rewrites
-# it), so a change that alters any trace fails here even when it is
-# self-consistent.  The report lands in FUZZ_matrix.json
-# (uploaded as a CI artifact) and its headline numbers merge into
-# BENCH_pipeline.json under fuzz_* keys.  The CLI itself exits non-zero on
-# any divergence/violation; the python check below enforces coverage and
-# reproducibility on top.
+# a byte-identical trace digest that also equals the one pinned in
+# tests/golden/fuzz_digest.json (which tier-1 checks too), so a change
+# that alters any trace fails here even when it is self-consistent.  The
+# report lands in FUZZ_matrix.json (uploaded as a CI artifact).  The CLI
+# itself exits non-zero on any divergence/violation; the python check
+# below enforces coverage and reproducibility on top.
 fuzz_gate() {
   echo "== fuzz gate: python -m repro fuzz, fixed seed, all backends =="
-  local rerun pinned
+  local rerun
   rerun="$(mktemp "${TMPDIR:-/tmp}/repro-fuzz-rerun.XXXXXX")"
   temp_paths+=("$rerun")
-  pinned="$( (git show HEAD:BENCH_pipeline.json 2>/dev/null \
-              || cat BENCH_pipeline.json) | python -c '
-import json, sys
-print(json.load(sys.stdin).get("fuzz_traces_sha1", ""))
-')"
-  python -m repro fuzz --seed 0 --episodes 200 --json \
-    --record-bench BENCH_pipeline.json > FUZZ_matrix.json
+  python -m repro fuzz --seed 0 --episodes 200 --json > FUZZ_matrix.json
   python -m repro fuzz --seed 0 --episodes 200 --json > "$rerun"
-  python - "$rerun" "$pinned" <<'EOF'
+  python - "$rerun" <<'EOF'
 import json, sys
 
 first = json.load(open("FUZZ_matrix.json"))["data"]
 second = json.load(open(sys.argv[1]))["data"]
-pinned = sys.argv[2]
+pin = json.load(open("tests/golden/fuzz_digest.json"))
 if first["traces_sha1"] != second["traces_sha1"]:
     sys.exit("FUZZ FAILURE: seed 0 is not reproducible — trace digests "
              f"differ ({first['traces_sha1']} vs {second['traces_sha1']})")
-if not pinned:
-    sys.exit("FUZZ FAILURE: no fuzz_traces_sha1 in the committed "
-             "BENCH_pipeline.json to pin the seed-0 digest against")
-if first["traces_sha1"] != pinned:
-    sys.exit("FUZZ FAILURE: seed-0 trace digest changed — committed "
-             f"{pinned}, this run {first['traces_sha1']}")
+if (first["seed"], first["episodes"]) != (pin["seed"], pin["episodes"]):
+    sys.exit(f"FUZZ FAILURE: ran seed {first['seed']} x {first['episodes']} "
+             f"episodes, but the pin covers {pin['seed']} x {pin['episodes']}")
+if first["traces_sha1"] != pin["traces_sha1"]:
+    sys.exit("FUZZ FAILURE: seed-0 trace digest changed — pinned in "
+             f"tests/golden/fuzz_digest.json {pin['traces_sha1']}, this run "
+             f"{first['traces_sha1']}")
 matrix = first["matrix"]
 if not first["clean"] or not matrix["all_green"]:
     sys.exit(f"FUZZ FAILURE: matrix not green: {matrix}")

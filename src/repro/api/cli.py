@@ -176,9 +176,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_fuzz.add_argument("--case-dir", metavar="DIR", default="fuzz-cases",
                         help="where shrunk divergence cases are written "
                              "(default: fuzz-cases)")
-    p_fuzz.add_argument("--record-bench", metavar="PATH",
-                        help="merge fuzz_* headline numbers into this "
-                             "BENCH_pipeline.json")
     common(p_fuzz)
 
     p_cache = sub.add_parser(
@@ -495,11 +492,6 @@ def _cmd_fuzz(service: SageService, args, out) -> int:
     report = service.fuzz(seed=args.seed, episodes=args.episodes,
                           protocols=tuple(args.protocol),
                           families=tuple(args.family), mode=args.mode)
-    if args.record_bench:
-        from ..fuzz import record_bench
-
-        record_bench(report, args.record_bench)
-
     # A divergence must leave a replayable artifact behind: shrink the
     # first one and write the case file before reporting.
     cases = []

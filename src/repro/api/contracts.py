@@ -72,8 +72,8 @@ from .schema import (
     MapOf,
     Record,
     Scalar,
+    sem_decoder,
     sem_from_dict,  # re-exported: the eager Sem codec
-    sem_node,
     sem_node_record,
     sem_to_dict,  # re-exported: the eager Sem codec
 )
@@ -603,10 +603,10 @@ def from_json(text: str, registry=None):
     """Deserialize any contract payload produced by :func:`to_json`.
 
     Logical forms decode inside the JSON parse itself (see
-    :func:`~repro.api.schema.sem_node`); the field codecs accept the
+    :func:`~repro.api.schema.sem_decoder`); the field codecs accept the
     resulting pre-built Sem objects and plain dicts alike."""
     try:
-        payload = json.loads(text, object_hook=sem_node)
+        payload = json.loads(text, object_hook=sem_decoder())
     except json.JSONDecodeError as exc:
         raise ContractError(f"payload is not JSON: {exc}") from exc
     return from_envelope(payload, registry)

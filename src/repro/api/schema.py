@@ -19,7 +19,8 @@ table:
   without a tag is written as its JSON dict under the generic value codec.
 
 Logical forms (:class:`~repro.ccg.semantics.Sem` terms) have one JSON
-encoder, :func:`sem_node_record`, and one decoder, :func:`sem_node`;
+encoder, :func:`sem_node_record`, and one decoder, :func:`sem_node`
+(a fresh hook per payload from :func:`sem_decoder`);
 :func:`sem_to_dict` and :func:`sem_from_dict` are their eager spellings.
 """
 
@@ -122,20 +123,44 @@ def sem_node_record(obj):
     )
 
 
-def sem_node(record: dict):
-    """``json.loads`` object hook converting semantic-term records to
-    :class:`Sem` objects *during* the C-level parse.
+def sem_decoder():
+    """A fresh ``json.loads`` object hook: :func:`sem_node` over its own
+    memo of const terms, to be used for one payload."""
+    return partial(sem_node, {})
+
+
+def sem_node(consts: dict, record: dict):
+    """Object hook converting semantic-term records to :class:`Sem`
+    objects *during* the C-level parse.
 
     The hook fires bottom-up — by the time a ``call`` record reaches it,
     its ``args`` entries are already Sem objects — so decoding skips the
-    recursive dict walk entirely, which is what makes decode faster than
-    encode for LF-heavy payloads.  Anything that is not a well-formed term
-    record passes through unchanged and the field codecs reject it with
-    their structured errors; a stray non-term dict that happens to carry a
-    ``"t"`` key is left alone unless it also carries the full field set of
-    a term.
+    recursive dict walk entirely.  Terms are immutable, so a ``const``
+    record repeated within one payload decodes to one shared object from
+    ``consts``: an LF-heavy payload repeats most of its leaves (the ICMP
+    run's 4.0k const records hold 155 distinct ones), and a dictionary
+    probe is cheaper than building a node.  Anything that is not a
+    well-formed term record passes through unchanged and the field codecs
+    reject it with their structured errors; a stray non-term dict that
+    happens to carry a ``"t"`` key is left alone unless it also carries
+    the full field set of a term.
     """
     tag = record.get("t")
+    if tag == "const":
+        value = record.get("value", _MISSING)
+        span = record.get("span")
+        if value is _MISSING or (span is not None and type(span) is not list):
+            return record
+        span = tuple(span) if span else None
+        if type(value) is not str:
+            return _new_const(value, span)
+        try:
+            term = consts.get((value, span))
+        except TypeError:  # a malformed span: build, never share
+            return _new_const(value, span)
+        if term is None:
+            term = consts[value, span] = _new_const(value, span)
+        return term
     if tag == "call":
         pred = record.get("pred")
         args = record.get("args") or ()
@@ -149,12 +174,6 @@ def sem_node(record: dict):
         flags = record.get("flags")
         return _new_call(pred, tuple(args), trigger,
                          frozenset(flags) if flags else _EMPTY_FLAGS)
-    if tag == "const":
-        span = record.get("span")
-        if "value" not in record or (span is not None
-                                     and type(span) is not list):
-            return record
-        return _new_const(record["value"], tuple(span) if span else None)
     if tag == "var":
         name = record.get("name")
         return _new_var(name) if type(name) is str else record
@@ -185,7 +204,7 @@ def sem_to_dict(term: Sem) -> dict:
 def sem_from_dict(record) -> Sem:
     """The term a :func:`sem_to_dict` record describes."""
     term = json.loads(json.dumps(record, default=sem_node_record),
-                      object_hook=sem_node)
+                      object_hook=sem_decoder())
     if not isinstance(term, Sem):
         raise ContractError(f"malformed semantic term record: {record!r}")
     return term

@@ -157,6 +157,7 @@ class ContentCache:
             self._entries.clear()
             self.hits = 0
             self.misses = 0
+            self.disk_hits = 0
             self.generation += 1
 
 

@@ -13,9 +13,9 @@ A seeded pipeline over the network simulator:
    fingerprints;
 3. divergent episodes shrink to replayable JSON case files
    (:mod:`repro.fuzz.shrink`);
-4. the verdicts land in an :class:`~repro.fuzz.matrix.InteropMatrix`
-   recorded into ``BENCH_pipeline.json`` and gated in CI
-   (``scripts/ci.sh fuzz-gate``).
+4. the verdicts land in an :class:`~repro.fuzz.matrix.InteropMatrix`,
+   gated in CI (``scripts/ci.sh fuzz-gate``) together with the seed-0
+   trace digest pinned in ``tests/golden/fuzz_digest.json``.
 
 Exposed via ``python -m repro fuzz`` and ``SageService.fuzz``.
 """
@@ -25,7 +25,7 @@ from .._lazy import lazy_exports
 __getattr__, __dir__, __all__ = lazy_exports(__name__, {
     ".generator": ("FAMILIES", "PROTOCOLS", "Episode", "TraceGenerator",
                    "synthesize"),
-    ".matrix": ("InteropMatrix", "MatrixCell", "bench_keys", "record_bench"),
+    ".matrix": ("InteropMatrix", "MatrixCell"),
     ".oracles": ("ORACLES", "check_trace", "register_oracle"),
     ".runner": ("DifferentialRunner", "Divergence", "FuzzReport",
                 "Violation", "first_difference", "run_fuzz"),

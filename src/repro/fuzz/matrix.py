@@ -2,18 +2,14 @@
 
 Every differential comparison lands in one cell; a cell is green when no
 episode in it diverged.  The matrix is the artifact CI gates on — it is
-serialized into the fuzz report, uploaded by the ``fuzz-gate`` workflow
-step, and its headline numbers are recorded into ``BENCH_pipeline.json``
-(as ``fuzz_*`` keys, carried across benchmark re-runs the same way the
-serving-layer numbers are).
+serialized into the fuzz report, which ``scripts/ci.sh fuzz-gate`` writes
+to ``FUZZ_matrix.json`` and the workflow uploads.
 """
 
 from __future__ import annotations
 
 import itertools
-import json
 from dataclasses import dataclass, field
-from pathlib import Path
 
 
 @dataclass
@@ -86,38 +82,3 @@ class InteropMatrix:
             for (pair, protocol, family), cell in sorted(self.cells.items())
         ]
 
-
-def bench_keys(report_dict: dict) -> dict:
-    """The ``fuzz_*`` headline numbers for ``BENCH_pipeline.json``."""
-    matrix = report_dict.get("matrix", {})
-    return {
-        "fuzz_seed": report_dict.get("seed", 0),
-        "fuzz_episodes": report_dict.get("episodes", 0),
-        "fuzz_backends": report_dict.get("backends", []),
-        "fuzz_divergences": len(report_dict.get("divergences", [])),
-        "fuzz_violations": len(report_dict.get("violations", [])),
-        "fuzz_matrix_pairs": len(matrix.get("pairs", [])),
-        "fuzz_matrix_all_green": matrix.get("all_green", False),
-        "fuzz_traces_sha1": report_dict.get("traces_sha1", ""),
-        "fuzz_c_fingerprints": report_dict.get("c_fingerprints", {}),
-        "fuzz_clean": report_dict.get("clean", False),
-    }
-
-
-def record_bench(report_dict: dict, path: str | Path) -> dict:
-    """Merge the fuzz headline numbers into ``BENCH_pipeline.json``.
-
-    Read-modify-write: everything already in the file (pipeline numbers,
-    ``serve_*`` keys, history) is preserved; only ``fuzz_*`` keys are
-    replaced.  Returns the merged document.
-    """
-    path = Path(path)
-    numbers: dict = {}
-    if path.exists():
-        try:
-            numbers = json.loads(path.read_text())
-        except (json.JSONDecodeError, OSError):
-            numbers = {}
-    numbers.update(bench_keys(report_dict))
-    path.write_text(json.dumps(numbers, indent=2) + "\n")
-    return numbers

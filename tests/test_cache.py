@@ -202,7 +202,11 @@ class TestPersistentParseCache:
         cache = PersistentParseCache(CacheStore(tmp_path))
         cache.put(KEY, _parse_value())
         cache.clear()
+        assert cache.get(KEY) == _parse_value()  # a disk hit...
+        cache.clear()
         assert len(cache) == 0
+        # ...that clear() resets with the other counters.
+        assert (cache.stats()["hits"], cache.stats()["disk_hits"]) == (0, 0)
         assert cache.get(KEY) == _parse_value()
         assert cache.stats()["disk_hits"] == 1
 

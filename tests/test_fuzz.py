@@ -3,10 +3,12 @@
 Covers the generator's determinism, the runner's divergence detection
 (including an injected broken peer proving the harness actually catches
 disagreement), the oracles, the shrinker's case-file round trip, the
-interop matrix artifact, and the service/CLI surface.
+interop matrix artifact, the service/CLI surface, and the seed-0 trace
+digest pinned in ``tests/golden/fuzz_digest.json``.
 """
 
 import json
+import pathlib
 
 import pytest
 
@@ -22,11 +24,9 @@ from repro.fuzz import (
     Episode,
     InteropMatrix,
     TraceGenerator,
-    bench_keys,
     check_trace,
     first_difference,
     load_case,
-    record_bench,
     register_oracle,
     register_peer,
     run_fuzz,
@@ -35,6 +35,8 @@ from repro.fuzz import (
 )
 from repro.fuzz.oracles import ORACLES
 from repro.fuzz.scenarios import _PEER_FACTORIES
+
+GOLDEN_DIR = pathlib.Path(__file__).parent / "golden"
 
 
 @pytest.fixture(scope="module")
@@ -290,33 +292,17 @@ class TestInteropMatrix:
         assert (cell.episodes, cell.divergences) == (2, 1)
         assert matrix.rows()[0][-1] == "DIVERGED"
 
-    def test_bench_keys_extract_headline_numbers(self):
-        matrix = InteropMatrix.for_backends(("a", "b"))
-        matrix.record("a|b", "NTP", "timeout", diverged=False)
-        report = {"seed": 7, "episodes": 1, "backends": ["a", "b"],
-                  "divergences": [], "violations": [],
-                  "matrix": matrix.to_dict(), "traces_sha1": "cafe",
-                  "c_fingerprints": {}, "clean": True}
-        keys = bench_keys(report)
-        assert keys["fuzz_seed"] == 7
-        assert keys["fuzz_matrix_all_green"] is True
-        assert keys["fuzz_traces_sha1"] == "cafe"
-
-    def test_record_bench_preserves_existing_numbers(self, tmp_path):
-        path = tmp_path / "BENCH_pipeline.json"
-        path.write_text(json.dumps({"pipeline_total_s": 1.25,
-                                    "serve_rps": 100, "fuzz_seed": 99}))
-        merged = record_bench({"seed": 0, "episodes": 2, "clean": True,
-                               "divergences": [], "violations": [],
-                               "matrix": {}}, path)
-        on_disk = json.loads(path.read_text())
-        assert on_disk == merged
-        assert on_disk["pipeline_total_s"] == 1.25  # untouched
-        assert on_disk["serve_rps"] == 100          # untouched
-        assert on_disk["fuzz_seed"] == 0            # replaced
-
 
 class TestServiceAndCli:
+    def test_seed_zero_campaign_matches_pinned_digest(self):
+        """The campaign ``scripts/ci.sh fuzz-gate`` runs: any change to
+        any replayed trace moves its digest off the golden pin."""
+        pin = json.loads((GOLDEN_DIR / "fuzz_digest.json").read_text())
+        report = SageService().fuzz(seed=pin["seed"],
+                                    episodes=pin["episodes"])
+        assert report["clean"] is True
+        assert report["traces_sha1"] == pin["traces_sha1"]
+
     def test_service_fuzz_endpoint(self):
         report = SageService().fuzz(seed=0, episodes=3, protocols=("IGMP",))
         assert report["clean"] is True
