@@ -67,6 +67,9 @@ measured in this same run:
   construction counters for the sweep are recorded under
   ``parse_profile``, and the span-signature memo must answer >30% of
   combined spans — the cross-sentence reuse sanity floor);
+* the cold sweep must run no automatic garbage collection: the engine's
+  ``cold_batch_gc`` window collects once on entry and holds the collector
+  off until the batch ends (``sweep_cold_gc_collections`` == 0);
 * the warm-cache sweep re-run must deliver ≥5x the sentences/s of the
   cold sweep (the stage caches must keep carrying the warm path), must
   add zero parse-cache misses and zero winnow-cache misses, and must
@@ -95,6 +98,7 @@ measured in this same run:
 Run:  PYTHONPATH=src python benchmarks/pipeline_smoke.py
 """
 
+import gc
 import hashlib
 import json
 import os
@@ -199,11 +203,9 @@ def main() -> int:
     # in whichever backend's timer happens to be open — pure measurement
     # noise that can swing the ratio by tens of percent run to run.
     # Collect once up front, hold GC for the timed region, re-enable
-    # after.  (The indexed backend already brackets each parse this way
-    # internally; this extends the same discipline to the reference side
-    # of the ratio.)
-    import gc
-
+    # after.  (The engine's cold_batch_gc window does this for pipeline
+    # batches; the head-to-head calls the parsers directly, so it
+    # brackets both sides of the ratio itself.)
     from repro.parsing.profile import PROFILE
 
     # Best of two cold rounds: interleaving spreads *slow* drift across
@@ -294,9 +296,23 @@ def main() -> int:
     cache.clear()
     winnow_cache.clear()
     winnow_profile_before = WINNOW_PROFILE.counts()
-    numbers["sweep_sequential_cold_s"], cold_runs = timed(
-        engine.process_corpora
-    )
+    # Every automatic collection inside the cold sweep, counted by
+    # generation: the engine's cold_batch_gc window must hold them all off.
+    collections = []
+
+    def count_collection(phase: str, info: dict) -> None:
+        if phase == "start":
+            collections.append(info["generation"])
+
+    gc.callbacks.append(count_collection)
+    try:
+        numbers["sweep_sequential_cold_s"], cold_runs = timed(
+            engine.process_corpora
+        )
+    finally:
+        gc.callbacks.remove(count_collection)
+    # Less the window's one explicit full collection on entry.
+    numbers["sweep_cold_gc_collections"] = len(collections) - 1
     numbers["sweep_sequential_cold_sentences_per_s"] = (
         total_sentences / numbers["sweep_sequential_cold_s"]
     )
@@ -542,6 +558,13 @@ def main() -> int:
             f"{numbers['sweep_warm_rerun_sentences_per_s']:.0f} vs "
             f"{numbers['sweep_sequential_cold_sentences_per_s']:.0f} "
             "sentences/s)"
+        )
+    if numbers["sweep_cold_gc_collections"] != 0:
+        failures.append(
+            "the cold sweep ran "
+            f"{numbers['sweep_cold_gc_collections']} automatic garbage "
+            "collections besides the cold_batch_gc window's entry collect "
+            "(the window must hold the collector off for the whole batch)"
         )
     if numbers["sweep_warm_rerun_new_misses"] != 0:
         failures.append("warm-cache sweep re-run re-parsed sentences")

@@ -247,13 +247,16 @@ class SageService:
         unknown words / pruned flags, and — under ``"profile"`` — the
         :mod:`repro.parsing.profile` counter delta for exactly this batch
         (agenda pops, span/production/apply memo hit rates, deferred-item
-        counts, budget drops).  No winnowing or code generation runs —
+        counts, budget drops) plus :data:`repro.counters.GC_COUNTERS`
+        (objects frozen after the batch, collections per generation in
+        it).  No winnowing or code generation runs —
         this is the parsing subsystem in isolation.
         """
         import hashlib
         import time
 
         from ..ccg.semantics import signature
+        from ..counters import gc_counts, gc_delta
         from ..parsing.profile import PROFILE
 
         if parser_backend:
@@ -261,11 +264,12 @@ class SageService:
         corpus = self._load_corpus(protocol)
         engine = self.engine(mode, parser_backend)
         counters_before = PROFILE.counts()
+        gc_before = gc_counts()
         started = time.perf_counter()
         parsed = engine.parse_batch(corpus,
                                     parser_backend=parser_backend or None)
         elapsed = time.perf_counter() - started
-        profile = PROFILE.delta(counters_before)
+        profile = {**PROFILE.delta(counters_before), **gc_delta(gc_before)}
         backend = (parser_backend
                    or self.registry.parser_backend_for(corpus.protocol))
         sentences = []

@@ -34,10 +34,13 @@ answers a repeated ``process_corpus`` without running a single stage.
 
 from __future__ import annotations
 
+import gc
+from contextlib import contextmanager
 from typing import TYPE_CHECKING
 
 from ..ccg.semantics import Sem, signature
 from ..codegen.generator import CodeUnit, SentenceCode
+from ..counters import gc_frozen_changed
 from ..nlp.tokenizer import split_sentences
 from ..parsing.backend import backend_id, create_parser
 from ..rfc.corpus import Corpus, Rewrite, SpecSentence, sentence_key
@@ -58,6 +61,43 @@ if TYPE_CHECKING:  # the stages and their substrate load with the first engine
     from ..disambiguation.checks import CheckSuite
     from ..nlp.chunker import NounPhraseChunker
     from .stages import GenerateStage, ParseStage, WinnowStage
+
+
+#: How many :func:`cold_batch_gc` windows are open; only the outermost acts.
+_gc_window_depth = 0
+
+
+@contextmanager
+def cold_batch_gc():
+    """The process's one garbage-collector policy for cold batch work
+    (DESIGN.md §10.5).
+
+    A cold batch allocates hundreds of thousands of tracked objects that
+    survive as memos and creates no cyclic garbage, so every automatic
+    collection inside it only copies survivors forward.  The outermost
+    window collects once on entry (the freeze must not pin garbage the
+    caller left behind), disables the collector for the batch, and on a
+    normal exit freezes the survivors out of every later collection.  The
+    collector's enabled state is restored as found, also when the body
+    raises.  Frozen objects are handed back to the collector only where
+    memos are dropped (:func:`repro.parsing.indexed.release_frozen`).
+    """
+    global _gc_window_depth
+    outermost = _gc_window_depth == 0
+    was_enabled = gc.isenabled()
+    _gc_window_depth += 1
+    try:
+        if outermost:
+            gc.collect()
+            gc.disable()
+        yield
+        if outermost:
+            gc.freeze()
+            gc_frozen_changed()
+    finally:
+        _gc_window_depth -= 1
+        if outermost and was_enabled:
+            gc.enable()
 
 
 class SageEngine:
@@ -254,7 +294,8 @@ class SageEngine:
                      if corpus.sentences else self.parse_stage)
         else:
             stage = self._stage_for_backend(parser_backend)
-        return stage.run_batch(corpus.sentences)
+        with cold_batch_gc():
+            return stage.run_batch(corpus.sentences)
 
     @staticmethod
     def _decision_for(table: dict, spec: SpecSentence):
@@ -433,8 +474,9 @@ class SageEngine:
         registered protocol name (resolved through the protocol registry).
 
         A run whose :meth:`run_key` is already in the registry's run memo
-        is returned from there without touching a sentence; the returned
-        :class:`SageRun` is then shared and must be treated as read-only.
+        is returned from there without touching a sentence or the garbage
+        collector; the returned :class:`SageRun` is then shared and must be
+        treated as read-only.  A miss runs inside :func:`cold_batch_gc`.
         """
         if isinstance(corpus, str):
             corpus = self.protocol_registry.load_corpus(corpus)
@@ -443,11 +485,13 @@ class SageEngine:
             run = self._run_cache.get(key)
             if run is not None:
                 return run
-        results = [self.process_sentence(spec) for spec in corpus.sentences]
-        unit = self._assemble(corpus, results)
-        run = SageRun(corpus=corpus, results=results, code_unit=unit)
-        if key is not None:
-            self._run_cache.put(key, run)
+        with cold_batch_gc():
+            results = [self.process_sentence(spec)
+                       for spec in corpus.sentences]
+            unit = self._assemble(corpus, results)
+            run = SageRun(corpus=corpus, results=results, code_unit=unit)
+            if key is not None:
+                self._run_cache.put(key, run)
         return run
 
     def process_corpora(
@@ -459,18 +503,31 @@ class SageEngine:
         """Run every protocol (default: all registered) in one call.
 
         Identical to calling :meth:`process_corpus` per protocol, in
-        registration order.  ``parallel`` is ignored: sentences are
-        independent, so concurrency lives between requests (the server's
-        worker pool), not inside one.  The keyword stays only because
-        ``perfbench/workloads.py`` still passes it; no other caller does.
+        registration order, except that the runs the memo misses share one
+        :func:`cold_batch_gc` window.  ``parallel`` is ignored: sentences
+        are independent, so concurrency lives between requests (the
+        server's worker pool), not inside one.  The keyword stays only
+        because ``perfbench/workloads.py`` still passes it; no other caller
+        does.
         """
         names = [name.upper() for name in (
             protocols if protocols is not None
             else self.protocol_registry.protocols()
         )]
         corpora = [self.protocol_registry.load_corpus(name) for name in names]
-        return {name: self.process_corpus(corpus)
-                for name, corpus in zip(names, corpora)}
+        runs = [self._memo_probe(corpus) for corpus in corpora]
+        if any(run is None for run in runs):
+            with cold_batch_gc():
+                runs = [self.process_corpus(corpus) if run is None else run
+                        for run, corpus in zip(runs, corpora)]
+        return dict(zip(names, runs))
+
+    def _memo_probe(self, corpus: Corpus) -> SageRun | None:
+        """``corpus``'s memoized run, or None; a miss is left for
+        :meth:`process_corpus` to count."""
+        key = self.run_key(corpus)
+        return None if key is None else self._run_cache.get(key,
+                                                            count_miss=False)
 
     def _assemble(self, corpus: Corpus, results: list[SentenceResult]) -> CodeUnit:
         """IR assembly (the generate stage emits a typed Program), with the

@@ -102,6 +102,7 @@ from ..ccg.combinators import (
 )
 from ..ccg.lexicon import Lexicon
 from ..ccg.semantics import Const
+from ..counters import gc_frozen_changed
 from ..nlp.tokenizer import Token
 from .forest import (
     LEXICAL_RULE,
@@ -151,18 +152,30 @@ _LEXICAL_CACHE: dict[str, dict[tuple, tuple]] = {}
 _LEXICAL_GENERATIONS = 4
 
 
+def release_frozen() -> None:
+    """Hand every frozen object back to the cyclic collector and collect.
+
+    :func:`repro.core.engine.cold_batch_gc` freezes what a cold batch
+    leaves alive.  That is leak-free only while nothing frozen dies in a
+    cycle, and cycles die exactly where memos are dropped (a ``Call`` or
+    ``Lam`` term's cached normal form points back at the term), so every
+    drop point below calls this (DESIGN.md §10.5).
+    """
+    gc.unfreeze()
+    gc_frozen_changed()
+    gc.collect()
+
+
 def _lexical_generation(fingerprint: str) -> dict[tuple, tuple]:
     generation = _LEXICAL_CACHE.get(fingerprint)
     if generation is None:
-        evicted = False
-        while len(_LEXICAL_CACHE) >= _LEXICAL_GENERATIONS:
+        if len(_LEXICAL_CACHE) >= _LEXICAL_GENERATIONS:
             _LEXICAL_CACHE.pop(next(iter(_LEXICAL_CACHE)))
-            evicted = True
-        if evicted:
             # The apply memo pins sem objects from the dropped
             # generation's items; those entries can never hit again, so
             # release them wholesale (live entries rebuild on demand).
             reset_apply_memo()
+            release_frozen()
         generation = _LEXICAL_CACHE.setdefault(fingerprint, {})
     return generation
 
@@ -188,8 +201,9 @@ def _span_generation(fingerprint: str, max_cell_items: int) -> dict[tuple, tuple
     key = (fingerprint, max_cell_items)
     generation = _SPAN_MEMO.get(key)
     if generation is None:
-        while len(_SPAN_MEMO) >= _SPAN_GENERATIONS:
+        if len(_SPAN_MEMO) >= _SPAN_GENERATIONS:
             _SPAN_MEMO.pop(next(iter(_SPAN_MEMO)))
+            release_frozen()
         generation = _SPAN_MEMO.setdefault(key, {})
     return generation
 
@@ -197,6 +211,7 @@ def _span_generation(fingerprint: str, max_cell_items: int) -> dict[tuple, tuple
 def reset_span_memo() -> None:
     """Drop every memoized span (tests / benchmark cold-start bracketing)."""
     _SPAN_MEMO.clear()
+    release_frozen()
 
 
 def reset_parser_state() -> None:
@@ -215,6 +230,7 @@ def reset_parser_state() -> None:
     _LEXICAL_CACHE.clear()
     _PRODUCTION_MEMO.clear()
     reset_derived_memos()
+    release_frozen()
 
 
 class _Cell:
@@ -316,27 +332,14 @@ class IndexedChartParser(CCGChartParser):
         PROFILE.parses += 1
         cells: dict[tuple[int, int], _Cell] = {}
         covered = [False] * length
-        # Chart construction is allocation-dense and most of what it
-        # builds is either pinned in the process-global memos or garbage
-        # by the end of the sentence; letting the cyclic collector run
-        # mid-parse means re-traversing the ever-growing memo graph on
-        # every generation sweep, which dominates cold-parse time.  Pause
-        # it for the (milliseconds-long) construction window.
-        gc_was_enabled = gc.isenabled()
-        if gc_was_enabled:
-            gc.disable()
-        try:
-            unknown = self._fill_lexical(tokens, cells, covered)
-            # The reference chart registers every width-1 cell it fills
-            # plus every width>=2 span it sweeps; the agenda never touches
-            # empty spans, so reproduce that count arithmetically.
-            cells_filled = (length * (length - 1)) // 2 + sum(
-                1 for (start, end) in cells if end - start == 1
-            )
-            dropped = self._combine_spans(tokens, cells)
-        finally:
-            if gc_was_enabled:
-                gc.enable()
+        unknown = self._fill_lexical(tokens, cells, covered)
+        # The reference chart registers every width-1 cell it fills plus
+        # every width>=2 span it sweeps; the agenda never touches empty
+        # spans, so reproduce that count arithmetically.
+        cells_filled = (length * (length - 1)) // 2 + sum(
+            1 for (start, end) in cells if end - start == 1
+        )
+        dropped = self._combine_spans(tokens, cells)
         return ParseForest(
             length=length,
             cells={span: cells[span].items for span in cells},

@@ -38,6 +38,7 @@ Two pieces live here, deliberately independent of HTTP framing:
 
 from __future__ import annotations
 
+import gc
 import json
 import os
 import weakref
@@ -50,7 +51,7 @@ from ..api.contracts import to_json
 from ..api.errors import ApiError, RequestError
 from ..api.service import SageService, ServiceConfig
 from ..cache.store import CacheStore
-from ..counters import hit_rate
+from ..counters import GC_COUNTERS, gc_counts, gc_frozen_changed, hit_rate
 from ..parsing.profile import PROFILE, ParseProfile
 
 JSON_CONTENT_TYPE = "application/json"
@@ -221,7 +222,8 @@ _read_profile = attrgetter(*ParseProfile.__slots__)
 def _counters(service: SageService) -> tuple:
     """This process's cumulative counters: ``_LAYER_COUNTERS`` per cache
     layer, the store's root and ``_STORE_COUNTERS`` (None without a
-    store), and the parse profile's counters in declared order.
+    store), and ``_PROFILE_COUNTERS``: the parse profile's counters in
+    declared order, then the garbage collector's.
 
     They ride on every result, so they are flat tuples of attribute reads
     (cheap to build and to pickle); the on-disk footprint is shared by
@@ -231,12 +233,16 @@ def _counters(service: SageService) -> tuple:
     return (tuple((len(cache), *_read_cache(cache)) for cache in
                   [getattr(registry, name)() for name in _CACHE_LAYERS]),
             None if store is None else _read_store(store),
-            _read_profile(PROFILE))
+            _read_profile(PROFILE) + gc_counts())
 
+
+#: The profile counters ``/stats`` reports: the parser's, then the
+#: collector's.
+_PROFILE_COUNTERS = ParseProfile.__slots__ + GC_COUNTERS
 
 #: What a worker reports before it has answered a request.
 _IDLE = (((0, 0, 0, 0),) * len(_CACHE_LAYERS), None,
-         (0,) * len(ParseProfile.__slots__))
+         (0,) * len(_PROFILE_COUNTERS))
 
 
 def _with_rate(stats: dict) -> dict:
@@ -259,7 +265,7 @@ def _view(counters: tuple, shared_store: dict) -> dict:
            for name, values in zip(_CACHE_LAYERS, layers)},
         "store": store,
         "profile": ParseProfile.with_rates(
-            dict(zip(ParseProfile.__slots__, profile))),
+            dict(zip(_PROFILE_COUNTERS, profile))),
     }
 
 
@@ -341,6 +347,11 @@ class WorkerPool:
             return None
         for name in _WORKER_MODULES:
             importlib.import_module(name)
+        # CPython's pre-fork recipe: frozen objects are out of every
+        # collection, so a worker's first collections do not write to
+        # (and copy-on-write duplicate) the heap it shares with us.
+        gc.freeze()
+        gc_frozen_changed()
         try:
             executor = ProcessPoolExecutor(
                 max_workers=requested, mp_context=context,

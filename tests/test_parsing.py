@@ -32,6 +32,7 @@ from repro.ccg.chart import CCGChartParser, ParseResult
 from repro.ccg.lexicon import LexEntry, Lexicon, build_lexicon, core_entries
 from repro.ccg.semantics import signature
 from repro.core.engine import SageEngine
+from repro.counters import GC_COUNTERS
 from repro.core.stages import ParseStage
 from repro.nlp import NounPhraseChunker
 from repro.parsing import (
@@ -745,3 +746,7 @@ class TestProfileCounters:
                                "deferred_items", "budget_drops"}
         assert all(isinstance(value, (int, float))
                    for value in profile.values())
+        # The collector's counters ride along; the batch froze its
+        # survivors on the way out.
+        assert set(GC_COUNTERS) <= set(profile)
+        assert profile["gc_frozen"] > 0

@@ -19,6 +19,7 @@ import pytest
 from repro.api.binenc import from_bytes, to_bytes
 from repro.api.contracts import ProcessRequest, SweepRequest, from_json
 from repro.cache.store import CacheStore
+from repro.counters import GC_COUNTERS
 from repro.server import (
     BINARY_CONTENT_TYPE,
     ReproServer,
@@ -305,7 +306,12 @@ class TestStats:
         service = data["service"]
         assert service["worker_count"] == workers
         assert service["parse_cache"]["hits"] >= 0
-        assert 0.0 <= service["profile"]["span_reuse_rate"] <= 1.0
+        profile = service["profile"]
+        assert 0.0 <= profile["span_reuse_rate"] <= 1.0
+        assert all(isinstance(profile[name], int) and profile[name] >= 0
+                   for name in GC_COUNTERS)
+        if mode == "process":  # workers inherit the pool's pre-fork freeze
+            assert profile["gc_frozen"] > 0
 
 
 def _gated(run_endpoint):
