@@ -67,9 +67,10 @@ measured in this same run:
   construction counters for the sweep are recorded under
   ``parse_profile``, and the span-signature memo must answer >30% of
   combined spans — the cross-sentence reuse sanity floor);
-* the cold sweep must run no automatic garbage collection: the engine's
-  ``cold_batch_gc`` window collects once on entry and holds the collector
-  off until the batch ends (``sweep_cold_gc_collections`` == 0);
+* the cold sweep must run no automatic garbage collection: the
+  ``repro.gcpolicy.cold_batch_gc`` window collects once on entry and
+  holds the collector off until the batch ends
+  (``sweep_cold_gc_collections`` == 0);
 * the warm-cache sweep re-run must deliver ≥5x the sentences/s of the
   cold sweep (the stage caches must keep carrying the warm path), must
   add zero parse-cache misses and zero winnow-cache misses, and must
@@ -203,7 +204,7 @@ def main() -> int:
     # in whichever backend's timer happens to be open — pure measurement
     # noise that can swing the ratio by tens of percent run to run.
     # Collect once up front, hold GC for the timed region, re-enable
-    # after.  (The engine's cold_batch_gc window does this for pipeline
+    # after.  (The cold_batch_gc window does this for pipeline
     # batches; the head-to-head calls the parsers directly, so it
     # brackets both sides of the ratio itself.)
     from repro.parsing.profile import PROFILE
@@ -297,7 +298,7 @@ def main() -> int:
     winnow_cache.clear()
     winnow_profile_before = WINNOW_PROFILE.counts()
     # Every automatic collection inside the cold sweep, counted by
-    # generation: the engine's cold_batch_gc window must hold them all off.
+    # generation: the cold_batch_gc window must hold them all off.
     collections = []
 
     def count_collection(phase: str, info: dict) -> None:

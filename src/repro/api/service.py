@@ -247,7 +247,7 @@ class SageService:
         unknown words / pruned flags, and — under ``"profile"`` — the
         :mod:`repro.parsing.profile` counter delta for exactly this batch
         (agenda pops, span/production/apply memo hit rates, deferred-item
-        counts, budget drops) plus :data:`repro.counters.GC_COUNTERS`
+        counts, budget drops) plus :data:`repro.gcpolicy.GC_COUNTERS`
         (objects frozen after the batch, collections per generation in
         it).  No winnowing or code generation runs —
         this is the parsing subsystem in isolation.
@@ -256,7 +256,7 @@ class SageService:
         import time
 
         from ..ccg.semantics import signature
-        from ..counters import gc_counts, gc_delta
+        from ..gcpolicy import gc_counts, gc_delta
         from ..parsing.profile import PROFILE
 
         if parser_backend:

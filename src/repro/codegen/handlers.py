@@ -77,35 +77,39 @@ class HandlerRegistry:
     def __init__(self, resolver: ContextResolver | None = None) -> None:
         self.resolver = resolver or ContextResolver()
         self._classes = ConstantClasses()
+        # Unbound functions, called with ``self``: bound methods would
+        # make every registry a reference cycle, which a cold batch's
+        # freeze pins once its engine is dropped (DESIGN.md §10.5).
+        cls = type(self)
         self._predicate_handlers = {
-            "Is": self._handle_is,
-            "May": self._handle_may,
-            "If": self._handle_if,
-            "And": self._handle_and,
-            "Action": self._handle_action,
-            "AdvBefore": self._handle_adv_before,
-            "Goal": self._handle_goal,
-            "StartsWith": self._handle_starts_with_stmt,
-            "Reach": self._handle_condition_only,
-            "CalledIn": self._handle_called_in,
-            "EncapsulatedIn": self._handle_encapsulated_in,
-            "Not": self._handle_condition_only,
-            "AdvComment": self._handle_comment,
-            "ActiveOn": self._handle_nonactionable,
-            "Where": self._handle_nonactionable,
+            "Is": cls._handle_is,
+            "May": cls._handle_may,
+            "If": cls._handle_if,
+            "And": cls._handle_and,
+            "Action": cls._handle_action,
+            "AdvBefore": cls._handle_adv_before,
+            "Goal": cls._handle_goal,
+            "StartsWith": cls._handle_starts_with_stmt,
+            "Reach": cls._handle_condition_only,
+            "CalledIn": cls._handle_called_in,
+            "EncapsulatedIn": cls._handle_encapsulated_in,
+            "Not": cls._handle_condition_only,
+            "AdvComment": cls._handle_comment,
+            "ActiveOn": cls._handle_nonactionable,
+            "Where": cls._handle_nonactionable,
         }
         self._action_handlers = {
-            "reverse": self._action_reverse,
-            "recompute": self._action_compute,
-            "compute": self._action_compute,
-            "return": self._action_return,
-            "zero": self._action_zero,
-            "pad": self._action_pad,
-            "discard": self._action_discard,
-            "send": self._action_send,
-            "select": self._action_select,
-            "cease": self._action_cease,
-            "form": self._action_form,
+            "reverse": cls._action_reverse,
+            "recompute": cls._action_compute,
+            "compute": cls._action_compute,
+            "return": cls._action_return,
+            "zero": cls._action_zero,
+            "pad": cls._action_pad,
+            "discard": cls._action_discard,
+            "send": cls._action_send,
+            "select": cls._action_select,
+            "cease": cls._action_cease,
+            "form": cls._action_form,
         }
 
     def handler_count(self) -> int:
@@ -128,7 +132,7 @@ class HandlerRegistry:
         handler = self._predicate_handlers.get(form.pred)
         if handler is None:
             raise NonActionable(f"no handler for predicate @{form.pred}")
-        return handler(form, context)
+        return handler(self, form, context)
 
     # -- fragments ---------------------------------------------------------------
     def _field_fragment(self, form: Sem, context: SentenceContext) -> HandlerResult:
@@ -264,7 +268,7 @@ class HandlerRegistry:
         handler = self._action_handlers.get(name_arg.value)
         if handler is None:
             raise NonActionable(f"no handler for action {name_arg.value!r}")
-        return handler(call, context)
+        return handler(self, call, context)
 
     def _action_reverse(self, call: Call, context: SentenceContext) -> HandlerResult:
         operand = call.args[1] if len(call.args) > 1 else None

@@ -34,13 +34,11 @@ answers a repeated ``process_corpus`` without running a single stage.
 
 from __future__ import annotations
 
-import gc
-from contextlib import contextmanager
 from typing import TYPE_CHECKING
 
 from ..ccg.semantics import Sem, signature
 from ..codegen.generator import CodeUnit, SentenceCode
-from ..counters import gc_frozen_changed
+from ..gcpolicy import cold_batch_gc
 from ..nlp.tokenizer import split_sentences
 from ..parsing.backend import backend_id, create_parser
 from ..rfc.corpus import Corpus, Rewrite, SpecSentence, sentence_key
@@ -61,43 +59,6 @@ if TYPE_CHECKING:  # the stages and their substrate load with the first engine
     from ..disambiguation.checks import CheckSuite
     from ..nlp.chunker import NounPhraseChunker
     from .stages import GenerateStage, ParseStage, WinnowStage
-
-
-#: How many :func:`cold_batch_gc` windows are open; only the outermost acts.
-_gc_window_depth = 0
-
-
-@contextmanager
-def cold_batch_gc():
-    """The process's one garbage-collector policy for cold batch work
-    (DESIGN.md §10.5).
-
-    A cold batch allocates hundreds of thousands of tracked objects that
-    survive as memos and creates no cyclic garbage, so every automatic
-    collection inside it only copies survivors forward.  The outermost
-    window collects once on entry (the freeze must not pin garbage the
-    caller left behind), disables the collector for the batch, and on a
-    normal exit freezes the survivors out of every later collection.  The
-    collector's enabled state is restored as found, also when the body
-    raises.  Frozen objects are handed back to the collector only where
-    memos are dropped (:func:`repro.parsing.indexed.release_frozen`).
-    """
-    global _gc_window_depth
-    outermost = _gc_window_depth == 0
-    was_enabled = gc.isenabled()
-    _gc_window_depth += 1
-    try:
-        if outermost:
-            gc.collect()
-            gc.disable()
-        yield
-        if outermost:
-            gc.freeze()
-            gc_frozen_changed()
-    finally:
-        _gc_window_depth -= 1
-        if outermost and was_enabled:
-            gc.enable()
 
 
 class SageEngine:
@@ -294,8 +255,7 @@ class SageEngine:
                      if corpus.sentences else self.parse_stage)
         else:
             stage = self._stage_for_backend(parser_backend)
-        with cold_batch_gc():
-            return stage.run_batch(corpus.sentences)
+        return stage.run_batch(corpus.sentences)
 
     @staticmethod
     def _decision_for(table: dict, spec: SpecSentence):
@@ -481,17 +441,10 @@ class SageEngine:
         if isinstance(corpus, str):
             corpus = self.protocol_registry.load_corpus(corpus)
         key = self.run_key(corpus)
-        if key is not None:
-            run = self._run_cache.get(key)
-            if run is not None:
-                return run
-        with cold_batch_gc():
-            results = [self.process_sentence(spec)
-                       for spec in corpus.sentences]
-            unit = self._assemble(corpus, results)
-            run = SageRun(corpus=corpus, results=results, code_unit=unit)
-            if key is not None:
-                self._run_cache.put(key, run)
+        run = self._memoized(key)
+        if run is None:
+            with cold_batch_gc():
+                run = self._compute(corpus, key)
         return run
 
     def process_corpora(
@@ -510,24 +463,34 @@ class SageEngine:
         because ``perfbench/workloads.py`` still passes it; no other caller
         does.
         """
-        names = [name.upper() for name in (
+        names = list(dict.fromkeys(name.upper() for name in (
             protocols if protocols is not None
             else self.protocol_registry.protocols()
-        )]
+        )))
         corpora = [self.protocol_registry.load_corpus(name) for name in names]
-        runs = [self._memo_probe(corpus) for corpus in corpora]
+        keys = [self.run_key(corpus) for corpus in corpora]
+        runs = [self._memoized(key) for key in keys]
         if any(run is None for run in runs):
             with cold_batch_gc():
-                runs = [self.process_corpus(corpus) if run is None else run
-                        for run, corpus in zip(runs, corpora)]
+                runs = [self._compute(corpus, key) if run is None else run
+                        for corpus, key, run in zip(corpora, keys, runs)]
         return dict(zip(names, runs))
 
-    def _memo_probe(self, corpus: Corpus) -> SageRun | None:
-        """``corpus``'s memoized run, or None; a miss is left for
-        :meth:`process_corpus` to count."""
-        key = self.run_key(corpus)
-        return None if key is None else self._run_cache.get(key,
-                                                            count_miss=False)
+    def _memoized(self, key: tuple | None) -> SageRun | None:
+        """The run memo's entry under ``key`` (one counted lookup), or
+        None on a miss or when ``key`` is None (no memo applies)."""
+        return None if key is None else self._run_cache.get(key)
+
+    def _compute(self, corpus: Corpus, key: tuple | None) -> SageRun:
+        """Run every stage over ``corpus`` and memoize the run under
+        ``key`` (unless None); callers open the :func:`cold_batch_gc`
+        window."""
+        results = [self.process_sentence(spec) for spec in corpus.sentences]
+        unit = self._assemble(corpus, results)
+        run = SageRun(corpus=corpus, results=results, code_unit=unit)
+        if key is not None:
+            self._run_cache.put(key, run)
+        return run
 
     def _assemble(self, corpus: Corpus, results: list[SentenceResult]) -> CodeUnit:
         """IR assembly (the generate stage emits a typed Program), with the

@@ -44,6 +44,7 @@ from ..codegen.ops import SetField, Value
 from ..disambiguation.checks import CheckSuite
 from ..disambiguation.profile import PROFILE as WINNOW_PROFILE
 from ..disambiguation.winnow import WinnowTrace, winnow
+from ..gcpolicy import cold_batch_gc
 from ..nlp.chunker import NounPhraseChunker
 from ..nlp.tokenizer import KIND_NOUN_PHRASE, Token
 from ..rfc.corpus import SpecSentence
@@ -189,20 +190,8 @@ class ParseStage:
 
     def run(self, spec: SpecSentence) -> ParsedSentence:
         """Parse one sentence, serving repeats from the shared cache."""
-        if self.cache is None:
-            result, supplied = self._parse(spec)
-            return ParsedSentence(spec=spec, result=result,
-                                  subject_supplied=supplied)
-        key = self.cache_key(spec)
-        hit = self.cache.get(key)
-        if hit is not None:
-            result, supplied = hit
-            return ParsedSentence(spec=spec, result=result,
-                                  subject_supplied=supplied, from_cache=True)
-        result, supplied = self._parse(spec)
-        self.cache.put(key, (result, supplied))
-        return ParsedSentence(spec=spec, result=result,
-                              subject_supplied=supplied)
+        parsed = self._cached(spec)
+        return self._computed(spec) if parsed is None else parsed
 
     def run_batch(self, specs) -> list[ParsedSentence]:
         """Parse a whole corpus (any iterable of specs) through this one
@@ -221,8 +210,42 @@ class ParseStage:
         reuse, memo hit rates, budget drops) accumulate across the batch
         and are surfaced by ``SageService.parse_diagnostics`` and
         ``python -m repro parse --profile``.
+
+        From the first cache miss on, the batch runs inside one
+        :func:`~repro.gcpolicy.cold_batch_gc` window; a batch the cache
+        serves whole never touches the garbage collector.
         """
-        return [self.run(spec) for spec in specs]
+        specs = list(specs)
+        parsed = []
+        for index, spec in enumerate(specs):
+            hit = self._cached(spec)
+            if hit is None:
+                with cold_batch_gc():
+                    parsed.append(self._computed(spec))
+                    parsed.extend(self.run(later)
+                                  for later in specs[index + 1:])
+                break
+            parsed.append(hit)
+        return parsed
+
+    def _cached(self, spec: SpecSentence) -> ParsedSentence | None:
+        """``spec``'s cached parse (one counted lookup), or None."""
+        if self.cache is None:
+            return None
+        hit = self.cache.get(self.cache_key(spec))
+        if hit is None:
+            return None
+        result, supplied = hit
+        return ParsedSentence(spec=spec, result=result,
+                              subject_supplied=supplied, from_cache=True)
+
+    def _computed(self, spec: SpecSentence) -> ParsedSentence:
+        """Parse ``spec`` and cache the outcome."""
+        result, supplied = self._parse(spec)
+        if self.cache is not None:
+            self.cache.put(self.cache_key(spec), (result, supplied))
+        return ParsedSentence(spec=spec, result=result,
+                              subject_supplied=supplied)
 
     def parse_text(self, text: str) -> ParseResult:
         """Parse bare text (no spec, no subject-supply retry), cached.

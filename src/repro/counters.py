@@ -10,14 +10,10 @@ two snapshots is truthful for any bracketed region (one batch parse, one
 corpus winnow, one benchmark sweep).
 
 Hit *rates* are derived at snapshot time, never stored: a rate is only
-meaningful relative to the window it was measured over.  The cyclic
-garbage collector's own counters (:data:`GC_COUNTERS`) ride along in the
-same reports, read from :mod:`gc` at snapshot time.
+meaningful relative to the window it was measured over.
 """
 
 from __future__ import annotations
-
-import gc
 
 
 class Counters:
@@ -66,40 +62,3 @@ def hit_rate(hits: int, misses: int) -> float | None:
     lookups: a rate is only meaningful over a window that saw traffic."""
     total = hits + misses
     return (hits / total) if total else None
-
-
-#: The collector's counters as reports name them: objects frozen out of
-#: collection (DESIGN.md §10.5), then collections run per generation.
-GC_COUNTERS = ("gc_frozen", "gc_collections_gen0", "gc_collections_gen1",
-               "gc_collections_gen2")
-
-
-#: ``gc.get_freeze_count()`` walks every frozen object (milliseconds
-#: after a cold batch), too slow for a per-request snapshot, so the count
-#: is cached until the next freeze or unfreeze (:func:`gc_frozen_changed`).
-_frozen_count: int | None = None
-
-
-def gc_frozen_changed() -> None:
-    """Forget the cached frozen count; call after ``gc.freeze()`` or
-    ``gc.unfreeze()``."""
-    global _frozen_count
-    _frozen_count = None
-
-
-def gc_counts() -> tuple[int, ...]:
-    """The collector's state now, in :data:`GC_COUNTERS` order."""
-    global _frozen_count
-    if _frozen_count is None:
-        _frozen_count = gc.get_freeze_count()
-    return (_frozen_count,
-            *(generation["collections"] for generation in gc.get_stats()))
-
-
-def gc_delta(before: tuple[int, ...]) -> dict:
-    """:data:`GC_COUNTERS` over the window since ``before`` (a
-    :func:`gc_counts` tuple): the frozen count now, and the collections
-    each generation ran in the window."""
-    now = gc_counts()
-    return dict(zip(GC_COUNTERS, (now[0], *(after - start for after, start
-                                            in zip(now[1:], before[1:])))))

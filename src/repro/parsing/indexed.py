@@ -70,7 +70,6 @@ a single dict probe and no term construction at all.
 
 from __future__ import annotations
 
-import gc
 from heapq import heappop, heappush
 from operator import itemgetter
 
@@ -102,7 +101,7 @@ from ..ccg.combinators import (
 )
 from ..ccg.lexicon import Lexicon
 from ..ccg.semantics import Const
-from ..counters import gc_frozen_changed
+from ..gcpolicy import release
 from ..nlp.tokenizer import Token
 from .forest import (
     LEXICAL_RULE,
@@ -152,20 +151,6 @@ _LEXICAL_CACHE: dict[str, dict[tuple, tuple]] = {}
 _LEXICAL_GENERATIONS = 4
 
 
-def release_frozen() -> None:
-    """Hand every frozen object back to the cyclic collector and collect.
-
-    :func:`repro.core.engine.cold_batch_gc` freezes what a cold batch
-    leaves alive.  That is leak-free only while nothing frozen dies in a
-    cycle, and cycles die exactly where memos are dropped (a ``Call`` or
-    ``Lam`` term's cached normal form points back at the term), so every
-    drop point below calls this (DESIGN.md §10.5).
-    """
-    gc.unfreeze()
-    gc_frozen_changed()
-    gc.collect()
-
-
 def _lexical_generation(fingerprint: str) -> dict[tuple, tuple]:
     generation = _LEXICAL_CACHE.get(fingerprint)
     if generation is None:
@@ -175,7 +160,7 @@ def _lexical_generation(fingerprint: str) -> dict[tuple, tuple]:
             # generation's items; those entries can never hit again, so
             # release them wholesale (live entries rebuild on demand).
             reset_apply_memo()
-            release_frozen()
+            release()
         generation = _LEXICAL_CACHE.setdefault(fingerprint, {})
     return generation
 
@@ -203,7 +188,7 @@ def _span_generation(fingerprint: str, max_cell_items: int) -> dict[tuple, tuple
     if generation is None:
         if len(_SPAN_MEMO) >= _SPAN_GENERATIONS:
             _SPAN_MEMO.pop(next(iter(_SPAN_MEMO)))
-            release_frozen()
+            release()
         generation = _SPAN_MEMO.setdefault(key, {})
     return generation
 
@@ -211,7 +196,7 @@ def _span_generation(fingerprint: str, max_cell_items: int) -> dict[tuple, tuple
 def reset_span_memo() -> None:
     """Drop every memoized span (tests / benchmark cold-start bracketing)."""
     _SPAN_MEMO.clear()
-    release_frozen()
+    release()
 
 
 def reset_parser_state() -> None:
@@ -230,7 +215,7 @@ def reset_parser_state() -> None:
     _LEXICAL_CACHE.clear()
     _PRODUCTION_MEMO.clear()
     reset_derived_memos()
-    release_frozen()
+    release()
 
 
 class _Cell:

@@ -38,7 +38,6 @@ Two pieces live here, deliberately independent of HTTP framing:
 
 from __future__ import annotations
 
-import gc
 import json
 import os
 import weakref
@@ -51,7 +50,8 @@ from ..api.contracts import to_json
 from ..api.errors import ApiError, RequestError
 from ..api.service import SageService, ServiceConfig
 from ..cache.store import CacheStore
-from ..counters import GC_COUNTERS, gc_counts, gc_frozen_changed, hit_rate
+from ..counters import hit_rate
+from ..gcpolicy import GC_COUNTERS, freeze, gc_counts
 from ..parsing.profile import PROFILE, ParseProfile
 
 JSON_CONTENT_TYPE = "application/json"
@@ -350,8 +350,7 @@ class WorkerPool:
         # CPython's pre-fork recipe: frozen objects are out of every
         # collection, so a worker's first collections do not write to
         # (and copy-on-write duplicate) the heap it shares with us.
-        gc.freeze()
-        gc_frozen_changed()
+        freeze()
         try:
             executor = ProcessPoolExecutor(
                 max_workers=requested, mp_context=context,

@@ -1,12 +1,9 @@
 """The staged engine: stage contracts, parse caching, batch runs."""
 
-import gc
-
 import pytest
 
 from repro.ccg.lexicon import build_lexicon
 from repro.core import SageEngine, role_of
-from repro.core.engine import cold_batch_gc
 from repro.core.stages import ParseStage
 from repro.nlp.chunker import ChunkerConfig, NounPhraseChunker
 from repro.nlp.tokenizer import KIND_NOUN_PHRASE, Token
@@ -297,120 +294,26 @@ class TestRunMemo:
         custom.process_corpus(corpus)
         assert len(registry.run_cache()) == 0
 
-    def test_batch_counts_each_memo_lookup_once(self):
-        registry = ProtocolRegistry()
+    def test_batch_counts_each_memo_lookup_once(self, tmp_path):
+        registry = ProtocolRegistry(cache_dir=tmp_path)
+        store = registry.cache_store()
+        run_reads = []
+        read = store.get
+
+        def counted(namespace, key):
+            if namespace == "run":
+                run_reads.append(key)
+            return read(namespace, key)
+
+        store.get = counted
         engine = SageEngine(mode="revised", protocol_registry=registry)
         first = engine.process_corpora()
+        assert len(run_reads) == 4  # one store read per missed run
         again = engine.process_corpora()
         assert all(again[name] is first[name] for name in ALL_PROTOCOLS)
-        assert registry.run_cache().stats() == {"size": 4, "hits": 4,
-                                                "misses": 4}
-
-
-# -- the garbage-collector policy (DESIGN.md §10.5) -----------------------------
-
-def cold_sweep():
-    """A process-cold four-protocol batch on a fresh registry."""
-    from repro.disambiguation.checks import reset_winnow_state
-    from repro.parsing.indexed import reset_parser_state
-
-    reset_parser_state()
-    reset_winnow_state()
-    engine = SageEngine(mode="revised", protocol_registry=ProtocolRegistry())
-    return engine, engine.process_corpora()
-
-
-@pytest.fixture
-def collections():
-    """The generation of every collection started while the test runs."""
-    started = []
-
-    def record(phase, info):
-        if phase == "start":
-            started.append(info["generation"])
-
-    gc.callbacks.append(record)
-    yield started
-    gc.callbacks.remove(record)
-
-
-class TestColdBatchGc:
-    def test_cold_batch_leaves_no_cyclic_garbage(self):
-        # What freezing the batch's survivors relies on: everything the
-        # batch leaves unreachable already died by reference count.
-        _engine, runs = cold_sweep()
-        assert list(runs) == list(ALL_PROTOCOLS)
-        gc.unfreeze()
-        gc.set_debug(gc.DEBUG_SAVEALL)
-        try:
-            found = gc.collect()
-            saved = len(gc.garbage)
-        finally:
-            gc.set_debug(0)
-            gc.garbage.clear()
-        assert (found, saved) == (0, 0)
-
-    def test_window_restores_the_collector_as_found(self):
-        assert gc.isenabled()
-        with cold_batch_gc():
-            assert not gc.isenabled()
-            with cold_batch_gc():  # nested windows do nothing
-                pass
-            assert not gc.isenabled()
-        assert gc.isenabled()
-
-    def test_window_restores_the_collector_when_the_body_raises(self):
-        frozen = gc.get_freeze_count()
-        with pytest.raises(RuntimeError):
-            with cold_batch_gc():
-                raise RuntimeError("mid-batch failure")
-        assert gc.isenabled()
-        assert gc.get_freeze_count() == frozen  # a failed batch freezes nothing
-
-    def test_window_leaves_a_disabled_collector_disabled(self):
-        gc.disable()
-        try:
-            with cold_batch_gc():
-                pass
-            assert not gc.isenabled()
-        finally:
-            gc.enable()
-
-    def test_reset_parser_state_unfreezes_everything(self):
-        from repro.parsing.indexed import reset_parser_state
-
-        cold_sweep()
-        assert gc.get_freeze_count() > 0
-        reset_parser_state()
-        assert gc.get_freeze_count() == 0
-
-    def test_reset_and_cold_batch_cycles_do_not_leak(self):
-        # Without the release at reset, each cycle pins the previous
-        # registry's and memos' cycles in the frozen generation for good:
-        # about 11k objects (1.6%) per cycle.  The first cycle is a
-        # warm-up (intern tables survive resets and may still grow).
-        cold_sweep()
-        sizes = []
-        for _ in range(3):
-            cold_sweep()
-            sizes.append(len(gc.get_objects()) + gc.get_freeze_count())
-        assert max(sizes) <= min(sizes) * 1.01, sizes
-
-    def test_run_memo_hit_never_touches_the_collector(self, collections):
-        engine = SageEngine(mode="revised",
-                            protocol_registry=ProtocolRegistry())
-        engine.process_corpora()
-        frozen = gc.get_freeze_count()
-        gc.disable()  # only an explicit collection can start now
-        try:
-            collections.clear()
-            engine.process_corpora()
-            engine.process_corpus("ICMP")
-            assert not gc.isenabled()
-        finally:
-            gc.enable()
-        assert collections == []
-        assert gc.get_freeze_count() == frozen
+        assert len(run_reads) == 4  # memory hits never reach the store
+        stats = registry.run_cache().stats()
+        assert (stats["hits"], stats["misses"]) == (4, 4)
 
 
 # -- the role marker fix (word boundaries) --------------------------------------

@@ -32,8 +32,8 @@ from repro.ccg.chart import CCGChartParser, ParseResult
 from repro.ccg.lexicon import LexEntry, Lexicon, build_lexicon, core_entries
 from repro.ccg.semantics import signature
 from repro.core.engine import SageEngine
-from repro.counters import GC_COUNTERS
 from repro.core.stages import ParseStage
+from repro.gcpolicy import GC_COUNTERS
 from repro.nlp import NounPhraseChunker
 from repro.parsing import (
     DEFAULT_PARSER_BACKEND,
@@ -746,7 +746,13 @@ class TestProfileCounters:
                                "deferred_items", "budget_drops"}
         assert all(isinstance(value, (int, float))
                    for value in profile.values())
-        # The collector's counters ride along; the batch froze its
-        # survivors on the way out.
         assert set(GC_COUNTERS) <= set(profile)
+
+    def test_gc_counters_in_parse_diagnostics(self):
+        # A fresh registry's parse cache is empty, so the batch runs in
+        # the GC window: no automatic collection, survivors frozen.
+        service = SageService(registry=ProtocolRegistry())
+        profile = service.parse_diagnostics("IGMP")["profile"]
         assert profile["gc_frozen"] > 0
+        assert (profile["gc_collections_gen0"],
+                profile["gc_collections_gen1"]) == (0, 0)

@@ -19,7 +19,7 @@ import pytest
 from repro.api.binenc import from_bytes, to_bytes
 from repro.api.contracts import ProcessRequest, SweepRequest, from_json
 from repro.cache.store import CacheStore
-from repro.counters import GC_COUNTERS
+from repro.gcpolicy import GC_COUNTERS
 from repro.server import (
     BINARY_CONTENT_TYPE,
     ReproServer,
