@@ -11,7 +11,6 @@ unreachable, time exceeded, traceroute), plus the remaining Appendix A
 scenarios.
 """
 
-import pytest
 from conftest import print_table
 
 from repro.framework import icmp, verify_clean
@@ -21,16 +20,11 @@ from repro.netsim import Ping, add_redirect_route, course_topology, ping, tracer
 from repro.runtime import GeneratedICMP
 
 
-@pytest.fixture(scope="module")
-def generated_source(icmp_run_revised):
-    return icmp_run_revised.code_unit.render_python()
-
-
-def _run_all_scenarios(source):
+def _run_all_scenarios(unit):
     outcomes = {}
     captures = []
 
-    topology = course_topology(implementation=GeneratedICMP.from_source(source))
+    topology = course_topology(implementation=GeneratedICMP.from_unit(unit))
     echo = ping(topology.client, ip_to_int("10.0.1.1"), count=4)
     outcomes["echo (ping router)"] = echo.success
     across = ping(topology.client, ip_to_int("192.168.2.2"), count=2)
@@ -49,7 +43,7 @@ def _run_all_scenarios(source):
     captures.extend(topology.client.sent_capture)
 
     tos_topology = course_topology(
-        implementation=GeneratedICMP.from_source(source), require_tos_zero=True
+        implementation=GeneratedICMP.from_unit(unit), require_tos_zero=True
     )
     problem = Ping(tos_topology.client).run(ip_to_int("192.168.2.2"), tos=1)
     outcomes["parameter problem"] = any(
@@ -58,7 +52,7 @@ def _run_all_scenarios(source):
     captures.extend(tos_topology.client.received_capture)
 
     quench_topology = course_topology(
-        implementation=GeneratedICMP.from_source(source), buffer_capacity=0
+        implementation=GeneratedICMP.from_unit(unit), buffer_capacity=0
     )
     quench = ping(quench_topology.client, ip_to_int("192.168.2.2"))
     outcomes["source quench"] = any(
@@ -67,7 +61,7 @@ def _run_all_scenarios(source):
     captures.extend(quench_topology.client.received_capture)
 
     redirect_topology = course_topology(
-        implementation=GeneratedICMP.from_source(source)
+        implementation=GeneratedICMP.from_unit(unit)
     )
     destination = add_redirect_route(redirect_topology)
     redirected = ping(redirect_topology.client, ip_to_int(destination))
@@ -79,8 +73,9 @@ def _run_all_scenarios(source):
     return outcomes, captures
 
 
-def test_e2e_generated_code_interoperates(benchmark, generated_source):
-    outcomes, captures = benchmark(lambda: _run_all_scenarios(generated_source))
+def test_e2e_generated_code_interoperates(benchmark, icmp_run_revised):
+    outcomes, captures = benchmark(
+        lambda: _run_all_scenarios(icmp_run_revised.code_unit))
     print_table("§6.2: generated ICMP vs Linux-faithful tools",
                 ["Scenario", "interoperates"],
                 sorted(outcomes.items()))
@@ -88,8 +83,8 @@ def test_e2e_generated_code_interoperates(benchmark, generated_source):
     assert not failed, failed
 
 
-def test_e2e_packet_captures_are_tcpdump_clean(generated_source):
-    _, captures = _run_all_scenarios(generated_source)
+def test_e2e_packet_captures_are_tcpdump_clean(icmp_run_revised):
+    _, captures = _run_all_scenarios(icmp_run_revised.code_unit)
     clean, warnings = verify_clean(captures)
     print(f"\n§6.2: tcpdump verification over {len(captures)} captured packets: "
           f"{'no warnings or errors' if clean else warnings[:5]}")
@@ -101,8 +96,8 @@ def test_e2e_packet_captures_are_tcpdump_clean(generated_source):
 def test_e2e_strict_mode_fails_ping(icmp_run_strict):
     """The §6.5 negative control: pre-rewrite code zeroes the identifier
     and Linux-style ping rejects every reply."""
-    source = icmp_run_strict.code_unit.render_python()
-    topology = course_topology(implementation=GeneratedICMP.from_source(source))
+    implementation = GeneratedICMP.from_unit(icmp_run_strict.code_unit)
+    topology = course_topology(implementation=implementation)
     result = ping(topology.client, ip_to_int("10.0.1.1"), count=2)
     assert result.received == 0
     assert any("identifier mismatch" in reason for reason in result.rejections)

@@ -23,7 +23,7 @@ from repro.framework.ntp import MODE_CLIENT, NTPHeader, PeerVariables
 from repro.framework.tcpdump import decode_packet
 from repro.framework.udp import UDPHeader
 from repro.netsim import BFDSession, Host, IGMPSwitch, NTPPeer, Network
-from repro.runtime import GeneratedBFD, GeneratedNTPTimeout, load_functions
+from repro.runtime import GeneratedBFD, GeneratedNTPTimeout, compile_unit
 
 
 def test_igmp_query_interop(benchmark, igmp_run):
@@ -64,8 +64,7 @@ def test_igmp_query_interop(benchmark, igmp_run):
 def test_ntp_timeout_emits_ntp_in_udp(benchmark, ntp_run):
     """§6.3: 'generated packets for the timeout procedure containing both
     NTP and UDP headers', with the generated Table 11 dispatch deciding."""
-    functions = load_functions(ntp_run.code_unit.render_python())
-    dispatch = GeneratedNTPTimeout(functions)
+    dispatch = GeneratedNTPTimeout(compile_unit(ntp_run.code_unit))
 
     def scenario():
         peer = NTPPeer(
@@ -94,8 +93,7 @@ def test_ntp_timeout_emits_ntp_in_udp(benchmark, ntp_run):
 
 
 def test_bfd_generated_state_machine_matches_reference(benchmark, bfd_run):
-    functions = load_functions(bfd_run.code_unit.render_python())
-    generated = GeneratedBFD(functions)
+    generated = GeneratedBFD.from_unit(bfd_run.code_unit)
 
     def compare_all():
         mismatches = []

@@ -113,7 +113,7 @@ from repro.framework.icmp import make_echo
 from repro.framework.ip import PROTO_ICMP, make_ip_packet
 from repro.nlp.terms import load_default_dictionary
 from repro.rfc.registry import ProtocolRegistry, default_registry
-from repro.runtime import ExecutionContext, compile_unit, load_functions
+from repro.runtime import ExecutionContext, compile_unit
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 #: The warm-cache sweep re-run's floor, as a multiple of the cold sweep's
@@ -372,7 +372,7 @@ def main() -> int:
     # -- codegen + execution over the ICMP IR program -----------------------
     unit = revised.code_unit
     numbers["codegen_emit_c_s"], _ = timed(unit.render_c, repeat=20)
-    numbers["codegen_emit_python_s"], python_source = timed(
+    numbers["codegen_emit_python_s"], _ = timed(
         unit.render_python, repeat=20
     )
     compiled_cache = registry.compiled_cache()
@@ -407,12 +407,6 @@ def main() -> int:
     )
     numbers["codegen_interpret_s"], _ = timed(
         lambda: run_builder(interp_functions), repeat=200
-    )
-    # Source-keyed compile path (GeneratedImplementation.from_source);
-    # warmed first so the timing measures pure cache hits.
-    load_functions(python_source, cache=compiled_cache)
-    numbers["codegen_load_functions_cached_s"], _ = timed(
-        lambda: load_functions(python_source, cache=compiled_cache), repeat=200
     )
     numbers["compiled_cache"] = compiled_cache.stats()
 

@@ -7,7 +7,8 @@ Three surfaces over the SAGE pipeline:
   :class:`SweepResponse`, :class:`SentenceReport`,
   :class:`GeneratedArtifact`) plus schema-versioned :func:`to_json` /
   :func:`from_json` for every pipeline result (``SageRun``,
-  ``WinnowTrace``, ``CodeUnit``, ``SentenceResult``, ``Resolution``);
+  ``WinnowTrace``, the codegen ``Program``, ``SentenceResult``,
+  ``Resolution``);
 * **sessions** — the interactive :class:`DisambiguationSession`: iterate
   flagged sentences, inspect surviving LFs with per-check provenance,
   apply :class:`~repro.disambiguation.resolution.Resolution` records that a

@@ -2,10 +2,10 @@
 
 Every pipeline result — :class:`~repro.core.results.SageRun`,
 :class:`~repro.disambiguation.winnow.WinnowTrace`, the codegen
-:class:`~repro.codegen.ir.Program` (``CodeUnit``), per-sentence results,
-operator :class:`~repro.disambiguation.resolution.Resolution` records — and
-every request/response dataclass here round-trips through JSON under one
-schema-versioned envelope::
+:class:`~repro.codegen.ir.Program` (kind ``code_unit``), per-sentence
+results, operator :class:`~repro.disambiguation.resolution.Resolution`
+records — and every request/response dataclass here round-trips through
+JSON under one schema-versioned envelope::
 
     {"schema": 1, "kind": "sage_run", "data": {...}}
 
@@ -32,17 +32,19 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field as dataclass_field
+from functools import partial
 
 from ..ccg.semantics import signature
+from ..codegen import ops as ir_ops
 from ..codegen.ir import (
+    CONDITION_KINDS,
+    VALUE_KINDS,
     FingerprintMismatch,
     Function,
     IRError,
     Program,
     SentenceCode,
     backend_names,
-    op_from_dict,
-    op_to_dict,
 )
 from ..core.results import (
     FLAGGED_STATUSES,
@@ -72,6 +74,7 @@ from .schema import (
     MapOf,
     Record,
     Scalar,
+    Tagged,
     sem_decoder,
     sem_from_dict,  # re-exported: the eager Sem codec
     sem_node_record,
@@ -339,8 +342,6 @@ class _CorpusRef(JsonValue):
 #: A sentence status: its string on the wire, the enum member (or the raw
 #: string of an ad-hoc status) in memory.
 STATUS = JsonValue(str, str, SentenceStatus.coerce)
-OPS = JsonValue(list, lambda ops: [op_to_dict(op) for op in ops],
-                lambda raw: [op_from_dict(op) for op in raw])
 
 
 def _verified(fingerprint: str, built, what: str):
@@ -393,6 +394,72 @@ TRACE = Record("winnow_trace", WinnowTrace, [
     Field("survivors", ListOf(SEM), []),
     Field("base_forms", ListOf(SEM), []),
 ], tag=34, binary=("sentence", "counts", "base_forms", "survivors"))
+
+# The codegen IR.  A value or condition is an object with only its
+# non-default fields; an op is its table's fields under an "op" key naming
+# its type.
+
+VALUE = Record("value", ir_ops.Value, [
+    Field("kind", Scalar(str, tuple(sorted(VALUE_KINDS)))),
+    Field("const", UINT, 0, omit=True),
+    Field("name", STR, "", omit=True),
+    Field("protocol", STR, "", omit=True),
+])
+
+CONDITION = Record("condition", ir_ops.Condition, [
+    Field("kind", Scalar(str, tuple(sorted(CONDITION_KINDS)))),
+    Field("protocol", STR, "", omit=True),
+    Field("name", STR, "", omit=True),
+    Field("value", UINT, 0, omit=True),
+    Field("other", STR, "", omit=True),
+    Field("modes", ListOf(STR, tuple), (), omit=True),
+    Field("negated", BOOL, False, omit=True),
+])
+
+
+def _op(cls, *fields: Field) -> Record:
+    """An op type's table: its own fields, then the advice tag of every op."""
+    return Record(cls.__name__, cls,
+                  [*fields, Field("advice_before", STR, None, omit=True)])
+
+
+def _strs(*keys: str) -> list[Field]:
+    return [Field(key, STR) for key in keys]
+
+
+_OP_LIST = ListOf(None)  # ops: the item, the OP union, is set below
+
+OP = Tagged("op", [
+    _op(ir_ops.SetField, *_strs("protocol", "name"), Field("value", VALUE),
+        Field("optional", BOOL, False, omit=True)),
+    _op(ir_ops.SwapFields, *_strs("protocol_a", "field_a", "protocol_b",
+                                  "field_b")),
+    _op(ir_ops.CopyData),
+    _op(ir_ops.QuoteDatagram),
+    _op(ir_ops.ComputeChecksum, *_strs("protocol", "name", "function"),
+        Field("range_start", STR, "type", omit=True),
+        Field("range_end", STR, "end", omit=True)),
+    _op(ir_ops.PadData),
+    _op(ir_ops.Conditional, Field("condition", CONDITION),
+        Field("body", _OP_LIST, [])),
+    _op(ir_ops.SetStateVar, *_strs("name"), Field("value", VALUE)),
+    _op(ir_ops.CallProcedure, *_strs("name")),
+    _op(ir_ops.Send, *_strs("message"),
+        Field("destination", STR, "", omit=True)),
+    _op(ir_ops.Encapsulate, Field("outer", STR, "udp", omit=True)),
+    _op(ir_ops.SelectSession, Field("discriminator_field", STR,
+                                    "your_discriminator", omit=True)),
+    _op(ir_ops.Discard, Field("reason", STR, "", omit=True)),
+    _op(ir_ops.CeaseTransmission, Field("what", STR,
+                                        "periodic_transmission", omit=True)),
+    _op(ir_ops.Comment, *_strs("text")),
+], unknown="unknown serialized op")
+_OP_LIST.item = OP
+
+#: An op list (a SentenceCode's or Function's): a JSON array of ops,
+#: written in schema:1b as that array under the generic value codec.
+OPS = JsonValue(list, partial(_OP_LIST.enc, reg=None),
+                partial(_OP_LIST.dec, reg=None))
 
 SENTENCE_CODE = Record("sentence_code", SentenceCode, [
     Field("sentence", STR),
@@ -526,10 +593,6 @@ def codec_of(obj):
     codec = _BY_TYPE.get(type(obj))
     if codec is not None:
         return codec
-    # Subclass fallback (e.g. a Program alias like CodeUnit).
-    for codec in KINDS.values():
-        if isinstance(obj, codec.cls):
-            return codec
     raise ContractError(
         f"no wire contract for {type(obj).__name__}; serializable kinds are "
         f"{', '.join(sorted(KINDS))}"
@@ -563,11 +626,6 @@ def decoding(what: str, decode, malformed=ContractError):
         raise ContractError(f"bad {what} payload: {exc}") from exc
     except (AttributeError, LookupError, TypeError, ValueError) as exc:
         raise malformed(f"malformed {what} payload: {exc!r}") from exc
-
-
-def to_envelope(obj, registry=None) -> dict:
-    """The envelope as a plain JSON-safe dict."""
-    return json.loads(to_json(obj, registry))
 
 
 def to_json(obj, registry=None, indent: int | None = None) -> str:

@@ -3,9 +3,9 @@
 Every record that crosses a process boundary — the CLI's ``--json``
 output, an HTTP body, a persistent cache entry — is declared exactly once,
 as a :class:`Record`: an ordered table of :class:`Field` rows, each naming
-the field's type codec, its default and its omission rule (the same idea
-as the IR's per-op ``_OP_FIELDS``).  Two small interpreters read the
-table:
+the field's type codec, its default and its omission rule.  The codegen
+IR's values, conditions and ops are tables too; :class:`Tagged` picks an
+op's table from its ``"op"`` key.  Two small interpreters read the table:
 
 * :meth:`Record.enc` / :meth:`Record.dec` — the ``schema:1`` JSON dict.
   Keys come out in table order; an ``omit`` row is left out while it holds
@@ -276,10 +276,10 @@ SEM = _SemCodec()
 
 
 class JsonValue:
-    """A JSON value of one container type.  Opaque by default (decoded as a
-    copy, never walked); ``to_json``/``from_json`` adapt a codec owned by
-    another layer (the IR's op codec).  schema:1b writes the JSON form
-    under the generic value codec."""
+    """A JSON value of one type.  Opaque by default (decoded as a copy,
+    never walked); ``to_json``/``from_json`` convert to and from its JSON
+    form (a status enum, a corpus reference, an op list).  schema:1b
+    writes the JSON form under the generic value codec."""
 
     def __init__(self, type_: type, to_json=None, from_json=None) -> None:
         self.type = type_
@@ -367,6 +367,37 @@ class MapOf:
         read = self.item.read
         return {r.string(): read(r, reg)
                 for _ in range(r._bounded("map count"))}
+
+
+class Tagged:
+    """A tagged union of record tables: the JSON object's ``key`` entry
+    holds the kind of the table that codes the rest of it (an unknown kind
+    is an ``unknown`` error).  JSON only: in schema:1b a union travels
+    inside a :class:`JsonValue`."""
+
+    identity = False
+
+    def __init__(self, key: str, tables, unknown: str) -> None:
+        self.key = key
+        self.unknown = unknown
+        self.by_kind = {table.kind: table for table in tables}
+        self.by_type = {table.cls: table for table in tables}
+
+    def enc(self, value, reg):
+        table = self.by_type.get(type(value))
+        if table is None:
+            raise ContractError(f"cannot serialize {type(value).__name__}")
+        record = {self.key: table.kind}
+        record.update(table.enc(value, reg))
+        return record
+
+    def dec(self, raw, reg):
+        if type(raw) is not dict:
+            raise _Mistyped(f"expected an object, got {type(raw).__name__}")
+        table = self.by_kind.get(raw.get(self.key))
+        if table is None:
+            raise _Mistyped(f"{self.unknown} {raw.get(self.key)!r}")
+        return table.dec(raw, reg)
 
 
 # -- the tables ----------------------------------------------------------------

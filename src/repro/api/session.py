@@ -231,9 +231,6 @@ class DisambiguationSession:
     def resolutions(self) -> list[Resolution]:
         return list(self.journal)
 
-    def save_journal(self, path=None) -> pathlib.Path:
-        return self.journal.save(path)
-
 
 def open_session(protocol: str, mode: str = "revised",
                  **kwargs) -> DisambiguationSession:

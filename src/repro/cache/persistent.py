@@ -284,10 +284,9 @@ class PersistentRunCache(ContentCache):
 class CompiledProgramCache(ContentCache):
     """A content-addressed store for compiled generated programs.
 
-    Keys are built by the runtime harness as ``(backend_name, sha1)`` where
-    the SHA-1 covers the Python source (exec backend) or the IR fingerprint
-    (interpreter backend), so identical generated code compiles exactly
-    once per process no matter how many engines or scenarios request it.
+    Keys are built by the runtime harness as ``(backend_name, IR
+    fingerprint)``, so identical generated code compiles exactly once per
+    process no matter how many engines or scenarios request it.
     Values are function dictionaries (name → callable); compiled functions
     are not picklable, so they never leave the process that compiled them.
     """

@@ -17,9 +17,6 @@ BACKWARD = "\\"
 class Category:
     """Base class; use :func:`parse_category` or the helpers to build."""
 
-    def is_function(self) -> bool:
-        return isinstance(self, Func)
-
 
 @dataclass(frozen=True)
 class Prim(Category):

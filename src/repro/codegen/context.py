@@ -87,14 +87,6 @@ class SentenceContext:
     field: str = ""
     role: str = ""  # "sender" | "receiver" | ""
 
-    def as_dict(self) -> dict[str, str]:
-        return {
-            "protocol": self.protocol,
-            "message": self.message,
-            "field": self.field,
-            "role": self.role,
-        }
-
 
 # Pronouns and generic nouns that refer back to the current message/field.
 _SELF_REFERENCES = {"it", "they", "them", "this", "these", "message",

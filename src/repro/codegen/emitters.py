@@ -201,9 +201,9 @@ class PyEmitter(Emitter):
     def compile_source(python_source: str) -> dict[str, object]:
         """``exec`` generated source; returns the defined builder functions.
 
-        The single home of the exec-and-filter rule — the runtime's
-        ``load_functions`` delegates here so the program path and the bare
-        source path can never diverge."""
+        The single home of the exec-and-filter rule: :meth:`compile_program`
+        and the runtime's persisted-source path
+        (:func:`~repro.runtime.harness.compile_unit`) both call it."""
         namespace: dict[str, object] = {}
         exec(compile(python_source, "<sage-generated>", "exec"), namespace)
         return {

@@ -10,11 +10,12 @@ sits a typed intermediate representation:
   message, role) that names it, a derived :class:`SymbolTable`, and a
   content fingerprint for compiled-program caching;
 * :class:`SentenceCode` — one sentence's ops plus the goal-message/role
-  routing that decides which builders receive them;
+  routing that decides which builders receive them; :func:`builder_role`
+  says which side of the exchange builds each message;
 * **passes** — the small optimizing/normalizing pipeline every function
-  runs through during assembly (:data:`DEFAULT_PASSES`): checksum
+  runs through during assembly (:func:`run_passes`): checksum
   finalization, advice placement, and set-field dedupe — the paper's code
-  order discussion (§5.2) as explicit, testable objects;
+  order discussion (§5.2) as plain, testable functions;
 * :class:`Backend` — the pluggable rendering/execution interface.  The C
   and Python emitters subclass it (``repro.codegen.emitters``), as does the
   direct IR interpreter (``repro.codegen.interp``); :func:`register_backend`
@@ -24,6 +25,8 @@ Keeping the IR typed (dataclass ops, enumerated value/condition kinds) is
 what lets :func:`validate_function` reject malformed programs *before* a
 backend sees them, and what makes the interpreter backend possible at all —
 it executes the ops directly against an execution context, no ``exec()``.
+The IR's wire form (ops, values, conditions, functions, programs) is a set
+of field tables in :mod:`repro.api.contracts`.
 """
 
 from __future__ import annotations
@@ -136,6 +139,25 @@ def goal_matches(goal_message: str, message_name: str) -> bool:
         return True
     normalized = goal_message.replace("_", " ").removesuffix(" message").strip()
     return normalized == message_name
+
+
+# Which side of the exchange constructs each ICMP message.  This is the
+# bundled-ICMP *fallback*: protocol-correct sender-built sets live in the
+# protocol registry's metadata (``ProtocolRegistry.sender_built``) and are
+# passed to :func:`builder_role` explicitly by the engine.
+_SENDER_BUILT = frozenset({"echo", "timestamp", "information request"})
+
+
+def builder_role(message_name: str,
+                 sender_built: frozenset[str] | None = None) -> str:
+    """"echo" is built by the probing sender; everything else by the
+    responding node (replies and error messages).
+
+    ``sender_built`` is the per-protocol message set from the registry's
+    metadata; without one the bundled ICMP set applies.
+    """
+    built_by_sender = _SENDER_BUILT if sender_built is None else sender_built
+    return "sender" if message_name in built_by_sender else "receiver"
 
 
 # -- symbol tables -------------------------------------------------------------
@@ -255,111 +277,76 @@ def validate_function(function: "Function") -> None:
 
 
 # -- passes --------------------------------------------------------------------
+# Each pass rewrites a function's op list (order-preserving unless the
+# pass's whole point is reordering); :func:`run_passes` is the assembly
+# pipeline.
 
-class IRPass:
-    """One rewrite over a function's op list (order-preserving unless the
-    pass's whole point is reordering)."""
-
-    name = ""
-
-    def run(self, ops: list[Op]) -> list[Op]:
-        raise NotImplementedError
-
-
-class ChecksumFinalizationPass(IRPass):
+def finalize_checksums(ops: list[Op]) -> list[Op]:
     """Stable-sort checksum computations (and their advice) to the end.
 
     The RFC lists the Checksum field before Identifier/Sequence/Data, but
     the checksum covers them, so it must be computed after they are filled.
     Duplicate computations of the same (protocol, field) collapse to one.
     """
-
-    name = "finalize-checksums"
-
-    def run(self, ops: list[Op]) -> list[Op]:
-        checksum_keys: set[int] = set()
-        for index, op in enumerate(ops):
-            if isinstance(op, ComputeChecksum):
-                checksum_keys.add(index)
-        if not checksum_keys:
-            return list(ops)
-        head = [op for index, op in enumerate(ops) if index not in checksum_keys]
-        tail = [op for index, op in enumerate(ops) if index in checksum_keys]
-        deduped_tail: list[Op] = []
-        seen: set[tuple[str, str]] = set()
-        for op in tail:
-            key = (op.protocol, op.name)
-            if key in seen:
-                continue
+    head = [op for op in ops if not isinstance(op, ComputeChecksum)]
+    tail: list[Op] = []
+    seen: set[tuple[str, str]] = set()
+    for op in ops:
+        if not isinstance(op, ComputeChecksum):
+            continue
+        key = (op.protocol, op.name)
+        if key not in seen:
             seen.add(key)
-            deduped_tail.append(op)
-        return head + deduped_tail
+            tail.append(op)
+    return head + tail
 
 
-class AdvicePlacementPass(IRPass):
+def place_advice(ops: list[Op]) -> list[Op]:
     """Move advice ops immediately before their advised function's first op.
 
     Currently the only advised function is the checksum computation
     (@AdvBefore in the "For computing the checksum..." sentence); advice for
     functions that never appear stays in place.
     """
-
-    name = "place-advice"
-
-    def run(self, ops: list[Op]) -> list[Op]:
-        advice = [op for op in ops if op.advice_before]
-        if not advice:
-            return list(ops)
-        plain = [op for op in ops if not op.advice_before]
-        result: list[Op] = []
-        placed: set[int] = set()
-        for op in plain:
-            if isinstance(op, ComputeChecksum):
-                for index, advice_op in enumerate(advice):
-                    if index not in placed and advice_op.advice_before == "compute_checksum":
-                        result.append(advice_op)
-                        placed.add(index)
-            result.append(op)
-        for index, advice_op in enumerate(advice):
-            if index not in placed:
-                result.append(advice_op)
-        return result
+    advice = [op for op in ops if op.advice_before]
+    if not advice:
+        return list(ops)
+    result: list[Op] = []
+    placed: set[int] = set()
+    for op in ops:
+        if op.advice_before:
+            continue
+        if isinstance(op, ComputeChecksum):
+            for index, advice_op in enumerate(advice):
+                if index not in placed and advice_op.advice_before == "compute_checksum":
+                    result.append(advice_op)
+                    placed.add(index)
+        result.append(op)
+    result.extend(advice_op for index, advice_op in enumerate(advice)
+                  if index not in placed)
+    return result
 
 
-class SetFieldDedupePass(IRPass):
+def dedupe_setfields(ops: list[Op]) -> list[Op]:
     """Drop exact-duplicate constant field assignments (e.g. the structural
     type value and a rewrite's explicit "type field is set to 0")."""
-
-    name = "dedupe-setfields"
-
-    def run(self, ops: list[Op]) -> list[Op]:
-        seen: set[tuple[str, str, int]] = set()
-        result: list[Op] = []
-        for op in ops:
-            if isinstance(op, SetField) and op.value.kind == "const":
-                key = (op.protocol, op.name, op.value.const)
-                if key in seen:
-                    continue
-                seen.add(key)
-            result.append(op)
-        return result
+    seen: set[tuple[str, str, int]] = set()
+    result: list[Op] = []
+    for op in ops:
+        if isinstance(op, SetField) and op.value.kind == "const":
+            key = (op.protocol, op.name, op.value.const)
+            if key in seen:
+                continue
+            seen.add(key)
+        result.append(op)
+    return result
 
 
-#: The assembly pipeline: finalization first (checksums move to the end),
-#: THEN advice placement, so zero-before-compute lands directly before the
-#: moved computation; dedupe runs last over the settled order.
-DEFAULT_PASSES: tuple[IRPass, ...] = (
-    ChecksumFinalizationPass(),
-    AdvicePlacementPass(),
-    SetFieldDedupePass(),
-)
-
-
-def run_passes(ops: list[Op],
-               passes: tuple[IRPass, ...] = DEFAULT_PASSES) -> list[Op]:
-    for ir_pass in passes:
-        ops = ir_pass.run(ops)
-    return ops
+def run_passes(ops: list[Op]) -> list[Op]:
+    """The assembly pipeline: finalization first (checksums move to the
+    end), THEN advice placement, so zero-before-compute lands directly
+    before the moved computation; dedupe runs last over the settled order."""
+    return dedupe_setfields(place_advice(finalize_checksums(ops)))
 
 
 # -- functions and programs ----------------------------------------------------
@@ -431,11 +418,6 @@ class Program:
         default=None, repr=False, compare=False
     )
 
-    @property
-    def functions(self) -> list[Function]:
-        """The IR-layer name for the builder list."""
-        return self.programs
-
     def add(self, function: Function) -> Function:
         existing = self.program_named(function.name)
         if existing is not None:
@@ -496,7 +478,6 @@ def build_function(
     sentence_codes: list[SentenceCode],
     type_value: int | None = None,
     code_value: int | None = None,
-    passes: tuple[IRPass, ...] = DEFAULT_PASSES,
 ) -> Function:
     """Assemble one message's builder from its sentences plus the structural
     value bindings (the "0 = Echo Reply" idiom and bare field values), then
@@ -519,115 +500,10 @@ def build_function(
         ops.extend(code.ops)
     function = Function(
         protocol=protocol, message_name=message_name, role=role,
-        ops=run_passes(ops, passes),
+        ops=run_passes(ops),
     )
     validate_function(function)
     return function
-
-
-# -- serialization -------------------------------------------------------------
-#
-# Ops, Value, and Condition are plain dataclasses over JSON-safe scalars
-# (plus nested Value/Condition/list[Op]), so serialization is generic over
-# dataclasses.fields.  Functions and programs are field tables in
-# repro.api.contracts (the ``code_unit`` wire kind), which carry each one's
-# content SHA-1 and raise :class:`FingerprintMismatch` on drift.
-
-import dataclasses as _dataclasses
-
-_OP_BY_NAME: dict[str, type] = {op_type.__name__: op_type for op_type in OP_TYPES}
-
-#: Per-op-type (field name, default) pairs, precomputed once —
-#: dataclasses.fields() is surprisingly expensive to re-resolve per node on
-#: the serialization hot path.
-_OP_FIELDS: dict[type, tuple] = {
-    op_type: tuple((field_info.name, field_info.default)
-                   for field_info in _dataclasses.fields(op_type))
-    for op_type in OP_TYPES
-}
-
-
-def value_to_dict(value: Value) -> dict:
-    record = {"kind": value.kind}
-    if value.const:
-        record["const"] = value.const
-    if value.name:
-        record["name"] = value.name
-    if value.protocol:
-        record["protocol"] = value.protocol
-    return record
-
-
-def value_from_dict(record: dict) -> Value:
-    return Value(kind=record["kind"], const=record.get("const", 0),
-                 name=record.get("name", ""),
-                 protocol=record.get("protocol", ""))
-
-
-def condition_to_dict(condition: Condition) -> dict:
-    record = {"kind": condition.kind}
-    if condition.protocol:
-        record["protocol"] = condition.protocol
-    if condition.name:
-        record["name"] = condition.name
-    if condition.value:
-        record["value"] = condition.value
-    if condition.other:
-        record["other"] = condition.other
-    if condition.modes:
-        record["modes"] = list(condition.modes)
-    if condition.negated:
-        record["negated"] = True
-    return record
-
-
-def condition_from_dict(record: dict) -> Condition:
-    return Condition(
-        kind=record["kind"], protocol=record.get("protocol", ""),
-        name=record.get("name", ""), value=record.get("value", 0),
-        other=record.get("other", ""),
-        modes=tuple(record.get("modes", ())),
-        negated=record.get("negated", False),
-    )
-
-
-def op_to_dict(op: Op) -> dict:
-    """One op as a JSON-safe dict, tagged with its type name."""
-    fields_spec = _OP_FIELDS.get(type(op))
-    if fields_spec is None:
-        raise IRValidationError(f"cannot serialize op type {type(op).__name__}")
-    record: dict = {"op": type(op).__name__}
-    for name, default in fields_spec:
-        value = getattr(op, name)
-        if value == default and name != "condition":
-            continue  # defaults stay implicit (compact, stable JSON)
-        if isinstance(value, Value):
-            value = value_to_dict(value)
-        elif isinstance(value, Condition):
-            value = condition_to_dict(value)
-        elif isinstance(value, list):
-            value = [op_to_dict(inner) for inner in value]
-        record[name] = value
-    return record
-
-
-def op_from_dict(record: dict) -> Op:
-    op_type = _OP_BY_NAME.get(record.get("op", ""))
-    if op_type is None:
-        raise IRValidationError(f"unknown serialized op {record.get('op')!r}")
-    kwargs: dict = {}
-    for name, _default in _OP_FIELDS[op_type]:
-        if name not in record:
-            continue
-        value = record[name]
-        if name == "value" and isinstance(value, dict):
-            value = value_from_dict(value)
-        elif name == "condition" and isinstance(value, dict):
-            value = condition_from_dict(value)
-        elif name == "body" and isinstance(value, list):
-            value = [op_from_dict(inner) for inner in value]
-        kwargs[name] = value
-    return op_type(**kwargs)
 
 
 # -- the backend registry ------------------------------------------------------

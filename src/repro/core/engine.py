@@ -37,7 +37,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING
 
 from ..ccg.semantics import Sem, signature
-from ..codegen.generator import CodeUnit, SentenceCode
+from ..codegen.ir import Program, SentenceCode
 from ..gcpolicy import cold_batch_gc
 from ..nlp.tokenizer import split_sentences
 from ..parsing.backend import backend_id, create_parser
@@ -492,7 +492,7 @@ class SageEngine:
             self._run_cache.put(key, run)
         return run
 
-    def _assemble(self, corpus: Corpus, results: list[SentenceResult]) -> CodeUnit:
+    def _assemble(self, corpus: Corpus, results: list[SentenceResult]) -> Program:
         """IR assembly (the generate stage emits a typed Program), with the
         sender-built role metadata resolved from the protocol registry."""
         by_section: dict[str, list[SentenceCode]] = {}
@@ -502,7 +502,7 @@ class SageEngine:
             sender_built = self.protocol_registry.sender_built(corpus.protocol)
         except KeyError:
             # Ad-hoc corpora processed without a registration fall back to
-            # the generator's bundled-ICMP default.
+            # the bundled-ICMP default of ``builder_role``.
             sender_built = None
         return self.generate_stage.assemble(corpus, by_section,
                                             sender_built=sender_built)

@@ -18,7 +18,7 @@ from functools import cache
 from typing import TYPE_CHECKING
 
 from ..ccg.semantics import Sem, iter_calls
-from ..codegen.generator import CodeUnit, SentenceCode
+from ..codegen.ir import Program, SentenceCode
 from ..rfc.corpus import Corpus, Rewrite, SpecSentence
 
 if TYPE_CHECKING:
@@ -104,7 +104,7 @@ class SageRun:
 
     corpus: Corpus
     results: list[SentenceResult]
-    code_unit: CodeUnit
+    code_unit: Program
 
     def by_status(self) -> dict[str, int]:
         counts: dict[str, int] = {}

@@ -37,9 +37,8 @@ from ..codegen.context import (
     SentenceContext,
     UnknownReference,
 )
-from ..codegen.generator import assemble_message_program
 from ..codegen.handlers import HandlerRegistry, HandlerResult, NonActionable
-from ..codegen.ir import Program, SentenceCode
+from ..codegen.ir import Program, SentenceCode, build_function, builder_role
 from ..codegen.ops import SetField, Value
 from ..disambiguation.checks import CheckSuite
 from ..disambiguation.profile import PROFILE as WINNOW_PROFILE
@@ -434,13 +433,13 @@ class GenerateStage:
                 code_field and len(code_field.values) > 1
             )
             for message_name in section.message_names:
-                function = assemble_message_program(
+                function = build_function(
                     protocol=corpus.protocol,
                     message_name=message_name,
+                    role=builder_role(message_name, sender_built),
                     sentence_codes=codes_by_section.get(section.title, []),
                     type_value=type_values.get(message_name),
                     code_value=code_value,
-                    sender_built=sender_built,
                 )
                 if code_is_enumerated:
                     # "0 = net unreachable; 1 = ..." — the scenario picks

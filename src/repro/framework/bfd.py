@@ -79,9 +79,6 @@ class BFDStateVariables:
     DetectMult: int = 3
     AuthType: int = 0
 
-    def session_state_name(self) -> str:
-        return STATE_NAMES.get(self.SessionState, str(self.SessionState))
-
     def snapshot(self) -> dict[str, int]:
         """The current variable values (used by tests to diff transitions)."""
         return dict(self.__dict__)

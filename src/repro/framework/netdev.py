@@ -85,13 +85,6 @@ class OSServices:
     clock: Clock = field(default_factory=Clock)
     buffers: dict[str, BufferPool] = field(default_factory=dict)
 
-    def interface_for(self, address: int) -> Interface | None:
-        """The interface whose subnet contains ``address``, if any."""
-        for interface in self.interfaces:
-            if interface.subnet.contains(address):
-                return interface
-        return None
-
     def own_addresses(self) -> set[int]:
         return {interface.address for interface in self.interfaces}
 

@@ -4,12 +4,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from ..ccg.semantics import Call, Const, Sem, iter_calls, signature
+from ..ccg.semantics import Sem, iter_calls, signature
 
 
 @dataclass
 class LogicalForm:
-    """One logical form plus derived views (tree rendering, predicates)."""
+    """One logical form plus derived views (signature, predicates)."""
 
     sem: Sem
 
@@ -18,25 +18,6 @@ class LogicalForm:
 
     def predicates(self) -> list[str]:
         return [call.pred for call in iter_calls(self.sem)]
-
-    def has_flag(self, flag: str) -> bool:
-        return any(flag in call.flags for call in iter_calls(self.sem))
-
-    def pretty(self, indent: int = 0) -> str:
-        """Render the LF as the tree drawing of Figure 2."""
-        return _pretty(self.sem, indent)
-
-
-def _pretty(term: Sem, indent: int) -> str:
-    pad = "  " * indent
-    if isinstance(term, Call):
-        lines = [f"{pad}@{term.pred}"]
-        for arg in term.args:
-            lines.append(_pretty(arg, indent + 1))
-        return "\n".join(lines)
-    if isinstance(term, Const):
-        return f"{pad}'{term.value}'"
-    return f"{pad}{term}"
 
 
 @dataclass

@@ -252,10 +252,6 @@ class Network:
                 return link, other
         return None
 
-    def _endpoint_for(self, transmission: Transmission) -> tuple[str, str] | None:
-        found = self._link_for(transmission)
-        return found[1] if found is not None else None
-
     def _apply_faults(self, link: Link, transmission: Transmission) -> bool:
         """Roll the link's fault schedule for one crossing.
 

@@ -57,12 +57,6 @@ class PingResult:
     def success(self) -> bool:
         return self.transmitted > 0 and self.received == self.transmitted
 
-    @property
-    def loss_percent(self) -> float:
-        if self.transmitted == 0:
-            return 0.0
-        return 100.0 * (self.transmitted - self.received) / self.transmitted
-
 
 class Ping:
     """Sends echo requests from ``host`` and strictly validates replies."""

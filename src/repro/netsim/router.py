@@ -39,9 +39,6 @@ class Router(Node):
     def add_route(self, cidr: str, interface: str, next_hop: str | int = 0) -> None:
         self.routes.add(cidr, interface, next_hop)
 
-    def set_implementation(self, implementation: ICMPImplementation) -> None:
-        self.implementation = implementation
-
     # -- datapath ------------------------------------------------------------
     def receive(self, data: bytes, interface: str) -> None:
         try:

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..framework.addressing import ip_to_int
 from .core import Network
 from .host import Host
 from .icmp_impl import ICMPImplementation
@@ -104,15 +103,3 @@ def add_redirect_route(topology: CourseTopology, cidr: str = "203.0.113.0/24") -
     topology.router.add_route(cidr, "eth0", next_hop=SECOND_GATEWAY_IP)
     network_part = cidr.split("/")[0].rsplit(".", 1)[0]
     return f"{network_part}.7"
-
-
-def client_ip() -> int:
-    return ip_to_int(CLIENT_IP)
-
-
-def server1_ip() -> int:
-    return ip_to_int(SERVER1_IP)
-
-
-def unknown_ip() -> int:
-    return ip_to_int(UNKNOWN_DESTINATION)

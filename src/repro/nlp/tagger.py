@@ -109,7 +109,3 @@ def _looks_like_verb(lower: str) -> bool:
     if lower.endswith("ing") and lower[:-3] + "e" in VERB_STEMS:
         return True
     return False
-
-
-def is_noun_like(tag: str) -> bool:
-    return tag in (TAG_NOUN, TAG_PRON)

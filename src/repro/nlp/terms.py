@@ -35,10 +35,6 @@ class TermDictionary:
     def __len__(self) -> int:
         return len(self._terms)
 
-    @property
-    def max_words(self) -> int:
-        return self._max_words
-
     def longest_match(self, words: list[str], start: int) -> int:
         """Length (in words) of the longest dictionary term at ``start``; 0 if none.
 

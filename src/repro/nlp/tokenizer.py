@@ -51,9 +51,6 @@ class Token:
         re-lowercases."""
         return self.text.lower()
 
-    def is_word(self) -> bool:
-        return self.kind == KIND_WORD
-
     def __str__(self) -> str:
         return self.text
 

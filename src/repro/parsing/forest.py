@@ -219,20 +219,6 @@ class ParseForest:
                 sem = item.sem
                 yield sem if sem is not None else item.triple()[0]
 
-    def normal_forms(self) -> list[Sem]:
-        """The β-normal forms of :meth:`logical_forms`, batch-normalized.
-
-        One topological pass over the union DAG of the root readings
-        (:func:`~repro.parsing.values.normalize_batch`) normalizes every
-        shared subderivation once; readings the chart already stored in
-        normal form answer from their per-node stamps.  Same order and
-        dedup as :meth:`logical_forms`.
-        """
-        from .values import normalize_batch
-
-        return [triple[0]
-                for triple in normalize_batch(list(self.logical_forms()))]
-
     # -- statistics ------------------------------------------------------------
     def item_count(self) -> int:
         return sum(len(items) for items in self.cells.values())

@@ -64,9 +64,6 @@ class Corpus:
     #: engine's run memo keys on it.
     fingerprint: str = field(default="", compare=False, repr=False)
 
-    def field_sentences(self) -> list[SpecSentence]:
-        return [s for s in self.sentences if s.kind == KIND_FIELD]
-
     def description_sentences(self) -> list[SpecSentence]:
         return [s for s in self.sentences if s.kind == KIND_DESCRIPTION]
 

@@ -28,10 +28,6 @@ class ValueBinding:
     value: int
     meaning: str
 
-    @property
-    def meaning_term(self) -> str:
-        return normalize_term(self.meaning)
-
 
 @dataclass
 class FieldDescription:
@@ -124,16 +120,6 @@ class RFCDocument:
             if section.title.lower() == title.lower():
                 return section
         return None
-
-    def all_sentences(self) -> list[str]:
-        sentences: list[str] = []
-        for intro in self.intro_sections:
-            sentences.extend(intro.sentences)
-        for section in self.message_sections:
-            for field_description in section.fields:
-                sentences.extend(field_description.sentences)
-            sentences.extend(section.description_sentences)
-        return sentences
 
 
 def parse_value_binding(line: str) -> ValueBinding | None:

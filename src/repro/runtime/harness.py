@@ -4,11 +4,10 @@ The executable backends produce builder functions over a ``ctx`` object;
 this module provides those objects (:class:`ExecutionContext` for ICMP,
 :class:`IGMPExecutionContext` for IGMP — the state-runtime contexts live in
 :mod:`repro.runtime.state_runtime`), compiles generated programs through
-the shared compiled-program cache (:func:`load_functions`,
-:func:`compile_unit`), and adapts the results to the simulator's
-interfaces through the protocol-generic :class:`GeneratedImplementation`
-family — the paper's §6.2 integration, generalized to every bundled
-protocol (§6.3–§6.4):
+the shared compiled-program cache (:func:`compile_unit`), and adapts the
+results to the simulator's interfaces through the protocol-generic
+:class:`GeneratedImplementation` family — the paper's §6.2 integration,
+generalized to every bundled protocol (§6.3–§6.4):
 
 * :class:`GeneratedICMP` — the `ICMPImplementation` boundary for
   routers/hosts (ping, traceroute, the Appendix A scenarios);
@@ -19,15 +18,14 @@ protocol (§6.3–§6.4):
   adapters (Table 11 dispatch, §6.8.6 reception).
 
 Every adapter compiles through :func:`compile_unit`: programs are keyed on
-their content SHA-1 (source hash for the exec backend, IR fingerprint for
-the interpreter) in the registry's :class:`~repro.rfc.registry.
-CompiledProgramCache`, so a repeated scenario pays a dictionary hit, not a
-recompile.
+their backend and IR fingerprint in the registry's
+:class:`~repro.rfc.registry.CompiledProgramCache`, so a repeated scenario
+pays a dictionary hit, not a recompile.  Generated code reaches the
+runtime only as IR: the exec backend renders the Python itself.
 """
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass, field as dataclass_field
 
 from ..codegen.emitters import PyEmitter
@@ -39,43 +37,15 @@ from ..framework.netdev import Clock
 from ..netsim.icmp_impl import ICMPImplementation
 
 
-def _resolve_cache(cache):
-    """``True`` → the default registry's shared compiled-program cache."""
-    if cache is True:
-        from ..rfc.registry import default_registry
-
-        return default_registry().compiled_cache()
-    if cache is False:
-        return None
-    return cache
-
-
-def load_functions(python_source: str, cache=None) -> dict[str, object]:
-    """Compile generated Python source; returns the defined functions.
-
-    With a ``cache`` (a :class:`~repro.rfc.registry.CompiledProgramCache`,
-    or ``True`` for the default registry's), identical source compiles once
-    per process — the key is the source SHA-1.
-    """
-    cache = _resolve_cache(cache)
-    key = ("python-source", hashlib.sha1(python_source.encode()).hexdigest())
-    if cache is not None:
-        hit = cache.get(key)
-        if hit is not None:
-            return hit
-    functions = PyEmitter.compile_source(python_source)
-    if cache is not None:
-        cache.put(key, functions)
-    return functions
-
-
 def compile_unit(unit, backend: str = "python", cache=None) -> dict[str, object]:
     """Compile an IR :class:`~repro.codegen.ir.Program` to callables.
 
     ``backend`` names any registered executable backend ("python" execs the
-    rendering; "interp" walks the IR directly).  The cache key is
-    ``(backend, IR fingerprint)``, so the same program compiled under two
-    backends caches independently while a repeat under either is free.
+    rendering; "interp" walks the IR directly).  ``cache`` is a
+    :class:`~repro.rfc.registry.CompiledProgramCache`, ``True`` for the
+    default registry's, or None.  The cache key is ``(backend, IR
+    fingerprint)``, so the same program compiled under two backends caches
+    independently while a repeat under either is free.
 
     Compiled callables cannot outlive their process, but the *rendered
     source* can: a disk-backed cache (:class:`~repro.cache.persistent.
@@ -83,7 +53,10 @@ def compile_unit(unit, backend: str = "python", cache=None) -> dict[str, object]
     key, so a cold process skips the render and only re-pays the ``exec``.
     The in-memory cache's ``get_source``/``put_source`` are no-ops.
     """
-    cache = _resolve_cache(cache)
+    if cache is True:
+        from ..rfc.registry import default_registry
+
+        cache = default_registry().compiled_cache()
     key = (backend, unit.fingerprint())
     if cache is not None:
         hit = cache.get(key)
@@ -281,14 +254,6 @@ class GeneratedImplementation:
         self.params = params or {}
 
     @classmethod
-    def from_source(cls, python_source: str, clock: Clock | None = None,
-                    params: dict[str, int] | None = None, cache=True,
-                    **kwargs):
-        """Build from rendered Python source (exec backend, cached)."""
-        return cls(load_functions(python_source, cache=cache),
-                   clock=clock, params=params, **kwargs)
-
-    @classmethod
     def from_unit(cls, unit, backend: str = "python",
                   clock: Clock | None = None,
                   params: dict[str, int] | None = None, cache=True,
@@ -296,11 +261,6 @@ class GeneratedImplementation:
         """Build from an IR Program via any executable backend, cached."""
         return cls(compile_unit(unit, backend=backend, cache=cache),
                    clock=clock, params=params, **kwargs)
-
-    @classmethod
-    def from_run(cls, run, **kwargs):
-        """Build from a :class:`~repro.core.results.SageRun`."""
-        return cls.from_unit(run.code_unit, **kwargs)
 
     @classmethod
     def from_artifact(cls, artifact, backend: str | None = None, **kwargs):

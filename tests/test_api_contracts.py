@@ -21,16 +21,12 @@ from repro.api import (
     from_json,
     to_json,
 )
-from repro.api.contracts import sem_from_dict, sem_to_dict
+from repro.api.contracts import OP, sem_from_dict, sem_to_dict
 from repro.ccg.semantics import Call, Const, signature
-from repro.codegen.ir import (
-    Condition,
-    FingerprintMismatch,
-    op_from_dict,
-    op_to_dict,
-)
+from repro.codegen.ir import FingerprintMismatch
 from repro.codegen.ops import (
     ComputeChecksum,
+    Condition,
     Conditional,
     CopyData,
     Discard,
@@ -203,7 +199,7 @@ class TestRandomizedRoundTrips:
     @given(op_trees())
     @settings(max_examples=80, deadline=None)
     def test_ops_round_trip(self, op):
-        assert op_from_dict(json.loads(json.dumps(op_to_dict(op)))) == op
+        assert OP.dec(json.loads(json.dumps(OP.enc(op, None))), None) == op
 
     @given(resolutions_s)
     @settings(max_examples=80, deadline=None)

@@ -11,12 +11,13 @@ from repro.codegen import (
     PyEmitter,
     SentenceContext,
     StaticContext,
+    SentenceCode,
     UnknownReference,
+    build_function,
     builder_role,
     function_name,
 )
-from repro.codegen.generator import SentenceCode, assemble_message_program
-from repro.codegen.ir import AdvicePlacementPass, ChecksumFinalizationPass
+from repro.codegen.ir import finalize_checksums, place_advice
 from repro.codegen.ops import ComputeChecksum, SetField, Value
 
 
@@ -26,6 +27,11 @@ def call(pred, *args, trigger=None):
 
 def const(value):
     return Const(value)
+
+
+def assemble(message_name, sentence_codes):
+    return build_function("ICMP", message_name, builder_role(message_name),
+                          sentence_codes)
 
 
 @pytest.fixture
@@ -160,12 +166,10 @@ class TestEmitters:
         assert line == "ctx.set_field('ip', 'dst', ctx.request_field('ip', 'src'))"
 
     def test_function_rendering_roundtrips_exec(self):
-        from repro.runtime import load_functions
-
         source = PyEmitter().render_function(
             "demo", [SetField("icmp", "type", Value.constant(3))]
         )
-        functions = load_functions(source)
+        functions = PyEmitter.compile_source(source)
         assert "demo" in functions
 
 
@@ -185,7 +189,7 @@ class TestAssembly:
             SetField("icmp", "identifier", Value.constant(1)),
             ComputeChecksum("icmp", "checksum", "internet_checksum"),
         ]
-        result = ChecksumFinalizationPass().run(ops)
+        result = finalize_checksums(ops)
         assert isinstance(result[0], SetField)
         assert sum(isinstance(op, ComputeChecksum) for op in result) == 1
 
@@ -193,7 +197,7 @@ class TestAssembly:
         zero = SetField("icmp", "checksum", Value.constant(0),
                         advice_before="compute_checksum")
         compute = ComputeChecksum("icmp", "checksum", "internet_checksum")
-        result = AdvicePlacementPass().run([compute, zero])
+        result = place_advice([compute, zero])
         assert result.index(zero) < result.index(compute)
 
     def test_goal_scoping(self):
@@ -202,8 +206,8 @@ class TestAssembly:
             ops=[SetField("icmp", "type", Value.constant(0))],
             goal_message="echo_reply_message",
         )
-        echo = assemble_message_program("ICMP", "echo", [reply_only])
-        reply = assemble_message_program("ICMP", "echo reply", [reply_only])
+        echo = assemble("echo", [reply_only])
+        reply = assemble("echo reply", [reply_only])
         assert not any(isinstance(op, SetField) for op in echo.ops)
         assert any(isinstance(op, SetField) for op in reply.ops)
 
@@ -213,7 +217,7 @@ class TestAssembly:
             ops=[SetField("icmp", "identifier", Value.param("chosen_value"))],
             role="sender",
         )
-        echo = assemble_message_program("ICMP", "echo", [sender_only])
-        reply = assemble_message_program("ICMP", "echo reply", [sender_only])
+        echo = assemble("echo", [sender_only])
+        reply = assemble("echo reply", [sender_only])
         assert any(isinstance(op, SetField) for op in echo.ops)
         assert not any(isinstance(op, SetField) for op in reply.ops)

@@ -19,9 +19,9 @@ from repro.codegen import (
     validate_function,
 )
 from repro.codegen.ir import (
-    AdvicePlacementPass,
-    ChecksumFinalizationPass,
-    SetFieldDedupePass,
+    dedupe_setfields,
+    finalize_checksums,
+    place_advice,
     run_passes,
 )
 from repro.codegen.ops import (
@@ -154,7 +154,7 @@ class TestPasses:
             setfield("identifier", 1),
             ComputeChecksum("icmp", "checksum", "internet_checksum"),
         ]
-        result = ChecksumFinalizationPass().run(ops)
+        result = finalize_checksums(ops)
         assert sum(isinstance(op, ComputeChecksum) for op in result) == 1
         assert isinstance(result[0], SetField)
 
@@ -162,13 +162,13 @@ class TestPasses:
         zero = SetField("icmp", "checksum", Value.constant(0),
                         advice_before="compute_checksum")
         other = setfield()
-        result = AdvicePlacementPass().run([other, zero])
+        result = place_advice([other, zero])
         assert result == [other, zero]
 
     def test_dedupe_keeps_non_const_assignments(self):
         a = SetField("icmp", "identifier", Value.param("chosen_value"))
         b = SetField("icmp", "identifier", Value.param("chosen_value"))
-        assert SetFieldDedupePass().run([a, b]) == [a, b]
+        assert dedupe_setfields([a, b]) == [a, b]
 
 
 class TestSymbolTable:
@@ -328,13 +328,3 @@ class TestCompiledProgramCache:
         compile_unit(program, backend="python", cache=cache)
         compile_unit(program, backend="interp", cache=cache)
         assert len(cache) == 2
-
-    def test_load_functions_source_keyed(self):
-        from repro.rfc.registry import CompiledProgramCache
-        from repro.runtime import load_functions
-
-        source = "def f(ctx):\n    return ctx\n"
-        cache = CompiledProgramCache()
-        first = load_functions(source, cache=cache)
-        second = load_functions(source, cache=cache)
-        assert first is second and "f" in first

@@ -6,7 +6,7 @@ from repro.core import SageEngine, modal_sentences
 from repro.framework.addressing import ip_to_int
 from repro.netsim import course_topology, ping
 from repro.rfc import bfd_corpus, icmp_corpus
-from repro.runtime import GeneratedICMP, load_functions
+from repro.runtime import GeneratedICMP, compile_unit
 
 
 @pytest.fixture(scope="module")
@@ -43,8 +43,8 @@ class TestStrictPipeline:
         assert len(modals) >= 4
 
     def test_strict_code_fails_ping(self, strict_run):
-        source = strict_run.code_unit.render_python()
-        topology = course_topology(implementation=GeneratedICMP.from_source(source))
+        implementation = GeneratedICMP.from_unit(strict_run.code_unit)
+        topology = course_topology(implementation=implementation)
         result = ping(topology.client, ip_to_int("10.0.1.1"), count=2)
         assert result.received == 0  # the paper's non-interoperability
 
@@ -54,8 +54,7 @@ class TestStrictPipeline:
         from repro.framework import icmp
         from repro.framework.ip import PROTO_ICMP, IPv4Header, make_ip_packet
 
-        source = strict_run.code_unit.render_python()
-        implementation = GeneratedICMP.from_source(source)
+        implementation = GeneratedICMP.from_unit(strict_run.code_unit)
         echo = icmp.make_echo(0x4242, 1, b"x" * 8)
         request = make_ip_packet(
             ip_to_int("10.0.1.100"), ip_to_int("10.0.1.1"), PROTO_ICMP, echo.pack()
@@ -89,13 +88,13 @@ class TestRevisedPipeline:
         assert "def icmp_echo_reply_receiver(ctx):" in python_source
 
     def test_generated_code_compiles(self, revised_run):
-        functions = load_functions(revised_run.code_unit.render_python())
+        functions = compile_unit(revised_run.code_unit)
         assert "icmp_echo_reply_receiver" in functions
         assert "icmp_destination_unreachable_receiver" in functions
 
     def test_revised_code_passes_ping(self, revised_run):
-        source = revised_run.code_unit.render_python()
-        topology = course_topology(implementation=GeneratedICMP.from_source(source))
+        implementation = GeneratedICMP.from_unit(revised_run.code_unit)
+        topology = course_topology(implementation=implementation)
         result = ping(topology.client, ip_to_int("10.0.1.1"), count=3)
         assert result.success, result.rejections
 
@@ -109,8 +108,7 @@ class TestEchoReplySemantics:
         from repro.framework import icmp
         from repro.framework.ip import PROTO_ICMP, IPv4Header, make_ip_packet
 
-        source = revised_run.code_unit.render_python()
-        implementation = GeneratedICMP.from_source(source)
+        implementation = GeneratedICMP.from_unit(revised_run.code_unit)
         echo = icmp.make_echo(0xABCD, 7, b"payload-bytes")
         request = make_ip_packet(
             ip_to_int("10.0.1.100"), ip_to_int("10.0.1.1"), PROTO_ICMP, echo.pack()
@@ -131,8 +129,7 @@ class TestEchoReplySemantics:
         from repro.framework import icmp
         from repro.framework.ip import PROTO_UDP, IPv4Header, make_ip_packet
 
-        source = revised_run.code_unit.render_python()
-        implementation = GeneratedICMP.from_source(source)
+        implementation = GeneratedICMP.from_unit(revised_run.code_unit)
         original = make_ip_packet(
             ip_to_int("10.0.1.100"), ip_to_int("8.8.8.8"), PROTO_UDP,
             b"0123456789",

@@ -104,6 +104,38 @@ def _bad_code_unit(run) -> dict:
     return payload
 
 
+def _unfingerprinted_code_unit(run, op=None) -> dict:
+    """The run's code unit as envelope data with no fingerprints (nothing
+    checks the IR against a recorded SHA-1), its first op replaced by
+    ``op``."""
+    data = json.loads(to_json(run.code_unit))["data"]
+    del data["fingerprint"]
+    for function in data["functions"]:
+        del function["fingerprint"]
+    if op is not None:
+        data["functions"][0]["ops"][0] = op
+    return data
+
+
+def _decode_code_unit(data, binary: bool):
+    if binary:
+        return from_bytes(_binary_envelope("code_unit", data))
+    return from_json(json.dumps({"schema": 1, "kind": "code_unit",
+                                 "data": data}))
+
+
+_SET_TYPE = {"op": "SetField", "protocol": "icmp", "name": "type",
+             "value": {"kind": "const", "const": 1}}
+WRONG_TYPED_OPS = {
+    "int-field-name": {**_SET_TYPE, "name": 7},
+    "str-const": {**_SET_TYPE, "value": {"kind": "const", "const": "x"}},
+    "non-dict-value": {**_SET_TYPE, "value": 1},
+    "non-list-body": {"op": "Conditional",
+                      "condition": {"kind": "field_equals"}, "body": "x"},
+    "unknown-value-kind": {**_SET_TYPE, "value": {"kind": "bogus"}},
+}
+
+
 def _coded_result(run):
     return next(result for result in run.results if result.codes
                 and any(code.ops for code in result.codes))
@@ -143,6 +175,18 @@ class TestIRErrorsInEnvelopes:
         status, error = _answer("process", body, binary_in=binary_in)
         assert status == 400
         assert error["error"] == "contract-error"
+
+    @pytest.mark.parametrize("binary", [False, True])
+    def test_unfingerprinted_code_unit_decodes(self, run, binary):
+        program = _decode_code_unit(_unfingerprinted_code_unit(run), binary)
+        assert program.fingerprint() == run.code_unit.fingerprint()
+
+    @pytest.mark.parametrize("binary", [False, True])
+    @pytest.mark.parametrize("op", list(WRONG_TYPED_OPS.values()),
+                             ids=list(WRONG_TYPED_OPS))
+    def test_wrong_typed_op_is_a_contract_error(self, run, op, binary):
+        with pytest.raises(ContractError):
+            _decode_code_unit(_unfingerprinted_code_unit(run, op), binary)
 
     def test_fingerprint_mismatch_keeps_its_type(self, run):
         payload = json.loads(to_json(run.code_unit))
