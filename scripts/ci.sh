@@ -5,7 +5,7 @@
 #   ./scripts/ci.sh          # tests + CLI smoke + cache smoke + smoke benchmark + serve gate + fuzz gate + paper checks
 #   ./scripts/ci.sh tests    # tier-1 tests only
 #   ./scripts/ci.sh bench    # CLI smoke + parser parity + cache smoke + smoke benchmark
-#   ./scripts/ci.sh parity   # parser-backend parity suite only
+#   ./scripts/ci.sh parity   # parser-backend parity + sid-engine property suites only
 #   ./scripts/ci.sh cache    # persistent cache cross-process smoke only
 #   ./scripts/ci.sh serve-gate  # HTTP serving layer load gate only
 #   ./scripts/ci.sh fuzz-gate   # differential fuzzer cross-backend gate only
@@ -70,7 +70,7 @@ fi
 
 if [ "${1:-all}" = "parity" ]; then
   echo "== parser-backend parity suite =="
-  python -m pytest tests/test_parsing.py -q
+  python -m pytest tests/test_parsing.py tests/test_sid_engine.py -q
   exit 0
 fi
 
@@ -234,7 +234,7 @@ if [ "${1:-all}" != "tests" ]; then
     # The full run already executed these inside tier-1; the bench-only
     # path still must not skip the backend-parity contract.
     echo "== parser-backend parity suite =="
-    python -m pytest tests/test_parsing.py -q
+    python -m pytest tests/test_parsing.py tests/test_sid_engine.py -q
   fi
 
   echo "== cli smoke: python -m repro sweep --all --json =="

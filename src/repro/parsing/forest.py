@@ -132,7 +132,6 @@ class PackedItem:
         item.derivations = []
         item._sig = None
         item._pending = (rule, litem, ritem, position)
-        PROFILE.deferred_items += 1
         return item
 
     def triple(self) -> tuple:

@@ -71,7 +71,6 @@ a single dict probe and no term construction at all.
 from __future__ import annotations
 
 from heapq import heappop, heappush
-from operator import itemgetter
 
 from ..ccg.categories import (
     CONJ,
@@ -132,6 +131,13 @@ from .values import (
 #: participate, so a hit is valid for any derivation with
 #: structurally-equal operands.
 _PRODUCTION_MEMO: dict[tuple, tuple] = {}
+
+#: (rule, left category id, right category id) → (category, category id)
+#: for the composition and coordination rows, whose category is built from
+#: the operand categories: one frozen ``Func`` per distinct shape instead
+#: of one per production-memo miss.  Application rows reuse the operand's
+#: own ``result``.
+_COMPOSED_CATEGORY: dict[tuple[int, int, int], tuple[Category, int]] = {}
 
 #: Lexical span cache: the chart items (category, stamped sem, normalized
 #: triple) a given surface span yields are a pure function of the lexicon
@@ -204,7 +210,8 @@ def reset_parser_state() -> None:
 
     Drops every process-global memo a parse warms as a side effect — the
     span-signature memo, the lexical span cache, the structural
-    production memo, and the derived term/sid memos in :mod:`.values` —
+    production memo, the composed-category memo, and the derived term/sid
+    memos in :mod:`.values` —
     so the next sweep re-pays full chart construction and term
     production.  The value intern tables survive (see
     :func:`repro.parsing.values.reset_derived_memos`).  This exists for
@@ -214,6 +221,7 @@ def reset_parser_state() -> None:
     _SPAN_MEMO.clear()
     _LEXICAL_CACHE.clear()
     _PRODUCTION_MEMO.clear()
+    _COMPOSED_CATEGORY.clear()
     reset_derived_memos()
     release()
 
@@ -534,7 +542,10 @@ class IndexedChartParser(CCGChartParser):
                 if span_memo is not None:
                     span_memo[span_key] = _EMPTY_SPAN
                 continue
-            candidates.sort(key=_CANDIDATE_ORDER)
+            # Reference insertion order.  The ``(mid, l_idx, r_idx, rule)``
+            # prefix is unique per candidate, so plain tuple order never
+            # reaches the (unorderable) items.
+            candidates.sort()
             cell = cells.get((start, end))
             was_empty = cell is None
             if was_empty:
@@ -599,6 +610,7 @@ class IndexedChartParser(CCGChartParser):
         rule_names = RULE_NAMES
         memo_hits = 0
         memo_misses = 0
+        deferred = 0
         for _mid, _l_idx, _r_idx, rule, litem, ritem in candidates:
             pkey = (rule, litem.catid, litem.sid, ritem.catid, ritem.sid)
             outcomes = memo_get(pkey)
@@ -632,8 +644,10 @@ class IndexedChartParser(CCGChartParser):
                     rule, litem, ritem, position)
                 packed.derivations.append((rule_name, litem, ritem))
                 cell.insert(packed)
+                deferred += 1
         PROFILE.production_memo_hits += memo_hits
         PROFILE.production_memo_misses += memo_misses
+        PROFILE.deferred_items += deferred
         return dropped
 
 
@@ -648,40 +662,51 @@ def _structural_outcomes(rule: int, litem: PackedItem,
     corpus-wide parity gate locks that equivalence."""
     lcat, rcat = litem.category, ritem.category
     if rule == RULE_FORWARD_APPLICATION:
-        rows = ((lcat.result, sid_apply(litem.sid, ritem.sid)),)
-    elif rule == RULE_BACKWARD_APPLICATION:
-        rows = ((rcat.result, sid_apply(ritem.sid, litem.sid)),)
-    elif rule == RULE_FORWARD_COMPOSITION:
+        return _application_row(lcat.result, sid_apply(litem.sid, ritem.sid))
+    if rule == RULE_BACKWARD_APPLICATION:
+        return _application_row(rcat.result, sid_apply(ritem.sid, litem.sid))
+    # Composition and coordination results are lambdas: never grounded.
+    ckey = (rule, litem.catid, ritem.catid)
+    composed = _COMPOSED_CATEGORY.get(ckey)
+    if composed is None:
+        if rule == RULE_FORWARD_COMPOSITION:
+            category = forward(lcat.result, rcat.arg)
+        elif rule == RULE_BACKWARD_COMPOSITION:
+            category = backward(rcat.result, lcat.arg)
+        else:
+            category = backward(rcat, rcat)
+        composed = _COMPOSED_CATEGORY[ckey] = (category, category_id(category))
+    if rule == RULE_FORWARD_COMPOSITION:
         inner = sid_apply(ritem.sid, _VAR_Z_SID)
-        rows = ((forward(lcat.result, rcat.arg),
-                 sid_of_key(("l", "z", sid_apply(litem.sid, inner)))),)
-    elif rule == RULE_BACKWARD_COMPOSITION:
+        return (composed + (
+            sid_of_key(("l", "z", sid_apply(litem.sid, inner))), False),)
+    if rule == RULE_BACKWARD_COMPOSITION:
         inner = sid_apply(litem.sid, _VAR_Z_SID)
-        rows = ((backward(rcat.result, lcat.arg),
-                 sid_of_key(("l", "z", sid_apply(ritem.sid, inner)))),)
-    else:
-        lsem = litem.sem
-        if lsem is None:
-            lsem = litem.triple()[0]
-        conj_pred = "Or" if type(lsem) is Const and lsem.value == "or" else "And"
-        grouped = sid_of_key(
-            ("l", "a", sid_of_key(("@", conj_pred, (_VAR_A_SID, ritem.sid))))
-        )
-        rows = [(backward(rcat, rcat), grouped)]
-        if rcat == NP:
-            distributed = sid_of_key(("l", "a", sid_of_key(("l", "p", sid_of_key(
-                ("@", conj_pred,
-                 (sid_of_key(("a", _VAR_P_SID, _VAR_A_SID)),
-                  sid_of_key(("a", _VAR_P_SID, ritem.sid)))),
-            )))))
-            rows.append((_DISTRIBUTED_CATEGORY, distributed))
-    built = []
-    for category, sid in rows:
-        cid = category.__dict__.get("_cid")
-        if cid is None:
-            cid = category_id(category)
-        built.append((category, cid, sid, sid_grounded(sid)))
-    return tuple(built)
+        return (composed + (
+            sid_of_key(("l", "z", sid_apply(ritem.sid, inner))), False),)
+    lsem = litem.sem
+    if lsem is None:
+        lsem = litem.triple()[0]
+    conj_pred = "Or" if type(lsem) is Const and lsem.value == "or" else "And"
+    grouped = sid_of_key(
+        ("l", "a", sid_of_key(("@", conj_pred, (_VAR_A_SID, ritem.sid))))
+    )
+    if rcat != NP:
+        return (composed + (grouped, False),)
+    distributed = sid_of_key(("l", "a", sid_of_key(("l", "p", sid_of_key(
+        ("@", conj_pred,
+         (sid_of_key(("a", _VAR_P_SID, _VAR_A_SID)),
+          sid_of_key(("a", _VAR_P_SID, ritem.sid)))),
+    )))))
+    return (composed + (grouped, False),
+            _DISTRIBUTED_ROW + (distributed, False))
+
+
+def _application_row(category: Category, sid: int) -> tuple[tuple, ...]:
+    cid = category.__dict__.get("_cid")
+    if cid is None:
+        cid = category_id(category)
+    return ((category, cid, sid, sid_grounded(sid)),)
 
 
 _VAR_Z_SID = neutral("z")[1]
@@ -746,10 +771,8 @@ def _produce(rule: int, litem: PackedItem,
 
 
 _DISTRIBUTED_CATEGORY = backward(forward(S, backward(S, NP)), NP)
+_DISTRIBUTED_ROW = (_DISTRIBUTED_CATEGORY, category_id(_DISTRIBUTED_CATEGORY))
 
 # Deferred items force their terms through this backend's production
 # function (forest.py cannot import it without a cycle).
 register_producer(_produce)
-
-#: Sort key reproducing the reference backend's insertion sequence.
-_CANDIDATE_ORDER = itemgetter(0, 1, 2, 3)

@@ -410,9 +410,10 @@ def reset_apply_memo() -> None:
 def reset_derived_memos() -> None:
     """Drop every derived memo while keeping the intern tables.
 
-    Clears the term- and sid-level application/substitution/groundedness
-    memos — everything recomputable from the interned structures.  The
-    intern tables themselves (:data:`_INTERN` / :data:`_KEY_OF`) stay:
+    Clears the term- and sid-level application/substitution memos and
+    the per-sid facts table — everything recomputable from the interned
+    structures.  The intern tables themselves (:data:`_INTERN` /
+    :data:`_KEY_OF`) stay:
     sids are process-global identities that live :class:`PackedItem`\\ s
     may still hold, and re-interning is O(structure) noise next to the
     memoized work.  Used by cold-start benchmark bracketing.
@@ -420,7 +421,7 @@ def reset_derived_memos() -> None:
     _APPLY_MEMO.clear()
     _SID_APPLY_MEMO.clear()
     _SID_SUBST_MEMO.clear()
-    _SID_GROUNDED.clear()
+    _SID_FACTS.clear()
 
 
 def apply_triple(fn: Triple, arg: Triple) -> Triple:
@@ -470,11 +471,48 @@ def apply_triple(fn: Triple, arg: Triple) -> Triple:
 #: provenance variant of the same structural application.
 _SID_APPLY_MEMO: dict[tuple[int, int], int] = {}
 
-#: (body sid, param, arg sid) → substituted sid.
+#: (body sid, param, arg sid) → substituted sid.  Only ever keyed by a body
+#: in which ``param`` is free: a closed subterm comes back unchanged
+#: without a probe or an entry.
 _SID_SUBST_MEMO: dict[tuple[int, str, int], int] = {}
 
-#: sid → groundedness of the structure it names.
-_SID_GROUNDED: dict[int, bool] = {}
+#: sid → (free-variable names, grounded) of the structure it names.  One
+#: table serves both the substitution engine's closed-subterm shortcut and
+#: :func:`sid_grounded`.  Free-variable sets are shared objects wherever
+#: possible (the empty set, a child's set when the union adds nothing).
+_SID_FACTS: dict[int, tuple[frozenset[str], bool]] = {}
+
+
+def _sid_facts(sid: int) -> tuple[frozenset[str], bool]:
+    """The :data:`_SID_FACTS` row of ``sid``, computed bottom-up on first
+    demand (mirrors :func:`_free_vars` and the triple flag
+    :func:`normalize` computes: Consts are grounded, predicate
+    applications inherit from their arguments, everything else is not)."""
+    facts = _SID_FACTS.get(sid)
+    if facts is not None:
+        return facts
+    key = _KEY_OF[sid]
+    tag = key[0]
+    if tag == "c":
+        facts = (_EMPTY_FV, True)
+    elif tag == "v":
+        facts = (frozenset((key[1],)), False)
+    elif tag == "l":
+        fv = _sid_facts(key[2])[0]
+        if key[1] in fv:
+            fv = fv - {key[1]}
+        facts = (fv, False)
+    else:  # "@" over its arguments, "a" over its head and argument
+        fv = _EMPTY_FV
+        grounded = tag == "@"
+        for child in (key[2] if grounded else key[1:]):
+            child_fv, child_grounded = _sid_facts(child)
+            if not child_fv <= fv:
+                fv = child_fv if not fv else fv | child_fv
+            grounded = grounded and child_grounded
+        facts = (fv, grounded)
+    _SID_FACTS[sid] = facts
+    return facts
 
 
 def sid_apply(fn_sid: int, arg_sid: int) -> int:
@@ -486,7 +524,10 @@ def sid_apply(fn_sid: int, arg_sid: int) -> int:
         return hit
     fkey = _KEY_OF[fn_sid]
     if fkey[0] == "l":
-        result = _sid_subst(fkey[2], fkey[1], arg_sid)
+        body = fkey[2]
+        facts = _SID_FACTS.get(body) or _sid_facts(body)
+        result = (_sid_subst(body, fkey[1], arg_sid)
+                  if fkey[1] in facts[0] else body)
     else:
         result = sid_of_key(("a", fn_sid, arg_sid))
     _SID_APPLY_MEMO[key] = result
@@ -494,70 +535,57 @@ def sid_apply(fn_sid: int, arg_sid: int) -> int:
 
 
 def _sid_subst(body_sid: int, param: str, arg_sid: int) -> int:
-    """Hereditary substitution ``body[param := arg]`` over sids.
+    """Hereditary substitution ``body[param := arg]`` over sids, for a
+    body in which ``param`` is free.
 
     Normal in, normal out: substituting into a neutral application can
-    expose a redex at its head, which re-enters :func:`sid_apply`.
-    Shadowed binders stop the descent; otherwise the walk is as
+    expose a redex at its head, which re-enters :func:`sid_apply`.  The
+    walk descends only into subterms where ``param`` is free (a shadowing
+    binder removes it from its lambda's set, which stops the descent);
+    every other subterm keeps its sid.  Otherwise the walk is as
     capture-naive as :func:`normalize` itself — the two must agree
     structure-for-structure, not be independently "correct"."""
+    key = _KEY_OF[body_sid]
+    tag = key[0]
+    if tag == "v":
+        return arg_sid  # the free variable is ``param`` itself
     mkey = (body_sid, param, arg_sid)
     hit = _SID_SUBST_MEMO.get(mkey)
     if hit is not None:
         return hit
-    key = _KEY_OF[body_sid]
-    tag = key[0]
-    if tag == "v":
-        result = arg_sid if key[1] == param else body_sid
-    elif tag == "c":
-        result = body_sid
-    elif tag == "@":
-        args = key[2]
+    facts_get = _SID_FACTS.get
+    if tag == "@":
         new_args = []
-        changed = False
-        for a in args:
-            na = _sid_subst(a, param, arg_sid)
-            if na != a:
-                changed = True
-            new_args.append(na)
-        result = (sid_of_key(("@", key[1], tuple(new_args)))
-                  if changed else body_sid)
+        for a in key[2]:
+            facts = facts_get(a) or _sid_facts(a)
+            new_args.append(_sid_subst(a, param, arg_sid)
+                            if param in facts[0] else a)
+        new_args = tuple(new_args)
+        result = (body_sid if new_args == key[2]
+                  else sid_of_key(("@", key[1], new_args)))
     elif tag == "l":
-        if key[1] == param:
-            result = body_sid  # shadowed
-        else:
-            new_body = _sid_subst(key[2], param, arg_sid)
-            result = (body_sid if new_body == key[2]
-                      else sid_of_key(("l", key[1], new_body)))
-    else:  # "a": neutral application
-        new_fn = _sid_subst(key[1], param, arg_sid)
-        new_arg = _sid_subst(key[2], param, arg_sid)
-        if new_fn == key[1] and new_arg == key[2]:
-            result = body_sid
-        else:
+        new_body = _sid_subst(key[2], param, arg_sid)
+        result = (body_sid if new_body == key[2]
+                  else sid_of_key(("l", key[1], new_body)))
+    else:  # "a": neutral application; its head is never a lambda
+        fn, arg = key[1], key[2]
+        facts = facts_get(fn) or _sid_facts(fn)
+        new_fn = _sid_subst(fn, param, arg_sid) if param in facts[0] else fn
+        facts = facts_get(arg) or _sid_facts(arg)
+        new_arg = (_sid_subst(arg, param, arg_sid) if param in facts[0]
+                   else arg)
+        if new_fn != fn:
             result = sid_apply(new_fn, new_arg)
+        elif new_arg != arg:
+            result = sid_of_key(("a", fn, new_arg))
+        else:
+            result = body_sid
     _SID_SUBST_MEMO[mkey] = result
     return result
 
 
 def sid_grounded(sid: int) -> bool:
-    """Groundedness of the structure ``sid`` names (mirrors the triple
-    flag :func:`normalize` computes: Consts are grounded, predicate
-    applications inherit from their arguments, everything else is not)."""
-    hit = _SID_GROUNDED.get(sid)
-    if hit is not None:
-        return hit
-    key = _KEY_OF[sid]
-    tag = key[0]
-    if tag == "c":
-        grounded = True
-    elif tag == "@":
-        grounded = True
-        for arg in key[2]:
-            if not sid_grounded(arg):
-                grounded = False
-                break
-    else:  # "v", "l", "a"
-        grounded = False
-    _SID_GROUNDED[sid] = grounded
-    return grounded
+    """Groundedness of the structure ``sid`` names (see
+    :func:`_sid_facts`)."""
+    facts = _SID_FACTS.get(sid) or _sid_facts(sid)
+    return facts[1]

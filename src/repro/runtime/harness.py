@@ -62,17 +62,20 @@ def compile_unit(unit, backend: str = "python", cache=None) -> dict[str, object]
         hit = cache.get(key)
         if hit is not None:
             return hit
-        if backend == "python":
-            source = cache.get_source(key)
-            if source is not None:
-                functions = PyEmitter.compile_source(source)
-                cache.put(key, functions)
-                return functions
-    functions = unit.compile(backend=backend)
+    if backend != "python":
+        functions = unit.compile(backend=backend)
+    else:
+        # Render at most once: the one rendering is both exec'd and
+        # persisted.
+        source = None if cache is None else cache.get_source(key)
+        rendered = source is None
+        if rendered:
+            source = unit.render_python()
+        functions = PyEmitter.compile_source(source)
+        if rendered and cache is not None:
+            cache.put_source(key, source)
     if cache is not None:
         cache.put(key, functions)
-        if backend == "python":
-            cache.put_source(key, unit.render_python())
     return functions
 
 

@@ -317,6 +317,37 @@ class TestCompiledProgramCache:
         assert first is second
         assert cache.stats()["hits"] == 1
 
+    def test_cold_compile_renders_python_once(self, monkeypatch, tmp_path):
+        from repro.cache.persistent import PersistentCompiledCache
+        from repro.cache.store import CacheStore
+        from repro.codegen.emitters import PyEmitter
+        from repro.rfc.registry import CompiledProgramCache
+        from repro.runtime import compile_unit
+
+        renders = []
+        emit_program = PyEmitter.emit_program
+
+        def counting(self, program):
+            renders.append(program)
+            return emit_program(self, program)
+
+        monkeypatch.setattr(PyEmitter, "emit_program", counting)
+        program = Program(protocol="ICMP")
+        program.add(Function(protocol="ICMP", message_name="echo",
+                             role="sender", ops=[setfield()]))
+        functions = compile_unit(program, cache=CompiledProgramCache())
+        assert len(renders) == 1
+        assert set(functions) == {"icmp_echo_sender"}
+        # A disk-backed cache persists that same rendering; a cold second
+        # instance over the store execs it without rendering again.
+        renders.clear()
+        compile_unit(program, cache=PersistentCompiledCache(CacheStore(tmp_path)))
+        assert len(renders) == 1
+        reloaded = compile_unit(
+            program, cache=PersistentCompiledCache(CacheStore(tmp_path)))
+        assert len(renders) == 1
+        assert set(reloaded) == set(functions)
+
     def test_backends_cache_independently(self):
         from repro.rfc.registry import CompiledProgramCache
         from repro.runtime import compile_unit

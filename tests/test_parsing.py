@@ -35,6 +35,8 @@ from repro.core.engine import SageEngine
 from repro.core.stages import ParseStage
 from repro.gcpolicy import GC_COUNTERS
 from repro.nlp import NounPhraseChunker
+from repro.parsing import indexed as indexed_module
+from repro.parsing import values as values_module
 from repro.parsing import (
     DEFAULT_PARSER_BACKEND,
     PROFILE,
@@ -721,11 +723,30 @@ class TestProfileCounters:
         assert delta["span_memo_misses"] == 0
         assert delta["span_reuse_rate"] == 1.0
 
+    #: Module-level dicts a reset keeps on purpose: the intern tables
+    #: (sids are process-global identities live items may still hold) and
+    #: the neutral-variable triples and binder environments built on them.
+    RESET_SURVIVORS = {"_INTERN", "_KEY_OF", "_NEUTRALS", "_PARAM_ENVS"}
+
     def test_reset_parser_state_recools_every_memo(self, registry, chunker):
         tokens = chunker.chunk_text(self.SENTENCE)
         parser = IndexedChartParser(registry.lexicon())
-        warm = parser.parse_forest(tokens)  # warm every memo
         reset_parser_state()
+        warm = parser.parse_forest(tokens)  # warm every memo from cold
+        assert values_module._SID_FACTS
+        assert indexed_module._COMPOSED_CATEGORY
+        reset_parser_state()
+        # A memo the reset missed would make a "cold" run look faster
+        # than it is: every other module-level dict must come back empty.
+        survivors = [
+            f"{module.__name__}.{name}"
+            for module in (values_module, indexed_module)
+            for name, value in vars(module).items()
+            if isinstance(value, dict) and value
+            and not name.startswith("__")
+            and name not in self.RESET_SURVIVORS
+        ]
+        assert survivors == []
         before = PROFILE.counts()
         cold = parser.parse_forest(tokens)
         delta = PROFILE.delta(before)
