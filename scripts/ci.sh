@@ -2,9 +2,10 @@
 # Tier-1 verification + the CLI smoke + the pipeline perf smoke, exactly as
 # CI runs them.
 #
-#   ./scripts/ci.sh          # tests + CLI smoke + cache smoke + smoke benchmark + serve gate + fuzz gate + paper checks
+#   ./scripts/ci.sh          # tests + CLI smoke + cache smoke + examples + smoke benchmark + serve gate + fuzz gate + paper checks
 #   ./scripts/ci.sh tests    # tier-1 tests only
-#   ./scripts/ci.sh bench    # CLI smoke + parser parity + cache smoke + smoke benchmark
+#   ./scripts/ci.sh bench    # CLI smoke + parser parity + cache smoke + examples + smoke benchmark
+#   ./scripts/ci.sh examples # every examples/*.py end to end only
 #   ./scripts/ci.sh parity   # parser-backend parity + sid-engine property suites only
 #   ./scripts/ci.sh cache    # persistent cache cross-process smoke only
 #   ./scripts/ci.sh serve-gate  # HTTP serving layer load gate only
@@ -108,6 +109,23 @@ print(f"ok (run: {run_disk_hits} disk hits, one per protocol)")
 
 if [ "${1:-all}" = "cache" ]; then
   cache_smoke
+  exit 0
+fi
+
+# Examples: each examples/*.py runs end to end and must exit 0.  They
+# drive the public engine, stage and service API, so an API change that
+# breaks one fails here (about 3 s for all four).
+run_examples() {
+  echo "== examples: python examples/*.py =="
+  local example
+  for example in examples/*.py; do
+    python "$example" > /dev/null
+    echo "ok ($example)"
+  done
+}
+
+if [ "${1:-all}" = "examples" ]; then
+  run_examples
   exit 0
 fi
 
@@ -260,6 +278,7 @@ print("ok (4 protocols, in process)")
   echo "ok"
 
   cache_smoke
+  run_examples
 
   echo "== benchmarks: pipeline smoke (writes BENCH_pipeline.json, gates perf) =="
   python benchmarks/pipeline_smoke.py

@@ -145,43 +145,27 @@ class SageService:
         except KeyError:
             raise ProtocolNotFound(protocol, self.registry.protocols()) from None
 
-    def _stored_run(self, corpus, mode: str,
-                    parser_backend: str) -> SageRun | None:
-        """The run layer's answer for a ``(mode, parser_backend)`` whose
-        engine this service has not built yet, or None.
-
-        Such an engine would run over the default substrate, so while the
-        registry's substrate is pristine its :meth:`~repro.core.engine.
-        SageEngine.run_key` is computable from names and tables alone: a
-        warm request reads one run entry and never builds a lexicon,
-        parser, chunker or check suite.  A miss is not counted here; the
-        engine's own lookup counts it.
-        """
-        if ((mode, parser_backend) in self._engines
-                or not self.registry.substrate_pristine()):
-            return None
-        _check_mode(mode)
-        if parser_backend:
-            self._check_parser_backend(parser_backend)
-        registry = self.registry
-        backends = tuple(sorted({
-            parser_backend or registry.parser_backend_for(protocol)
-            for protocol in {spec.protocol for spec in corpus.sentences}
-        }))
-        key = run_key_for(registry, corpus, mode, backends,
-                          registry.rewrites(), registry.selections())
-        return registry.run_cache().get(key, count_miss=False)
-
     # -- endpoints --------------------------------------------------------------
     def run(self, protocol: str, mode: str = "revised",
             parser_backend: str = "") -> SageRun:
         """The raw pipeline run (power users; everything else wraps this).
 
-        Served from the run layer when it can be, else by the engine."""
+        One counted run-memo lookup under :func:`~repro.core.results.
+        run_key_for` — the key the engine computes, here from names and
+        tables alone, so a warm request reads one run entry and builds no
+        engine, lexicon, parser, chunker or check suite.  A miss goes to
+        the engine's :meth:`~repro.core.engine.SageEngine.compute`, which
+        memoizes the run under the same key."""
         corpus = self._load_corpus(protocol)
-        run = self._stored_run(corpus, mode, parser_backend)
+        mode = _check_mode(mode)
+        if parser_backend:
+            self._check_parser_backend(parser_backend)
+        registry = self.registry
+        key = run_key_for(registry, corpus, mode, parser_backend,
+                          registry.rewrites(), registry.selections())
+        run = registry.run_cache().get(key)
         if run is None:
-            run = self.engine(mode, parser_backend).process_corpus(corpus)
+            run = self.engine(mode, parser_backend).compute(corpus, key)
         return run
 
     def process(self, request: ProcessRequest | dict | str | None = None,

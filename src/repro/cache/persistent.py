@@ -86,9 +86,9 @@ class ContentCache:
         """Whether ``key``'s entry lives in the store as well as in memory."""
         return self._persists()
 
-    def get(self, key: tuple, *, count_miss: bool = True):
-        """The value under ``key``, or None.  ``count_miss=False`` is for a
-        probe whose miss the caller follows with a counted ``get``."""
+    def get(self, key: tuple):
+        """The value under ``key``, or None; each call counts one hit or
+        one miss."""
         with self._lock:
             value = self._entries.get(key)
             if value is not None:
@@ -104,9 +104,8 @@ class ContentCache:
                     self.hits += 1
                     self.disk_hits += 1
                 return value
-        if count_miss:
-            with self._lock:
-                self.misses += 1
+        with self._lock:
+            self.misses += 1
         return None
 
     def put(self, key: tuple, value) -> None:
@@ -228,11 +227,6 @@ class _RunEntries:
 # Distinct classes on purpose: each names one registry cache in stats,
 # tracebacks and per-class instrumentation.
 
-#: The in-memory binding: no namespace, no codec (every cache of a registry
-#: without a cache directory).
-ParseCache = ContentCache
-
-
 class PersistentParseCache(ContentCache):
     """The shared sentence-parse cache, promoted to a disk store.  Values
     are the parse stage's ``(ParseResult, subject_supplied)`` pairs."""
@@ -263,12 +257,12 @@ class PersistentRunCache(ContentCache):
 
     Values are whole :class:`~repro.core.results.SageRun` objects, so a
     fresh process answers a warm request with one read per protocol.
-    Only keys whose last part — the engine's substrate part — is empty
-    persist: those runs were computed over the pristine default lexicon,
-    chunker and check suite, which the key's package digest pins.  Runs
-    over a mutated or custom substrate stay in memory (see
-    :meth:`~repro.core.engine.SageEngine.run_key`).  Decoding verifies
-    the program fingerprint; an entry that fails it is a miss.
+    Only keys whose last part — the registry's substrate part — is empty
+    persist: those runs were computed over the pristine lexicon, chunker
+    and check suite, which the key's package digest pins.  Runs over a
+    mutated substrate stay in memory (see
+    :func:`~repro.core.results.run_key_for`).  Decoding verifies the
+    program fingerprint; an entry that fails it is a miss.
     """
 
     namespace = RUN_NAMESPACE

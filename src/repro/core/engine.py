@@ -23,13 +23,14 @@ On top of the per-sentence pipeline the engine adds two batch surfaces:
 
 * :meth:`SageEngine.process_corpus` — one corpus;
 * :meth:`SageEngine.process_corpora` — every registered protocol in one
-  call, in process.  The parses it computes land in the shared
-  :class:`~repro.rfc.registry.ParseCache`, so a follow-up run skips
-  re-parsing entirely.
+  call, in process.  The parses it computes land in the registry's shared
+  parse cache, so a follow-up run skips re-parsing entirely.
 
-Whole runs are memoized too: :meth:`SageEngine.run_key` addresses a run
-by the content of everything it depends on, and the registry's run memo
-answers a repeated ``process_corpus`` without running a single stage.
+Every engine runs on its registry's substrate (lexicon, chunker, parsers,
+check suite, stage caches) and memoizes whole runs: :meth:`SageEngine.
+run_key` addresses a run by the content of everything it depends on, and
+the registry's run memo answers a repeated ``process_corpus`` without
+running a single stage.
 """
 
 from __future__ import annotations
@@ -40,9 +41,9 @@ from ..ccg.semantics import Sem, signature
 from ..codegen.ir import Program, SentenceCode
 from ..gcpolicy import cold_batch_gc
 from ..nlp.tokenizer import split_sentences
-from ..parsing.backend import backend_id, create_parser
+from ..parsing.backend import backend_id
 from ..rfc.corpus import Corpus, Rewrite, SpecSentence, sentence_key
-from ..rfc.registry import ParseCache, ProtocolRegistry, default_registry
+from ..rfc.registry import ProtocolRegistry, default_registry
 from .results import (  # noqa: F401  (re-exported: the engine's results)
     FLAGGED_STATUSES,
     SageRun,
@@ -55,103 +56,59 @@ from .results import (  # noqa: F401  (re-exported: the engine's results)
 if TYPE_CHECKING:  # the stages and their substrate load with the first engine
     from ..ccg.chart import CCGChartParser, ParseResult
     from ..ccg.lexicon import Lexicon
-    from ..codegen.context import ContextResolver
     from ..disambiguation.checks import CheckSuite
     from ..nlp.chunker import NounPhraseChunker
-    from .stages import GenerateStage, ParseStage, WinnowStage
+    from .stages import ParseStage
 
 
 class SageEngine:
-    """Composable staged pipeline: one engine, three stages, shared cache."""
+    """Composable staged pipeline: one engine, three stages, run over the
+    registry's substrate and caches."""
 
-    def __init__(
-        self,
-        mode: str = "revised",
-        lexicon: Lexicon | None = None,
-        chunker: NounPhraseChunker | None = None,
-        suite: CheckSuite | None = None,
-        resolver: ContextResolver | None = None,
-        protocol_registry: ProtocolRegistry | None = None,
-        parse_cache: ParseCache | None | bool = True,
-        winnow_cache: ParseCache | None | bool = True,
-        parser_backend: str | None = None,
-    ) -> None:
-        from .stages import GenerateStage, ParseStage, WinnowStage
+    def __init__(self, mode: str = "revised",
+                 protocol_registry: ProtocolRegistry | None = None,
+                 parser_backend: str | None = None) -> None:
+        from .stages import GenerateStage
 
         if mode not in ("strict", "revised"):
             raise ValueError(f"unknown mode {mode!r}")
-        shared_caches = parse_cache is True and winnow_cache is True
         self.mode = mode
         self.protocol_registry = protocol_registry or default_registry()
         #: Engine-wide backend override; None defers to each protocol's
         #: registered preference (``register_protocol(parser_backend=...)``)
         #: and ultimately the process default.
         self.parser_backend = parser_backend
-        # Default construction shares the registry's memoized substrate, so
-        # a second engine re-pays none of the dictionary/lexicon/parser cost;
-        # explicit arguments still get private instances.
-        chunker = chunker or self.protocol_registry.chunker()
-        if lexicon is None:
-            lexicon = self.protocol_registry.lexicon()
-            parser = self.protocol_registry.parser(backend=parser_backend)
-            self._custom_lexicon = False
-        else:
-            parser = create_parser(parser_backend, lexicon)
-            self._custom_lexicon = True
-        if parse_cache is True:
-            parse_cache = self.protocol_registry.parse_cache()
-        elif parse_cache is False:
-            parse_cache = None
-        self.parse_stage = ParseStage(parser, chunker, cache=parse_cache)
-        #: Backend name → ParseStage, for per-protocol backend resolution;
-        #: stages share this engine's chunker and cache.
-        self._parse_stages: dict[str, ParseStage] = {
-            backend_id(parser): self.parse_stage
-        }
-        # The winnow cache follows the parse-cache switch: a default engine
-        # shares the registry's (possibly disk-backed) winnow cache, and an
-        # engine built hermetic (parse_cache=False) stays fully uncached.
-        if winnow_cache is True:
-            winnow_cache = (self.protocol_registry.winnow_cache()
-                            if parse_cache is not None else None)
-        elif winnow_cache is False:
-            winnow_cache = None
-        self.winnow_stage = WinnowStage(
-            suite, cache=winnow_cache,
-            substrate_fingerprint=self.parse_stage.substrate_fingerprint,
-        )
-        self.generate_stage = GenerateStage(resolver=resolver)
-        # Runs are memoized only when this engine computes them exactly as
-        # any default engine over the registry would: shared stage caches
-        # and the bundled handlers (a private resolver has no content
-        # identity to key on).  Hermetic engines recompute every run.
-        self._run_cache = (self.protocol_registry.run_cache()
-                           if shared_caches and resolver is None else None)
-        self._memo_handlers = self.generate_stage.handlers
+        # Built eagerly from the registry's memoized substrate, so a second
+        # engine re-pays none of the dictionary/lexicon/parser/suite cost.
+        self._build_stages()
+        self.generate_stage = GenerateStage()
+        self._run_cache = self.protocol_registry.run_cache()
         self.rewrites = self.protocol_registry.rewrites()
         #: Journaled LF selections (sentence key → chosen LF signature),
         #: applied in revised mode when winnowing leaves several survivors.
         self.selections = self.protocol_registry.selections()
 
-    def set_lexicon(self, lexicon: Lexicon) -> None:
-        """Swap the engine onto a new grammar.
+    def _build_stages(self) -> None:
+        """Build the parse and winnow stages over the registry's current
+        substrate; a full :meth:`~repro.rfc.registry.ProtocolRegistry.
+        invalidate` makes the next parse rebuild them, so an engine never
+        computes over a substrate the run keys no longer describe."""
+        from .stages import ParseStage, WinnowStage
 
-        Rebuilds the default stage's parser over ``lexicon`` (preserving
-        its registered backend, when it has one) and marks the engine
-        custom-lexicon: per-protocol backend resolution stops consulting
-        the registry's lexicon and every stage built from now on uses the
-        supplied grammar.  Previously resolved per-backend stages are
-        dropped (they carry the old grammar).
-        """
-        from ..parsing import parser_backend_names
-
-        backend = backend_id(self.parse_stage.parser)
-        if backend not in parser_backend_names():
-            backend = None
-        self.parse_stage.parser = create_parser(backend, lexicon)
-        self._custom_lexicon = True
-        self._parse_stages = {backend_id(self.parse_stage.parser):
-                              self.parse_stage}
+        registry = self.protocol_registry
+        self._generation = registry.generation
+        self.parse_stage = ParseStage(
+            registry.parser(backend=self.parser_backend), registry.chunker(),
+            cache=registry.parse_cache())
+        #: Backend name → ParseStage, for per-protocol backend resolution;
+        #: stages share the registry's chunker and parse cache.
+        self._parse_stages: dict[str, ParseStage] = {
+            backend_id(self.parse_stage.parser): self.parse_stage
+        }
+        self.winnow_stage = WinnowStage(
+            registry.check_suite(), cache=registry.winnow_cache(),
+            substrate_fingerprint=self.parse_stage.substrate_fingerprint,
+        )
 
     def refresh_decisions(self) -> None:
         """Re-pull the human-decision tables from the registry.
@@ -181,17 +138,6 @@ class SageEngine:
     def suite(self) -> CheckSuite:
         return self.winnow_stage.suite
 
-    @property
-    def parse_cache(self) -> ParseCache | None:
-        return self.parse_stage.cache
-
-    @property
-    def winnow_cache(self) -> ParseCache | None:
-        return self.winnow_stage.cache
-
-    def stages(self) -> tuple[ParseStage, WinnowStage, GenerateStage]:
-        return (self.parse_stage, self.winnow_stage, self.generate_stage)
-
     # -- per-sentence pipeline --------------------------------------------------
     def _stage_for(self, spec: SpecSentence) -> ParseStage:
         """The parse stage serving ``spec``'s protocol.
@@ -199,34 +145,26 @@ class SageEngine:
         An engine-wide ``parser_backend`` pins every sentence to one
         stage.  Otherwise the sentence's protocol resolves its registered
         backend preference; stages are built lazily per backend name and
-        share this engine's chunker and parse cache (whose keys carry the
-        backend id, so entries never cross).  Engines built over a custom
-        lexicon always use their single private stage.
+        share the registry's chunker and parse cache (whose keys carry the
+        backend id, so entries never cross).
         """
-        if self.parser_backend is not None or self._custom_lexicon:
-            return self.parse_stage
-        protocol = spec.protocol
-        if not protocol:
-            return self.parse_stage
         return self._stage_for_backend(
-            self.protocol_registry.parser_backend_for(protocol)
-        )
+            self.parser_backend
+            or self.protocol_registry.parser_backend_for(spec.protocol))
 
     def _stage_for_backend(self, backend: str) -> ParseStage:
-        """The (lazily built, memoized) stage running ``backend`` for this
-        engine — over the engine's own lexicon when one was supplied, the
-        registry's memoized substrate otherwise.  Stages share the
-        engine's chunker and parse cache; cache keys carry the backend id
-        so entries never cross."""
+        """The (lazily built, memoized) stage running ``backend`` over the
+        registry's current substrate.  Stages share the registry's chunker
+        and parse cache; cache keys carry the backend id so entries never
+        cross."""
+        if self._generation != self.protocol_registry.generation:
+            self._build_stages()
         stage = self._parse_stages.get(backend)
         if stage is None:
             from .stages import ParseStage
 
-            if self._custom_lexicon:
-                parser = create_parser(backend, self.lexicon)
-            else:
-                parser = self.protocol_registry.parser(backend=backend)
-            stage = ParseStage(parser, self.parse_stage.chunker,
+            stage = ParseStage(self.protocol_registry.parser(backend=backend),
+                               self.parse_stage.chunker,
                                cache=self.parse_stage.cache)
             self._parse_stages[backend] = stage
         return stage
@@ -389,45 +327,14 @@ class SageEngine:
 
     # -- corpus pipeline --------------------------------------------------------
     def run_key(self, corpus: Corpus) -> tuple | None:
-        """The content address of ``process_corpus(corpus)``, or None when
-        this engine does not memoize runs (see ``__init__``) or the corpus
-        has no content fingerprint.
-
-        The key is :func:`run_key_for` over this engine's mode, the parser
-        backend of each protocol the corpus uses, and the rewrite and
-        selection tables it consults.  Its last part, the substrate part,
-        is empty while every parse stage runs over the registry's default
-        lexicon and chunker as built, the suite is the default one, and
-        neither stage cache was cleared; the key is then what a fresh
-        process computes before building any substrate.  Otherwise the
-        part carries the grammar fingerprint of each parse stage, the
-        suite fingerprint and the stage caches' clear generations, so a
-        mutated grammar or suite, or a cleared stage cache, retires the
-        runs built before it.
-        """
-        from .stages import default_suite_fingerprint
-
-        if (self._run_cache is None or not corpus.fingerprint
-                or self.generate_stage.handlers is not self._memo_handlers):
-            return None
-        one_per_protocol = {spec.protocol: spec for spec in corpus.sentences}
-        stages = [self._stage_for(spec) for spec in one_per_protocol.values()]
-        suite = self.winnow_stage.suite_fingerprint()
-        registry = self.protocol_registry
-        pristine = registry.pristine_fingerprint()
-        substrate = ()
-        if not (registry.substrate_pristine()
-                and suite == default_suite_fingerprint()
-                and all(stage.substrate_fingerprint() == pristine
-                        for stage in stages)):
-            substrate = (tuple(sorted({stage.fingerprint()
-                                       for stage in stages})),
-                         suite, self.parse_stage.cache.generation,
-                         self.winnow_stage.cache.generation)
-        backends = tuple(sorted({backend_id(stage.parser)
-                                 for stage in stages}))
-        return run_key_for(registry, corpus, self.mode, backends,
-                           self.rewrites, self.selections, substrate)
+        """The content address of ``process_corpus(corpus)``:
+        :func:`run_key_for` over this engine's registry, mode, backend
+        override and decision tables (None for a corpus built by hand).
+        :meth:`~repro.api.service.SageService.run` computes the same key
+        without building an engine."""
+        return run_key_for(self.protocol_registry, corpus, self.mode,
+                           self.parser_backend, self.rewrites,
+                           self.selections)
 
     def process_corpus(self, corpus: Corpus | str) -> SageRun:
         """Run the pipeline over ``corpus`` — a :class:`Corpus` object or a
@@ -436,16 +343,13 @@ class SageEngine:
         A run whose :meth:`run_key` is already in the registry's run memo
         is returned from there without touching a sentence or the garbage
         collector; the returned :class:`SageRun` is then shared and must be
-        treated as read-only.  A miss runs inside :func:`cold_batch_gc`.
+        treated as read-only.  A miss goes to :meth:`compute`.
         """
         if isinstance(corpus, str):
             corpus = self.protocol_registry.load_corpus(corpus)
         key = self.run_key(corpus)
         run = self._memoized(key)
-        if run is None:
-            with cold_batch_gc():
-                run = self._compute(corpus, key)
-        return run
+        return self.compute(corpus, key) if run is None else run
 
     def process_corpora(
         self,
@@ -471,25 +375,27 @@ class SageEngine:
         keys = [self.run_key(corpus) for corpus in corpora]
         runs = [self._memoized(key) for key in keys]
         if any(run is None for run in runs):
-            with cold_batch_gc():
-                runs = [self._compute(corpus, key) if run is None else run
+            with cold_batch_gc():  # the compute windows nest inside this one
+                runs = [self.compute(corpus, key) if run is None else run
                         for corpus, key, run in zip(corpora, keys, runs)]
         return dict(zip(names, runs))
 
     def _memoized(self, key: tuple | None) -> SageRun | None:
         """The run memo's entry under ``key`` (one counted lookup), or
-        None on a miss or when ``key`` is None (no memo applies)."""
+        None on a miss or when ``key`` is None (a corpus built by hand)."""
         return None if key is None else self._run_cache.get(key)
 
-    def _compute(self, corpus: Corpus, key: tuple | None) -> SageRun:
-        """Run every stage over ``corpus`` and memoize the run under
-        ``key`` (unless None); callers open the :func:`cold_batch_gc`
-        window."""
-        results = [self.process_sentence(spec) for spec in corpus.sentences]
-        unit = self._assemble(corpus, results)
-        run = SageRun(corpus=corpus, results=results, code_unit=unit)
-        if key is not None:
-            self._run_cache.put(key, run)
+    def compute(self, corpus: Corpus, key: tuple | None) -> SageRun:
+        """Run every stage over ``corpus`` inside one
+        :func:`cold_batch_gc` window and memoize the run under ``key``
+        (unless None) — the path behind every run-memo miss."""
+        with cold_batch_gc():
+            results = [self.process_sentence(spec)
+                       for spec in corpus.sentences]
+            run = SageRun(corpus=corpus, results=results,
+                          code_unit=self._assemble(corpus, results))
+            if key is not None:
+                self._run_cache.put(key, run)
         return run
 
     def _assemble(self, corpus: Corpus, results: list[SentenceResult]) -> Program:

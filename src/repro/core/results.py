@@ -169,18 +169,30 @@ def _sorted_items(table: dict) -> tuple:
 
 
 def run_key_for(registry: ProtocolRegistry, corpus: Corpus, mode: str,
-                backends: tuple[str, ...], rewrites: dict,
-                selections: dict, substrate: tuple = ()) -> tuple:
-    """The content address of a run of ``corpus`` in ``mode``.
+                parser_backend: str | None, rewrites: dict,
+                selections: dict) -> tuple | None:
+    """The content address of a run of ``corpus`` in ``mode`` over
+    ``registry`` — the one key function of the run memo — or None for a
+    corpus without a content fingerprint (one built by hand).
 
-    Computable without a lexicon, parser, chunker or check suite:
-    ``substrate`` is empty for the default substrate, which
-    :func:`source_digest` pins.  Every part prints the same way in every
+    The parser backends come from names (``parser_backend``, else each
+    protocol's registered preference) and the substrate part from
+    :meth:`~repro.rfc.registry.ProtocolRegistry.substrate_key`, which is
+    empty while the substrate is pristine: :func:`source_digest` pins it
+    then, so the key is computable without building a lexicon, parser,
+    chunker or check suite.  Every part prints the same way in every
     process (no sets), so its string form is a stable store key.
     """
+    if not corpus.fingerprint:
+        return None
+    backends = tuple(sorted({
+        parser_backend or registry.parser_backend_for(protocol)
+        for protocol in {spec.protocol for spec in corpus.sentences}
+    }))
     try:
         sender_built = tuple(sorted(registry.sender_built(corpus.protocol)))
     except KeyError:
         sender_built = None
     return (mode, source_digest(), corpus.fingerprint, backends, sender_built,
-            _sorted_items(rewrites), _sorted_items(selections), substrate)
+            _sorted_items(rewrites), _sorted_items(selections),
+            registry.substrate_key())

@@ -24,16 +24,15 @@ which is what makes the stage caches here and the engine's run memo safe.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache
 from hashlib import sha1
 import re
 
+from ..cache.persistent import ContentCache
 from ..ccg.chart import CCGChartParser, ParseResult
 from ..parsing import backend_id, create_parser
 from ..ccg.semantics import Sem, signature
 from ..codegen.context import (
     AmbiguousReference,
-    ContextResolver,
     SentenceContext,
     UnknownReference,
 )
@@ -47,7 +46,6 @@ from ..gcpolicy import cold_batch_gc
 from ..nlp.chunker import NounPhraseChunker
 from ..nlp.tokenizer import KIND_NOUN_PHRASE, Token
 from ..rfc.corpus import SpecSentence
-from ..rfc.registry import ParseCache
 
 _ROLE_MARKERS = {
     "sender": "sender",
@@ -112,7 +110,7 @@ class ParseStage:
     pair, stored as shared read-only objects.
 
     The cache is polymorphic: the registry hands this stage a plain
-    in-memory :class:`~repro.rfc.registry.ParseCache`, or — when a cache
+    in-memory :class:`~repro.cache.persistent.ContentCache`, or — when a cache
     directory is configured — a :class:`~repro.cache.persistent.
     PersistentParseCache` whose ``put`` also publishes the entry (the
     materialized forest result with full provenance, ``schema:1b``-encoded)
@@ -122,7 +120,7 @@ class ParseStage:
 
     def __init__(self, parser: CCGChartParser | None = None,
                  chunker: NounPhraseChunker | None = None,
-                 cache: ParseCache | None = None, *,
+                 cache: ContentCache | None = None, *,
                  backend: str | None = None) -> None:
         if parser is None:
             from ..rfc.registry import default_registry
@@ -138,18 +136,9 @@ class ParseStage:
 
             chunker = default_registry().chunker()
         self.parser = parser
-        self._chunker = chunker
+        self.chunker = chunker
         self.cache = cache
         self._chunker_fingerprint: str | None = None
-
-    @property
-    def chunker(self) -> NounPhraseChunker:
-        return self._chunker
-
-    @chunker.setter
-    def chunker(self, chunker: NounPhraseChunker) -> None:
-        self._chunker = chunker
-        self._chunker_fingerprint = None  # new token stream, new cache keys
 
     def fingerprint(self) -> str:
         """The combined backend + lexicon + chunker content identity.
@@ -284,13 +273,6 @@ class ParseStage:
                 break
 
 
-@cache
-def default_suite_fingerprint() -> str:
-    """The fingerprint of a fresh :meth:`CheckSuite.default` — what an
-    engine built without a suite winnows with."""
-    return CheckSuite.default().fingerprint()
-
-
 class WinnowStage:
     """Apply the §4.2 disambiguation checks to a sentence's parses.
 
@@ -309,33 +291,22 @@ class WinnowStage:
     structural signatures of the parsed forms, guarding against any route
     (resolution rewrites, hand-built forms) that changes the LF set under
     an unchanged sentence.  Like the parse cache, the attached cache may be
-    the plain in-memory :class:`~repro.rfc.registry.ParseCache` or the
-    persistent variant that falls through to the shared on-disk store.
+    the plain in-memory :class:`~repro.cache.persistent.ContentCache` or
+    the persistent variant that falls through to the shared on-disk store.
     """
 
     def __init__(self, suite: CheckSuite | None = None,
-                 cache: ParseCache | None = None,
+                 cache: ContentCache | None = None,
                  substrate_fingerprint=None) -> None:
         self.suite = suite or CheckSuite.default()
         self.cache = cache
         #: Zero-arg callable giving the grammar substrate fingerprint
         #: (usually ``ParseStage.substrate_fingerprint``); "" when absent.
         self._substrate_fingerprint = substrate_fingerprint
-        self._suite_fp: str | None = None
-        self._suite_fp_suite: CheckSuite | None = None
-        self._suite_fp_generation = -1
 
     def suite_fingerprint(self) -> str:
-        """The suite's content digest, recomputed only when the suite is
-        swapped or its classes mutate."""
-        suite = self.suite
-        generation = suite.type_check.classes.generation
-        if (self._suite_fp_suite is not suite
-                or self._suite_fp_generation != generation):
-            self._suite_fp = suite.fingerprint()
-            self._suite_fp_suite = suite
-            self._suite_fp_generation = generation
-        return self._suite_fp
+        """The current suite's content digest (cached by the suite)."""
+        return self.suite.fingerprint()
 
     def cache_key(self, parsed: ParsedSentence) -> tuple:
         digest = sha1("\x1e".join(
@@ -369,14 +340,8 @@ class GenerateStage:
     single-form experiments like the quickstart example.
     """
 
-    def __init__(self, handlers: HandlerRegistry | None = None,
-                 resolver: ContextResolver | None = None) -> None:
-        if handlers is not None and resolver is not None:
-            raise ValueError(
-                "pass either a handler registry (which carries its own "
-                "resolver) or a resolver, not both"
-            )
-        self.handlers = handlers or HandlerRegistry(resolver or ContextResolver())
+    def __init__(self) -> None:
+        self.handlers = HandlerRegistry()
 
     def context_for(self, spec: SpecSentence) -> SentenceContext:
         """The Table 4 context dictionary — built once per sentence."""

@@ -44,7 +44,7 @@ their nodes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from hashlib import sha1
 
 from ..ccg.semantics import Call, Sem, calls_of, span_of
@@ -456,6 +456,9 @@ class CheckSuite:
     predicate_ordering: PredicateOrderingCheck
     distributivity: DistributivityCheck
     associativity: AssociativityCheck
+    #: (classes generation, digest) of the last :meth:`fingerprint`.
+    _fp: tuple[int, str] = field(default=(-1, ""), init=False, repr=False,
+                                 compare=False)
 
     @classmethod
     def default(cls) -> "CheckSuite":
@@ -481,6 +484,14 @@ class CheckSuite:
 
         Keys the :class:`~repro.core.stages.WinnowStage` result cache:
         editing any check's rules moves every sentence to a fresh slot.
+        Only ``type_check.classes`` changes after construction, so the
+        digest is recomputed only when its generation moves (the
+        registry's run keys read it on every request).
         """
-        payload = "|".join(check.fingerprint() for check in self.in_order())
-        return sha1(payload.encode("utf-8")).hexdigest()
+        generation = self.type_check.classes.generation
+        if self._fp[0] != generation:
+            payload = "|".join(check.fingerprint()
+                               for check in self.in_order())
+            self._fp = (generation,
+                        sha1(payload.encode("utf-8")).hexdigest())
+        return self._fp[1]

@@ -8,10 +8,11 @@ other module touches :mod:`gc`'s freeze machinery:
 
 * :func:`cold_batch_gc` brackets cold batch work: one collection on entry,
   the collector off for the batch, the survivors frozen on the way out;
-* :func:`release` hands the frozen objects back and collects, at every
-  point where memos are dropped (the only place frozen objects die in
-  cycles: a ``Call`` or ``Lam`` term's cached normal form points back at
-  the term);
+* :func:`release` hands the frozen objects back, at every point where
+  memos are dropped (the only place frozen objects die in cycles: a
+  ``Call`` or ``Lam`` term's cached normal form points back at the term),
+  and collects when that point is inside a window, before its exit
+  freeze;
 * :func:`freeze` freezes everything now alive (the window's exit, and the
   server pool before it forks its workers).
 
@@ -49,15 +50,20 @@ def freeze() -> None:
 
 
 def release() -> None:
-    """Hand every frozen object back to the collector and collect.
+    """Hand every frozen object back to the collector.
 
     Freezing is leak-free only while nothing frozen dies in a cycle, and
     such cycles appear where memos are dropped, so every drop point calls
-    this."""
+    this.  Inside a :func:`cold_batch_gc` window it also collects, so the
+    exit freeze cannot pin the dropped cycles; outside one the next
+    window's entry collection, or the automatic collector, reclaims them
+    (a reset followed by a cold batch pays one full collection, not
+    two)."""
     global _frozen_count
     gc.unfreeze()
     _frozen_count = 0
-    gc.collect()
+    if _window_depth:
+        gc.collect()
 
 
 @contextmanager

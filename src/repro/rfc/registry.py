@@ -17,7 +17,8 @@ memoization layer:
 * ``load_corpus(name)`` parses at most once per registry and returns the
   same :class:`~repro.rfc.corpus.Corpus` object on every subsequent call;
 * ``dictionary()`` / ``lexicon()`` / ``chunker()`` / ``parser()`` /
-  ``rewrites()`` memoize the NLP/CCG substrate the same way;
+  ``check_suite()`` / ``rewrites()`` memoize the substrate the same way;
+  every engine over the registry runs on exactly these instances;
 * ``parse_cache()`` / ``winnow_cache()`` / ``run_cache()`` hold the
   content-addressed pipeline results every engine over the registry
   shares (per sentence for the first two, per corpus run for the last).
@@ -40,7 +41,6 @@ from typing import TYPE_CHECKING
 from ..cache.persistent import (
     CompiledProgramCache,
     ContentCache,
-    ParseCache,
     PersistentCompiledCache,
     PersistentParseCache,
     PersistentRunCache,
@@ -53,6 +53,7 @@ from .corpus import Corpus, Rewrite, corpus_from_text, sentence_key
 if TYPE_CHECKING:  # the substrate loads on first use (see lexicon()/chunker())
     from ..ccg.chart import CCGChartParser
     from ..ccg.lexicon import Lexicon
+    from ..disambiguation.checks import CheckSuite
     from ..nlp.chunker import NounPhraseChunker
     from ..nlp.terms import TermDictionary
 
@@ -153,14 +154,18 @@ class ProtocolRegistry:
         self._parsers: dict[tuple, CCGChartParser] = {}
         self._dictionary: TermDictionary | None = None
         self._chunker: NounPhraseChunker | None = None
+        self._suite: CheckSuite | None = None
         self._rewrites: list[Rewrite] | None = None
         self._rewrites_by_original: dict[str, Rewrite] | None = None
         self._journal = None
-        #: Lexicon and chunker fingerprints of the default substrate, taken
-        #: as it was built, before anything could mutate it.
+        #: Lexicon, chunker and check-suite fingerprints of the default
+        #: substrate, taken as it was built, before anything could mutate it.
         self._pristine: dict[str, str] = {}
         #: The parse, winnow, run and compiled caches, built on first use.
         self._caches: dict[str, ContentCache] = {}
+        #: Bumped by every full :meth:`invalidate`; engines rebuild their
+        #: stages over the new substrate when it moves.
+        self.generation = 0
         self._lock = threading.RLock()
         if bundled:
             for name, source, description, sender_built in BUNDLED_PROTOCOLS:
@@ -314,27 +319,50 @@ class ProtocolRegistry:
                 self._parsers[key] = parser
             return parser
 
-    def pristine_fingerprint(self) -> str | None:
-        """The ``lexicon:chunker`` fingerprint the default substrate had
-        when it was built (a parse stage's ``substrate_fingerprint``
-        over it), or None while either half is unbuilt."""
+    def check_suite(self) -> CheckSuite:
+        """The §4.2 check suite every engine over this registry winnows
+        with (shared instance; mutate it only to change every engine)."""
+        from ..disambiguation.checks import CheckSuite
+
         with self._lock:
-            if "lexicon" in self._pristine and "chunker" in self._pristine:
-                return f"{self._pristine['lexicon']}:{self._pristine['chunker']}"
-            return None
+            if self._suite is None:
+                self._suite = CheckSuite.default()
+                self._pristine["suite"] = self._suite.fingerprint()
+            return self._suite
 
     def substrate_pristine(self) -> bool:
-        """True while a new default engine would compute exactly what a
-        fresh process computes: the default lexicon is unbuilt or still
-        holds the entries it was built with, and neither stage cache has
-        been cleared (a clear retires the runs built over it)."""
-        with self._lock:
-            lexicon = self._lexicons.get((None, True))
-            caches = [self._caches.get(name) for name in ("parse", "winnow")]
+        """True while an engine over this registry computes exactly what a
+        fresh process computes: the default lexicon and the check suite
+        are unbuilt or still hold what they were built with, and neither
+        stage cache has been cleared (a clear retires the runs built over
+        it).  The chunker is read-only once built (its fingerprint is
+        hashed once, as :class:`~repro.core.stages.ParseStage` does), so
+        what it was built with is what it holds."""
+        lexicon = self._lexicons.get((None, True))
         if (lexicon is not None
                 and lexicon.fingerprint() != self._pristine.get("lexicon")):
             return False
-        return all(cache is None or cache.generation == 0 for cache in caches)
+        suite = self._suite
+        if (suite is not None
+                and suite.fingerprint() != self._pristine.get("suite")):
+            return False
+        caches = self._caches
+        return all(cache is None or cache.generation == 0
+                   for cache in (caches.get("parse"), caches.get("winnow")))
+
+    def substrate_key(self) -> tuple:
+        """The substrate part of a run key: empty while
+        :meth:`substrate_pristine` (the package digest in the key then
+        pins the substrate), else the ``lexicon:chunker`` fingerprint, the
+        suite fingerprint and the parse and winnow caches' clear
+        generations, so a mutated grammar or suite, or a cleared stage
+        cache, retires the runs built before it."""
+        if self.substrate_pristine():
+            return ()
+        self.chunker()
+        return (f"{self.lexicon().fingerprint()}:{self._pristine['chunker']}",
+                self.check_suite().fingerprint(),
+                self.parse_cache().generation, self.winnow_cache().generation)
 
     def cache_store(self):
         """The shared on-disk :class:`~repro.cache.store.CacheStore`, or
@@ -366,7 +394,7 @@ class ProtocolRegistry:
                                       else memory_class())
             return self._caches[name]
 
-    def parse_cache(self) -> ParseCache:
+    def parse_cache(self) -> ContentCache:
         """The shared sentence-parse cache: ``(substrate_fingerprint,
         sentence_text, field)`` → the parse stage's ``(ParseResult,
         subject_supplied)`` pair.
@@ -380,9 +408,9 @@ class ProtocolRegistry:
         directory configured the cache is additionally disk-backed
         (:class:`~repro.cache.persistent.PersistentParseCache`): parses
         persist across processes and are shared with concurrent ones."""
-        return self._cache("parse", ParseCache, PersistentParseCache)
+        return self._cache("parse", ContentCache, PersistentParseCache)
 
-    def winnow_cache(self) -> ParseCache:
+    def winnow_cache(self) -> ContentCache:
         """The shared winnow-result cache (whole :class:`~repro.
         disambiguation.winnow.WinnowTrace` objects by content address).
 
@@ -394,28 +422,28 @@ class ProtocolRegistry:
         cache is disk-backed (:class:`~repro.cache.persistent.
         PersistentWinnowCache`): a warm-booting process replays every
         previously winnowed sentence without running a single check."""
-        return self._cache("winnow", ParseCache, PersistentWinnowCache)
+        return self._cache("winnow", ContentCache, PersistentWinnowCache)
 
-    def run_cache(self) -> ParseCache:
+    def run_cache(self) -> ContentCache:
         """The shared whole-run memo: corpus → :class:`~repro.core.results.
-        SageRun`, keyed by :meth:`~repro.core.engine.SageEngine.run_key`.
+        SageRun`, keyed by :func:`~repro.core.results.run_key_for`.
 
         The key covers every input a run depends on (the package's code
         and data, mode, corpus content, parser backends, decision tables,
-        role metadata, and — once the default substrate is mutated or
-        replaced — the grammar and check-suite fingerprints), so engines
-        built over this registry serve each other's runs: a warm server
-        worker answers a repeated request without touching a sentence.
-        Runs are shared objects and must be treated as read-only.
+        role metadata, and — once the substrate is mutated — the
+        :meth:`substrate_key`), so engines built over this registry serve
+        each other's runs: a warm server worker answers a repeated request
+        without touching a sentence.  Runs are shared objects and must be
+        treated as read-only.
 
         With a cache directory configured the memo is disk-backed
         (:class:`~repro.cache.persistent.PersistentRunCache`, the ``run``
         namespace): a fresh process answers a warm request with one store
         read per protocol, before it builds an engine
         (:meth:`~repro.api.service.SageService.run`).  Only runs over the
-        pristine default substrate persist; a mutated or custom grammar
-        or suite keeps its runs in memory."""
-        return self._cache("run", ParseCache,
+        pristine substrate persist; a mutated grammar or suite keeps its
+        runs in memory."""
+        return self._cache("run", ContentCache,
                            lambda store: PersistentRunCache(store, self))
 
     def compiled_cache(self) -> CompiledProgramCache:
@@ -512,8 +540,10 @@ class ProtocolRegistry:
         """Drop this registry's cached artifacts: one corpus, or everything.
 
         ``invalidate("ICMP")`` drops just that corpus; ``invalidate()`` also
-        clears the dictionary, lexicons, parsers, chunker, and rewrites (the
-        registrations themselves survive).  Only this instance's caches are
+        clears the dictionary, lexicons, parsers, chunker, check suite and
+        rewrites (the registrations themselves survive); engines built
+        before it rebuild their stages over the new substrate at their
+        next parse.  Only this instance's caches are
         touched — after editing ``terms.txt`` also call
         :func:`repro.nlp.terms.load_default_dictionary` with
         ``refresh=True`` to re-read the process-wide dictionary.
@@ -529,7 +559,9 @@ class ProtocolRegistry:
             self._parsers.clear()
             self._dictionary = None
             self._chunker = None
+            self._suite = None
             self._pristine.clear()
+            self.generation += 1
             self._rewrites = None
             self._rewrites_by_original = None
             for cache in self._caches.values():

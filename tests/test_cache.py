@@ -15,6 +15,7 @@ from repro.cache import (
     RUN_NAMESPACE,
     WINNOW_NAMESPACE,
     CacheStore,
+    ContentCache,
     PersistentCompiledCache,
     PersistentParseCache,
     PersistentRunCache,
@@ -22,7 +23,7 @@ from repro.cache import (
 )
 from repro.ccg.chart import ParseResult
 from repro.ccg.semantics import Call, Const
-from repro.rfc.registry import CompiledProgramCache, ParseCache, ProtocolRegistry
+from repro.rfc.registry import CompiledProgramCache, ProtocolRegistry
 
 
 # -- the byte-level store ------------------------------------------------------
@@ -333,8 +334,8 @@ class TestRegistryPromotion:
     def test_no_cache_dir_keeps_plain_caches(self):
         registry = ProtocolRegistry()
         assert registry.cache_store() is None
-        assert type(registry.parse_cache()) is ParseCache
-        assert type(registry.winnow_cache()) is ParseCache
+        assert type(registry.parse_cache()) is ContentCache
+        assert type(registry.winnow_cache()) is ContentCache
         assert type(registry.compiled_cache()) is CompiledProgramCache
 
     def test_cache_dir_promotes_all_caches(self, tmp_path):
@@ -394,6 +395,27 @@ def _rewrite_entry(path, payload: bytes) -> None:
 class TestRunLayer:
     """Whole runs persist in the store's ``run`` namespace: a warm process
     reads one entry per protocol, and a damaged entry is never served."""
+
+    def test_cold_service_run_reads_the_run_entry_once(self, tmp_path):
+        from repro.api import SageService
+
+        registry = ProtocolRegistry(cache_dir=tmp_path)
+        store = registry.cache_store()
+        run_reads = []  # disk misses each run-namespace read counted
+        read = store.get
+
+        def counted(namespace, key):
+            misses = store.disk_misses
+            payload = read(namespace, key)
+            if namespace == RUN_NAMESPACE:
+                run_reads.append(store.disk_misses - misses)
+            return payload
+
+        store.get = counted
+        SageService(registry=registry).run("IGMP")
+        assert run_reads == [1]
+        stats = registry.run_cache().stats()
+        assert (stats["hits"], stats["misses"]) == (0, 1)
 
     @pytest.mark.parametrize("damage", ["truncate", "flip"])
     def test_damaged_entry_is_quarantined_and_recomputed(self, tmp_path,

@@ -208,11 +208,11 @@ class TestMemoInvalidation:
     def test_winnow_stage_cache_invalidates_on_suite_change(self):
         from types import SimpleNamespace
 
+        from repro.cache import ContentCache
         from repro.core.stages import WinnowStage
         from repro.lf.predicates import FUNCTION
-        from repro.rfc.registry import ParseCache
 
-        stage = WinnowStage(cache=ParseCache())
+        stage = WinnowStage(cache=ContentCache())
         parsed = SimpleNamespace(
             spec=SimpleNamespace(field="checksum", text="the checksum is 0"),
             logical_forms=[call("Is", const("checksum", (0, 1)),

@@ -8,7 +8,8 @@ from repro.core.stages import ParseStage
 from repro.nlp.chunker import ChunkerConfig, NounPhraseChunker
 from repro.nlp.tokenizer import KIND_NOUN_PHRASE, Token
 from repro.rfc.corpus import Rewrite, SpecSentence, sentence_key
-from repro.rfc.registry import ParseCache, ProtocolRegistry, default_registry
+from repro.cache import ContentCache
+from repro.rfc.registry import ProtocolRegistry, default_registry
 
 ALL_PROTOCOLS = ("ICMP", "IGMP", "NTP", "BFD")
 BOTH_MODES = ("strict", "revised")
@@ -34,31 +35,6 @@ class TestEngineConstruction:
     def test_engine_rejects_unknown_mode(self):
         with pytest.raises(ValueError):
             SageEngine(mode="lenient")
-
-    def test_substrate_swaps_land_on_the_owning_stage(self):
-        from repro.codegen.handlers import HandlerRegistry
-        from repro.disambiguation.checks import CheckSuite
-
-        engine = SageEngine(mode="strict")
-        lexicon = build_lexicon()
-        engine.set_lexicon(lexicon)
-        assert engine.lexicon is lexicon
-        assert engine.parser.lexicon is lexicon
-        suite = CheckSuite.default()
-        engine.winnow_stage.suite = suite
-        assert engine.suite is suite
-        handlers = HandlerRegistry()
-        engine.generate_stage.handlers = handlers
-        assert engine.generate_stage.handlers is handlers
-
-    def test_generate_stage_rejects_conflicting_args(self):
-        from repro.codegen.context import ContextResolver
-        from repro.codegen.handlers import HandlerRegistry
-        from repro.core import GenerateStage
-
-        with pytest.raises(ValueError):
-            GenerateStage(handlers=HandlerRegistry(),
-                          resolver=ContextResolver())
 
 
 # -- process_corpora ------------------------------------------------------------
@@ -114,7 +90,7 @@ class TestParseCache:
     def test_cache_is_content_addressed_by_substrate(self):
         registry = default_registry()
         full = ParseStage(registry.parser(), registry.chunker(),
-                          cache=ParseCache())
+                          cache=ContentCache())
         spec = SpecSentence(text="The checksum is zero.", protocol="ICMP",
                             message="Echo or Echo Reply Message",
                             field="checksum", kind="field")
@@ -135,7 +111,7 @@ class TestParseCache:
         lexicon = build_lexicon()
         registry = default_registry()
         stage = ParseStage(CCGChartParser(lexicon), registry.chunker(),
-                           cache=ParseCache())
+                           cache=ContentCache())
         spec = SpecSentence(text="The checksum is zero.", protocol="ICMP",
                             message="Echo Message", field="checksum",
                             kind="field")
@@ -169,14 +145,6 @@ class TestParseCache:
         assert len(cache) == 0
         assert registry.parse_cache() is cache
 
-    def test_engine_can_opt_out_of_caching(self):
-        registry = ProtocolRegistry()
-        engine = SageEngine(protocol_registry=registry, parse_cache=False)
-        engine.process_corpus("IGMP")
-        assert engine.parse_cache is None
-        assert len(registry.parse_cache()) == 0
-        assert len(registry.run_cache()) == 0
-
 
 # -- the whole-run memo ---------------------------------------------------------
 
@@ -202,14 +170,16 @@ class TestRunMemo:
     def test_memoized_runs_match_uncached_runs(self, mode):
         registry = ProtocolRegistry()
         memo = SageEngine(mode=mode, protocol_registry=registry)
-        hermetic = SageEngine(mode=mode, protocol_registry=registry,
-                              parse_cache=False)
-        assert hermetic.run_key(registry.load_corpus("ICMP")) is None
+        # The reference side: each run's first compute over a second,
+        # fresh registry, whose memo and stage caches start empty.
+        uncached = SageEngine(mode=mode, protocol_registry=ProtocolRegistry())
         for name in ALL_PROTOCOLS:
             memo.process_corpus(name)
             served = memo.process_corpus(name)
             assert (run_fingerprint(served)
-                    == run_fingerprint(hermetic.process_corpus(name)))
+                    == run_fingerprint(uncached.process_corpus(name)))
+        stats = uncached.protocol_registry.run_cache().stats()
+        assert (stats["hits"], stats["misses"]) == (0, len(ALL_PROTOCOLS))
 
     def test_engines_share_runs_by_content_not_by_mode(self):
         registry = ProtocolRegistry()
@@ -251,16 +221,33 @@ class TestRunMemo:
         registry = ProtocolRegistry()
         engine = SageEngine(mode="revised", protocol_registry=registry)
         first = engine.process_corpus("NTP")
-        engine.set_lexicon(build_lexicon())  # same content: still a hit
-        assert engine.process_corpus("NTP") is first
-        entry = engine.lexicon.entries()[0]
-        engine.lexicon.add(entry.__class__(
+        lexicon = registry.lexicon()
+        entry = lexicon.entries()[0]
+        lexicon.add(entry.__class__(
             phrase="zorpliness", category=entry.category, sem=entry.sem,
         ))
         regrammared = engine.process_corpus("NTP")
         assert regrammared is not first
-        engine.suite.type_check.classes.register("frobnicate", FUNCTION)
+        registry.check_suite().type_check.classes.register("frobnicate",
+                                                           FUNCTION)
         assert engine.process_corpus("NTP") is not regrammared
+
+    def test_engines_follow_the_registry_across_invalidate(self):
+        registry = ProtocolRegistry()
+        engine = SageEngine(protocol_registry=registry)
+        lexicon = registry.lexicon()
+        entry = lexicon.entries()[0]
+        lexicon.add(entry.__class__(
+            phrase="zorpliness", category=entry.category, sem=entry.sem,
+        ))
+        registry.invalidate()
+        # The run key describes the rebuilt substrate, so the engine built
+        # before the invalidate must compute over it too.
+        run = engine.process_corpus("IGMP")
+        assert engine.lexicon is registry.lexicon()
+        assert engine.suite is registry.check_suite()
+        assert SageEngine(protocol_registry=registry).process_corpus(
+            "IGMP") is run
 
     def test_clearing_a_stage_cache_retires_memoized_runs(self):
         registry = ProtocolRegistry()
@@ -275,23 +262,18 @@ class TestRunMemo:
         assert len(registry.run_cache()) == 0
 
     def test_private_handlers_and_hand_built_corpora_bypass_the_memo(self):
-        from repro.codegen.context import ContextResolver
-        from repro.codegen.handlers import HandlerRegistry
+        # Every engine now runs the bundled handlers, so a corpus without
+        # a content fingerprint is the one run the memo cannot address.
         from repro.rfc.corpus import Corpus
 
         registry = ProtocolRegistry()
         corpus = registry.load_corpus("IGMP")
-        custom = SageEngine(protocol_registry=registry,
-                            resolver=ContextResolver())
-        assert custom.run_key(corpus) is None
         engine = SageEngine(protocol_registry=registry)
         assert engine.run_key(corpus) is not None
-        engine.generate_stage.handlers = HandlerRegistry()
-        assert engine.run_key(corpus) is None
         by_hand = Corpus(protocol="IGMP", document=corpus.document,
                          sentences=list(corpus.sentences))
-        assert SageEngine(protocol_registry=registry).run_key(by_hand) is None
-        custom.process_corpus(corpus)
+        assert engine.run_key(by_hand) is None
+        engine.process_corpus(by_hand)
         assert len(registry.run_cache()) == 0
 
     def test_batch_counts_each_memo_lookup_once(self, tmp_path):

@@ -104,7 +104,8 @@ class TestFreezeInvariant:
         gc.collect()
         gc.set_debug(gc.DEBUG_SAVEALL)
         try:
-            release()
+            release()  # outside a window this only unfreezes
+            gc.collect()
             saved = len(gc.garbage)
         finally:
             gc.set_debug(0)
@@ -116,6 +117,26 @@ class TestFreezeInvariant:
         assert gc.get_freeze_count() > 0
         reset_parser_state()
         assert gc.get_freeze_count() == 0
+
+
+class TestOneFullCollection:
+    def test_cold_op_runs_one_full_collection(self, collections, tmp_path):
+        # One benchmark-style cold compile: memos reset, a fresh registry
+        # over an empty store, every protocol.  The reset only unfreezes;
+        # the window's entry collection is the op's one full collection.
+        cold_sweep()  # leaves frozen survivors, as a previous op does
+        collections.clear()
+        process_cold()
+        engine = SageEngine(protocol_registry=ProtocolRegistry(
+            cache_dir=tmp_path))
+        assert engine.process_corpora()
+        assert collections.count(2) == 1
+
+    def test_release_inside_a_window_collects(self, collections):
+        with cold_batch_gc():
+            collections.clear()
+            release()
+        assert collections == [2]
 
 
 class TestNoLeak:
@@ -207,8 +228,11 @@ class TestWarmPathsSkipTheCollector:
     def test_cold_parse_batch_runs_no_automatic_collection(self, collections):
         process_cold()
         engine = SageEngine(protocol_registry=ProtocolRegistry())
+        # Load the corpus first: its allocations precede the batch, and
+        # with no collection at the reset they may start a young one.
+        corpus = engine.protocol_registry.load_corpus("ICMP")
         collections.clear()
-        parsed = engine.parse_batch("ICMP")
+        parsed = engine.parse_batch(corpus)
         during = list(collections)
         assert not parsed[0].from_cache
         assert during == [2]  # the window's one explicit collection

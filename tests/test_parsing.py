@@ -28,6 +28,7 @@ from repro.api import (
     to_json,
 )
 from repro.api.errors import ParserBackendNotFound
+from repro.cache import ContentCache
 from repro.ccg.chart import CCGChartParser, ParseResult
 from repro.ccg.lexicon import LexEntry, Lexicon, build_lexicon, core_entries
 from repro.ccg.semantics import signature
@@ -50,7 +51,7 @@ from repro.parsing import (
     reset_parser_state,
 )
 from repro.rfc.corpus import SpecSentence
-from repro.rfc.registry import ParseCache, ProtocolRegistry, default_registry
+from repro.rfc.registry import ProtocolRegistry, default_registry
 
 GOLDEN_DIR = pathlib.Path(__file__).parent / "golden"
 
@@ -350,13 +351,13 @@ class TestBackendCacheKeys:
     SPEC = SpecSentence(text="The checksum is zero.", protocol="ICMP",
                         message="echo", field="checksum", kind="field")
 
-    def _stage(self, backend: str, cache: ParseCache):
+    def _stage(self, backend: str, cache: ContentCache):
         registry = default_registry()
         return ParseStage(registry.parser(backend=backend),
                           registry.chunker(), cache=cache)
 
     def test_fingerprint_carries_backend_id(self):
-        cache = ParseCache()
+        cache = ContentCache()
         reference_stage = self._stage("reference", cache)
         indexed_stage = self._stage("indexed", cache)
         assert reference_stage.fingerprint().startswith("reference:")
@@ -365,7 +366,7 @@ class TestBackendCacheKeys:
                 == indexed_stage.fingerprint().split(":", 1)[1])
 
     def test_no_cross_backend_contamination(self):
-        cache = ParseCache()
+        cache = ContentCache()
         reference_stage = self._stage("reference", cache)
         indexed_stage = self._stage("indexed", cache)
         first = reference_stage.run(self.SPEC)
@@ -381,7 +382,7 @@ class TestBackendCacheKeys:
         assert indexed_stage.run(self.SPEC).result.backend == "indexed"
 
     def test_lexicon_edit_invalidates_both_backends(self):
-        cache = ParseCache()
+        cache = ContentCache()
         lexicon = build_lexicon()
         reference_stage = ParseStage(CCGChartParser(lexicon),
                                     default_registry().chunker(), cache=cache)
@@ -472,41 +473,6 @@ class TestEngineBackendThreading:
         assert all(item.result.backend == "reference" for item in parsed)
         again = engine.parse_batch("IGMP", parser_backend="reference")
         assert all(item.from_cache for item in again)
-
-    def test_parse_batch_honors_custom_lexicon(self):
-        """An engine built over a private lexicon must batch-parse with
-        that grammar even when the caller names a backend explicitly."""
-        lexicon = build_lexicon(groups=("core",))  # no domain entries
-        engine = SageEngine(lexicon=lexicon, parse_cache=False)
-        parsed = engine.parse_batch("NTP", parser_backend="reference")
-        assert engine._parse_stages["reference"].parser.lexicon is lexicon
-        full_engine = SageEngine(parse_cache=False)
-        full = full_engine.parse_batch("NTP", parser_backend="reference")
-        # The core-only grammar must behave differently from the full one
-        # somewhere in the corpus (the ntp-group entries are missing).
-        assert any(
-            [signature(f) for f in a.result.logical_forms]
-            != [signature(f) for f in b.result.logical_forms]
-            for a, b in zip(parsed, full)
-        )
-
-    def test_set_lexicon_pins_per_protocol_resolution(self):
-        """After swapping an engine onto a custom grammar, per-protocol
-        backend resolution must never fall back to the registry lexicon."""
-        registry = ProtocolRegistry()
-        registry.register_protocol(
-            "TOY",
-            text=("RFC: 9999\nTOY PROTOCOL\n\nIntroduction\n\n"
-                  "   The checksum is zero.\n"),
-            parser_backend="reference",
-        )
-        engine = SageEngine(protocol_registry=registry, parse_cache=False)
-        custom = build_lexicon(groups=("core",))
-        engine.set_lexicon(custom)
-        assert engine.lexicon is custom
-        spec = registry.load_corpus("TOY").sentences[0]
-        stage = engine._stage_for(spec)
-        assert stage.parser.lexicon is custom
 
     def test_pruned_surfaces_on_sentence_results(self):
         # RFC 5880's densest sentence genuinely overflows the default

@@ -2,9 +2,7 @@
 
 import pytest
 
-from repro.ccg.chart import CCGChartParser
 from repro.core import SageEngine
-from repro.nlp import NounPhraseChunker
 from repro.rfc import icmp_corpus, load_corpus
 from repro.rfc.registry import (
     BUNDLED_PROTOCOLS,
@@ -132,14 +130,23 @@ class TestSageIntegration:
         assert first.parser is second.parser
         assert first.lexicon is second.lexicon
         assert first.chunker is second.chunker
+        assert first.suite is second.suite
         assert first.rewrites is second.rewrites
 
-    def test_explicit_arguments_stay_private(self, registry):
-        chunker = NounPhraseChunker()
-        sage = SageEngine(lexicon=registry.lexicon(), chunker=chunker)
-        assert sage.chunker is chunker
-        assert isinstance(sage.parser, CCGChartParser)
-        assert sage.parser is not default_registry().parser()
+    def test_registry_owns_the_check_suite(self, registry):
+        from repro.lf.predicates import FUNCTION
+
+        suite = registry.check_suite()
+        assert registry.check_suite() is suite
+        assert SageEngine(protocol_registry=registry).suite is suite
+        assert registry.substrate_pristine()
+        assert registry.substrate_key() == ()
+        suite.type_check.classes.register("frobnicate", FUNCTION)
+        assert not registry.substrate_pristine()
+        assert suite.fingerprint() in registry.substrate_key()
+        registry.invalidate()
+        assert registry.check_suite() is not suite
+        assert registry.substrate_key() != ()  # the caches were cleared
 
     def test_process_corpus_accepts_protocol_names(self, registry):
         run = SageEngine(protocol_registry=registry).process_corpus("ICMP")
