@@ -6,7 +6,7 @@ Measures, with wall-clock timers:
   792 vs the memoized dict hit);
 * cold vs cached ``SageEngine()`` construction (lexicon/parser/chunker
   build vs registry reuse);
-* the parser backends head-to-head: every registered backend
+* the parser backends head-to-head: both backends
   (``reference`` CKY and the category-indexed ``indexed`` forest parser)
   cold-parses all four corpora through an uncached ParseStage — measured
   *before* anything else CCG-parses, so the indexed backend's
@@ -178,7 +178,7 @@ def main() -> int:
     # process-global structural memos warm as a side effect of any parse,
     # and the gate is about *cold* throughput.
     from repro.ccg.semantics import signature as lf_signature
-    from repro.parsing import parser_backend_names
+    from repro.parsing import PARSER_BACKENDS
 
     all_specs = [
         spec
@@ -194,10 +194,9 @@ def main() -> int:
     # sentence exactly once, cold.
     chunker = registry.chunker()
     token_streams = [chunker.chunk_text(spec.text) for spec in all_specs]
-    backends = list(parser_backend_names())
+    backends = list(PARSER_BACKENDS)
     numbers["parse_backends"] = backends
-    parsers = {backend: registry.parser(backend=backend)
-               for backend in backends}
+    parsers = {backend: registry.parser(backend) for backend in backends}
     backend_sigs = {backend: [] for backend in backends}
     # GC hygiene: both backends grow process-global memo graphs during
     # the sweep, and a generational collection walking those graphs lands

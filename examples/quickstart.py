@@ -9,7 +9,7 @@ as one :class:`~repro.api.SageService` request/response round trip.
 
 The parse stage runs the default ``indexed`` parser backend (category-
 indexed chart over a packed forest); swap in the reference CKY chart with
-``ParseStage(backend="reference")`` or, on the CLI, ``python -m repro
+``registry.parser("reference")`` or, on the CLI, ``python -m repro
 process ICMP --parser-backend reference`` — outputs are identical, parity
 is CI-gated (DESIGN.md §8).
 

@@ -81,7 +81,7 @@ fi
 # chart and no §4.2 check) and must answer every protocol with one
 # run-layer disk hit (the whole run read back, not rebuilt per sentence).
 cache_smoke() {
-  echo "== cache smoke: python -m repro cache warm twice, separate processes =="
+  echo "== cache smoke: python -m repro cache warm twice, then parse --compare, separate processes =="
   local store
   store="$(mktemp -d "${TMPDIR:-/tmp}/repro-cache-ci.XXXXXX")"
   temp_paths+=("$store")
@@ -104,6 +104,21 @@ if run_disk_hits != protocols:
     sys.exit(f"CACHE FAILURE: second-process sweep read {run_disk_hits} "
              f"run entries from disk for {protocols} protocols")
 print(f"ok (run: {run_disk_hits} disk hits, one per protocol)")
+'
+  # The backend comparison times real parses even on a warm store.
+  python -m repro parse ICMP --compare --cache-dir "$store" --json \
+    | python -c '
+import json, sys
+data = json.load(sys.stdin)["data"]
+if not data["parity"]:
+    sys.exit("CACHE FAILURE: parse --compare found an LF-set mismatch")
+backends = data["backends"]
+for name, report in backends.items():
+    cached = report["parsed_from_cache"]
+    if cached:
+        sys.exit(f"CACHE FAILURE: parse --compare served {name} {cached} "
+                 "parses from the store")
+print(f"ok (compare: parity, {len(backends)} backends parsed cold)")
 '
 }
 

@@ -54,7 +54,7 @@ def compare_np_labels(sentence: str = TABLE7_SENTENCE,
     # their backend/lexicon/chunker fingerprints differ, so the cache keeps
     # the two experiments (and the main pipeline's parses) strictly
     # separate while letting repeated table regenerations skip re-parsing.
-    good_stage = ParseStage(registry.parser(backend=parser_backend),
+    good_stage = ParseStage(registry.parser(parser_backend),
                             registry.chunker(),
                             cache=registry.parse_cache())
     good = good_stage.parse_text(sentence).count
@@ -69,7 +69,7 @@ def compare_np_labels(sentence: str = TABLE7_SENTENCE,
         dictionary=TermDictionary(degraded_terms),
         config=ChunkerConfig(merge_adjacent=False),
     )
-    poor_stage = ParseStage(registry.parser(backend=parser_backend),
+    poor_stage = ParseStage(registry.parser(parser_backend),
                             poor_chunker, cache=registry.parse_cache())
     poor = poor_stage.parse_text(sentence).count
     return LabelComparison(good_label_count=good, poor_label_count=poor)
@@ -100,7 +100,7 @@ def run_ablation(component: str, limit: int | None = None,
         raise ValueError(f"unknown component {component!r}")
 
     registry = default_registry()
-    parser = registry.parser(backend=parser_backend)
+    parser = registry.parser(parser_backend)
     baseline_stage = ParseStage(parser, registry.chunker(),
                                 cache=registry.parse_cache())
     ablated_chunker = NounPhraseChunker(

@@ -69,7 +69,7 @@ def _build_parser() -> argparse.ArgumentParser:
                            help="omit per-sentence reports from the response")
     p_process.add_argument("--parser-backend", default="", metavar="NAME",
                            help="parser backend (reference, indexed; "
-                                "default: the protocol's registered choice)")
+                                "default: indexed)")
     common(p_process)
 
     p_sweep = sub.add_parser("sweep", help="run many protocols in one batch")
@@ -80,7 +80,7 @@ def _build_parser() -> argparse.ArgumentParser:
                          help="run every registered protocol")
     p_sweep.add_argument("--parser-backend", default="", metavar="NAME",
                          help="parser backend for every protocol in the "
-                              "sweep (default: per-protocol registration)")
+                              "sweep (default: indexed)")
     common(p_sweep)
 
     p_parse = sub.add_parser(
@@ -89,10 +89,10 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p_parse.add_argument("protocol")
     p_parse.add_argument("--parser-backend", default="", metavar="NAME",
-                         help="parser backend to drive (default: the "
-                              "protocol's registered choice)")
+                         help="parser backend to drive (default: "
+                              "indexed)")
     p_parse.add_argument("--compare", action="store_true",
-                         help="run every registered parser backend, check "
+                         help="run every parser backend, check "
                               "LF-set parity, and report relative speed")
     p_parse.add_argument("--sentences", action="store_true",
                          help="print the per-sentence diagnostic lines")
@@ -109,7 +109,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_winnow.add_argument("protocol")
     p_winnow.add_argument("--parser-backend", default="", metavar="NAME",
                           help="parser backend feeding the winnow stage "
-                               "(default: the protocol's registered choice)")
+                               "(default: indexed)")
     p_winnow.add_argument("--sentences", action="store_true",
                           help="print the per-sentence stage-count lines")
     p_winnow.add_argument("--profile", action="store_true",
@@ -331,22 +331,28 @@ def _cmd_resolve(service: SageService, args, out) -> int:
 def _cmd_parse(service: SageService, args, out) -> int:
     """Parsing diagnostics: one backend, or a parity/speed comparison."""
     if args.compare:
-        from ..parsing import parser_backend_names
+        from ..parsing.backend import PARSER_BACKENDS
+        from ..rfc.registry import ProtocolRegistry
+        from .service import SageService
 
         if args.parser_backend:
-            # --compare always runs every registered backend; silently
+            # --compare always runs every parser backend; silently
             # ignoring a (possibly misspelled) selection would mask the
             # mistake behind a successful comparison.
             raise RequestError(
-                "--compare runs every registered parser backend; drop "
-                "--parser-backend"
+                "--compare runs every parser backend; drop --parser-backend"
             )
+        # Time real parses of every sentence, repeats included: uncached
+        # parse stages over a fresh registry that opens no store, whatever
+        # --cache-dir or $REPRO_CACHE_DIR name.
+        registry = ProtocolRegistry()
+        registry.cache_dir = None
+        cold = SageService(registry)
         reports = {}
-        for backend in parser_backend_names():
-            service.registry.parse_cache().clear()  # honest cold numbers
-            reports[backend] = service.parse_diagnostics(
-                args.protocol, parser_backend=backend, mode=args.mode
-            )
+        for backend in PARSER_BACKENDS:
+            cold.engine(args.mode, backend).parse_stage.cache = None
+            reports[backend] = cold.parse_diagnostics(
+                args.protocol, parser_backend=backend, mode=args.mode)
         lf_sets = {
             backend: tuple(s["lf_set_sha1"] for s in report["sentences"])
             for backend, report in reports.items()

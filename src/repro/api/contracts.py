@@ -45,6 +45,7 @@ from ..codegen.ir import (
     Program,
     SentenceCode,
     backend_names,
+    get_backend,
 )
 from ..core.results import (
     FLAGGED_STATUSES,
@@ -119,8 +120,7 @@ class ProcessRequest(_Contract):
     include_sentences: bool = True
     #: Text backends to render into response artifacts (e.g. ("c",)).
     artifacts: tuple[str, ...] = ()
-    #: Parser backend override ("" = the protocol's registered preference,
-    #: falling back to the process default).
+    #: Parser backend name ("" = the default, ``indexed``).
     parser_backend: str = ""
 
 
@@ -135,7 +135,7 @@ class SweepRequest(_Contract):
     parallel: bool = True
     include_sentences: bool = False
     artifacts: tuple[str, ...] = ()
-    #: Parser backend override ("" = per-protocol registered preference).
+    #: Parser backend name ("" = the default, ``indexed``).
     parser_backend: str = ""
 
 
@@ -222,22 +222,14 @@ class GeneratedArtifact(_Contract):
     @classmethod
     def from_program(cls, program: Program, backend: str = "c",
                      mode: str = "revised") -> "GeneratedArtifact":
-        from ..codegen.ir import _backend as resolve_backend
-
         try:
-            backend_class = resolve_backend(backend)
+            backend_class = get_backend(backend)
         except KeyError:
             from .errors import BackendNotFound
 
             raise BackendNotFound(backend, backend_names()) from None
-        source = ""
-        if backend_class.emits_text:
-            if backend == "c":
-                source = program.render_c()
-            elif backend == "python":
-                source = program.render_python()
-            else:
-                source = backend_class().emit_program(program)
+        source = (backend_class().emit_program(program)
+                  if backend_class.emits_text else "")
         return cls(
             protocol=program.protocol, backend=backend, mode=mode,
             fingerprint=program.fingerprint(),

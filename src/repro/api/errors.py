@@ -58,7 +58,7 @@ class ProtocolNotFound(ApiError):
 
 
 class BackendNotFound(ApiError):
-    """The request names a codegen backend the registry does not hold."""
+    """The request names a codegen backend outside the backend table."""
 
     code = "backend-not-found"
     http_status = 404
@@ -69,7 +69,7 @@ class BackendNotFound(ApiError):
         self.known = list(known or [])
         message = f"unknown backend {name!r}"
         if self.known:
-            message += f": registered backends are {', '.join(self.known)}"
+            message += f": backends are {', '.join(self.known)}"
         super().__init__(message)
 
     def to_dict(self) -> dict:
@@ -80,7 +80,7 @@ class BackendNotFound(ApiError):
 
 
 class ParserBackendNotFound(ApiError):
-    """The request names a parser backend that was never registered."""
+    """The request names a parser backend that does not exist."""
 
     code = "parser-backend-not-found"
     http_status = 404
@@ -91,7 +91,7 @@ class ParserBackendNotFound(ApiError):
         self.known = list(known or [])
         message = f"unknown parser backend {name!r}"
         if self.known:
-            message += f": registered parser backends are {', '.join(self.known)}"
+            message += f": parser backends are {', '.join(self.known)}"
         super().__init__(message)
 
     def to_dict(self) -> dict:

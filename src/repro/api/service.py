@@ -25,8 +25,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from ..codegen.ir import backend_names
+from ..codegen.ir import BACKENDS, backend_names
 from ..core.results import SageRun, run_key_for
+from ..parsing.backend import DEFAULT_PARSER_BACKEND, PARSER_BACKENDS
 from ..rfc.registry import ProtocolRegistry
 from .contracts import (
     GeneratedArtifact,
@@ -120,21 +121,19 @@ class SageService:
     # -- engines ----------------------------------------------------------------
     def engine(self, mode: str = "revised",
                parser_backend: str = "") -> SageEngine:
-        """The service's engine for ``(mode, parser_backend)`` (built
-        once, decisions refreshed on every request so journal updates
-        always apply).  An empty ``parser_backend`` defers to each
-        protocol's registered preference; engines share the registry's
-        parse cache either way, whose keys carry the backend id."""
+        """The service's engine for ``mode`` and the parser backend
+        ``parser_backend`` names (empty: the default), built once per
+        resolved pair; decisions are refreshed on every request so journal
+        updates always apply."""
         mode = _check_mode(mode)
-        if parser_backend:
-            self._check_parser_backend(parser_backend)
-        key = (mode, parser_backend)
+        backend = self._check_parser_backend(parser_backend)
+        key = (mode, backend)
         engine = self._engines.get(key)
         if engine is None:
             from ..core.engine import SageEngine
 
             engine = SageEngine(mode=mode, protocol_registry=self.registry,
-                                parser_backend=parser_backend or None)
+                                parser_backend=backend)
             self._engines[key] = engine
         engine.refresh_decisions()
         return engine
@@ -158,14 +157,13 @@ class SageService:
         memoizes the run under the same key."""
         corpus = self._load_corpus(protocol)
         mode = _check_mode(mode)
-        if parser_backend:
-            self._check_parser_backend(parser_backend)
+        backend = self._check_parser_backend(parser_backend)
         registry = self.registry
-        key = run_key_for(registry, corpus, mode, parser_backend,
+        key = run_key_for(registry, corpus, mode, backend,
                           registry.rewrites(), registry.selections())
         run = registry.run_cache().get(key)
         if run is None:
-            run = self.engine(mode, parser_backend).compute(corpus, key)
+            run = self.engine(mode, backend).compute(corpus, key)
         return run
 
     def process(self, request: ProcessRequest | dict | str | None = None,
@@ -243,19 +241,14 @@ class SageService:
         from ..gcpolicy import gc_counts, gc_delta
         from ..parsing.profile import PROFILE
 
-        if parser_backend:
-            self._check_parser_backend(parser_backend)
         corpus = self._load_corpus(protocol)
         engine = self.engine(mode, parser_backend)
         counters_before = PROFILE.counts()
         gc_before = gc_counts()
         started = time.perf_counter()
-        parsed = engine.parse_batch(corpus,
-                                    parser_backend=parser_backend or None)
+        parsed = engine.parse_batch(corpus)
         elapsed = time.perf_counter() - started
         profile = {**PROFILE.delta(counters_before), **gc_delta(gc_before)}
-        backend = (parser_backend
-                   or self.registry.parser_backend_for(corpus.protocol))
         sentences = []
         for index, item in enumerate(parsed):
             sigs = sorted(signature(form)
@@ -278,7 +271,7 @@ class SageService:
             })
         return {
             "protocol": corpus.protocol,
-            "parser_backend": backend,
+            "parser_backend": engine.parser.name,
             "sentence_count": len(parsed),
             "elapsed_s": elapsed,
             "sentences_per_s": (len(parsed) / elapsed) if elapsed else 0.0,
@@ -310,12 +303,9 @@ class SageService:
         from ..ccg.semantics import signature
         from ..disambiguation.profile import PROFILE
 
-        if parser_backend:
-            self._check_parser_backend(parser_backend)
         corpus = self._load_corpus(protocol)
         engine = self.engine(mode, parser_backend)
-        parsed = engine.parse_batch(corpus,
-                                    parser_backend=parser_backend or None)
+        parsed = engine.parse_batch(corpus)
         counters_before = PROFILE.counts()
         started = time.perf_counter()
         traces = [engine.winnow_stage.run(item) for item in parsed]
@@ -396,29 +386,23 @@ class SageService:
 
     # -- validation -------------------------------------------------------------
     @staticmethod
-    def _check_parser_backend(name: str) -> None:
-        from ..parsing import parser_backend_names
-
-        if name not in parser_backend_names():
+    def _check_parser_backend(name: str) -> str:
+        """The backend ``name`` resolves to (empty: the default)."""
+        if not name:
+            return DEFAULT_PARSER_BACKEND
+        if name not in PARSER_BACKENDS:
             from .errors import ParserBackendNotFound
 
-            raise ParserBackendNotFound(name, parser_backend_names())
+            raise ParserBackendNotFound(name, list(PARSER_BACKENDS))
+        return name
 
     @staticmethod
     def _check_artifacts(backends: tuple[str, ...]) -> None:
-        if not backends:
-            return  # nothing to validate: load no backend
-        from ..codegen.ir import _ensure_default_backends
-        from .errors import BackendNotFound
-
-        # The bundled backends register when their modules import, which
-        # nothing before this point needs: import them all, so "c",
-        # "python" and "interp" validate whatever rendered first.
-        _ensure_default_backends()
-        known = backend_names()
         for backend in backends:
-            if backend not in known:
-                raise BackendNotFound(backend, known)
+            if backend not in BACKENDS:
+                from .errors import BackendNotFound
+
+                raise BackendNotFound(backend, backend_names())
 
 
 __all__ = ["SageService", "ApiError"]

@@ -31,7 +31,7 @@ through :meth:`ContentCache.get_source`/:meth:`~ContentCache.put_source`
 instead — a fresh process skips the render and pays only the ``exec``;
 see :func:`repro.runtime.harness.compile_unit`.
 
-Cache *keys* are content fingerprints all the way down (backend id +
+Cache *keys* are content fingerprints all the way down (backend name +
 lexicon/chunker SHA-1 + sentence text for parses, backend + IR SHA-1 for
 programs), so an edited lexicon or journal changes the keys and the store
 needs no explicit invalidation — stale entries are unreachable, and

@@ -13,5 +13,5 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, {
             "IRValidationError", "Program", "SentenceCode", "SymbolTable",
             "backend_names", "build_function", "builder_role",
             "collect_symbols", "function_name", "get_backend",
-            "register_backend", "run_passes", "validate_function"),
+            "run_passes", "validate_function"),
 })

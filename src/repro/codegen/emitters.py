@@ -13,7 +13,7 @@ text stage entirely — lives in :mod:`repro.codegen.interp`.
 
 from __future__ import annotations
 
-from .ir import Backend, Function, Program, register_backend
+from .ir import Backend, Function, Program
 from .ops import (
     CallProcedure,
     CeaseTransmission,
@@ -64,7 +64,6 @@ class Emitter(Backend):
         return f"{self.indent_unit * depth}{text}"
 
 
-@register_backend
 class CEmitter(Emitter):
     """Renders ops as C statements against a ``hdr``/``ip`` struct API."""
 
@@ -190,7 +189,6 @@ class CEmitter(Emitter):
         return "\n\n".join(parts)
 
 
-@register_backend
 class PyEmitter(Emitter):
     """Renders ops as Python statements over a runtime ``ctx`` object."""
 

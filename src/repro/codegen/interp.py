@@ -15,7 +15,7 @@ emitted statement would make, including the early ``return ctx`` a
 
 from __future__ import annotations
 
-from .ir import Backend, Function, Program, register_backend
+from .ir import Backend, Function, Program
 from .ops import (
     CallProcedure,
     CeaseTransmission,
@@ -121,7 +121,6 @@ def _execute(op: Op, ctx) -> None:
         raise NotImplementedError(f"no interpretation for {type(op).__name__}")
 
 
-@register_backend
 class IRInterpreter(Backend):
     """Executable backend walking the IR directly — no source, no exec."""
 

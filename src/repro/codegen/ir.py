@@ -16,10 +16,11 @@ sits a typed intermediate representation:
   runs through during assembly (:func:`run_passes`): checksum
   finalization, advice placement, and set-field dedupe — the paper's code
   order discussion (§5.2) as plain, testable functions;
-* :class:`Backend` — the pluggable rendering/execution interface.  The C
-  and Python emitters subclass it (``repro.codegen.emitters``), as does the
-  direct IR interpreter (``repro.codegen.interp``); :func:`register_backend`
-  / :func:`get_backend` make adding a fourth a self-contained module.
+* :class:`Backend` — the rendering/execution interface.  The C and Python
+  emitters subclass it (``repro.codegen.emitters``), as does the direct IR
+  interpreter (``repro.codegen.interp``); :func:`get_backend` resolves a
+  name through the fixed :data:`BACKENDS` table, importing the module on
+  demand.
 
 Keeping the IR typed (dataclass ops, enumerated value/condition kinds) is
 what lets :func:`validate_function` reject malformed programs *before* a
@@ -32,6 +33,7 @@ of field tables in :mod:`repro.api.contracts`.
 from __future__ import annotations
 
 import hashlib
+import importlib
 import re
 from dataclasses import dataclass, field as dataclass_field
 
@@ -397,10 +399,10 @@ class Function:
 
     # -- convenience renderings ------------------------------------------------
     def render_c(self) -> str:
-        return _backend("c")().emit_function(self)
+        return get_backend("c")().emit_function(self)
 
     def render_python(self) -> str:
-        return _backend("python")().emit_function(self)
+        return get_backend("python")().emit_function(self)
 
 
 @dataclass
@@ -461,14 +463,14 @@ class Program:
             function.invalidate_fingerprint()
 
     def render_c(self) -> str:
-        return _backend("c")().emit_program(self)
+        return get_backend("c")().emit_program(self)
 
     def render_python(self) -> str:
-        return _backend("python")().emit_program(self)
+        return get_backend("python")().emit_program(self)
 
     def compile(self, backend: str = "python") -> dict[str, object]:
         """Callable builders via an executable backend ("python" or "interp")."""
-        return _backend(backend)().compile_program(self)
+        return get_backend(backend)().compile_program(self)
 
 
 def build_function(
@@ -506,17 +508,17 @@ def build_function(
     return function
 
 
-# -- the backend registry ------------------------------------------------------
+# -- the backends --------------------------------------------------------------
 
 class Backend:
-    """The pluggable rendering/execution interface over the IR.
+    """The rendering/execution interface over the IR.
 
     Text backends (C, Python) implement ``emit_function``; executable
     backends (Python, the interpreter) implement ``compile_program``.  See
-    DESIGN.md §6 for the contract and the how-to-add-a-backend walkthrough.
+    DESIGN.md §6 for the contract.
     """
 
-    #: Registry key ("c", "python", "interp", ...).
+    #: The backend's key in :data:`BACKENDS`.
     name = ""
     #: True when emit_function/emit_program produce source text.
     emits_text = True
@@ -535,39 +537,27 @@ class Backend:
         raise NotImplementedError(f"backend {self.name!r} is not executable")
 
 
-_BACKENDS: dict[str, type[Backend]] = {}
-
-
-def register_backend(backend_class: type[Backend]) -> type[Backend]:
-    """Register a backend class under its ``name`` (usable as a decorator)."""
-    if not backend_class.name:
-        raise ValueError("backend classes need a non-empty name")
-    _BACKENDS[backend_class.name] = backend_class
-    return backend_class
+#: Backend name → (module in this package, class), imported on first use.
+BACKENDS: dict[str, tuple[str, str]] = {
+    "c": ("emitters", "CEmitter"),
+    "python": ("emitters", "PyEmitter"),
+    "interp": ("interp", "IRInterpreter"),
+}
 
 
 def get_backend(name: str) -> type[Backend]:
+    """The backend class called ``name``, its module imported on demand."""
     try:
-        return _BACKENDS[name]
+        module, class_name = BACKENDS[name]
     except KeyError:
         raise KeyError(
-            f"unknown backend {name!r}: registered backends are "
-            f"{', '.join(sorted(_BACKENDS)) or '(none)'}"
+            f"unknown backend {name!r}: backends are "
+            f"{', '.join(backend_names())}"
         ) from None
+    return getattr(importlib.import_module(f".{module}", __package__),
+                   class_name)
 
 
 def backend_names() -> list[str]:
-    return sorted(_BACKENDS)
-
-
-def _ensure_default_backends() -> None:
-    """Import the bundled backend modules so the registry is populated even
-    when ``repro.codegen.ir`` is imported directly (not via the package)."""
-    from . import emitters, interp  # noqa: F401  (import side effect)
-
-
-def _backend(name: str) -> type[Backend]:
-    """`get_backend` with the bundled backends lazily registered."""
-    if name not in _BACKENDS:
-        _ensure_default_backends()
-    return get_backend(name)
+    """Every backend name, sorted; imports no backend module."""
+    return sorted(BACKENDS)

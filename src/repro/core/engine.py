@@ -26,7 +26,7 @@ On top of the per-sentence pipeline the engine adds two batch surfaces:
   call, in process.  The parses it computes land in the registry's shared
   parse cache, so a follow-up run skips re-parsing entirely.
 
-Every engine runs on its registry's substrate (lexicon, chunker, parsers,
+Every engine runs on its registry's substrate (lexicon, chunker, parser,
 check suite, stage caches) and memoizes whole runs: :meth:`SageEngine.
 run_key` addresses a run by the content of everything it depends on, and
 the registry's run memo answers a repeated ``process_corpus`` without
@@ -41,7 +41,6 @@ from ..ccg.semantics import Sem, signature
 from ..codegen.ir import Program, SentenceCode
 from ..gcpolicy import cold_batch_gc
 from ..nlp.tokenizer import split_sentences
-from ..parsing.backend import backend_id
 from ..rfc.corpus import Corpus, Rewrite, SpecSentence, sentence_key
 from ..rfc.registry import ProtocolRegistry, default_registry
 from .results import (  # noqa: F401  (re-exported: the engine's results)
@@ -74,9 +73,8 @@ class SageEngine:
             raise ValueError(f"unknown mode {mode!r}")
         self.mode = mode
         self.protocol_registry = protocol_registry or default_registry()
-        #: Engine-wide backend override; None defers to each protocol's
-        #: registered preference (``register_protocol(parser_backend=...)``)
-        #: and ultimately the process default.
+        #: The parser backend name; None means the default
+        #: (:data:`~repro.parsing.backend.DEFAULT_PARSER_BACKEND`).
         self.parser_backend = parser_backend
         # Built eagerly from the registry's memoized substrate, so a second
         # engine re-pays none of the dictionary/lexicon/parser/suite cost.
@@ -98,13 +96,8 @@ class SageEngine:
         registry = self.protocol_registry
         self._generation = registry.generation
         self.parse_stage = ParseStage(
-            registry.parser(backend=self.parser_backend), registry.chunker(),
+            registry.parser(self.parser_backend), registry.chunker(),
             cache=registry.parse_cache())
-        #: Backend name → ParseStage, for per-protocol backend resolution;
-        #: stages share the registry's chunker and parse cache.
-        self._parse_stages: dict[str, ParseStage] = {
-            backend_id(self.parse_stage.parser): self.parse_stage
-        }
         self.winnow_stage = WinnowStage(
             registry.check_suite(), cache=registry.winnow_cache(),
             substrate_fingerprint=self.parse_stage.substrate_fingerprint,
@@ -139,61 +132,30 @@ class SageEngine:
         return self.winnow_stage.suite
 
     # -- per-sentence pipeline --------------------------------------------------
-    def _stage_for(self, spec: SpecSentence) -> ParseStage:
-        """The parse stage serving ``spec``'s protocol.
-
-        An engine-wide ``parser_backend`` pins every sentence to one
-        stage.  Otherwise the sentence's protocol resolves its registered
-        backend preference; stages are built lazily per backend name and
-        share the registry's chunker and parse cache (whose keys carry the
-        backend id, so entries never cross).
-        """
-        return self._stage_for_backend(
-            self.parser_backend
-            or self.protocol_registry.parser_backend_for(spec.protocol))
-
-    def _stage_for_backend(self, backend: str) -> ParseStage:
-        """The (lazily built, memoized) stage running ``backend`` over the
-        registry's current substrate.  Stages share the registry's chunker
-        and parse cache; cache keys carry the backend id so entries never
-        cross."""
+    def _current_parse_stage(self) -> ParseStage:
+        """The parse stage, after rebuilding both stages if a full
+        invalidate moved the registry's substrate since they were built."""
         if self._generation != self.protocol_registry.generation:
             self._build_stages()
-        stage = self._parse_stages.get(backend)
-        if stage is None:
-            from .stages import ParseStage
-
-            stage = ParseStage(self.protocol_registry.parser(backend=backend),
-                               self.parse_stage.chunker,
-                               cache=self.parse_stage.cache)
-            self._parse_stages[backend] = stage
-        return stage
+        return self.parse_stage
 
     def parse_sentence(self, spec: SpecSentence) -> tuple[ParseResult, bool]:
         """Parse, retrying with the field subject supplied on zero LFs."""
-        parsed = self._stage_for(spec).run(spec)
+        parsed = self._current_parse_stage().run(spec)
         return parsed.result, parsed.subject_supplied
 
-    def parse_batch(self, corpus: Corpus | str, *,
-                    parser_backend: str | None = None) -> list:
-        """Parse a whole corpus through one backend instance (no winnow,
-        no codegen) — the batch diagnostics surface behind ``python -m
-        repro parse``.
+    def parse_batch(self, corpus: Corpus | str) -> list:
+        """Parse a whole corpus through the engine's parser (no winnow, no
+        codegen) — the batch diagnostics surface behind ``python -m repro
+        parse``.
 
-        ``corpus`` is a :class:`Corpus` or a registered protocol name;
-        ``parser_backend`` overrides the stage resolution (engine setting,
-        then the protocol's registered preference).  Returns the
-        :class:`~repro.core.stages.ParsedSentence` list in corpus order,
-        cache-served like any pipeline parse.
+        ``corpus`` is a :class:`Corpus` or a registered protocol name.
+        Returns the :class:`~repro.core.stages.ParsedSentence` list in
+        corpus order, cache-served like any pipeline parse.
         """
         if isinstance(corpus, str):
             corpus = self.protocol_registry.load_corpus(corpus)
-        if parser_backend is None:
-            stage = (self._stage_for(corpus.sentences[0])
-                     if corpus.sentences else self.parse_stage)
-        else:
-            stage = self._stage_for_backend(parser_backend)
-        return stage.run_batch(corpus.sentences)
+        return self._current_parse_stage().run_batch(corpus.sentences)
 
     @staticmethod
     def _decision_for(table: dict, spec: SpecSentence):
@@ -225,7 +187,7 @@ class SageEngine:
                 codes=[SentenceCode(sentence=spec.text, status="non-actionable")],
             )
 
-        parsed = self._stage_for(spec).run(spec)
+        parsed = self._current_parse_stage().run(spec)
         trace = self.winnow_stage.run(parsed)
         result = SentenceResult(
             spec=spec, status=SentenceStatus.OK, trace=trace,
@@ -328,8 +290,8 @@ class SageEngine:
     # -- corpus pipeline --------------------------------------------------------
     def run_key(self, corpus: Corpus) -> tuple | None:
         """The content address of ``process_corpus(corpus)``:
-        :func:`run_key_for` over this engine's registry, mode, backend
-        override and decision tables (None for a corpus built by hand).
+        :func:`run_key_for` over this engine's registry, mode, parser
+        backend and decision tables (None for a corpus built by hand).
         :meth:`~repro.api.service.SageService.run` computes the same key
         without building an engine."""
         return run_key_for(self.protocol_registry, corpus, self.mode,

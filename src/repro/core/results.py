@@ -19,6 +19,7 @@ from typing import TYPE_CHECKING
 
 from ..ccg.semantics import Sem, iter_calls
 from ..codegen.ir import Program, SentenceCode
+from ..parsing.backend import DEFAULT_PARSER_BACKEND
 from ..rfc.corpus import Corpus, Rewrite, SpecSentence
 
 if TYPE_CHECKING:
@@ -175,8 +176,8 @@ def run_key_for(registry: ProtocolRegistry, corpus: Corpus, mode: str,
     ``registry`` — the one key function of the run memo — or None for a
     corpus without a content fingerprint (one built by hand).
 
-    The parser backends come from names (``parser_backend``, else each
-    protocol's registered preference) and the substrate part from
+    The parser backend part is the name (``parser_backend``, else the
+    default) and the substrate part comes from
     :meth:`~repro.rfc.registry.ProtocolRegistry.substrate_key`, which is
     empty while the substrate is pristine: :func:`source_digest` pins it
     then, so the key is computable without building a lexicon, parser,
@@ -185,14 +186,11 @@ def run_key_for(registry: ProtocolRegistry, corpus: Corpus, mode: str,
     """
     if not corpus.fingerprint:
         return None
-    backends = tuple(sorted({
-        parser_backend or registry.parser_backend_for(protocol)
-        for protocol in {spec.protocol for spec in corpus.sentences}
-    }))
     try:
         sender_built = tuple(sorted(registry.sender_built(corpus.protocol)))
     except KeyError:
         sender_built = None
-    return (mode, source_digest(), corpus.fingerprint, backends, sender_built,
+    return (mode, source_digest(), corpus.fingerprint,
+            (parser_backend or DEFAULT_PARSER_BACKEND,), sender_built,
             _sorted_items(rewrites), _sorted_items(selections),
             registry.substrate_key())

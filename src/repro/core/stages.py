@@ -29,7 +29,6 @@ import re
 
 from ..cache.persistent import ContentCache
 from ..ccg.chart import CCGChartParser, ParseResult
-from ..parsing import backend_id, create_parser
 from ..ccg.semantics import Sem, signature
 from ..codegen.context import (
     AmbiguousReference,
@@ -95,14 +94,12 @@ class ParsedSentence:
 class ParseStage:
     """NP-chunk + CCG-parse, with subject-supply retry and caching.
 
-    The stage runs over any :class:`~repro.parsing.backend.ParserBackend`:
-    pass a parser instance positionally, or select a registered backend by
-    name with ``backend=`` (``ParseStage(backend="reference")``), in which
-    case the default registry's memoized lexicon substrate supplies the
-    grammar.
+    The stage runs one parser of either backend (:mod:`repro.parsing.
+    backend`) over one chunker; ``registry.parser(backend)`` and
+    ``registry.chunker()`` supply the shared instances.
 
-    The cache key is ``(backend_id:fingerprint, sentence_text, field)``:
-    the backend id keeps different parser implementations' entries apart
+    The cache key is ``(parser.name:fingerprint, sentence_text, field)``:
+    the backend name keeps different parser implementations' entries apart
     (never cross-served), the fingerprint hashes the lexicon entries and
     the chunker's dictionary and configuration, and ``field`` participates
     because the §4.1 retry splices the header-field name into the token
@@ -118,23 +115,8 @@ class ParseStage:
     The stage itself is oblivious; the same keys address both layers.
     """
 
-    def __init__(self, parser: CCGChartParser | None = None,
-                 chunker: NounPhraseChunker | None = None,
-                 cache: ContentCache | None = None, *,
-                 backend: str | None = None) -> None:
-        if parser is None:
-            from ..rfc.registry import default_registry
-
-            registry = default_registry()
-            parser = registry.parser(backend=backend)
-            if chunker is None:
-                chunker = registry.chunker()
-        elif backend is not None:
-            parser = create_parser(backend, parser.lexicon)
-        if chunker is None:
-            from ..rfc.registry import default_registry
-
-            chunker = default_registry().chunker()
+    def __init__(self, parser: CCGChartParser, chunker: NounPhraseChunker,
+                 cache: ContentCache | None = None) -> None:
         self.parser = parser
         self.chunker = chunker
         self.cache = cache
@@ -143,7 +125,7 @@ class ParseStage:
     def fingerprint(self) -> str:
         """The combined backend + lexicon + chunker content identity.
 
-        The backend id comes first: two backends never share cache
+        The backend name comes first: two backends never share cache
         entries, even over identical grammars (their ``ParseResult``
         metadata differs), and a backend swap is automatically a cache
         miss.  The lexicon part is re-read every call —
@@ -155,7 +137,7 @@ class ParseStage:
         """
         if self._chunker_fingerprint is None:
             self._chunker_fingerprint = self.chunker.fingerprint()
-        return (backend_id(self.parser) + ":"
+        return (self.parser.name + ":"
                 + self.parser.lexicon.fingerprint() + ":"
                 + self._chunker_fingerprint)
 

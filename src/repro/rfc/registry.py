@@ -107,11 +107,6 @@ class ProtocolSpec:
     #: the responding node.  Consumed by the generator's role policy
     #: (``builder_role``) via :meth:`ProtocolRegistry.sender_built`.
     sender_built: tuple[str, ...] = ()
-    #: The parser backend this protocol's corpus prefers ("" = the
-    #: process default).  Engines without an explicit backend of their own
-    #: resolve each sentence's protocol through
-    #: :meth:`ProtocolRegistry.parser_backend_for`.
-    parser_backend: str = ""
 
     def read_text(self) -> str:
         if self.text:
@@ -150,8 +145,8 @@ class ProtocolRegistry:
         self._cache_store = None
         self._specs: dict[str, ProtocolSpec] = {}
         self._corpora: dict[str, Corpus] = {}
-        self._lexicons: dict[tuple, Lexicon] = {}
-        self._parsers: dict[tuple, CCGChartParser] = {}
+        self._lexicon: Lexicon | None = None
+        self._parsers: dict[str, CCGChartParser] = {}
         self._dictionary: TermDictionary | None = None
         self._chunker: NounPhraseChunker | None = None
         self._suite: CheckSuite | None = None
@@ -181,15 +176,11 @@ class ProtocolRegistry:
                           package: str | None = None, path: str = "",
                           text: str = "", description: str = "",
                           sender_built: tuple[str, ...] = (),
-                          parser_backend: str = "",
                           replace: bool = False) -> ProtocolSpec:
         """Declare a protocol; adding a new workload is this one call.
 
         ``name`` is canonicalized to upper case; lookups are
-        case-insensitive.  ``parser_backend`` pins the protocol to a
-        registered parsing backend (default: the process default —
-        currently ``"indexed"``); engines resolve it per sentence.
-        Re-registering an existing name requires ``replace=True`` (and
+        case-insensitive.  Re-registering an existing name requires ``replace=True`` (and
         drops its cached corpus).
         """
         if not (source or path or text):
@@ -205,7 +196,6 @@ class ProtocolRegistry:
                 name=key, source=source, package=package or self.package,
                 path=path, text=text, description=description,
                 sender_built=tuple(sender_built),
-                parser_backend=parser_backend,
             )
             self._specs[key] = spec
             self._corpora.pop(key, None)
@@ -229,14 +219,6 @@ class ProtocolRegistry:
         hardcoding the ICMP message names.
         """
         return frozenset(self.spec(name).sender_built)
-
-    def parser_backend_for(self, name: str) -> str:
-        """The parser backend ``name``'s corpus is registered to prefer
-        (the process default when unpinned or unregistered)."""
-        try:
-            return self.spec(name).parser_backend or DEFAULT_PARSER_BACKEND
-        except KeyError:
-            return DEFAULT_PARSER_BACKEND
 
     def spec(self, name: str) -> ProtocolSpec:
         key = name.upper()
@@ -280,43 +262,26 @@ class ProtocolRegistry:
                 self._pristine["chunker"] = self._chunker.fingerprint()
             return self._chunker
 
-    def lexicon(self, groups: tuple[str, ...] | None = None,
-                include_overgen: bool = True) -> Lexicon:
-        """The CCG lexicon for ``groups`` (default: every group), memoized."""
+    def lexicon(self) -> Lexicon:
+        """The full CCG lexicon (every group, over-generating entries
+        included), memoized."""
         from ..ccg.lexicon import build_lexicon
 
-        key = (groups, include_overgen)
         with self._lock:
-            lexicon = self._lexicons.get(key)
-            if lexicon is None:
-                if groups is None:
-                    lexicon = build_lexicon(include_overgen=include_overgen)
-                    if include_overgen:
-                        self._pristine["lexicon"] = lexicon.fingerprint()
-                else:
-                    lexicon = build_lexicon(groups, include_overgen=include_overgen)
-                self._lexicons[key] = lexicon
-            return lexicon
+            if self._lexicon is None:
+                self._lexicon = build_lexicon()
+                self._pristine["lexicon"] = self._lexicon.fingerprint()
+            return self._lexicon
 
-    def parser(self, groups: tuple[str, ...] | None = None,
-               include_overgen: bool = True,
-               backend: str | None = None) -> CCGChartParser:
-        """A parser backend over the memoized lexicon, itself memoized.
-
-        ``backend`` names a registered parser backend (None → the process
-        default); each (groups, overgen, backend) combination is built
-        once and shared — backends over the same lexicon share the
-        memoized :class:`~repro.ccg.lexicon.Lexicon` instance.
-        """
+    def parser(self, backend: str | None = None) -> CCGChartParser:
+        """The parser of backend ``backend`` (None → the default) over
+        the memoized lexicon, built once per backend name."""
         backend = backend or DEFAULT_PARSER_BACKEND
-        key = (groups, include_overgen, backend)
         with self._lock:
-            parser = self._parsers.get(key)
+            parser = self._parsers.get(backend)
             if parser is None:
-                parser = create_parser(
-                    backend, self.lexicon(groups, include_overgen)
-                )
-                self._parsers[key] = parser
+                parser = self._parsers[backend] = create_parser(
+                    backend, self.lexicon())
             return parser
 
     def check_suite(self) -> CheckSuite:
@@ -338,7 +303,7 @@ class ProtocolRegistry:
         it).  The chunker is read-only once built (its fingerprint is
         hashed once, as :class:`~repro.core.stages.ParseStage` does), so
         what it was built with is what it holds."""
-        lexicon = self._lexicons.get((None, True))
+        lexicon = self._lexicon
         if (lexicon is not None
                 and lexicon.fingerprint() != self._pristine.get("lexicon")):
             return False
@@ -429,7 +394,7 @@ class ProtocolRegistry:
         SageRun`, keyed by :func:`~repro.core.results.run_key_for`.
 
         The key covers every input a run depends on (the package's code
-        and data, mode, corpus content, parser backends, decision tables,
+        and data, mode, corpus content, parser backend, decision tables,
         role metadata, and — once the substrate is mutated — the
         :meth:`substrate_key`), so engines built over this registry serve
         each other's runs: a warm server worker answers a repeated request
@@ -540,7 +505,7 @@ class ProtocolRegistry:
         """Drop this registry's cached artifacts: one corpus, or everything.
 
         ``invalidate("ICMP")`` drops just that corpus; ``invalidate()`` also
-        clears the dictionary, lexicons, parsers, chunker, check suite and
+        clears the dictionary, lexicon, parsers, chunker, check suite and
         rewrites (the registrations themselves survive); engines built
         before it rebuild their stages over the new substrate at their
         next parse.  Only this instance's caches are
@@ -555,7 +520,7 @@ class ProtocolRegistry:
                 self._corpora.pop(key, None)
                 return
             self._corpora.clear()
-            self._lexicons.clear()
+            self._lexicon = None
             self._parsers.clear()
             self._dictionary = None
             self._chunker = None

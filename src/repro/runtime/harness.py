@@ -277,7 +277,7 @@ class GeneratedImplementation:
         of the service layer's artifact endpoint: a payload fetched from a
         remote ``SageService`` drops straight onto the simulator.
         """
-        from ..codegen.ir import _backend as resolve_backend
+        from ..codegen.ir import get_backend
 
         if isinstance(artifact, str):
             from ..api.contracts import from_json
@@ -286,7 +286,7 @@ class GeneratedImplementation:
         program = artifact.to_program()
         if backend is None:
             backend = artifact.backend
-            if not getattr(resolve_backend(backend), "executable", False):
+            if not get_backend(backend).executable:
                 backend = "python"
         return cls.from_unit(program, backend=backend, **kwargs)
 

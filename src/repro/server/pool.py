@@ -105,6 +105,16 @@ def _encode_response(response, binary_out: bool) -> tuple[int, str, bytes]:
     return 200, JSON_CONTENT_TYPE, to_json(response).encode("utf-8")
 
 
+def _protocol_param(endpoint: str, params: dict) -> str:
+    """The ``protocol`` parameter; a request without one is a 400."""
+    try:
+        return params["protocol"]
+    except KeyError:
+        raise RequestError(
+            f"the {endpoint} endpoint needs a 'protocol' parameter"
+        ) from None
+
+
 def run_endpoint(service: SageService, endpoint: str, body: bytes = b"", *,
                  binary_in: bool = False, binary_out: bool = False,
                  params: dict | None = None) -> tuple[int, str, bytes]:
@@ -125,14 +135,14 @@ def run_endpoint(service: SageService, endpoint: str, body: bytes = b"", *,
             return _encode_response(service.sweep(request), binary_out)
         if endpoint == "parse":
             report = service.parse_diagnostics(
-                params["protocol"],
+                _protocol_param(endpoint, params),
                 parser_backend=params.get("parser_backend", ""),
                 mode=params.get("mode", "revised"),
             )
             return _json_body({"schema": 1, "kind": "parse_diagnostics",
                                "data": report})
         if endpoint == "session":
-            session = service.session(params["protocol"],
+            session = service.session(_protocol_param(endpoint, params),
                                       mode=params.get("mode", "revised"))
             pending = bool(params.get("pending"))
             reports = session.pending() if pending else session.flagged()

@@ -71,6 +71,13 @@ class TestProcess:
         assert response.artifacts[0].source == run.code_unit.render_c()
         assert response.artifacts[0].fingerprint == run.code_unit.fingerprint()
 
+    def test_one_engine_per_mode_and_backend(self):
+        service = SageService(ProtocolRegistry())
+        engine = service.engine("revised")
+        assert service.engine("revised", "indexed") is engine
+        assert service.engine("revised", "reference") is not engine
+        assert service.engine("strict") is not engine
+
     def test_strict_mode_flags_sentences(self, service):
         response = service.process(ProcessRequest(protocol="ICMP",
                                                   mode="strict"))
@@ -194,6 +201,19 @@ class TestCli:
         response = from_json(output)
         assert isinstance(response, SweepResponse)
         assert response.protocols == list(PROTOCOLS)
+
+    def test_compare_parses_every_sentence_on_a_warm_store(self, tmp_path):
+        store = str(tmp_path / "store")
+        assert self._run(["parse", "IGMP", "--cache-dir", store])[0] == 0
+        code, output = self._run(["parse", "IGMP", "--compare",
+                                  "--cache-dir", store, "--json"])
+        assert code == 0
+        data = json.loads(output)["data"]
+        assert data["parity"] is True
+        assert set(data["backends"]) == {"reference", "indexed"}
+        for report in data["backends"].values():
+            assert report["parsed_from_cache"] == 0
+            assert report["sentence_count"] > 0
 
     def test_sweep_without_targets_fails_structured(self, capsys):
         assert cli_main(["sweep"]) == 2

@@ -35,9 +35,9 @@ def reference_parse():
     """Cold ``parse_batch`` of every protocol through the reference
     backend (the ``parse --compare`` baseline side)."""
     process_cold()
-    engine = SageEngine(protocol_registry=ProtocolRegistry())
-    return {name: engine.parse_batch(name, parser_backend="reference")
-            for name in ALL_PROTOCOLS}
+    engine = SageEngine(protocol_registry=ProtocolRegistry(),
+                        parser_backend="reference")
+    return {name: engine.parse_batch(name) for name in ALL_PROTOCOLS}
 
 
 def fuzz_campaign():

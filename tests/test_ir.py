@@ -207,6 +207,10 @@ class TestBackendRegistry:
         with pytest.raises(KeyError):
             get_backend("fortran")
 
+    def test_table_names_match_the_classes(self):
+        for name in backend_names():
+            assert get_backend(name).name == name
+
     def test_backend_capabilities(self):
         assert CEmitter.emits_text and not CEmitter.executable
         assert PyEmitter.emits_text and PyEmitter.executable

@@ -13,6 +13,8 @@ CLI's start-up time is most of a warm run.  Further fresh interpreters run
 load none of the parser, chart, lexicon, check suite, handlers, emitters
 or session code: a warm answer comes from one run entry per protocol.
 
+Naming or validating a codegen backend imports none of their modules.
+
 The run layer's store key must also print the same in every process, so
 two interpreters with different hash seeds compute it and compare.
 """
@@ -124,6 +126,26 @@ def test_help_and_warm_cli_runs_load_no_substrate(tmp_path):
     for command in (["process", "ICMP"], ["sweep", "--all"]):
         assert _loaded_by_cli([*command, "--cache-dir", store, "--json"]) \
             == [], command
+
+
+def test_codegen_backend_names_load_no_backend_module():
+    script = (
+        "import sys\n"
+        "from repro.api import BackendNotFound, SageService\n"
+        "from repro.codegen.ir import backend_names\n"
+        "assert backend_names() == ['c', 'interp', 'python']\n"
+        "try:\n"
+        "    SageService().process(protocol='ICMP', artifacts=('rust',))\n"
+        "except BackendNotFound:\n"
+        "    pass\n"
+        "print(sorted(name for name in ('repro.codegen.emitters',\n"
+        "                               'repro.codegen.interp')\n"
+        "             if name in sys.modules))\n"
+    )
+    out = subprocess.run([sys.executable, "-c", script], env=_fresh_env(),
+                         capture_output=True, text=True, timeout=300)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "[]"
 
 
 def test_run_store_key_is_independent_of_the_hash_seed():

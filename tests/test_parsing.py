@@ -9,7 +9,7 @@ Three layers of coverage:
   same logical forms — signature sets, statuses, golden generated C —
   as the ``reference`` CKY chart on every bundled corpus in both pipeline
   modes, plus hypothesis-driven random token streams;
-* the cache-key contract: backend id participates in every parse-cache
+* the cache-key contract: the backend name participates in every parse-cache
   key (no cross-backend contamination), and a lexicon edit invalidates
   both backends' entries.
 """
@@ -40,14 +40,11 @@ from repro.parsing import indexed as indexed_module
 from repro.parsing import values as values_module
 from repro.parsing import (
     DEFAULT_PARSER_BACKEND,
+    PARSER_BACKENDS,
     PROFILE,
     IndexedChartParser,
-    ParserBackend,
     PruneBudget,
-    UnknownParserBackendError,
-    backend_id,
     create_parser,
-    parser_backend_names,
     reset_parser_state,
 )
 from repro.rfc.corpus import SpecSentence
@@ -135,13 +132,11 @@ class TestLexiconIndexes:
         assert lexicon.lookup(["frobnicates"]) == [extra]
 
 
-# -- the backend registry ------------------------------------------------------
+# -- the backend table ---------------------------------------------------------
 
 class TestBackendRegistry:
     def test_bundled_backends(self):
-        names = parser_backend_names()
-        assert "reference" in names
-        assert "indexed" in names
+        assert PARSER_BACKENDS == ("reference", "indexed")
         assert DEFAULT_PARSER_BACKEND == "indexed"
 
     def test_create_parser(self):
@@ -149,25 +144,24 @@ class TestBackendRegistry:
         assert isinstance(create_parser("reference", lexicon), CCGChartParser)
         assert isinstance(create_parser("indexed", lexicon),
                           IndexedChartParser)
-        # None resolves to the default backend.
-        assert backend_id(create_parser(None, lexicon)) == DEFAULT_PARSER_BACKEND
+        for name in PARSER_BACKENDS:
+            assert create_parser(name, lexicon).name == name
 
     def test_unknown_backend(self):
-        with pytest.raises(UnknownParserBackendError):
+        with pytest.raises(KeyError, match="unknown parser backend 'nope': "
+                                           "backends are reference, indexed"):
             create_parser("nope", build_lexicon())
-
-    def test_backends_satisfy_protocol(self, reference, indexed):
-        assert isinstance(reference, ParserBackend)
-        assert isinstance(indexed, ParserBackend)
 
     def test_registry_memoizes_per_backend(self, registry):
         assert registry.parser(backend="indexed") is registry.parser(
             backend="indexed")
         assert registry.parser(backend="indexed") is not registry.parser(
             backend="reference")
-        # Backends over the same groups share the memoized lexicon.
+        # Both backends share the memoized lexicon.
         assert (registry.parser(backend="indexed").lexicon
                 is registry.parser(backend="reference").lexicon)
+        # None names the default backend.
+        assert registry.parser() is registry.parser(DEFAULT_PARSER_BACKEND)
 
 
 # -- the packed forest ---------------------------------------------------------
@@ -353,10 +347,10 @@ class TestBackendCacheKeys:
 
     def _stage(self, backend: str, cache: ContentCache):
         registry = default_registry()
-        return ParseStage(registry.parser(backend=backend),
+        return ParseStage(registry.parser(backend),
                           registry.chunker(), cache=cache)
 
-    def test_fingerprint_carries_backend_id(self):
+    def test_fingerprint_carries_backend_name(self):
         cache = ContentCache()
         reference_stage = self._stage("reference", cache)
         indexed_stage = self._stage("indexed", cache)
@@ -399,12 +393,6 @@ class TestBackendCacheKeys:
         assert not indexed_stage.run(self.SPEC).from_cache
         assert len(cache) == 4
 
-    def test_stage_backend_kwarg(self):
-        stage = ParseStage(backend="reference")
-        assert backend_id(stage.parser) == "reference"
-        default_stage = ParseStage()
-        assert backend_id(default_stage.parser) == DEFAULT_PARSER_BACKEND
-
     def test_lexicon_edit_changes_indexed_parse(self):
         """The indexed backend's process-global lexical cache must key on
         lexicon content: an edit affecting a word *in* the sentence has to
@@ -424,54 +412,22 @@ class TestBackendCacheKeys:
         reference_after = CCGChartParser(lexicon).parse(tokens)
         assert _result_fingerprint(after) == _result_fingerprint(reference_after)
 
-    def test_backend_id_of_unnamed_subclass(self):
-        """A subclass that overrides behavior without claiming a name must
-        not inherit its base backend's cache identity."""
-
-        class TweakedParser(CCGChartParser):
-            pass
-
-        class NamedParser(CCGChartParser):
-            name = "tweaked"
-
-        lexicon = build_lexicon()
-        assert backend_id(TweakedParser(lexicon)) == "TweakedParser"
-        assert backend_id(NamedParser(lexicon)) == "tweaked"
-        assert backend_id(CCGChartParser(lexicon)) == "reference"
-        assert backend_id(IndexedChartParser(lexicon)) == "indexed"
-
 
 # -- engine / registry threading ----------------------------------------------
 
 class TestEngineBackendThreading:
     def test_engine_parser_backend_override(self):
         engine = SageEngine(parser_backend="reference")
-        assert backend_id(engine.parser) == "reference"
+        assert engine.parser.name == "reference"
         default_engine = SageEngine()
-        assert backend_id(default_engine.parser) == DEFAULT_PARSER_BACKEND
-
-    def test_register_protocol_parser_backend(self):
-        registry = ProtocolRegistry()
-        registry.register_protocol(
-            "TOY",
-            text=("RFC: 9999\nTOY PROTOCOL\n\nIntroduction\n\n"
-                  "   The toy protocol is used by hosts.\n"
-                  "   The checksum is zero.\n"),
-            parser_backend="reference",
-        )
-        assert registry.parser_backend_for("TOY") == "reference"
-        assert registry.parser_backend_for("ICMP") == DEFAULT_PARSER_BACKEND
-        engine = SageEngine(protocol_registry=registry)
-        parsed = engine.parse_batch("TOY")
-        assert parsed
-        assert all(item.result.backend == "reference" for item in parsed)
+        assert default_engine.parser.name == DEFAULT_PARSER_BACKEND
 
     def test_parse_batch_backend_override(self):
-        engine = SageEngine()
-        parsed = engine.parse_batch("IGMP", parser_backend="reference")
+        engine = SageEngine(parser_backend="reference")
+        parsed = engine.parse_batch("IGMP")
         assert parsed
         assert all(item.result.backend == "reference" for item in parsed)
-        again = engine.parse_batch("IGMP", parser_backend="reference")
+        again = engine.parse_batch("IGMP")
         assert all(item.from_cache for item in again)
 
     def test_pruned_surfaces_on_sentence_results(self):

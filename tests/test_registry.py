@@ -92,13 +92,6 @@ class TestMemoization:
         # The parser really wraps the memoized lexicon.
         assert registry.parser().lexicon is registry.lexicon()
 
-    def test_lexicon_variants_cached_separately(self, registry):
-        full = registry.lexicon()
-        clean = registry.lexicon(include_overgen=False)
-        assert full is not clean
-        assert len(clean.entries()) < len(full.entries())
-        assert registry.lexicon(include_overgen=False) is clean
-
     def test_invalidate_one_protocol(self, registry):
         first = registry.load_corpus("ICMP")
         untouched = registry.load_corpus("BFD")

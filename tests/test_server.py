@@ -384,6 +384,16 @@ class TestPoolUnit:
         assert content_type == "application/json"
         assert json.loads(body)["error"] == "bad-request"
 
+    @pytest.mark.parametrize("endpoint", ["parse", "session"])
+    def test_missing_protocol_parameter_is_400(self, endpoint):
+        from repro.api import SageService
+
+        status, _ct, body = run_endpoint(SageService(), endpoint, params={})
+        assert status == 400
+        payload = json.loads(body)
+        assert payload["error"] == "bad-request"
+        assert "'protocol'" in payload["message"]
+
     def test_inline_pool_serializes_one_service(self):
         with WorkerPool(workers=1) as pool:
             assert pool.mode == "inline"
