@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from typing import TYPE_CHECKING
 
@@ -345,9 +346,7 @@ def _cmd_parse(service: SageService, args, out) -> int:
         # Time real parses of every sentence, repeats included: uncached
         # parse stages over a fresh registry that opens no store, whatever
         # --cache-dir or $REPRO_CACHE_DIR name.
-        registry = ProtocolRegistry()
-        registry.cache_dir = None
-        cold = SageService(registry)
+        cold = SageService(ProtocolRegistry())
         reports = {}
         for backend in PARSER_BACKENDS:
             cold.engine(args.mode, backend).parse_stage.cache = None
@@ -657,13 +656,10 @@ def _cmd_serve(args, out) -> int:
     service over the shared cache directory, and building one here would
     only burn memory in a parent that never answers requests.
     """
-    import os
-
     from ..server import ReproServer
     from .service import ServiceConfig
 
-    cache_dir = args.cache_dir or os.environ.get("REPRO_CACHE_DIR") or None
-    config = ServiceConfig(cache_dir=cache_dir, journal_path=args.journal,
+    config = ServiceConfig(cache_dir=args.cache_dir, journal_path=args.journal,
                            bundled_rewrites=not args.no_bundled_rewrites)
     server = ReproServer(args.host, args.port, config=config,
                          workers=args.workers, deadline_s=args.deadline)
@@ -673,7 +669,8 @@ def _cmd_serve(args, out) -> int:
         plural = "" if pool.workers == 1 else "s"
         print(f"serving on {server.url} ({pool.mode} mode, "
               f"{pool.workers} worker{plural}; "
-              f"cache {cache_dir or 'in-memory'})", file=out, flush=True)
+              f"cache {args.cache_dir or 'in-memory'})", file=out,
+              flush=True)
 
     server.run(announce)
     return 0
@@ -693,6 +690,10 @@ _COMMANDS = {
 
 def main(argv: list[str] | None = None, out=None) -> int:
     args = _build_parser().parse_args(argv)
+    # The one place $REPRO_CACHE_DIR is read: below this boundary a
+    # registry opens a store only when given a directory.
+    args.cache_dir = (args.cache_dir or os.environ.get("REPRO_CACHE_DIR")
+                      or None)
     out = out or sys.stdout
     try:
         if args.command == "serve":
@@ -712,7 +713,5 @@ def main(argv: list[str] | None = None, out=None) -> int:
     except BrokenPipeError:
         # Downstream closed the pipe (`... | head`); exit quietly, pointing
         # stdout at devnull so interpreter shutdown does not re-raise.
-        import os
-
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 0

@@ -86,7 +86,7 @@ class ServiceConfig:
 
     def build_service(self) -> "SageService":
         """With nothing to customize, a service over the shared default
-        registry (it still reads ``$REPRO_CACHE_DIR``); else a new registry
+        registry (no store); else a new registry over ``cache_dir``
         replaying the journal.  A bad journal is a :class:`RequestError`."""
         registry = journal = None
         if self.cache_dir or self.journal_path or not self.bundled_rewrites:

@@ -14,9 +14,10 @@ The package has two layers:
   writes through to one shared store, so every fresh process (CLI call,
   CI job, HTTP worker) starts warm.
 
-A registry opts in via ``ProtocolRegistry(cache_dir=...)`` or the
-``REPRO_CACHE_DIR`` environment variable; see DESIGN.md §9 for the layout
-and invalidation rules.
+A registry opts in via ``ProtocolRegistry(cache_dir=...)``; the command
+line passes it ``--cache-dir`` or, failing that, the ``REPRO_CACHE_DIR``
+environment variable.  See DESIGN.md §9 for the layout and invalidation
+rules.
 """
 
 from .._lazy import lazy_exports

@@ -14,8 +14,7 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, {
     ".backend": ("DEFAULT_PARSER_BACKEND", "PARSER_BACKENDS",
                  "REFERENCE_PARSER_BACKEND", "create_parser"),
     ".forest": ("PackedItem", "ParseForest", "PruneBudget"),
-    ".indexed": ("IndexedChartParser", "reset_parser_state",
-                 "reset_span_memo"),
+    ".indexed": ("IndexedChartParser", "reset_parser_state"),
     ".profile": ("PROFILE",),
     ".values": ("normalize_batch",),
 })

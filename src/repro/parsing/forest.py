@@ -3,10 +3,10 @@
 A CKY chart whose cells deduplicate semantically is already *packing*
 derivations — this module makes that packing explicit.  Each
 :class:`PackedItem` is one (category, normal-form semantics) equivalence
-class in one cell; every way the grammar derived it is recorded as a
-backpointer in :attr:`PackedItem.derivations`, so the forest holds the full
-derivation space in space proportional to the number of *distinct*
-readings, not the number of parse trees.
+class in one cell; every further way the grammar derived it only bumps
+:meth:`PackedItem.derivation_count`, so the forest grows with the number
+of *distinct* readings, not of parse trees.  The one backpointer an item
+keeps is its founding candidate, which :meth:`PackedItem.triple` forces.
 
 Pruning is explicit: a :class:`PruneBudget` bounds how many distinct items
 a cell may hold, and every item the budget rejects is *counted* on
@@ -30,8 +30,9 @@ from ..ccg.categories import NP, S, Category, category_id
 from ..ccg.chart import MAX_CELL_ITEMS, ParseResult
 from ..ccg.semantics import Sem, signature
 from .profile import PROFILE
+from .values import sid_grounded
 
-__all__ = ["PruneBudget", "PackedItem", "Derivation", "ParseForest"]
+__all__ = ["PruneBudget", "PackedItem", "ParseForest"]
 
 
 @dataclass(frozen=True)
@@ -60,12 +61,6 @@ class PruneBudget:
             )
 
 
-#: One way an item was derived: ``(rule, left, right)`` backpointers.
-#: Lexical derivations use rule ``"lexical"`` with ``left``/``right`` None.
-Derivation = tuple[str, "PackedItem | None", "PackedItem | None"]
-
-LEXICAL_RULE = "lexical"
-
 #: The backend's production function, registered by :mod:`.indexed` at
 #: import time (avoids a circular import): ``(rule, left, right) -> tuple``
 #: of ``(category, triple)`` productions.  Deferred items call it to build
@@ -90,16 +85,16 @@ class PackedItem:
     dedup relation; :attr:`sig` renders the portable signature string on
     demand for cross-parse comparison and debugging.
 
-    Combined items are created :meth:`deferred`: their ``sid``, ``catid``
-    and groundedness are known from the structural production memo alone,
-    and those three are all chart construction ever consults — so the
-    actual term is not built until something *reads* it (:meth:`triple`),
-    which only happens along the backpointer cone of an enumerated root.
-    The pruned/packed majority of chart items never pays term
-    construction at all.
+    Combined items are created :meth:`deferred`: their ``sid`` and
+    ``catid`` come from the sid-level β-engine alone, and those two are
+    all chart construction ever consults — so the actual term is not
+    built until something *reads* it (:meth:`triple`), which only happens
+    along the founding-candidate cone of an enumerated root; groundedness,
+    read only for root candidates, waits for its first read too.  The
+    pruned/packed majority of chart items never pays term construction.
     """
 
-    __slots__ = ("category", "catid", "sem", "sid", "grounded", "ntriple",
+    __slots__ = ("category", "catid", "sem", "sid", "_grounded", "ntriple",
                  "derivations", "_sig", "_pending")
 
     def __init__(self, category: Category, sem: Sem, ntriple: tuple) -> None:
@@ -109,27 +104,27 @@ class PackedItem:
         self.sem = sem
         self.ntriple = ntriple
         self.sid: int = ntriple[1]
-        self.grounded: bool = ntriple[2]
-        self.derivations: list[Derivation] = []
+        self._grounded: bool | None = ntriple[2]
+        self.derivations = 1
         self._sig: str | None = None
         self._pending = None
 
     @classmethod
     def deferred(cls, category: Category, catid: int, sid: int,
-                 grounded: bool, rule: int, litem: "PackedItem",
+                 grounded: bool | None, rule: int, litem: "PackedItem",
                  ritem: "PackedItem", position: int) -> "PackedItem":
         """A combined item whose term is built on first :meth:`triple` call
         from its founding candidate ``(rule, litem, ritem)`` — the same
         production an eager insert would have run, so the forced triple is
-        value-identical."""
+        value-identical; ``grounded`` None is computed on first read."""
         item = cls.__new__(cls)
         item.category = category
         item.catid = catid
         item.sem = None
         item.ntriple = None
         item.sid = sid
-        item.grounded = grounded
-        item.derivations = []
+        item._grounded = grounded
+        item.derivations = 1
         item._sig = None
         item._pending = (rule, litem, ritem, position)
         return item
@@ -148,6 +143,14 @@ class PackedItem:
         return t
 
     @property
+    def grounded(self) -> bool:
+        """Whether the semantics are grounded (from ``sid`` if unknown)."""
+        grounded = self._grounded
+        if grounded is None:
+            grounded = self._grounded = sid_grounded(self.sid)
+        return grounded
+
+    @property
     def nsem(self) -> Sem:
         """The β-normal form of :attr:`sem`."""
         return self.triple()[0]
@@ -161,10 +164,10 @@ class PackedItem:
 
     def derivation_count(self) -> int:
         """How many distinct ways this item was derived (packing width)."""
-        return len(self.derivations)
+        return self.derivations
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"PackedItem({self.category}, {self.sig}, ×{len(self.derivations)})"
+        return f"PackedItem({self.category}, {self.sig}, ×{self.derivations})"
 
 
 class ParseForest:
@@ -226,7 +229,7 @@ class ParseForest:
         """Total derivations across all items — how much tree-space the
         packing shares (≥ :meth:`item_count`)."""
         return sum(
-            len(item.derivations)
+            item.derivations
             for items in self.cells.values()
             for item in items
         )

@@ -60,12 +60,16 @@ and the pipeline smoke benchmark.
 Semantics flow as the fused normalizer's ``(sem, sid, grounded)`` triples
 (:mod:`.values`): combining two items substitutes into already-normal
 forms, building the result term, its dedup id, and its groundedness in one
-pass.  On top of that sits a process-global *production memo*: the
-structural outcome of (rule, operand categories, operand structures) is
-deterministic, so once any sentence anywhere has derived a combination
-shape, every later duplicate derivation — the majority, CCG's spurious
-ambiguity being what it is — resolves to "pack one more backpointer" with
-a single dict probe and no term construction at all.
+pass.  Insertion never builds a term, though: the structural outcome of a
+candidate is deterministic in its rule, operand categories and operand
+structures, and is learned over interned ids.  An application's outcome
+is the function's result category plus ``sid_apply(fn sid, arg sid)``,
+which the sid-level β-engine memoizes itself; composition and
+coordination rows, whose categories are built from both operands, sit in
+a process-global *production memo*.  So once any sentence anywhere has
+derived a combination shape, every later duplicate derivation — the
+majority, CCG's spurious ambiguity being what it is — resolves to "count
+one more derivation" with a dict probe or two.
 """
 
 from __future__ import annotations
@@ -96,21 +100,15 @@ from ..ccg.combinators import (
     RULE_COORDINATION,
     RULE_FORWARD_APPLICATION,
     RULE_FORWARD_COMPOSITION,
-    RULE_NAMES,
 )
 from ..ccg.lexicon import Lexicon
 from ..ccg.semantics import Const
 from ..gcpolicy import release
 from ..nlp.tokenizer import Token
-from .forest import (
-    LEXICAL_RULE,
-    PackedItem,
-    ParseForest,
-    PruneBudget,
-    register_producer,
-)
+from .forest import PackedItem, ParseForest, PruneBudget, register_producer
 from .profile import PROFILE
 from .values import (
+    _SID_APPLY_MEMO,
     Triple,
     apply_triple,
     lam_wrap,
@@ -121,15 +119,15 @@ from .values import (
     reset_apply_memo,
     reset_derived_memos,
     sid_apply,
-    sid_grounded,
     sid_of_key,
 )
 
 #: (rule, left category id, left sid, right category id, right sid) →
-#: tuple of (category, category id, sid, grounded) per production.
-#: Structure-only and therefore process-global: provenance does not
-#: participate, so a hit is valid for any derivation with
-#: structurally-equal operands.
+#: tuple of (category, category id, sid, grounded) per production, for the
+#: composition and coordination rules (application outcomes are read off
+#: ``_SID_APPLY_MEMO``).  Structure-only and therefore process-global:
+#: provenance does not participate, so a hit is valid for any derivation
+#: with structurally-equal operands.
 _PRODUCTION_MEMO: dict[tuple, tuple] = {}
 
 #: (rule, left category id, right category id) → (category, category id)
@@ -197,12 +195,6 @@ def _span_generation(fingerprint: str, max_cell_items: int) -> dict[tuple, tuple
             release()
         generation = _SPAN_MEMO.setdefault(key, {})
     return generation
-
-
-def reset_span_memo() -> None:
-    """Drop every memoized span (tests / benchmark cold-start bracketing)."""
-    _SPAN_MEMO.clear()
-    release()
 
 
 def reset_parser_state() -> None:
@@ -384,10 +376,8 @@ class IndexedChartParser(CCGChartParser):
                 triples = normalize_batch([item.sem for item in items])
                 shared = _Cell() if items else _EMPTY_CELL
                 for item, triple in zip(items, triples):
-                    packed = PackedItem(category=item.category,
-                                        sem=item.sem, ntriple=triple)
-                    packed.derivations.append((LEXICAL_RULE, None, None))
-                    shared.insert(packed)
+                    shared.insert(PackedItem(category=item.category,
+                                             sem=item.sem, ntriple=triple))
                 lexical_cache[cache_key] = shared
             else:
                 cache_hits += 1
@@ -423,10 +413,8 @@ class IndexedChartParser(CCGChartParser):
                 if cell is None:
                     cell = cells[(start, end)] = _Cell()
                 for category, sem, ntriple in cached:
-                    packed = PackedItem(category=category, sem=sem,
-                                        ntriple=ntriple)
-                    packed.derivations.append((LEXICAL_RULE, None, None))
-                    cell.insert(packed)
+                    cell.insert(PackedItem(category=category, sem=sem,
+                                           ntriple=ntriple))
         PROFILE.lexical_cache_hits += cache_hits
         PROFILE.lexical_cache_misses += cache_misses
         return [
@@ -602,48 +590,56 @@ class IndexedChartParser(CCGChartParser):
 
     def _insert_candidates(self, cell: _Cell, candidates, budget: int) -> int:
         dropped = 0
-        by_key = cell.by_key
-        by_key_get = by_key.get
+        by_key_get = cell.by_key.get
         items = cell.items
         memo = _PRODUCTION_MEMO
         memo_get = memo.get
-        rule_names = RULE_NAMES
+        apply_get = _SID_APPLY_MEMO.get
         memo_hits = 0
         memo_misses = 0
         deferred = 0
         for _mid, _l_idx, _r_idx, rule, litem, ritem in candidates:
-            pkey = (rule, litem.catid, litem.sid, ritem.catid, ritem.sid)
-            outcomes = memo_get(pkey)
-            if outcomes is None:
-                # First sighting of this structural combination: learn
-                # its (category, sid, grounded) outcomes over interned
-                # ids only — no semantics are built unless an outcome
-                # actually enters the cell (below).  The packed/pruned
-                # majority never pays term construction.
-                memo_misses += 1
-                outcomes = memo[pkey] = _structural_outcomes(
-                    rule, litem, ritem)
+            # Learn the candidate's (category, catid, sid, grounded)
+            # outcome rows over interned ids only; a hit means no β-engine
+            # run.  Application rows are the function's result category
+            # plus sid_apply's memoized sid; groundedness is left for the
+            # item to compute if anything ever asks.
+            if rule in _APPLICATION_RULES:
+                fn, arg = ((litem, ritem) if rule == RULE_FORWARD_APPLICATION
+                           else (ritem, litem))
+                sid = apply_get((fn.sid, arg.sid))
+                if sid is None:
+                    memo_misses += 1
+                    sid = sid_apply(fn.sid, arg.sid)
+                else:
+                    memo_hits += 1
+                category = fn.category.result
+                outcomes = ((category, category_id(category), sid, None),)
             else:
-                memo_hits += 1
+                pkey = (rule, litem.catid, litem.sid, ritem.catid, ritem.sid)
+                outcomes = memo_get(pkey)
+                if outcomes is None:
+                    memo_misses += 1
+                    outcomes = memo[pkey] = _structural_outcomes(
+                        rule, litem, ritem)
+                else:
+                    memo_hits += 1
             # No term is built here at all: insertion stores a deferred
             # item carrying its founding candidate, and the term
             # materializes only if enumeration ever demands it.  Outcome
             # positions align with ``_produce``'s production list.
-            rule_name = rule_names[rule]
             for position, outcome in enumerate(outcomes):
                 existing = by_key_get((outcome[1], outcome[2]))
                 if existing is not None:
                     # Packing: a new derivation of a known reading.
-                    existing.derivations.append((rule_name, litem, ritem))
+                    existing.derivations += 1
                     continue
                 if len(items) >= budget:
                     dropped += 1
                     continue
-                packed = PackedItem.deferred(
+                cell.insert(PackedItem.deferred(
                     outcome[0], outcome[1], outcome[2], outcome[3],
-                    rule, litem, ritem, position)
-                packed.derivations.append((rule_name, litem, ritem))
-                cell.insert(packed)
+                    rule, litem, ritem, position))
                 deferred += 1
         PROFILE.production_memo_hits += memo_hits
         PROFILE.production_memo_misses += memo_misses
@@ -654,17 +650,14 @@ class IndexedChartParser(CCGChartParser):
 def _structural_outcomes(rule: int, litem: PackedItem,
                          ritem: PackedItem) -> tuple[tuple, ...]:
     """The ``(category, catid, sid, grounded)`` outcome rows for one
-    candidate, computed entirely over interned structure ids.
+    composition or coordination candidate, computed entirely over
+    interned structure ids.
 
     Mirrors :func:`_produce` production-for-production — same categories,
     and sids/groundedness identical to the triples ``_produce`` would
     build (``sid_apply`` is ``apply_triple``'s structural shadow).  The
     corpus-wide parity gate locks that equivalence."""
     lcat, rcat = litem.category, ritem.category
-    if rule == RULE_FORWARD_APPLICATION:
-        return _application_row(lcat.result, sid_apply(litem.sid, ritem.sid))
-    if rule == RULE_BACKWARD_APPLICATION:
-        return _application_row(rcat.result, sid_apply(ritem.sid, litem.sid))
     # Composition and coordination results are lambdas: never grounded.
     ckey = (rule, litem.catid, ritem.catid)
     composed = _COMPOSED_CATEGORY.get(ckey)
@@ -702,13 +695,7 @@ def _structural_outcomes(rule: int, litem: PackedItem,
             _DISTRIBUTED_ROW + (distributed, False))
 
 
-def _application_row(category: Category, sid: int) -> tuple[tuple, ...]:
-    cid = category.__dict__.get("_cid")
-    if cid is None:
-        cid = category_id(category)
-    return ((category, cid, sid, sid_grounded(sid)),)
-
-
+_APPLICATION_RULES = (RULE_FORWARD_APPLICATION, RULE_BACKWARD_APPLICATION)
 _VAR_Z_SID = neutral("z")[1]
 _VAR_A_SID = neutral("a")[1]
 _VAR_P_SID = neutral("p")[1]

@@ -37,8 +37,8 @@ class ParseProfile(Counters):
         "span_memo_hits",       # span-memo probes answered
         "span_memo_misses",     # span-memo probes that had to combine
         "items_reused",         # packed items adopted from the span memo
-        "production_memo_hits",   # structural production outcomes answered
-        "production_memo_misses",
+        "production_memo_hits",   # candidate outcomes answered without
+        "production_memo_misses", # / with a sid-level β-engine run
         "apply_memo_hits",      # normal-form applications answered by identity
         "apply_memo_misses",
         "lexical_cache_hits",   # lexical span lookups answered

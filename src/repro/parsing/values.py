@@ -410,8 +410,8 @@ def reset_apply_memo() -> None:
 def reset_derived_memos() -> None:
     """Drop every derived memo while keeping the intern tables.
 
-    Clears the term- and sid-level application/substitution memos and
-    the per-sid facts table — everything recomputable from the interned
+    Clears the term- and sid-level application memos and the per-sid
+    facts table — everything recomputable from the interned
     structures.  The intern tables themselves (:data:`_INTERN` /
     :data:`_KEY_OF`) stay:
     sids are process-global identities that live :class:`PackedItem`\\ s
@@ -420,7 +420,6 @@ def reset_derived_memos() -> None:
     """
     _APPLY_MEMO.clear()
     _SID_APPLY_MEMO.clear()
-    _SID_SUBST_MEMO.clear()
     _SID_FACTS.clear()
 
 
@@ -470,11 +469,6 @@ def apply_triple(fn: Triple, arg: Triple) -> Triple:
 #: :data:`_APPLY_MEMO` the keys are ints, so one entry serves every
 #: provenance variant of the same structural application.
 _SID_APPLY_MEMO: dict[tuple[int, int], int] = {}
-
-#: (body sid, param, arg sid) → substituted sid.  Only ever keyed by a body
-#: in which ``param`` is free: a closed subterm comes back unchanged
-#: without a probe or an entry.
-_SID_SUBST_MEMO: dict[tuple[int, str, int], int] = {}
 
 #: sid → (free-variable names, grounded) of the structure it names.  One
 #: table serves both the substitution engine's closed-subterm shortcut and
@@ -534,7 +528,8 @@ def sid_apply(fn_sid: int, arg_sid: int) -> int:
     return result
 
 
-def _sid_subst(body_sid: int, param: str, arg_sid: int) -> int:
+def _sid_subst(body_sid: int, param: str, arg_sid: int,
+               memo: dict[int, int] | None = None) -> int:
     """Hereditary substitution ``body[param := arg]`` over sids, for a
     body in which ``param`` is free.
 
@@ -544,13 +539,19 @@ def _sid_subst(body_sid: int, param: str, arg_sid: int) -> int:
     binder removes it from its lambda's set, which stops the descent);
     every other subterm keeps its sid.  Otherwise the walk is as
     capture-naive as :func:`normalize` itself — the two must agree
-    structure-for-structure, not be independently "correct"."""
+    structure-for-structure, not be independently "correct".
+
+    ``memo`` (body sid → result) lives for one call, where ``param`` and
+    ``arg`` are fixed: a subterm shared within the body is rewritten once
+    (a memo-less walk of a depth-k DAG makes 2^k visits), and nothing is
+    retained after it; an exposed redex's :func:`sid_apply` opens its own."""
+    if memo is None:
+        memo = {}
     key = _KEY_OF[body_sid]
     tag = key[0]
     if tag == "v":
         return arg_sid  # the free variable is ``param`` itself
-    mkey = (body_sid, param, arg_sid)
-    hit = _SID_SUBST_MEMO.get(mkey)
+    hit = memo.get(body_sid)
     if hit is not None:
         return hit
     facts_get = _SID_FACTS.get
@@ -558,21 +559,22 @@ def _sid_subst(body_sid: int, param: str, arg_sid: int) -> int:
         new_args = []
         for a in key[2]:
             facts = facts_get(a) or _sid_facts(a)
-            new_args.append(_sid_subst(a, param, arg_sid)
+            new_args.append(_sid_subst(a, param, arg_sid, memo)
                             if param in facts[0] else a)
         new_args = tuple(new_args)
         result = (body_sid if new_args == key[2]
                   else sid_of_key(("@", key[1], new_args)))
     elif tag == "l":
-        new_body = _sid_subst(key[2], param, arg_sid)
+        new_body = _sid_subst(key[2], param, arg_sid, memo)
         result = (body_sid if new_body == key[2]
                   else sid_of_key(("l", key[1], new_body)))
     else:  # "a": neutral application; its head is never a lambda
         fn, arg = key[1], key[2]
         facts = facts_get(fn) or _sid_facts(fn)
-        new_fn = _sid_subst(fn, param, arg_sid) if param in facts[0] else fn
+        new_fn = (_sid_subst(fn, param, arg_sid, memo) if param in facts[0]
+                  else fn)
         facts = facts_get(arg) or _sid_facts(arg)
-        new_arg = (_sid_subst(arg, param, arg_sid) if param in facts[0]
+        new_arg = (_sid_subst(arg, param, arg_sid, memo) if param in facts[0]
                    else arg)
         if new_fn != fn:
             result = sid_apply(new_fn, new_arg)
@@ -580,7 +582,7 @@ def _sid_subst(body_sid: int, param: str, arg_sid: int) -> int:
             result = sid_of_key(("a", fn, new_arg))
         else:
             result = body_sid
-    _SID_SUBST_MEMO[mkey] = result
+    memo[body_sid] = result
     return result
 
 

@@ -135,12 +135,8 @@ class ProtocolRegistry:
                  cache_dir: str | os.PathLike | None = None) -> None:
         self.package = package
         self.bundled_rewrites = bundled_rewrites
-        # Persistent-cache root: an explicit cache_dir wins, then the
-        # REPRO_CACHE_DIR environment variable; None keeps the caches
-        # purely in-memory (the historical behavior, and the default for
-        # hermetic test runs).
-        if cache_dir is None:
-            cache_dir = os.environ.get("REPRO_CACHE_DIR") or None
+        # Persistent-cache root; None keeps the caches purely in-memory.
+        # $REPRO_CACHE_DIR is read by the command line, not here.
         self.cache_dir = os.fspath(cache_dir) if cache_dir is not None else None
         self._cache_store = None
         self._specs: dict[str, ProtocolSpec] = {}

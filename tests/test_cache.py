@@ -1,8 +1,8 @@
 """The persistent content-addressed cache store: byte-level store
 semantics (atomic publish, corruption quarantine, clear/stats), the
 promoted parse/compiled caches sharing warm state across registry
-instances, `REPRO_CACHE_DIR` pickup, and a multiprocessing stress test
-racing writers into one store directory."""
+instances, `REPRO_CACHE_DIR` pickup at the command line, and a
+multiprocessing stress test racing writers into one store directory."""
 
 import multiprocessing
 import os
@@ -349,16 +349,35 @@ class TestRegistryPromotion:
         assert registry.parse_cache().store is registry.compiled_cache().store
         assert registry.winnow_cache().store is registry.parse_cache().store
 
-    def test_env_var_pickup(self, tmp_path, monkeypatch):
+    def test_no_cache_dir_means_no_store(self, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
         registry = ProtocolRegistry()
-        assert registry.cache_dir == str(tmp_path)
-        assert isinstance(registry.parse_cache(), PersistentParseCache)
+        assert registry.cache_dir is None
+        assert registry.cache_store() is None
+        assert not isinstance(registry.parse_cache(), PersistentParseCache)
 
-    def test_explicit_dir_beats_env_var(self, tmp_path, monkeypatch):
+
+class TestCliCacheDir:
+    """``$REPRO_CACHE_DIR`` is read at the command line, the one boundary
+    that resolves a store for the registry it builds."""
+
+    @staticmethod
+    def _store_root(capsys, *argv) -> str:
+        import json as json_module
+
+        from repro.api.cli import main as cli_main
+
+        assert cli_main(["cache", "stats", "--json", *argv]) == 0
+        return json_module.loads(capsys.readouterr().out)["data"]["root"]
+
+    def test_env_var_pickup(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+        assert self._store_root(capsys) == str(tmp_path)
+
+    def test_explicit_dir_beats_env_var(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "env"))
-        registry = ProtocolRegistry(cache_dir=tmp_path / "arg")
-        assert registry.cache_dir == str(tmp_path / "arg")
+        assert (self._store_root(capsys, "--cache-dir", str(tmp_path / "arg"))
+                == str(tmp_path / "arg"))
 
 
 # -- the run layer -------------------------------------------------------------

@@ -56,7 +56,6 @@ def _fresh_env() -> dict:
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [str(SRC), env.get("PYTHONPATH")]))
-    env.pop("REPRO_CACHE_DIR", None)
     return env
 
 

@@ -14,8 +14,10 @@ Three layers of coverage:
   both backends' entries.
 """
 
+import gc
 import pathlib
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -552,6 +554,66 @@ class TestBfdOverflowSentence:
             forest = parser.parse_forest(chunker.chunk_text(report.text))
             assert forest.pruned and forest.dropped_items > 0
 
+    SENTENCE = ("If bfd.RemoteDemandMode is 1, bfd.SessionState is up, and "
+                "bfd.RemoteSessionState is up, demand mode is active on the "
+                "remote system and the system must cease the periodic "
+                "transmission of bfd control packets.")
+
+    def test_overflow_forest_is_pinned(self, registry, chunker):
+        """The largest chart of the bundled corpora, pinned count for count:
+        items, packed derivations, counted drops, cells and readings, and
+        the root cell the budget truncates."""
+        forest = IndexedChartParser(registry.lexicon()).parse_forest(
+            chunker.chunk_text(self.SENTENCE))
+        assert forest.item_count() == 12715
+        assert forest.packed_derivations() == 30754
+        assert forest.dropped_items == 2150
+        assert forest.cells_filled == 435
+        assert len(list(forest.logical_forms())) == 480
+        root = Counter(str(item.category)
+                       for item in forest.cells[(0, forest.length)])
+        assert root == {"S\\S": 848, "S/S": 672, "S": 480}
+
+
+class TestGenerationEviction:
+    """A process cycling through more lexicons than the caches keep
+    generations for evicts the oldest lexical and span generations (and
+    with them the apply memo); a parse under an evicted lexicon must equal
+    a cold one."""
+
+    SENTENCE = "The checksum is zero and the code is one."
+
+    @staticmethod
+    def _forest_fingerprint(forest) -> tuple:
+        return ({span: [(item.catid, item.sid) for item in items]
+                 for span, items in forest.cells.items()},
+                forest.dropped_items,
+                [signature(form) for form in forest.logical_forms()])
+
+    def test_reparse_after_eviction_matches_cold(self, chunker):
+        tokens = chunker.chunk_text(self.SENTENCE)
+        lexicons = [build_lexicon() for _ in range(5)]
+        for number, lexicon in enumerate(lexicons[1:], 1):
+            entry = lexicon.entries()[0]
+            lexicon.add(LexEntry(phrase=f"zorpliness{number}",
+                                 category=entry.category, sem=entry.sem))
+        first = lexicons[0].fingerprint()
+        assert len({lexicon.fingerprint() for lexicon in lexicons}) == 5
+        reset_parser_state()
+        for lexicon in lexicons:
+            IndexedChartParser(lexicon).parse_forest(tokens)
+        assert first not in indexed_module._LEXICAL_CACHE
+        assert all(key[0] != first for key in indexed_module._SPAN_MEMO)
+        before = PROFILE.counts()
+        evicted = IndexedChartParser(lexicons[0]).parse_forest(tokens)
+        delta = PROFILE.delta(before)
+        assert delta["lexical_cache_misses"] > 0
+        assert delta["span_memo_hits"] == 0
+        reset_parser_state()
+        cold = IndexedChartParser(lexicons[0]).parse_forest(tokens)
+        assert (self._forest_fingerprint(evicted)
+                == self._forest_fingerprint(cold))
+
 
 class TestSpanMemoInvariance:
     """Cross-sentence span reuse is an optimization, never a semantic
@@ -693,7 +755,12 @@ class TestProfileCounters:
 
     def test_gc_counters_in_parse_diagnostics(self):
         # A fresh registry's parse cache is empty, so the batch runs in
-        # the GC window: no automatic collection, survivors frozen.
+        # the GC window: no automatic collection, survivors frozen.  The
+        # first cache probe and the window's own entry allocate a few
+        # objects before the window disables the collector; start from an
+        # empty young generation so whether those trip an automatic
+        # collection does not depend on what earlier tests allocated.
+        gc.collect()
         service = SageService(registry=ProtocolRegistry())
         profile = service.parse_diagnostics("IGMP")["profile"]
         assert profile["gc_frozen"] > 0

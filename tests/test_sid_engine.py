@@ -177,10 +177,13 @@ class TestSidEngine:
     def test_closed_subterms_get_no_memo_entry(self, case):
         reset_derived_memos()
         fn, arg = (normalize(term, {})[1] for term in case)
-        sid_apply(fn, arg)
-        for body, param, _arg in values._SID_SUBST_MEMO:
-            assert param in naive_free_vars(body)
-            assert values._KEY_OF[body][0] != "v"
+        _tag, param, body = values._KEY_OF[fn]
+        memo = {}
+        if param in naive_free_vars(body):
+            values._sid_subst(body, param, arg, memo)
+        for entry in memo:
+            assert param in naive_free_vars(entry)
+            assert values._KEY_OF[entry][0] != "v"
 
     @given(bodies(set(NAMES)))
     @settings(max_examples=200, deadline=None)
@@ -189,6 +192,18 @@ class TestSidEngine:
         sem, sid, grounded = normalize(term, {})
         assert sid_grounded(sid) == grounded
         assert values._sid_facts(sid)[0] == naive_free_vars(sid)
+
+    def test_shared_subterms_substitute_once(self):
+        # t0 = p, t_i = And(t_(i-1), t_(i-1)): 41 distinct subterms but
+        # 2^40 paths from the root, so a walk that does not memoize its
+        # shared subterms would never finish.
+        reset_derived_memos()
+        param, const = sid_of_key(("v", "p")), sid_of_key(("c", "c"))
+        body, expected = param, const
+        for _ in range(40):
+            body = sid_of_key(("@", "And", (body, body)))
+            expected = sid_of_key(("@", "And", (expected, expected)))
+        assert sid_apply(sid_of_key(("l", "p", body)), const) == expected
 
     def test_head_redex_reduces(self):
         # (λx. x c) (λy. P(y)) → P(c): the substituted lambda lands in
