@@ -23,7 +23,7 @@ from repro.framework.ntp import MODE_CLIENT, NTPHeader, PeerVariables
 from repro.framework.tcpdump import decode_packet
 from repro.framework.udp import UDPHeader
 from repro.netsim import BFDSession, Host, IGMPSwitch, NTPPeer, Network
-from repro.runtime import GeneratedBFD, GeneratedNTPTimeout, compile_unit
+from repro.runtime import GeneratedBFD, GeneratedNTP
 
 
 def test_igmp_query_interop(benchmark, igmp_run):
@@ -64,7 +64,7 @@ def test_igmp_query_interop(benchmark, igmp_run):
 def test_ntp_timeout_emits_ntp_in_udp(benchmark, ntp_run):
     """§6.3: 'generated packets for the timeout procedure containing both
     NTP and UDP headers', with the generated Table 11 dispatch deciding."""
-    dispatch = GeneratedNTPTimeout(compile_unit(ntp_run.code_unit))
+    dispatch = GeneratedNTP.from_unit(ntp_run.code_unit)
 
     def scenario():
         peer = NTPPeer(

@@ -9,7 +9,7 @@
 #   ./scripts/ci.sh parity   # parser-backend parity + sid-engine property suites only
 #   ./scripts/ci.sh cache    # persistent cache cross-process smoke only
 #   ./scripts/ci.sh serve-gate  # HTTP serving layer load gate only
-#   ./scripts/ci.sh fuzz-gate   # differential fuzzer cross-backend gate only
+#   ./scripts/ci.sh fuzz-gate   # header codec + checksum suites, then the fuzzer cross-backend gate only
 #   ./scripts/ci.sh paper       # paper-table checks (benchmarks/bench_*.py) only
 #
 # The CLI smoke drives the `python -m repro` service entry point (a full
@@ -208,6 +208,10 @@ fi
 # itself exits non-zero on any divergence/violation; the python check
 # below enforces coverage and reproducibility on top.
 fuzz_gate() {
+  # The generated header codecs and the closed-form checksum build every
+  # packet the campaign replays: check them against their references first.
+  echo "== header codec + checksum suites =="
+  python -m pytest tests/test_packet.py tests/test_checksum.py -q
   echo "== fuzz gate: python -m repro fuzz, fixed seed, all backends =="
   local rerun
   rerun="$(mktemp "${TMPDIR:-/tmp}/repro-fuzz-rerun.XXXXXX")"

@@ -16,15 +16,19 @@ def ones_complement_sum(data: bytes) -> int:
 
     Odd-length input is padded on the right with a zero byte, per RFC 1071.
     The result is folded so it always fits in 16 bits.
+
+    Computed in closed form.  Read as one big-endian integer, the padded
+    message is ``N = sum(w_i * 2**(16*k_i))`` over its 16-bit words, and
+    ``2**16 == 1 (mod 0xFFFF)``, so ``N == S (mod 0xFFFF)`` where ``S`` is
+    the plain sum of the words.  An end-around-carry fold keeps the value
+    mod 0xFFFF and never turns a positive total into 0, so the folded sum
+    is the one value in 1..0xFFFF congruent to ``S`` when ``S > 0`` and 0
+    when ``S == 0`` (every byte zero, i.e. ``N == 0``).  Hence it is
+    ``N % 0xFFFF``, except that a nonzero multiple of 0xFFFF folds to
+    0xFFFF.  Padding a zero byte multiplies ``N`` by 256.
     """
-    if len(data) % 2:
-        data = data + b"\x00"
-    total = 0
-    for i in range(0, len(data), 2):
-        total += (data[i] << 8) | data[i + 1]
-    while total >> 16:
-        total = (total & 0xFFFF) + (total >> 16)
-    return total
+    total = int.from_bytes(data, "big") << 8 * (len(data) & 1)
+    return total % 0xFFFF or (0xFFFF if total else 0)
 
 
 def internet_checksum(data: bytes) -> int:

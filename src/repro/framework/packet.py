@@ -11,6 +11,7 @@ struct used on the wire is literally derived from the RFC drawing.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from keyword import iskeyword
 from typing import Any, Iterator
 
 
@@ -36,6 +37,18 @@ class FieldSpec:
         return (1 << self.bits) - 1
 
 
+def _plain(name: str) -> bool:
+    """Whether codec source may spell field ``name`` as an ``__init__``
+    parameter and an attribute: it must not shadow ``self``, ``payload``,
+    ``fields`` or the private globals the source reads."""
+    return (name.isidentifier() and not iskeyword(name) and name[0] != "_"
+            and name not in ("self", "payload", "fields"))
+
+
+def _unknown(header: "Header", fields: dict) -> None:
+    raise TypeError(f"unknown fields for {type(header).__name__}: {sorted(fields)}")
+
+
 class Header:
     """Base class for fixed-layout protocol headers with a byte payload.
 
@@ -44,48 +57,65 @@ class Header:
     header).  Packing is big-endian bit-by-bit, so arbitrary sub-byte fields
     compose correctly.
 
-    Each class compiles its layout once, when it is defined
-    (:meth:`__init_subclass__`, which also covers classes built by
-    :meth:`HeaderLayout.to_header_class`): the field-name set, one
-    ``(name, shift, mask, spec)`` entry per field, and the total bit and
-    byte lengths.  ``unpack`` needs nothing else; ``__init__`` and ``pack``
-    take an exact-``int`` fast path and hand anything else (bools, other
+    A class that defines ``FIELDS`` generates its codec when it is defined
+    (also via :meth:`HeaderLayout.to_header_class`): straight-line
+    ``__init__``, ``pack`` and ``unpack`` with every shift, mask and the byte
+    length as constants, compiled as ``<header-codec Name>``.  Each field
+    takes an exact-``int`` fast path and hands anything else (bools, other
     types, out-of-range values) to :meth:`_check_range`, so every check
-    raises as it always has.
+    raises as it always has.  A method the class defines itself is kept; a
+    subclass that does not redefine ``FIELDS`` inherits the codec (so an
+    override's ``super()`` call encodes its parent's layout).
     """
 
     FIELDS: tuple[FieldSpec, ...] = ()
 
-    #: Compiled layout (see the class docstring); rebuilt per subclass.
-    _NAMES: frozenset = frozenset()
-    _LAYOUT: tuple[tuple[str, int, int, FieldSpec], ...] = ()
-    _BITS = 0
-    #: Header length in bytes, or None when the layout is not byte aligned.
-    _LENGTH: int | None = 0
-
     def __init_subclass__(cls, **kwargs: Any) -> None:
         super().__init_subclass__(**kwargs)
-        bits = sum(spec.bits for spec in cls.FIELDS)
-        layout = []
-        shift = bits
-        for spec in cls.FIELDS:
-            shift -= spec.bits
-            layout.append((spec.name, shift, spec.max_value, spec))
-        cls._NAMES = frozenset(spec.name for spec in cls.FIELDS)
-        cls._LAYOUT = tuple(layout)
-        cls._BITS = bits
-        cls._LENGTH = None if bits % 8 else bits // 8
+        if "FIELDS" in cls.__dict__:
+            cls._compile_codec()
 
-    def __init__(self, payload: bytes = b"", **fields: int) -> None:
-        if not self._NAMES.issuperset(fields):
-            unknown = set(fields) - self._NAMES
-            raise TypeError(f"unknown fields for {type(self).__name__}: {sorted(unknown)}")
-        for name, _shift, mask, spec in self._LAYOUT:
-            value = fields.get(name, spec.default)
-            if type(value) is not int or not 0 <= value <= mask:
-                self._check_range(spec, value)
-            setattr(self, name, value)
-        self.payload = bytes(payload)
+    @classmethod
+    def _compile_codec(cls) -> None:
+        bits = sum(spec.bits for spec in cls.FIELDS)
+        # _LENGTH is the byte length, or None when not byte aligned.
+        cls._BITS, cls._LENGTH = bits, None if bits % 8 else bits // 8
+        size = str(cls._LENGTH) if cls._LENGTH is not None else "{}.header_len()"
+        params = "".join(f"{spec.name}={spec.default!r}, "
+                         for spec in cls.FIELDS if _plain(spec.name))
+        init = [f"def __init__(self, payload=b'', {'*, ' if params else ''}{params}**fields):"]
+        init += [f"    _v{i} = fields.pop({spec.name!r}, {spec.default!r})"
+                 for i, spec in enumerate(cls.FIELDS) if not _plain(spec.name)]
+        init += ["    if fields:", "        _unknown(self, fields)"]
+        pack, words = ["def pack(self):"], []
+        unpack = ["def unpack(cls, data):", f"    if len(data) < {size.format('cls')}:",
+                  "        raise ValueError(f'truncated {cls.__name__}: need "
+                  "{cls.header_len()} bytes, got {len(data)}')",
+                  f"    word = int.from_bytes(data[:{size.format('cls')}], 'big')",
+                  "    header = cls.__new__(cls)"]
+        check = ("    if _type({0}) is not _int or not 0 <= {0} <= {1}:\n"
+                 "        self._check_range(_specs[{2}], {0})")
+        for i, spec in enumerate(cls.FIELDS):
+            bits -= spec.bits
+            attr = f".{spec.name}" if _plain(spec.name) else f".__dict__[{spec.name!r}]"
+            value = spec.name if _plain(spec.name) else f"_v{i}"
+            init += [check.format(value, spec.max_value, i), f"    self{attr} = {value}"]
+            pack += [f"    _v{i} = self{attr}", check.format(f"_v{i}", spec.max_value, i)]
+            words.append(f"_v{i} << {bits}")
+            unpack.append(f"    header{attr} = word >> {bits} & {spec.max_value}")
+        init.append("    self.payload = _bytes(payload)")
+        pack.append(f"    return ({' | '.join(words) or '0'}).to_bytes("
+                    f"{size.format('self')}, 'big') + self.payload")
+        unpack += [f"    header.payload = bytes(data[{size.format('cls')}:])", "    return header"]
+        namespace = {"_specs": cls.FIELDS, "_unknown": _unknown, "_type": type,
+                     "_int": int, "_bytes": bytes}
+        source = "\n".join(init + pack + unpack)
+        exec(compile(source, f"<header-codec {cls.__name__}>", "exec"), namespace)
+        for name in ("__init__", "pack", "unpack"):
+            function = namespace[name]
+            function.__qualname__ = f"{cls.__qualname__}.{name}"
+            if name not in cls.__dict__:
+                setattr(cls, name, classmethod(function) if name == "unpack" else function)
 
     @staticmethod
     def _check_range(spec: FieldSpec, value: int) -> None:
@@ -109,35 +139,6 @@ class Header:
     def field_values(self) -> dict[str, int]:
         return {spec.name: getattr(self, spec.name) for spec in self.FIELDS}
 
-    def pack(self) -> bytes:
-        """Serialize the header fields followed by the payload."""
-        accumulator = 0
-        for name, shift, mask, spec in self._LAYOUT:
-            value = getattr(self, name)
-            if type(value) is not int or not 0 <= value <= mask:
-                self._check_range(spec, value)
-            accumulator |= value << shift
-        return accumulator.to_bytes(self.header_len(), "big") + self.payload
-
-    @classmethod
-    def unpack(cls, data: bytes) -> "Header":
-        """Parse ``data`` into a header instance; trailing bytes form payload.
-
-        Every field comes out of the mask in range, so the instance is
-        filled directly instead of going back through ``__init__``.
-        """
-        length = cls.header_len()
-        if len(data) < length:
-            raise ValueError(
-                f"truncated {cls.__name__}: need {length} bytes, got {len(data)}"
-            )
-        accumulator = int.from_bytes(data[:length], "big")
-        header = cls.__new__(cls)
-        for name, shift, mask, _spec in cls._LAYOUT:
-            setattr(header, name, (accumulator >> shift) & mask)
-        header.payload = bytes(data[length:])
-        return header
-
     def copy(self) -> "Header":
         return type(self)(payload=self.payload, **self.field_values())
 
@@ -152,6 +153,9 @@ class Header:
     def __repr__(self) -> str:
         fields = ", ".join(f"{name}={value}" for name, value in self.field_values().items())
         return f"{type(self).__name__}({fields}, payload={len(self.payload)}B)"
+
+
+Header._compile_codec()
 
 
 @dataclass(frozen=True)

@@ -7,6 +7,5 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, {
                  "GeneratedImplementation", "IGMPExecutionContext",
                  "compile_unit", "generated_implementation"),
     ".state_runtime": ("BFDExecutionContext", "GeneratedBFD", "GeneratedNTP",
-                       "GeneratedNTPTimeout", "NTPExecutionContext",
-                       "StateValue"),
+                       "NTPExecutionContext", "StateValue"),
 })

@@ -168,34 +168,6 @@ class NTPExecutionContext:
         return self
 
 
-class GeneratedNTPTimeout:
-    """The Table 11 dispatch as a netsim timeout predicate."""
-
-    def __init__(self, functions: dict[str, object],
-                 function_name: str = "ntp_peer_variables_and_timeout_receiver"):
-        self.function = functions[function_name]
-
-    def __call__(self, peer: PeerVariables) -> bool:
-        """Timeout-predicate interface for :class:`~repro.netsim.NTPPeer`.
-
-        Runs the generated dispatch; reports True when the generated code
-        invoked the timeout procedure (which itself resets the timer).
-        """
-        context = NTPExecutionContext(peer=peer)
-        self.function(context)
-        if "timeout_procedure" in context.procedures_called:
-            # The procedure already ran (and emitted); tell the peer driver
-            # not to double-fire.
-            peer.timeouts_fired -= 0
-            return False
-        return False
-
-    def run(self, peer: PeerVariables) -> NTPExecutionContext:
-        context = NTPExecutionContext(peer=peer)
-        self.function(context)
-        return context
-
-
 class GeneratedNTP(GeneratedImplementation):
     """Adapter: the generated Table 11 dispatch as an NTP peer's timeout
     policy.

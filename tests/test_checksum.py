@@ -123,3 +123,45 @@ class TestIncrementalUpdate:
 def test_arbitrary_lengths_do_not_crash(length):
     data = bytes(range(256)) * (length // 256 + 1)
     assert 0 <= internet_checksum(data[:length]) <= 0xFFFF
+
+
+def rfc1071_word_loop(data: bytes) -> int:
+    """The RFC 1071 reference: add the 16-bit words, then fold the carries."""
+    if len(data) % 2:
+        data += b"\x00"
+    total = 0
+    for i in range(0, len(data), 2):
+        total += (data[i] << 8) | data[i + 1]
+    while total >> 16:
+        total = (total & 0xFFFF) + (total >> 16)
+    return total
+
+
+#: Bytes that sit next to the 0x0000/0xFFFF boundaries of one's complement.
+EDGE_BYTES = st.lists(st.sampled_from([0x00, 0xFF, 0xFE, 0x01]),
+                      max_size=300).map(bytes)
+
+
+class TestAgainstRFC1071WordLoop:
+    @given(st.binary(max_size=300))
+    def test_matches_word_loop(self, data):
+        assert ones_complement_sum(data) == rfc1071_word_loop(data)
+
+    @given(EDGE_BYTES)
+    def test_matches_word_loop_near_the_zeros(self, data):
+        assert ones_complement_sum(data) == rfc1071_word_loop(data)
+
+    @pytest.mark.parametrize("data, expected", [
+        (b"", 0),
+        (bytes(6), 0),
+        (b"\xff\xff", 0xFFFF),
+        (b"\xff\xff\xff\xff", 0xFFFF),
+        (b"\x00\x01\xff\xfe", 0xFFFF),  # a nonzero multiple of 0xFFFF
+        (b"\xff", 0xFF00),
+        (b"\x80\x00\x80\x00", 0x0001),
+        (b"\x00\x01" * 65535, 0xFFFF),
+    ], ids=["empty", "zeros", "ffff", "ffff-ffff", "multiple", "odd-ff",
+            "carry", "65535-ones"])
+    def test_pinned_values(self, data, expected):
+        assert ones_complement_sum(data) == expected
+        assert rfc1071_word_loop(data) == expected

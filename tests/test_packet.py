@@ -263,3 +263,79 @@ class TestChecksStillRaise:
             header.pack()
         with pytest.raises(ValueError, match="not byte aligned"):
             cls.unpack(b"\x00\x00")
+
+
+# -- the codec across a class hierarchy ----------------------------------------
+
+class PlainIPv4(IPv4Header):
+    """No ``FIELDS`` of its own: the parent's layout and codec."""
+
+
+class ShortHeader(PlainIPv4):
+    FIELDS = (FieldSpec("kind", 4, default=9), FieldSpec("size", 12))
+
+
+class TaggedIPv4(IPv4Header):
+    def pack(self) -> bytes:
+        return b"tag" + super().pack()
+
+
+class LowTTLIPv4(IPv4Header):
+    def __init__(self, payload: bytes = b"", **fields: int) -> None:
+        fields.setdefault("ttl", 1)
+        super().__init__(payload, **fields)
+
+
+class TestCodecHierarchy:
+    def test_subclass_without_fields_packs_like_its_parent(self):
+        values = dict(ttl=7, protocol=17, src=0x0A000001, dst=0x0A000002)
+        header = PlainIPv4(payload=b"data", **values)
+        assert header.pack() == IPv4Header(payload=b"data", **values).pack()
+        assert PlainIPv4.header_len() == 20
+        again = PlainIPv4.unpack(header.pack())
+        assert type(again) is PlainIPv4 and again == header
+
+    def test_sub_subclass_with_fields_gets_its_own_layout(self):
+        header = ShortHeader(size=0x123, payload=b"!")
+        assert header.pack() == b"\x91\x23!"
+        assert ShortHeader.header_bits() == 16 and ShortHeader.header_len() == 2
+        assert ShortHeader.unpack(b"\x91\x23!") == header
+        with pytest.raises(TypeError, match=r"unknown fields for ShortHeader: \['ttl'\]"):
+            ShortHeader(ttl=1)
+        # The parents keep theirs.
+        assert PlainIPv4.header_len() == IPv4Header.header_len() == 20
+        assert len(PlainIPv4().pack()) == 20
+
+    def test_subclass_methods_are_kept(self):
+        tagged = TaggedIPv4(ttl=9)
+        assert tagged.pack() == b"tag" + IPv4Header(ttl=9).pack()
+        low = LowTTLIPv4(protocol=1)
+        assert low.ttl == 1 and low.protocol == 1
+        assert LowTTLIPv4(ttl=5).ttl == 5
+        assert LowTTLIPv4.unpack(low.pack()) == low
+
+    def test_unaligned_generated_layout_reports_its_width(self):
+        cls = HeaderLayout("odd", [LayoutField("a", 3),
+                                   LayoutField("b", 7)]).to_header_class()
+        assert cls.header_bits() == 10
+        with pytest.raises(ValueError, match=r"OddHeader is not byte aligned \(10 bits\)"):
+            cls.header_len()
+
+    def test_field_names_that_are_not_identifiers(self):
+        # Diagram labels can canonicalize to a keyword or a leading digit.
+        cls = HeaderLayout("labels", [
+            LayoutField("from", 4), LayoutField("2nd", 4), LayoutField("class", 8),
+            LayoutField("payload_len", 8), LayoutField("fields", 8),
+        ]).to_header_class()
+        values = {"from": 1, "2nd": 2, "class": 3, "payload_len": 4, "fields": 5}
+        header = cls(payload=b"xy", **values)
+        assert header.field_values() == values
+        assert header.pack() == reference_pack(cls, values, b"xy")
+        assert cls.unpack(header.pack()) == header
+        with pytest.raises(ValueError, match="field '2nd' value 16 does not fit"):
+            cls(**{"2nd": 16})
+        with pytest.raises(TypeError, match=r"unknown fields for LabelsHeader: \['to'\]"):
+            cls(to=1, **{"from": 99})
+        header.__dict__["from"] = "1"
+        with pytest.raises(TypeError, match="field 'from' must be an int"):
+            header.pack()
