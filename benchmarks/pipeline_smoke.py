@@ -159,9 +159,12 @@ def main() -> int:
     numbers = {}
 
     fresh = ProtocolRegistry()
-    numbers["corpus_load_cold_s"], _ = timed(lambda: fresh.load_corpus("ICMP"))
+    # A corpus parses its RFC text on first read: read the sentences, so
+    # the cold number is the load plus the parse.
+    numbers["corpus_load_cold_s"], _ = timed(
+        lambda: fresh.load_corpus("ICMP").sentences)
     numbers["corpus_load_cached_s"], _ = timed(
-        lambda: fresh.load_corpus("ICMP"), repeat=100
+        lambda: fresh.load_corpus("ICMP").sentences, repeat=100
     )
 
     registry = default_registry()

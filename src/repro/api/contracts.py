@@ -53,7 +53,6 @@ from ..core.results import (
     SentenceResult,
     SentenceStatus,
 )
-from ..disambiguation.resolution import Resolution, ResolutionError
 from ..disambiguation.winnow import WinnowTrace
 from ..rfc.corpus import Rewrite, SpecSentence, sentence_key
 from .errors import (
@@ -500,14 +499,6 @@ SAGE_RUN = Record("sage_run", SageRun, [
     Field("code_unit", CODE_UNIT),
 ], tag=32)
 
-RESOLUTION = Record("resolution", Resolution, [
-    Field("kind", STR),
-    Field("original", STR),
-    *(Field(name, STR, "", omit=True)
-      for name in ("protocol", "revised", "category", "lf_signature", "note",
-                   "status_before")),
-], closed=True, error=ResolutionError)
-
 PROCESS_REQUEST = Record("process_request", ProcessRequest, [
     Field("protocol", STR),
     Field("mode", MODE, "revised"),
@@ -571,18 +562,33 @@ SWEEP_RESPONSE = Record("sweep_response", SweepResponse, [
 
 # -- the envelope --------------------------------------------------------------
 
-#: kind tag → field table.
+#: kind tag → field table.  The ``resolution`` table lives beside its type
+#: in :mod:`repro.disambiguation.resolution` and joins on the first lookup
+#: that misses (:func:`_lookup`), so an answer that carries no resolution
+#: never loads that module.
 KINDS = {codec.kind: codec for codec in (
-    SAGE_RUN, RESULT, TRACE, CODE_UNIT, RESOLUTION, SPEC, REWRITE,
+    SAGE_RUN, RESULT, TRACE, CODE_UNIT, SPEC, REWRITE,
     PROCESS_REQUEST, SWEEP_REQUEST, PROCESS_RESPONSE, SWEEP_RESPONSE,
     SENTENCE_REPORT, GENERATED_ARTIFACT,
 )}
 _BY_TYPE = {codec.cls: codec for codec in KINDS.values()}
 
 
+def _lookup(table: dict, key):
+    """``table.get(key)``, reading in the ``resolution`` table on a miss."""
+    codec = table.get(key)
+    if codec is None:
+        from ..disambiguation.resolution import RESOLUTION
+
+        KINDS[RESOLUTION.kind] = RESOLUTION
+        _BY_TYPE[RESOLUTION.cls] = RESOLUTION
+        codec = table.get(key)
+    return codec
+
+
 def codec_of(obj):
     """The envelope codec (and so the kind tag) for a contract object."""
-    codec = _BY_TYPE.get(type(obj))
+    codec = _lookup(_BY_TYPE, type(obj))
     if codec is not None:
         return codec
     raise ContractError(
@@ -593,7 +599,7 @@ def codec_of(obj):
 
 def codec_named(kind) -> object:
     """The envelope codec for a kind tag read off the wire."""
-    codec = KINDS.get(kind)
+    codec = _lookup(KINDS, kind)
     if codec is None:
         raise ContractError(
             f"unknown payload kind {kind!r}; readable kinds are "
@@ -612,11 +618,14 @@ def decoding(what: str, decode, malformed=ContractError):
         return decode()
     except (ApiError, FingerprintMismatch):
         raise
-    except ResolutionError as exc:
-        raise ContractError(str(exc)) from exc
     except IRError as exc:
         raise ContractError(f"bad {what} payload: {exc}") from exc
     except (AttributeError, LookupError, TypeError, ValueError) as exc:
+        if isinstance(exc, ValueError):
+            from ..disambiguation.resolution import ResolutionError
+
+            if isinstance(exc, ResolutionError):
+                raise ContractError(str(exc)) from exc
         raise malformed(f"malformed {what} payload: {exc!r}") from exc
 
 

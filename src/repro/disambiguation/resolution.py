@@ -34,6 +34,7 @@ import json
 import pathlib
 from dataclasses import dataclass
 
+from ..api.schema import STR, Field, Record
 from ..rfc.corpus import Rewrite, sentence_key
 
 JOURNAL_SCHEMA_VERSION = 1
@@ -143,6 +144,17 @@ class Resolution:
         return None
 
 
+#: The ``resolution`` wire table: a journal entry, and the envelope kind
+#: :mod:`repro.api.contracts` reads in on first use.
+RESOLUTION = Record("resolution", Resolution, [
+    Field("kind", STR),
+    Field("original", STR),
+    *(Field(name, STR, "", omit=True)
+      for name in ("protocol", "revised", "category", "lf_signature", "note",
+                   "status_before")),
+], closed=True, error=ResolutionError)
+
+
 class DecisionJournal:
     """An append-only, persistable record of operator resolutions.
 
@@ -209,12 +221,8 @@ class DecisionJournal:
         }
 
     # -- persistence ----------------------------------------------------------
-    # Entries are written and read through the ``resolution`` wire table
-    # (repro.api.contracts.RESOLUTION), imported lazily because repro.api
-    # imports this module.
+    # Entries are written and read through the ``resolution`` wire table.
     def to_json(self, indent: int | None = 2) -> str:
-        from ..api.contracts import RESOLUTION
-
         payload = {
             "schema": JOURNAL_SCHEMA_VERSION,
             "resolutions": [RESOLUTION.enc(r, None) for r in self.resolutions],
@@ -226,8 +234,6 @@ class DecisionJournal:
                   path: str | pathlib.Path | None = None) -> "DecisionJournal":
         """The journal ``text`` holds; a payload or entry of the wrong
         shape raises :class:`ResolutionError`."""
-        from ..api.contracts import RESOLUTION
-
         payload = json.loads(text)
         if not isinstance(payload, dict):
             raise ResolutionError("a journal must be a JSON object, got "

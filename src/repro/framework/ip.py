@@ -63,7 +63,7 @@ class IPv4Header(Header):
 
     def header_bytes(self) -> bytes:
         """The bytes covered by the IP header checksum: 20 fixed + options."""
-        return self.pack()[: 20 + self.options_len]
+        return self.pack_fields() + self.payload[: self.options_len]
 
     def finalize(self) -> "IPv4Header":
         """Fill in total_length and header_checksum; returns self."""

@@ -59,8 +59,9 @@ class Header:
 
     A class that defines ``FIELDS`` generates its codec when it is defined
     (also via :meth:`HeaderLayout.to_header_class`): straight-line
-    ``__init__``, ``pack`` and ``unpack`` with every shift, mask and the byte
-    length as constants, compiled as ``<header-codec Name>``.  Each field
+    ``__init__``, ``pack``, ``pack_fields`` (``pack`` without the payload)
+    and ``unpack`` with every shift, mask and the byte length as constants,
+    compiled as ``<header-codec Name>``.  Each field
     takes an exact-``int`` fast path and hands anything else (bools, other
     types, out-of-range values) to :meth:`_check_range`, so every check
     raises as it always has.  A method the class defines itself is kept; a
@@ -87,7 +88,7 @@ class Header:
         init += [f"    _v{i} = fields.pop({spec.name!r}, {spec.default!r})"
                  for i, spec in enumerate(cls.FIELDS) if not _plain(spec.name)]
         init += ["    if fields:", "        _unknown(self, fields)"]
-        pack, words = ["def pack(self):"], []
+        fixed, words = [], []
         unpack = ["def unpack(cls, data):", f"    if len(data) < {size.format('cls')}:",
                   "        raise ValueError(f'truncated {cls.__name__}: need "
                   "{cls.header_len()} bytes, got {len(data)}')",
@@ -100,18 +101,20 @@ class Header:
             attr = f".{spec.name}" if _plain(spec.name) else f".__dict__[{spec.name!r}]"
             value = spec.name if _plain(spec.name) else f"_v{i}"
             init += [check.format(value, spec.max_value, i), f"    self{attr} = {value}"]
-            pack += [f"    _v{i} = self{attr}", check.format(f"_v{i}", spec.max_value, i)]
+            fixed += [f"    _v{i} = self{attr}", check.format(f"_v{i}", spec.max_value, i)]
             words.append(f"_v{i} << {bits}")
             unpack.append(f"    header{attr} = word >> {bits} & {spec.max_value}")
         init.append("    self.payload = _bytes(payload)")
-        pack.append(f"    return ({' | '.join(words) or '0'}).to_bytes("
-                    f"{size.format('self')}, 'big') + self.payload")
+        fixed.append(f"    return ({' | '.join(words) or '0'}).to_bytes("
+                     f"{size.format('self')}, 'big')")
+        pack = ["def pack(self):", *fixed[:-1], fixed[-1] + " + self.payload",
+                "def pack_fields(self):", *fixed]
         unpack += [f"    header.payload = bytes(data[{size.format('cls')}:])", "    return header"]
         namespace = {"_specs": cls.FIELDS, "_unknown": _unknown, "_type": type,
                      "_int": int, "_bytes": bytes}
         source = "\n".join(init + pack + unpack)
         exec(compile(source, f"<header-codec {cls.__name__}>", "exec"), namespace)
-        for name in ("__init__", "pack", "unpack"):
+        for name in ("__init__", "pack", "pack_fields", "unpack"):
             function = namespace[name]
             function.__qualname__ = f"{cls.__qualname__}.{name}"
             if name not in cls.__dict__:

@@ -19,11 +19,13 @@ compatibility.  Repeated calls return the same memoized objects.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import threading
+from dataclasses import dataclass
 from hashlib import sha1
+from typing import TYPE_CHECKING
 
-from .document import RFCDocument
-from .preprocess import parse_rfc_text
+if TYPE_CHECKING:
+    from .document import RFCDocument
 
 KIND_INTRO = "intro"
 KIND_FIELD = "field"
@@ -51,21 +53,56 @@ class SpecSentence:
         }
 
 
-@dataclass
+#: Serializes first reads, so concurrent readers share one parse.
+_PARSE_LOCK = threading.Lock()
+
+
 class Corpus:
-    """A parsed RFC document plus its flattened sentence records."""
+    """A parsed RFC document plus its flattened sentence records.
 
-    protocol: str
-    document: RFCDocument
-    sentences: list[SpecSentence] = field(default_factory=list)
-    #: SHA-1 of the protocol name and the source text the corpus was
-    #: parsed from ("" for corpora assembled by hand).  Corpora are
-    #: read-only once built, so this is their content identity: the
-    #: engine's run memo keys on it.
-    fingerprint: str = field(default="", compare=False, repr=False)
+    A corpus is built by hand from a document and its sentences, or by
+    :func:`corpus_from_text` from RFC text, which it parses the first time
+    :attr:`document` or :attr:`sentences` is read: a run answered by the
+    run memo needs only :attr:`protocol` and :attr:`fingerprint`, so it
+    parses nothing.  Equality compares the protocol and the parsed content.
+    """
 
-    def description_sentences(self) -> list[SpecSentence]:
-        return [s for s in self.sentences if s.kind == KIND_DESCRIPTION]
+    def __init__(self, protocol: str, document: RFCDocument | None = None,
+                 sentences: list[SpecSentence] | None = None,
+                 fingerprint: str = "") -> None:
+        self.protocol = protocol
+        #: SHA-1 of the protocol name and the source text the corpus is
+        #: parsed from ("" for corpora assembled by hand).  Corpora are
+        #: read-only once built, so this is their content identity: the
+        #: engine's run memo keys on it.
+        self.fingerprint = fingerprint
+        self._text: str | None = None
+        self._parsed = (document, [] if sentences is None else sentences)
+
+    @property
+    def document(self) -> RFCDocument:
+        return (self._parsed or self._parse())[0]
+
+    @property
+    def sentences(self) -> list[SpecSentence]:
+        return (self._parsed or self._parse())[1]
+
+    def _parse(self) -> tuple[RFCDocument, list[SpecSentence]]:
+        with _PARSE_LOCK:
+            if self._parsed is None:
+                from .preprocess import parse_rfc_text
+
+                document = parse_rfc_text(self._text)
+                self._parsed = (document,
+                                extract_sentences(document, self.protocol))
+                self._text = None
+            return self._parsed
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ((self.protocol, self.document, self.sentences)
+                == (other.protocol, other.document, other.sentences))
 
 
 def extract_sentences(document: RFCDocument, protocol: str) -> list[SpecSentence]:
@@ -93,14 +130,12 @@ def extract_sentences(document: RFCDocument, protocol: str) -> list[SpecSentence
 
 
 def corpus_from_text(text: str, protocol: str) -> Corpus:
-    """Parse RFC-formatted ``text`` into a :class:`Corpus` for ``protocol``."""
-    document = parse_rfc_text(text)
-    return Corpus(
-        protocol=protocol,
-        document=document,
-        sentences=extract_sentences(document, protocol),
-        fingerprint=sha1(f"{protocol}\0{text}".encode("utf-8")).hexdigest(),
-    )
+    """The :class:`Corpus` for ``protocol`` over RFC-formatted ``text``:
+    fingerprinted now, parsed on its first read."""
+    corpus = Corpus(protocol, fingerprint=sha1(
+        f"{protocol}\0{text}".encode("utf-8")).hexdigest())
+    corpus._text, corpus._parsed = text, None
+    return corpus
 
 
 def _registry():

@@ -14,8 +14,9 @@ memoization layer:
 * ``register_protocol(name, source)`` declares a protocol once — a data file
   in ``repro.data`` (or an inline/filesystem spec) is all a new protocol
   needs; no code edits across layers;
-* ``load_corpus(name)`` parses at most once per registry and returns the
-  same :class:`~repro.rfc.corpus.Corpus` object on every subsequent call;
+* ``load_corpus(name)`` reads the RFC text at most once per registry and
+  returns the same :class:`~repro.rfc.corpus.Corpus` object on every
+  subsequent call; the corpus parses that text on its first read;
 * ``dictionary()`` / ``lexicon()`` / ``chunker()`` / ``parser()`` /
   ``check_suite()`` / ``rewrites()`` memoize the substrate the same way;
   every engine over the registry runs on exactly these instances;
@@ -225,7 +226,8 @@ class ProtocolRegistry:
 
     # -- corpora ---------------------------------------------------------------
     def load_corpus(self, name: str) -> Corpus:
-        """The parsed corpus for ``name``; parsed once, then memoized."""
+        """The corpus for ``name``; read once, then memoized (it parses
+        on its first read)."""
         key = name.upper()
         with self._lock:
             corpus = self._corpora.get(key)

@@ -192,12 +192,13 @@ def _worker_service() -> SageService:
 
 
 #: The pipeline modules a worker needs for its first engine (a cold run,
-#: a parse or winnow diagnostic, a session, an artifact).  The parent
-#: imports them before it forks, so workers share one copy instead of each
-#: compiling its own in the middle of a request.
+#: a parse or winnow diagnostic, a session, an artifact) and for a
+#: corpus's first read (the RFC text parser).  The parent imports them
+#: before it forks, so workers share one copy instead of each compiling
+#: its own in the middle of a request.
 _WORKER_MODULES = ("repro.core.stages", "repro.parsing.indexed",
                    "repro.api.session", "repro.codegen.emitters",
-                   "repro.codegen.interp")
+                   "repro.codegen.interp", "repro.rfc.preprocess")
 
 
 def _worker_ping() -> int:

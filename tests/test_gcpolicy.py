@@ -228,9 +228,11 @@ class TestWarmPathsSkipTheCollector:
     def test_cold_parse_batch_runs_no_automatic_collection(self, collections):
         process_cold()
         engine = SageEngine(protocol_registry=ProtocolRegistry())
-        # Load the corpus first: its allocations precede the batch, and
-        # with no collection at the reset they may start a young one.
+        # Load and parse the corpus first: its allocations precede the
+        # batch, and with no collection at the reset they may start a
+        # young one.
         corpus = engine.protocol_registry.load_corpus("ICMP")
+        _ = corpus.sentences
         collections.clear()
         parsed = engine.parse_batch(corpus)
         during = list(collections)

@@ -51,6 +51,22 @@ class TestIPv4Packing:
     def test_version_defaults_to_4(self):
         assert IPv4Header().version == 4
 
+    @given(st.lists(st.binary(min_size=4, max_size=4), max_size=10),
+           st.binary(max_size=64), st.integers(1, 255))
+    def test_header_bytes_is_the_packed_prefix(self, words, data, ttl):
+        options = b"".join(words)
+        packet = make_ip_packet(SRC, DST, PROTO_ICMP, data, ttl=ttl,
+                                options=options)
+        assert packet.options_len == len(options)
+        assert packet.header_bytes() == packet.pack()[: 20 + len(options)]
+
+    @given(st.integers(0, 15), st.binary(max_size=64), st.integers(0, 0xFFFF))
+    def test_header_bytes_when_ihl_overstates_the_options(self, ihl, payload,
+                                                          checksum):
+        packet = IPv4Header(ihl=ihl, header_checksum=checksum, src=SRC,
+                            dst=DST, payload=payload)
+        assert packet.header_bytes() == packet.pack()[: 20 + packet.options_len]
+
     @given(st.binary(max_size=128), st.integers(1, 255))
     def test_roundtrip_property(self, data, ttl):
         packet = make_ip_packet(SRC, DST, PROTO_ICMP, data, ttl=ttl)

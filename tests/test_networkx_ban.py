@@ -12,6 +12,11 @@ CLI's start-up time is most of a warm run.  Further fresh interpreters run
 ``--help`` and warm ``process``/``sweep`` commands and check that they
 load none of the parser, chart, lexicon, check suite, handlers, emitters
 or session code: a warm answer comes from one run entry per protocol.
+Nor do they load the RFC text parser (``rfc.document``,
+``rfc.preprocess``, ``rfc.header_diagram`` and the ``framework.packet``
+and ``nlp.tokenizer`` modules it pulls in) or the resolution module: a
+warm answer reads only each corpus's fingerprint and protocol name, and
+no resolution.
 
 Naming or validating a codegen backend imports none of their modules.
 
@@ -93,6 +98,9 @@ SUBSTRATE_MODULES = (
     "repro.parsing.indexed", "repro.ccg.chart", "repro.ccg.lexicon",
     "repro.disambiguation.checks", "repro.codegen.handlers",
     "repro.codegen.emitters", "repro.api.session", "networkx",
+    "repro.rfc.document", "repro.rfc.preprocess", "repro.rfc.header_diagram",
+    "repro.framework.packet", "repro.nlp.tokenizer",
+    "repro.disambiguation.resolution",
 )
 
 

@@ -188,6 +188,13 @@ class TestBundledCodecs:
         assert header.pack() == reference_pack(cls, values, payload)
 
     @given(data=st.data())
+    def test_pack_fields_is_pack_without_the_payload(self, data):
+        cls = data.draw(st.sampled_from(HEADER_CLASSES))
+        values = data.draw(_values_for(cls))
+        header = cls(payload=data.draw(st.binary(max_size=24)), **values)
+        assert header.pack_fields() == reference_pack(cls, values, b"")
+
+    @given(data=st.data())
     def test_unpack_matches_reference(self, data):
         cls = data.draw(st.sampled_from(HEADER_CLASSES))
         length = cls.header_len()
@@ -229,9 +236,10 @@ class TestChecksStillRaise:
     def test_out_of_range_at_pack_after_mutation(self):
         header = IPv4Header()
         header.ttl = 256
-        with pytest.raises(ValueError,
-                           match="field 'ttl' value 256 does not fit in 8 bits"):
-            header.pack()
+        for pack in (header.pack, header.pack_fields, header.header_bytes):
+            with pytest.raises(ValueError, match="field 'ttl' value 256 "
+                                                 "does not fit in 8 bits"):
+                pack()
 
     def test_non_int_at_pack_after_mutation(self):
         header = UDPHeader()

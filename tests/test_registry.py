@@ -175,3 +175,87 @@ class TestFifthProtocol:
         registry.unregister_protocol("TOY")
         with pytest.raises(UnknownProtocolError):
             registry.load_corpus("TOY")
+
+
+class TestCorpusParsesOnFirstRead:
+    """A loaded corpus is fingerprinted at once and parsed on first read."""
+
+    @pytest.fixture
+    def parses(self, monkeypatch):
+        """Every ``parse_rfc_text`` call a corpus makes, by source text."""
+        from repro.rfc import preprocess
+
+        calls, parse = [], preprocess.parse_rfc_text
+
+        def counted(text):
+            calls.append(text)
+            return parse(text)
+
+        monkeypatch.setattr(preprocess, "parse_rfc_text", counted)
+        return calls
+
+    @pytest.mark.parametrize("name", [*(entry[0] for entry in BUNDLED_PROTOCOLS),
+                                      "TOY"])
+    def test_content_and_fingerprint_match_a_direct_parse(self, registry,
+                                                          parses, name):
+        from hashlib import sha1
+
+        from repro.rfc.corpus import extract_sentences
+        from repro.rfc.preprocess import parse_rfc_text
+
+        registry.register_protocol("TOY", text=TOY_RFC)
+        text = registry.spec(name).read_text()
+        corpus = registry.load_corpus(name)
+        assert corpus.fingerprint == sha1(
+            f"{name}\0{text}".encode("utf-8")).hexdigest()
+        assert parses == []
+        document = parse_rfc_text(text)
+        assert corpus.document == document
+        assert corpus.sentences == extract_sentences(document, name)
+        assert corpus.sentences is corpus.sentences
+        assert registry.load_corpus(name) is corpus
+        assert parses == [text, text]  # the corpus's one parse, then ours
+
+    def test_a_hand_built_corpus_is_never_memoized(self, registry, parses):
+        from repro.rfc.corpus import Corpus
+
+        loaded = registry.load_corpus("IGMP")
+        document, sentences = loaded.document, list(loaded.sentences)
+        by_hand = Corpus(protocol="IGMP", document=document,
+                         sentences=sentences)
+        assert by_hand.document is document and by_hand.sentences is sentences
+        assert by_hand.fingerprint == ""
+        assert by_hand == loaded and by_hand != Corpus("ICMP", document,
+                                                       sentences)
+        assert SageEngine(protocol_registry=registry).run_key(by_hand) is None
+        assert len(parses) == 1  # the loaded corpus's own
+
+    def test_concurrent_first_reads_share_one_parse(self, parses, monkeypatch):
+        import threading
+        import time
+
+        from repro.rfc import preprocess
+        from repro.rfc.corpus import corpus_from_text
+
+        counted = preprocess.parse_rfc_text
+
+        def slow(text):
+            time.sleep(0.05)  # keep the first reader inside the parse
+            return counted(text)
+
+        monkeypatch.setattr(preprocess, "parse_rfc_text", slow)
+        corpus = corpus_from_text(TOY_RFC, "TOY")
+        barrier, seen = threading.Barrier(2), []
+
+        def read():
+            barrier.wait(timeout=30)
+            seen.append(corpus.sentences)
+
+        threads = [threading.Thread(target=read) for _ in range(2)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30)
+            assert not thread.is_alive()
+        assert len(seen) == 2 and seen[0] is seen[1] and seen[0]
+        assert parses == [TOY_RFC]
