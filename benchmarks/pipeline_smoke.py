@@ -481,7 +481,8 @@ def main() -> int:
     probe = REPO_ROOT / "benchmarks" / "warm_start_probe.py"
     with tempfile.TemporaryDirectory(prefix="repro-cache-") as cache_dir:
         env = dict(os.environ)
-        env["PYTHONPATH"] = str(REPO_ROOT / "src")
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [str(REPO_ROOT / "src"), env.get("PYTHONPATH")]))
         env.pop("REPRO_CACHE_DIR", None)
         cold_probe, warm_probe = (
             json.loads(subprocess.run(

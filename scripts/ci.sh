@@ -11,6 +11,7 @@
 #   ./scripts/ci.sh serve-gate  # HTTP serving layer load gate only
 #   ./scripts/ci.sh fuzz-gate   # header codec + checksum suites, then the fuzzer cross-backend gate only
 #   ./scripts/ci.sh paper       # paper-table checks (benchmarks/bench_*.py) only
+#   ./scripts/ci.sh entered     # function-entry map over all of the above (report only)
 #
 # The CLI smoke drives the `python -m repro` service entry point (a full
 # four-protocol sweep emitting the JSON wire contract, checked to cover all
@@ -66,6 +67,30 @@ paper_checks() {
 
 if [ "${1:-all}" = "paper" ]; then
   paper_checks
+  exit 0
+fi
+
+# Function-entry map (report only, not part of `all`): runs tier-1 and every
+# other step under scripts/entered.py, which records each src/repro function
+# entered in any process (CLI subprocesses, the server and its forked
+# workers), then lists the functions none of them entered.  The recorder
+# roughly doubles wall time, so a timing gate may fail under it: that step
+# is reported and the map keeps what it ran.  The steps rewrite
+# BENCH_pipeline.json and FUZZ_matrix.json as they always do.
+entered_map() {
+  echo "== entered: function-entry map over tier-1 and every ci.sh step =="
+  local data step
+  data="$(mktemp -d "${TMPDIR:-/tmp}/repro-entered.XXXXXX")"
+  temp_paths+=("$data")
+  for step in tests bench serve-gate fuzz-gate paper; do
+    python scripts/entered.py run "$data" -- ./scripts/ci.sh "$step" \
+      || echo "(entered: step $step exited non-zero under the recorder)"
+  done
+  python scripts/entered.py report "$data"
+}
+
+if [ "${1:-all}" = "entered" ]; then
+  entered_map
   exit 0
 fi
 

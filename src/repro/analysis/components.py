@@ -15,7 +15,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..core.engine import FLAGGED_STATUSES, SageEngine, SentenceStatus
 from ..rfc.corpus import Corpus
 from ..rfc.registry import default_registry
 
@@ -166,61 +165,6 @@ def detect_all() -> list[DetectedComponents]:
     change."""
     return [
         detect_components(corpus) for corpus in default_registry().corpora()
-    ]
-
-
-@dataclass
-class PipelineCoverage:
-    """How much of one corpus the pipeline turns into code (Table 1's
-    "SAGE supports" claim, measured rather than catalogued)."""
-
-    protocol: str
-    sentences: int
-    by_status: dict[str, int]
-
-    @property
-    def actionable(self) -> int:
-        """Sentences that produced code (directly or through a rewrite)."""
-        return (self.by_status.get(SentenceStatus.OK, 0)
-                + self.by_status.get(SentenceStatus.REWRITTEN, 0))
-
-    @property
-    def flagged(self) -> int:
-        return sum(self.by_status.get(status, 0)
-                   for status in FLAGGED_STATUSES)
-
-
-def pipeline_coverage(mode: str | None = None, *,
-                      engine: SageEngine | None = None,
-                      parser_backend: str | None = None) -> list[PipelineCoverage]:
-    """Run every registered protocol through one engine and measure coverage.
-
-    Registry-driven like :func:`detect_all` — a fifth registered protocol is
-    swept automatically.  Pass ``mode`` (default "revised") or a
-    pre-built ``engine``, not a conflicting pair; ``parser_backend``
-    selects the parsing backend for a freshly built engine."""
-    if engine is not None:
-        if mode is not None and mode != engine.mode:
-            raise ValueError(
-                f"mode {mode!r} conflicts with the supplied engine's "
-                f"mode {engine.mode!r}"
-            )
-        if parser_backend is not None:
-            raise ValueError(
-                "pass parser_backend only when pipeline_coverage builds "
-                "the engine itself"
-            )
-    else:
-        engine = SageEngine(mode=mode or "revised",
-                            parser_backend=parser_backend)
-    runs = engine.process_corpora()
-    return [
-        PipelineCoverage(
-            protocol=name,
-            sentences=len(run.results),
-            by_status=run.by_status(),
-        )
-        for name, run in runs.items()
     ]
 
 

@@ -32,5 +32,5 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, {
                 "ProtocolNotFound", "RequestError", "SchemaVersionError",
                 "SentenceNotFound"),
     ".service": ("SageService",),
-    ".session": ("DisambiguationSession", "open_session"),
+    ".session": ("DisambiguationSession",),
 })

@@ -609,14 +609,6 @@ def _cmd_cache(service: SageService, args, out) -> int:
     verification = store.verify()
     stats = store.stats()
     stats["verification"] = verification
-    stats["rates"] = {
-        f"{name}_hit_rate": hit_rate(layer["hits"], layer["misses"])
-        for name, layer in (("parse", registry.parse_cache().stats()),
-                            ("winnow", registry.winnow_cache().stats()),
-                            ("run", registry.run_cache().stats()))
-    }
-    stats["rates"]["disk_hit_rate"] = hit_rate(stats["disk_hits"],
-                                               stats["disk_misses"])
     if args.json:
         _print_payload("cache_stats", stats, out)
     else:
@@ -629,12 +621,6 @@ def _cmd_cache(service: SageService, args, out) -> int:
               file=out)
         print(f"  verified   {verification['checked']:>5} entries, "
               f"{verification['corrupt']} corrupt", file=out)
-        rates = stats["rates"]
-        print(f"  parse hit rate {_render_rate(rates['parse_hit_rate'])}, "
-              f"winnow hit rate {_render_rate(rates['winnow_hit_rate'])}, "
-              f"run hit rate {_render_rate(rates['run_hit_rate'])}, "
-              f"disk hit rate {_render_rate(rates['disk_hit_rate'])} "
-              "(this process)", file=out)
     if verification["corrupt"]:
         from .errors import CacheCorruption
 

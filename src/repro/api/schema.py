@@ -215,8 +215,8 @@ def sem_from_dict(record) -> Sem:
 # form, ``write``/``read`` to and from schema:1b (``w``/``r`` are binenc's
 # bounds-checked writer and reader).  ``reg`` is the protocol registry (or
 # None for the default one), threaded through for corpus references.  An
-# ``identity`` codec's JSON form is the value itself, so the interpreter
-# skips the ``enc`` call.
+# ``identity`` codec's JSON form is the value itself, so it has no ``enc``:
+# every caller checks ``identity`` first.
 
 class Scalar:
     """A JSON scalar of exactly one Python type, optionally restricted to
@@ -228,9 +228,6 @@ class Scalar:
     def __init__(self, type_: type, choices: tuple = ()) -> None:
         self.type = type_
         self.choices = choices
-
-    def enc(self, value, reg):
-        return value
 
     def dec(self, raw, reg):
         if type(raw) is not self.type:
@@ -258,9 +255,6 @@ BOOL = Scalar(bool)
 
 class _SemCodec:
     identity = True  # JSON: the raw term, rendered by sem_node_record
-
-    def enc(self, value, reg):
-        return value
 
     def dec(self, raw, reg):
         return raw if isinstance(raw, Sem) else sem_from_dict(raw)

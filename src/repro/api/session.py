@@ -231,8 +231,3 @@ class DisambiguationSession:
     def resolutions(self) -> list[Resolution]:
         return list(self.journal)
 
-
-def open_session(protocol: str, mode: str = "revised",
-                 **kwargs) -> DisambiguationSession:
-    """Module-level convenience constructor."""
-    return DisambiguationSession(protocol, mode=mode, **kwargs)

@@ -1,4 +1,4 @@
-"""Persistent content-addressed caching (ROADMAP item 4).
+"""Persistent content-addressed caching.
 
 The package has two layers:
 

@@ -138,9 +138,6 @@ class ContentCache:
     def __len__(self) -> int:
         return len(self._entries)
 
-    def __contains__(self, key: tuple) -> bool:
-        return key in self._entries
-
     def stats(self) -> dict:
         with self._lock:
             counters = {"size": len(self._entries), "hits": self.hits,

@@ -29,7 +29,6 @@ from .context import (
 from .ops import (
     CallProcedure,
     CeaseTransmission,
-    Comment,
     ComputeChecksum,
     Condition,
     Conditional,
@@ -63,13 +62,6 @@ class HandlerResult:
     ops: list[Op] = dataclass_field(default_factory=list)
     goal_message: str = ""  # from @Goal: route ops to this message's builder
 
-    def symbols(self):
-        """The IR symbol table over this sentence's ops (fields, params,
-        state variables, procedures the generated snippet references)."""
-        from .ir import collect_symbols
-
-        return collect_symbols(self.ops)
-
 
 class HandlerRegistry:
     """Dispatch table from predicate (and @Action function) to handler."""
@@ -89,12 +81,10 @@ class HandlerRegistry:
             "Action": cls._handle_action,
             "AdvBefore": cls._handle_adv_before,
             "Goal": cls._handle_goal,
-            "StartsWith": cls._handle_starts_with_stmt,
             "Reach": cls._handle_condition_only,
             "CalledIn": cls._handle_called_in,
             "EncapsulatedIn": cls._handle_encapsulated_in,
             "Not": cls._handle_condition_only,
-            "AdvComment": cls._handle_comment,
             "ActiveOn": cls._handle_nonactionable,
             "Where": cls._handle_nonactionable,
         }
@@ -109,7 +99,6 @@ class HandlerRegistry:
             "send": cls._action_send,
             "select": cls._action_select,
             "cease": cls._action_cease,
-            "form": cls._action_form,
         }
 
     def handler_count(self) -> int:
@@ -217,19 +206,6 @@ class HandlerRegistry:
         result.goal_message = message
         return result
 
-    def _handle_starts_with_stmt(self, call: Call, context: SentenceContext) -> HandlerResult:
-        """@StartsWith at statement level: a checksum-range statement."""
-        inner, anchor = call.args[0], call.args[1]
-        if isinstance(inner, Call) and inner.pred == "Is":
-            target = self._resolve_target(inner.args[0], context)
-            anchor_name = self._anchor_field(anchor)
-            op = ComputeChecksum(
-                protocol=target.protocol, name=target.name,
-                function="internet_checksum", range_start=anchor_name,
-            )
-            return HandlerResult(ops=[op])
-        raise NonActionable("range anchor on a non-assignment")
-
     def _handle_called_in(self, call: Call, context: SentenceContext) -> HandlerResult:
         procedure, modes_form = call.args[0], call.args[1]
         if not isinstance(procedure, Const):
@@ -252,10 +228,6 @@ class HandlerRegistry:
 
     def _handle_condition_only(self, call: Call, context: SentenceContext) -> HandlerResult:
         raise NonActionable(f"@{call.pred} outside a conditional")
-
-    def _handle_comment(self, call: Call, context: SentenceContext) -> HandlerResult:
-        text = call.args[0].value if call.args and isinstance(call.args[0], Const) else ""
-        return HandlerResult(ops=[Comment(text=text)])
 
     def _handle_nonactionable(self, call: Call, context: SentenceContext) -> HandlerResult:
         raise NonActionable(f"@{call.pred} has no executable interpretation")
@@ -352,10 +324,6 @@ class HandlerRegistry:
 
     def _action_cease(self, call: Call, context: SentenceContext) -> HandlerResult:
         return HandlerResult(ops=[CeaseTransmission()])
-
-    def _action_form(self, call: Call, context: SentenceContext) -> HandlerResult:
-        # "form a message" on its own carries no field operations.
-        raise NonActionable("form without a body clause")
 
     # -- shared pieces ---------------------------------------------------------
     def _assign(self, target: Target, value_form: Sem,

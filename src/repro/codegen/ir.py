@@ -7,8 +7,8 @@ sits a typed intermediate representation:
   declaration plus one :class:`Function` per (message, role) builder, with a
   collision guard on function names;
 * :class:`Function` — one builder: ops plus the routing metadata (protocol,
-  message, role) that names it, a derived :class:`SymbolTable`, and a
-  content fingerprint for compiled-program caching;
+  message, role) that names it and a content fingerprint for
+  compiled-program caching;
 * :class:`SentenceCode` — one sentence's ops plus the goal-message/role
   routing that decides which builders receive them; :func:`builder_role`
   says which side of the exchange builds each message;
@@ -166,12 +166,8 @@ def builder_role(message_name: str,
 
 @dataclass(frozen=True)
 class SymbolTable:
-    """Everything a function references, by category.
-
-    Backends use this to know what a builder touches without walking ops
-    (the C backend could emit declarations from it; the harness uses it in
-    tests to assert generated BFD code only touches BFD state).
-    """
+    """Everything an op list references, by category (built by
+    :func:`collect_symbols`)."""
 
     fields: frozenset[tuple[str, str]] = frozenset()  # (protocol, name)
     params: frozenset[str] = frozenset()
@@ -372,18 +368,14 @@ class Function:
             self.protocol, self.message_name, self.role
         )
 
-    def symbols(self) -> SymbolTable:
-        return collect_symbols(self.ops)
-
     def fingerprint(self) -> str:
         """Content SHA-1: the compiled-program cache key component.
 
         Ops are dataclasses, so ``repr`` is a complete, deterministic
         serialization of the tree (Value and Condition are frozen
         dataclasses and render all fields).  The hash is computed once:
-        like every shared pipeline artifact, a function is treated as
-        frozen after assembly — call :meth:`invalidate_fingerprint` after
-        mutating ``ops``."""
+        like every shared pipeline artifact, a function is frozen after
+        assembly: build a new one rather than mutate ``ops``."""
         if self._fingerprint is None:
             digest = hashlib.sha1()
             digest.update(
@@ -393,9 +385,6 @@ class Function:
                 digest.update(repr(op).encode())
             self._fingerprint = digest.hexdigest()
         return self._fingerprint
-
-    def invalidate_fingerprint(self) -> None:
-        self._fingerprint = None
 
     # -- convenience renderings ------------------------------------------------
     def render_c(self) -> str:
@@ -447,8 +436,7 @@ class Program:
 
     def fingerprint(self) -> str:
         """Content SHA-1 over the struct and every function (memoized; a
-        program is treated as frozen after assembly — call
-        :meth:`invalidate_fingerprint` after mutating it)."""
+        program is frozen after assembly)."""
         if self._fingerprint is None:
             digest = hashlib.sha1()
             digest.update(f"{self.protocol}|{self.struct_c}".encode())
@@ -456,11 +444,6 @@ class Program:
                 digest.update(function.fingerprint().encode())
             self._fingerprint = digest.hexdigest()
         return self._fingerprint
-
-    def invalidate_fingerprint(self) -> None:
-        self._fingerprint = None
-        for function in self.programs:
-            function.invalidate_fingerprint()
 
     def render_c(self) -> str:
         return get_backend("c")().emit_program(self)

@@ -40,10 +40,6 @@ class Value:
         return Value(kind="clock")
 
     @staticmethod
-    def statevar(name: str) -> "Value":
-        return Value(kind="statevar", name=name)
-
-    @staticmethod
     def packet_field(name: str) -> "Value":
         return Value(kind="packet_field", name=name)
 

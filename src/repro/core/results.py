@@ -51,11 +51,6 @@ class SentenceStatus(str, enum.Enum):
     def __hash__(self) -> int:
         return str.__hash__(self)
 
-    @property
-    def flagged(self) -> bool:
-        """True when a human must look at the sentence (Figure 4)."""
-        return self in FLAGGED_STATUSES
-
     @classmethod
     def coerce(cls, value: "SentenceStatus | str") -> "SentenceStatus | str":
         """The member for ``value`` when it names one, else the raw string

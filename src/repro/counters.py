@@ -9,7 +9,8 @@ so a snapshot is always truthful for the process, and a *delta* between
 two snapshots is truthful for any bracketed region (one batch parse, one
 corpus winnow, one benchmark sweep).
 
-Hit *rates* are derived at snapshot time, never stored: a rate is only
+Hit *rates* are derived when read (:meth:`Counters.delta`,
+:meth:`Counters.with_rates`), never stored: a rate is only
 meaningful relative to the window it was measured over.
 """
 
@@ -37,13 +38,9 @@ class Counters:
         """The raw counters as a plain dict (JSON-safe), in declared order."""
         return {name: getattr(self, name) for name in self.__slots__}
 
-    def snapshot(self) -> dict:
-        """Raw counters plus the derived hit rates (JSON-safe)."""
-        return self.with_rates(self.counts())
-
     def delta(self, before: dict) -> dict:
-        """The counters now minus ``before`` (a :meth:`counts` or
-        :meth:`snapshot` dict), with rates recomputed over that window."""
+        """The counters now minus ``before`` (a :meth:`counts` dict), with
+        rates recomputed over that window."""
         return self.with_rates({name: getattr(self, name) - before[name]
                                 for name in self.__slots__})
 

@@ -51,7 +51,6 @@ from ..ccg.semantics import Call, Sem, calls_of, span_of
 from ..lf.graph import (
     _CANON_SID,
     canon_of_sid,
-    canonical_signature,
     reset_canonical_memos,
     sid_for_term,
 )
@@ -165,9 +164,7 @@ class TypeCheck(Check):
 
     def well_typed(self, form: Sem) -> bool:
         memo = self._refresh()
-        sid, grounded = sid_for_term(form)
-        if not grounded:
-            return self._well_typed_uncached(form)
+        sid = sid_for_term(form)[0]
         if type(form) is not Call:
             return True  # a bare constant has no calls to violate
         return self._typed_sid(form, sid, memo)
@@ -196,13 +193,6 @@ class TypeCheck(Check):
                     break
         memo[sid] = result
         return result
-
-    def _well_typed_uncached(self, form: Sem) -> bool:
-        for call in _calls(form):
-            for rule in self._by_predicate.get(call.pred, ()):
-                if not rule.check(call, self.classes):
-                    return False
-        return True
 
     def filter(self, forms: list[Sem]) -> list[Sem]:
         return [form for form in forms if self.well_typed(form)]
@@ -335,9 +325,7 @@ class PredicateOrderingCheck(Check):
         return self._fp
 
     def ordered(self, form: Sem) -> bool:
-        sid, grounded = sid_for_term(form)
-        if not grounded:
-            return not any(self._violates(call) for call in _calls(form))
+        sid = sid_for_term(form)[0]
         if type(form) is not Call:
             return True
         return self._ordered_sid(form, sid)
@@ -410,7 +398,7 @@ class AssociativityCheck(Check):
     """Collapse LFs that differ only by associative regrouping.
 
     Equivalence-class membership is one canonical sid per form
-    (:func:`repro.lf.graph.canonical_sid` — exact for these rooted trees),
+    (:func:`repro.lf.graph.canon_of_sid` — exact for these rooted trees),
     so the filter is a set probe per form instead of the O(n²) VF2 runs it
     replaced.  The test suite replays the bucket-then-VF2 filter as an
     oracle and checks it keeps the same forms in the same order.
@@ -433,18 +421,13 @@ class AssociativityCheck(Check):
 
     @staticmethod
     def _class_key(form: Sem):
-        sid, grounded = sid_for_term(form)
-        if grounded:
-            hit = _CANON_SID.get(sid)
-            if hit is not None:
-                PROFILE.canon_memo_hits += 1
-                return hit
-            PROFILE.canon_memo_misses += 1
-            return canon_of_sid(sid)
-        # Binder-bearing forms never reach the winnow pipeline; for them
-        # the regrouping-invariant string is the same equivalence (non-Call
-        # subtrees compare as leaf labels either way).
-        return canonical_signature(form)
+        sid = sid_for_term(form)[0]
+        hit = _CANON_SID.get(sid)
+        if hit is not None:
+            PROFILE.canon_memo_hits += 1
+            return hit
+        PROFILE.canon_memo_misses += 1
+        return canon_of_sid(sid)
 
 
 @dataclass

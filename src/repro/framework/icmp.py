@@ -26,20 +26,6 @@ TIMESTAMP_REPLY = 14
 INFO_REQUEST = 15
 INFO_REPLY = 16
 
-TYPE_NAMES = {
-    ECHO_REPLY: "echo reply",
-    DEST_UNREACHABLE: "destination unreachable",
-    SOURCE_QUENCH: "source quench",
-    REDIRECT: "redirect",
-    ECHO: "echo request",
-    TIME_EXCEEDED: "time exceeded",
-    PARAMETER_PROBLEM: "parameter problem",
-    TIMESTAMP: "timestamp request",
-    TIMESTAMP_REPLY: "timestamp reply",
-    INFO_REQUEST: "information request",
-    INFO_REPLY: "information reply",
-}
-
 # Destination-unreachable codes.
 NET_UNREACHABLE = 0
 HOST_UNREACHABLE = 1
@@ -113,9 +99,6 @@ class ICMPHeader(Header):
 
     def checksum_ok(self) -> bool:
         return verify_checksum(self.pack())
-
-    def type_name(self) -> str:
-        return TYPE_NAMES.get(self.type, f"type {self.type}")
 
 
 def quoted_datagram(original: IPv4Header) -> bytes:

@@ -61,10 +61,6 @@ class InteropMatrix:
     def protocols(self) -> list[str]:
         return sorted({protocol for (_pair, protocol, _family) in self.cells})
 
-    def families(self, protocol: str) -> list[str]:
-        return sorted({family for (_pair, p, family) in self.cells
-                       if p == protocol})
-
     def to_dict(self) -> dict:
         nested: dict[str, dict] = {}
         for (pair, protocol, family), cell in sorted(self.cells.items()):

@@ -3,9 +3,8 @@
 from .._lazy import lazy_exports
 
 __getattr__, __dir__, __all__ = lazy_exports(__name__, {
-    ".graph": ("canonical_sid", "canonical_signature", "flatten_associative",
+    ".graph": ("canonical_signature", "flatten_associative",
                "reset_canonical_memos"),
-    ".logical_form": ("LogicalForm", "SentenceLFs"),
     ".predicates": ("ASSOCIATIVE_PREDICATES", "CLAUSE", "CONCEPT", "EXPR",
                     "FIELD", "FUNCTION", "LEFT_TO_RIGHT_PREDICATES",
                     "MESSAGE", "OPERATION", "STATEMENT_PREDICATES",

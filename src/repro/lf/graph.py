@@ -17,14 +17,13 @@ RFC prose) a dict probe.  The VF2 matcher this replaced lives on in the
 test suite (``tests/vf2_oracle.py``) as the oracle the canonical form is
 checked against.
 
-The string :func:`canonical_signature` (regrouping-invariant render) is
-unchanged in output; for grounded forms it renders from the canonical sid
-through a memo table instead of rebuilding flattened terms.
+The string :func:`canonical_signature` (regrouping-invariant render)
+renders from the canonical sid through a memo table.
 """
 
 from __future__ import annotations
 
-from ..ccg.semantics import Call, Const, Sem
+from ..ccg.semantics import Call, Sem
 from ..parsing.values import _KEY_OF, normalize, sid_of_key
 from .predicates import ASSOCIATIVE_PREDICATES
 
@@ -92,13 +91,10 @@ def _canon_str(canon_sid: int) -> str:
     if hit is not None:
         return hit
     key = _KEY_OF[canon_sid]
-    tag = key[0]
-    if tag == "c":
+    if key[0] == "c":
         rendered = f"'{key[1]}'"
-    elif tag == "@":
+    else:  # "@": grounded forms hold only calls and constants
         rendered = f"@{key[1]}({','.join(_canon_str(a) for a in key[2])})"
-    else:  # "v" — ungrounded structures never canonicalize (guarded below)
-        rendered = key[1]
     _CANON_STR[canon_sid] = rendered
     return rendered
 
@@ -133,21 +129,6 @@ def canon_of_sid(sid: int) -> int:
     return result
 
 
-def canonical_sid(term: Sem) -> int | None:
-    """The canonical sid of ``term``, or None when it is not grounded.
-
-    Two grounded forms have equal canonical sids **iff** they are
-    isomorphic up to regrouping — the equivalence the associativity check
-    collapses.  (Exactness assumes constant values with faithful string
-    renders, true of every token-derived constant; the property suite
-    locks agreement with the VF2 oracle.)
-    """
-    sid, grounded = sid_for_term(term)
-    if not grounded:
-        return None
-    return canon_of_sid(sid)
-
-
 def reset_canonical_memos() -> None:
     """Drop the canonicalization memo tables (cold-benchmark bracketing).
 
@@ -164,22 +145,7 @@ def canonical_signature(term: Sem) -> str:
     Associative predicates' argument lists are flattened and commutative
     predicates' arguments sorted by their own canonical signatures, so any
     regrouping/reordering of an @And/@Of chain produces the same string.
-    Grounded forms render from the memoized canonical sid; anything with
-    binders falls back to the term-level walk (same output either way).
+    Rendered from the memoized canonical sid, so ``term`` must be grounded,
+    as every form the parsers return is.
     """
-    sid, grounded = sid_for_term(term)
-    if grounded:
-        return _canon_str(canon_of_sid(sid))
-    flat = flatten_associative(term)
-
-    def render(node: Sem) -> str:
-        if isinstance(node, Call):
-            parts = [render(arg) for arg in node.args]
-            if node.pred in COMMUTATIVE_PREDICATES:
-                parts = sorted(parts)  # commutative: order irrelevant
-            return f"@{node.pred}({','.join(parts)})"
-        if isinstance(node, Const):
-            return f"'{node.value}'"
-        return str(node)
-
-    return render(flat)
+    return _canon_str(canon_of_sid(sid_for_term(term)[0]))

@@ -35,10 +35,6 @@ class StepClock:
     def __init__(self, start: int = 0) -> None:
         self._step = start
 
-    @property
-    def step(self) -> int:
-        return self._step
-
     def tick(self, steps: int = 1) -> int:
         if steps < 1:
             raise ValueError("a step clock only moves forward")
@@ -184,11 +180,6 @@ class LinkFaults:
             if not 0.0 <= value <= 1.0:
                 raise ValueError(f"{name} probability must be in [0, 1], "
                                  f"got {value}")
-
-    def to_dict(self) -> dict:
-        return {"drop": self.drop, "duplicate": self.duplicate,
-                "delay": self.delay, "seed": self.seed,
-                "max_delays": self.max_delays}
 
 
 class _FaultState:

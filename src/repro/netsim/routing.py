@@ -43,9 +43,3 @@ class RoutingTable:
             if best is None or route.subnet.prefix_len > best.subnet.prefix_len:
                 best = route
         return best
-
-    def routes(self) -> list[Route]:
-        return list(self._routes)
-
-    def __len__(self) -> int:
-        return len(self._routes)

@@ -9,7 +9,7 @@ feeds the CCG parser.
 from .._lazy import lazy_exports
 
 __getattr__, __dir__, __all__ = lazy_exports(__name__, {
-    ".chunker": ("ChunkerConfig", "NounPhraseChunker", "chunk_counts"),
+    ".chunker": ("ChunkerConfig", "NounPhraseChunker"),
     ".tagger": ("tag_word",),
     ".terms": ("TermDictionary", "load_default_dictionary"),
     ".tokenizer": ("KIND_NOUN_PHRASE", "KIND_NUMBER", "KIND_OP",

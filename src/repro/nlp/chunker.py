@@ -239,18 +239,9 @@ def _merge_adjacent_nps_impl(tokens: list[Token]) -> list[Token]:
     return result
 
 
-def chunk_counts(tokens: list[Token]) -> dict[str, int]:
-    """Histogram of token kinds; used by tests and the ablation study."""
-    counts: dict[str, int] = {}
-    for token in tokens:
-        counts[token.kind] = counts.get(token.kind, 0) + 1
-    return counts
-
-
 __all__ = [
     "ChunkerConfig",
     "NounPhraseChunker",
-    "chunk_counts",
     "KIND_NOUN_PHRASE",
     "KIND_NUMBER",
 ]

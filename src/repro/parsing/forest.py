@@ -28,7 +28,7 @@ from typing import Iterator
 
 from ..ccg.categories import NP, S, Category, category_id
 from ..ccg.chart import MAX_CELL_ITEMS, ParseResult
-from ..ccg.semantics import Sem, signature
+from ..ccg.semantics import Sem
 from .profile import PROFILE
 from .values import sid_grounded
 
@@ -82,8 +82,7 @@ class PackedItem:
     combined items); ``ntriple`` is the normalized ``(sem, sid, grounded)``
     triple further combinations apply.  ``sid`` is the hash-consed
     structural id — equal ids mean equal provenance-free structure, the
-    dedup relation; :attr:`sig` renders the portable signature string on
-    demand for cross-parse comparison and debugging.
+    dedup relation.
 
     Combined items are created :meth:`deferred`: their ``sid`` and
     ``catid`` come from the sid-level β-engine alone, and those two are
@@ -95,7 +94,7 @@ class PackedItem:
     """
 
     __slots__ = ("category", "catid", "sem", "sid", "_grounded", "ntriple",
-                 "derivations", "_sig", "_pending")
+                 "derivations", "_pending")
 
     def __init__(self, category: Category, sem: Sem, ntriple: tuple) -> None:
         self.category = category
@@ -106,7 +105,6 @@ class PackedItem:
         self.sid: int = ntriple[1]
         self._grounded: bool | None = ntriple[2]
         self.derivations = 1
-        self._sig: str | None = None
         self._pending = None
 
     @classmethod
@@ -125,7 +123,6 @@ class PackedItem:
         item.sid = sid
         item._grounded = grounded
         item.derivations = 1
-        item._sig = None
         item._pending = (rule, litem, ritem, position)
         return item
 
@@ -150,24 +147,12 @@ class PackedItem:
             grounded = self._grounded = sid_grounded(self.sid)
         return grounded
 
-    @property
-    def nsem(self) -> Sem:
-        """The β-normal form of :attr:`sem`."""
-        return self.triple()[0]
-
-    @property
-    def sig(self) -> str:
-        """The :func:`~repro.ccg.semantics.signature` of this item."""
-        if self._sig is None:
-            self._sig = signature(self.nsem)
-        return self._sig
-
     def derivation_count(self) -> int:
         """How many distinct ways this item was derived (packing width)."""
         return self.derivations
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"PackedItem({self.category}, {self.sig}, ×{self.derivations})"
+        return f"PackedItem({self.category}, sid {self.sid}, ×{self.derivations})"
 
 
 class ParseForest:

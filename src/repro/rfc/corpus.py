@@ -43,15 +43,6 @@ class SpecSentence:
     kind: str  # intro | field | description
     field_group: str = ""  # "ip" | "icmp" | "" — which Fields: block
 
-    def context(self) -> dict[str, str]:
-        """The dynamic-context dictionary of Table 4."""
-        return {
-            "protocol": self.protocol,
-            "message": self.message,
-            "field": self.field,
-            "role": "",
-        }
-
 
 #: Serializes first reads, so concurrent readers share one parse.
 _PARSE_LOCK = threading.Lock()

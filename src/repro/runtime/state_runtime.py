@@ -102,9 +102,6 @@ class BFDExecutionContext:
     def send(self, message: str, destination: str = "") -> None:
         self.transmission_ceased = False
 
-    def finish(self):
-        return self
-
 
 class GeneratedBFD(GeneratedImplementation):
     """Run generated reception code as a BFD session's receive path."""
@@ -163,9 +160,6 @@ class NTPExecutionContext:
         self.procedures_called.append(name)
         if self.execute and name == "timeout_procedure":
             self.peer.timeout_procedure()
-
-    def finish(self):
-        return self
 
 
 class GeneratedNTP(GeneratedImplementation):

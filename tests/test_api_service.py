@@ -169,9 +169,13 @@ class TestErrors:
     def test_unknown_backend(self, service):
         with pytest.raises(BackendNotFound):
             service.artifact("ICMP", backend="rust")
-        with pytest.raises(BackendNotFound):
+        with pytest.raises(BackendNotFound) as excinfo:
             service.process(ProcessRequest(protocol="ICMP",
                                            artifacts=("rust",)))
+        payload = excinfo.value.to_dict()
+        assert payload["error"] == "backend-not-found"
+        assert payload["backend"] == "rust"
+        assert "c" in payload["known"]
 
     def test_bad_mode(self, service):
         with pytest.raises(RequestError):
@@ -214,6 +218,17 @@ class TestCli:
         for report in data["backends"].values():
             assert report["parsed_from_cache"] == 0
             assert report["sentence_count"] > 0
+
+    def test_process_human_output(self):
+        code, output = self._run(["process", "ICMP", "--artifact", "c"])
+        assert code == 0
+        assert output.startswith("ICMP (revised mode): 87 sentences")
+        assert "artifact: c (" in output
+
+    def test_winnow_profile_human_output(self):
+        code, output = self._run(["winnow", "ICMP", "--profile"])
+        assert code == 0
+        assert "still ambiguous:" in output
 
     def test_sweep_without_targets_fails_structured(self, capsys):
         assert cli_main(["sweep"]) == 2

@@ -286,6 +286,26 @@ class TestCorpusAssociativityPairs:
             collapsed += len(forms) - len(kept)
         assert collapsed > 0  # some sentence really has regroupings
 
+    def test_every_parsed_form_is_grounded(self):
+        """The sid-pure checks and canonical_signature read a form only
+        through its interned sid and keep no fallback for binders: every
+        form the parser returns for a corpus sentence is grounded (the
+        reference backend returns the same sets, tests/test_parsing.py)."""
+        from repro.lf.graph import sid_for_term
+        from repro.rfc.registry import ProtocolRegistry
+
+        registry = ProtocolRegistry()
+        chunker = registry.chunker()
+        parser = registry.parser()
+        forms = 0
+        for protocol in registry.protocols():
+            for spec in registry.load_corpus(protocol).sentences:
+                for form in parser.parse(
+                        chunker.chunk_text(spec.text)).logical_forms:
+                    assert sid_for_term(form)[1], spec.text
+                    forms += 1
+        assert forms > 500
+
 
 class TestWinnowDriver:
     def test_trace_records_all_stages(self):

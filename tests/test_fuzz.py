@@ -292,6 +292,26 @@ class TestInteropMatrix:
         assert (cell.episodes, cell.divergences) == (2, 1)
         assert matrix.rows()[0][-1] == "DIVERGED"
 
+    def test_unclean_report_serializes_its_findings(self):
+        """What `repro fuzz --json` prints when a campaign finds a fault:
+        each divergence and violation names its episode."""
+        from repro.fuzz import Divergence, FuzzReport, Violation
+
+        episode = Episode(protocol="NTP", family="timeout", seed=0, params={})
+        report = FuzzReport(
+            seed=0, backends=("reference", "python"), episodes=1,
+            divergences=[Divergence(episode, "reference", "python",
+                                    "[0].sent", 1, 2)],
+            violations=[Violation(episode, "python", "sent nothing")])
+        data = json.loads(json.dumps(report.to_dict()))
+        assert not data["clean"]
+        assert data["divergences"] == [{
+            "episode": episode.to_dict(), "pair": "reference|python",
+            "path": "[0].sent", "left": 1, "right": 2}]
+        assert data["violations"] == [{
+            "episode": episode.to_dict(), "backend": "python",
+            "message": "sent nothing"}]
+
 
 class TestServiceAndCli:
     def test_seed_zero_campaign_matches_pinned_digest(self):

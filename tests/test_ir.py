@@ -64,6 +64,14 @@ class TestFunctionAndProgram:
                         ops=[setfield(const=1)])
         assert a.fingerprint() == same.fingerprint()
 
+    def test_program_compiles_under_both_executable_backends(self):
+        program = Program(protocol="ICMP")
+        program.add(Function(protocol="ICMP", message_name="echo",
+                             role="sender", ops=[setfield(const=8)]))
+        for backend in ("python", "interp"):
+            builders = program.compile(backend)
+            assert set(builders) == {"icmp_echo_sender"}
+
     def test_program_fingerprint_covers_struct_and_functions(self):
         a = Program(protocol="ICMP", struct_c="struct a {};")
         b = Program(protocol="ICMP", struct_c="struct b {};")

@@ -1,12 +1,17 @@
 """A gate against dead code: every function, class and method defined in
 ``src/`` must be named somewhere besides its own definition.
 
-A name counts as used when it occurs as a whole word at least twice across
-the project's code, tests, benchmarks, examples and scripts (its ``def`` or
-``class`` line is one occurrence).  Dunder methods are called by the
-interpreter and are exempt.  The check is textual, so a name that is only
-mentioned (in a docstring, a string, a comment) counts as used: the gate
-catches definitions nothing mentions at all.
+A name counts as used when it occurs as a whole word across the project's
+code, tests, benchmarks, examples and scripts outside three places that
+only list it: its own definition (the ``def``/``class`` statement and its
+body, so a recursive call or the name in its own error message is not a
+use), an ``__all__`` list, and a ``lazy_exports(...)`` map.  Dunder
+methods are called by the interpreter and are exempt, as are the
+``_emit_<op>`` methods, which ``Emitter.emit_op`` looks up by name with
+``getattr``.  The check is textual, so a name that is only mentioned (in a
+docstring, a string, a comment) counts as used: the gate catches
+definitions nothing else mentions at all.  ``scripts/entered.py`` finds the
+ones that are mentioned but never run.
 """
 
 import ast
@@ -19,10 +24,14 @@ DIRECTORIES = ("src", "tests", "benchmarks", "perfbench", "examples",
                "scripts")
 SUFFIXES = (".py", ".sh", ".yml", ".toml")
 DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+WORDS = re.compile(r"\w+")
+# Reached through getattr(self, f"_emit_{op type}") in codegen/emitters.py.
+DISPATCHED = re.compile(r"_emit_\w+")
 
 
-def _is_dunder(name: str) -> bool:
-    return name.startswith("__") and name.endswith("__")
+def _is_exempt(name: str) -> bool:
+    return (name.startswith("__") and name.endswith("__")) \
+        or DISPATCHED.fullmatch(name) is not None
 
 
 def _statements(body: list):
@@ -36,33 +45,69 @@ def _statements(body: list):
                 yield from _statements(inner)
 
 
+def _listing(node: ast.AST) -> bool:
+    """An ``__all__`` assignment, or a statement calling ``lazy_exports``."""
+    if isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign)):
+        targets = getattr(node, "targets", None) or [node.target]
+        names = {sub.id for target in targets for sub in ast.walk(target)
+                 if isinstance(sub, ast.Name)}
+        if "__all__" in names:
+            return True
+    return any(isinstance(sub, ast.Call) and isinstance(sub.func, ast.Name)
+               and sub.func.id == "lazy_exports" for sub in ast.walk(node))
+
+
+def _uses(text: str, tree: ast.Module | None) -> Counter:
+    """Whole-word counts of ``text`` minus its listings and, for each
+    definition, the mentions of its own name inside it."""
+    lines = text.splitlines()
+    counts = Counter(WORDS.findall(text))
+    if tree is None:
+        return counts
+
+    def span(node) -> list[str]:
+        first = min([node.lineno] + [d.lineno for d in
+                                     getattr(node, "decorator_list", ())])
+        return lines[first - 1:node.end_lineno]
+
+    for node in _statements(tree.body):
+        if isinstance(node, DEFINITIONS):
+            counts[node.name] -= sum(WORDS.findall(line).count(node.name)
+                                     for line in span(node))
+        elif _listing(node):
+            for line in span(node):
+                counts.subtract(WORDS.findall(line))
+    return counts
+
+
 def defined_names() -> dict[str, str]:
-    """Every non-dunder function/class/method name in ``src/`` → the file
+    """Every non-exempt function/class/method name in ``src/`` → the file
     (relative to the repo root) that defines it first."""
     names: dict[str, str] = {}
     for path in sorted((ROOT / "src").rglob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
         for node in _statements(tree.body):
-            if isinstance(node, DEFINITIONS) and not _is_dunder(node.name):
+            if isinstance(node, DEFINITIONS) and not _is_exempt(node.name):
                 names.setdefault(node.name, str(path.relative_to(ROOT)))
     return names
 
 
-def word_counts() -> Counter:
-    words = re.compile(r"\w+")
+def use_counts() -> Counter:
     counts: Counter = Counter()
     for directory in DIRECTORIES:
         for path in (ROOT / directory).rglob("*"):
             if path.suffix in SUFFIXES and path.is_file():
-                counts.update(words.findall(
-                    path.read_text(encoding="utf-8", errors="replace")))
+                text = path.read_text(encoding="utf-8", errors="replace")
+                tree = (ast.parse(text, str(path)) if path.suffix == ".py"
+                        else None)
+                counts.update(_uses(text, tree))
     return counts
 
 
 def test_every_definition_is_referenced():
-    counts = word_counts()
+    counts = use_counts()
     dead = sorted(f"{where}: {name}"
                   for name, where in defined_names().items()
-                  if counts[name] < 2)
+                  if counts[name] < 1)
     assert not dead, ("defined in src/ but never referenced:\n  "
                       + "\n  ".join(dead))

@@ -144,6 +144,55 @@ class TestEchoReplySemantics:
         assert message.checksum_ok()
 
 
+class TestRouterReplyPaths:
+    """The three router paths no ping or traceroute takes: a full outbound
+    buffer (source quench), a next hop on the sender's own subnet
+    (redirect) and an information request.  The revised unit's generated
+    replies must equal the hand-written reference's byte for byte."""
+
+    @staticmethod
+    def replies(implementation) -> list[list[bytes]]:
+        from repro.framework import icmp
+        from repro.framework.ip import PROTO_ICMP, make_ip_packet
+        from repro.netsim import fill_buffer
+        from repro.netsim.topologies import (
+            CLIENT_IP, ROUTER_CLIENT_SIDE, SERVER1_IP, add_redirect_route,
+        )
+
+        topology = course_topology(implementation=implementation)
+        client = ip_to_int(CLIENT_IP)
+        echo = icmp.make_echo(0x1234, 1, b"probe").pack()
+        fill_buffer(topology.router, "eth1")
+        probes = [
+            make_ip_packet(client, ip_to_int(SERVER1_IP), PROTO_ICMP, echo),
+            make_ip_packet(client, ip_to_int(add_redirect_route(topology)),
+                           PROTO_ICMP, echo),
+            make_ip_packet(client, ip_to_int(ROUTER_CLIENT_SIDE), PROTO_ICMP,
+                           icmp.make_info_request(0x1234, 2).pack()),
+        ]
+        replies = []
+        for probe in probes:
+            topology.client.received_capture.clear()
+            topology.client.send(probe)
+            topology.run()
+            replies.append(list(topology.client.received_capture))
+        return replies
+
+    @pytest.mark.parametrize("backend", ["python", "interp"])
+    def test_generated_replies_equal_reference(self, revised_run, backend):
+        from repro.framework import icmp
+        from repro.framework.ip import IPv4Header
+
+        reference = self.replies(None)
+        types = [[icmp.ICMPHeader.unpack(IPv4Header.unpack(raw).data).type
+                  for raw in replies] for replies in reference]
+        assert types == [[icmp.SOURCE_QUENCH], [icmp.REDIRECT],
+                         [icmp.INFO_REPLY]]
+        generated = GeneratedICMP.from_unit(revised_run.code_unit,
+                                            backend=backend)
+        assert self.replies(generated) == reference
+
+
 class TestBFDPipeline:
     def test_bfd_corpus_processes(self):
         run = SageEngine(mode="revised").process_corpus(bfd_corpus())

@@ -78,6 +78,21 @@ class TestRegistration:
         with pytest.raises(ValueError):
             registry.register_protocol("EMPTY")
 
+    def test_module_level_registration_uses_the_default_registry(self):
+        from repro.rfc import register_protocol
+
+        register_protocol("TOY", text=TOY_RFC)
+        try:
+            assert load_corpus("TOY").protocol == "TOY"
+        finally:
+            default_registry().unregister_protocol("TOY")
+        assert "TOY" not in default_registry().protocols()
+
+    def test_package_dir_lists_its_lazy_exports(self):
+        import repro.rfc
+
+        assert {"load_corpus", "register_protocol"} <= set(dir(repro.rfc))
+
 
 class TestMemoization:
     def test_corpus_is_memoized(self, registry):

@@ -232,6 +232,26 @@ class TestSessionFlow:
         assert response.status_counts.get("non-actionable", 0) > 0
         assert (tmp_path / "shared.json").exists()
 
+    def test_selecting_the_encapsulation_reading_generates_it(self):
+        """"X are transmitted as udp datagrams" keeps two readings; the
+        operator's select_lf of @EncapsulatedIn is the path that reaches
+        its handler and both text emitters."""
+        registry = ProtocolRegistry()
+        registry.register_protocol("TOYT", text=(
+            "RFC: 9998\nTOY TRANSPORT\n\nToy Data Message\n\n"
+            "   Description\n\n"
+            "      Toy messages are transmitted as udp datagrams.\n"))
+        session = DisambiguationSession("TOYT", registry=registry)
+        [report] = session.flagged()
+        assert report.status == "ambiguous-lf"
+        chosen = "@EncapsulatedIn('toy_messages','udp_datagrams')"
+        assert chosen in [s["signature"] for s in report.survivors]
+        session.resolve(report.index, select_lf=chosen)
+        assert session.flagged() == []
+        [program] = session.run.code_unit.programs
+        assert "encapsulate_udp(hdr);" in program.render_c()
+        assert "ctx.encapsulate('udp')" in program.render_python()
+
 
 class TestEndToEndGoldenReplay:
     """The acceptance flow: enumerate ICMP's flagged sentences, journal the
