@@ -105,10 +105,11 @@ fi
 # nothing (zero parse AND winnow misses: the warm boot re-runs no CKY
 # chart and no §4.2 check) and must answer every protocol with one
 # run-layer disk hit (the whole run read back, not rebuilt per sentence).
-# A warm `process ICMP --json` must then print exactly what the in-process
-# service answers over the same store.
+# Warm `process ICMP`, `sweep --all` and `process ICMP --artifact c`
+# (each with --json) must then print exactly what the in-process service
+# answers over the same store.
 cache_smoke() {
-  echo "== cache smoke: python -m repro cache warm twice, process ICMP, then parse --compare, separate processes =="
+  echo "== cache smoke: python -m repro cache warm twice, warm process/sweep answers, then parse --compare, separate processes =="
   local store
   store="$(mktemp -d "${TMPDIR:-/tmp}/repro-cache-ci.XXXXXX")"
   temp_paths+=("$store")
@@ -133,19 +134,32 @@ if run_disk_hits != protocols:
 print(f"ok (run: {run_disk_hits} disk hits, one per protocol)")
 '
   # A warm CLI answer is the in-process service's answer, byte for byte.
-  python -m repro process ICMP --cache-dir "$store" --json \
-    | python -c '
+  # The sweep reads every run entry; `--artifact c` is the one answer that
+  # builds a stored run's deferred IR and checks its fingerprint.
+  local answer
+  for answer in "process ICMP" "sweep --all" "process ICMP --artifact c"; do
+    # shellcheck disable=SC2086  # $answer is the argv, split on purpose
+    python -m repro $answer --cache-dir "$store" --json \
+      | python -c '
 import sys
 from repro.api import SageService
-from repro.api.contracts import ProcessRequest, to_json
+from repro.api.contracts import ProcessRequest, SweepRequest, to_json
 from repro.rfc.registry import ProtocolRegistry
-service = SageService(registry=ProtocolRegistry(cache_dir=sys.argv[1]))
-expected = to_json(service.process(ProcessRequest(protocol="ICMP"))) + "\n"
+store, command = sys.argv[1:]
+service = SageService(registry=ProtocolRegistry(cache_dir=store))
+requests = {
+    "process ICMP": lambda: service.process(ProcessRequest(protocol="ICMP")),
+    "sweep --all": lambda: service.sweep(SweepRequest()),
+    "process ICMP --artifact c": lambda: service.process(
+        ProcessRequest(protocol="ICMP", artifacts=("c",))),
+}
+expected = to_json(requests[command]()) + "\n"
 if sys.stdin.buffer.read() != expected.encode("utf-8"):
-    sys.exit("CACHE FAILURE: warm `process ICMP --json` differs from the "
+    sys.exit(f"CACHE FAILURE: warm `{command} --json` differs from the "
              "in-process SageService answer")
-print("ok (warm process ICMP: byte-identical to in-process)")
-' "$store"
+print(f"ok (warm {command}: byte-identical to in-process)")
+' "$store" "$answer"
+  done
   # The backend comparison times real parses even on a warm store.
   python -m repro parse ICMP --compare --cache-dir "$store" --json \
     | python -c '

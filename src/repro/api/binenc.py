@@ -46,7 +46,14 @@ from types import SimpleNamespace
 from typing import TYPE_CHECKING
 
 from ..ccg.semantics import App, Call, Const, Lam, Sem, Var
-from .contracts import SAGE_RUN, TRACE, codec_named, codec_of, decoding
+from .contracts import (
+    SAGE_RUN,
+    STORED_RUN,
+    TRACE,
+    codec_named,
+    codec_of,
+    decoding,
+)
 from .errors import ContractError, EnvelopeDecodeError
 from .schema import (
     BOOL,
@@ -475,12 +482,15 @@ def winnow_entry_from_bytes(data: bytes):
 def run_entry_to_bytes(run, registry) -> bytes:
     """One run-layer value: a whole :class:`~repro.core.results.SageRun`
     (the ``sage_run`` table, tag 32), its corpus by reference into
-    ``registry``.  Decoding verifies the program fingerprint."""
+    ``registry``."""
     return _encode(SAGE_RUN, run, registry)
 
 
 def run_entry_from_bytes(data: bytes, registry):
-    return _entry(data, SAGE_RUN, "run entry", registry)
+    """The run a :func:`run_entry_to_bytes` entry holds, its sentence codes
+    and code unit left in their JSON form: each is typed, and the program
+    fingerprint verified, on its first read (``STORED_RUN``)."""
+    return _entry(data, STORED_RUN, "run entry", registry)
 
 
 def _entry(data: bytes, record: Record, what: str, registry=None):

@@ -461,9 +461,11 @@ def _cmd_fuzz(service: SageService, args, out) -> int:
     from ..fuzz import DifferentialRunner, Episode, load_case, save_case, shrink
 
     def runner_for(protocol: str) -> DifferentialRunner:
+        from .contracts import code_unit_of
+
         runs = service.engine(args.mode).process_corpora([protocol])
         return DifferentialRunner(
-            {name: run.code_unit for name, run in runs.items()})
+            {name: code_unit_of(run) for name, run in runs.items()})
 
     if args.replay:
         try:

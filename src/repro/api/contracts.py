@@ -26,29 +26,28 @@ is derived from the tables.
 Codegen artifacts additionally carry the IR content SHA-1; rebuilding them
 verifies the fingerprint, so a stored artifact is tamper-evident
 (:class:`~repro.codegen.ir.FingerprintMismatch`).
+
+The IR's own tables (ops, values, conditions, functions, the code unit)
+live beside the IR in :mod:`repro.codegen.ir` and load on the first value
+that needs them, so this module imports no IR.  Envelopes decode every op
+eagerly; a store run entry (:data:`STORED_RUN`) keeps its sentence codes
+and code unit in their JSON form until they are first read
+(:class:`~repro.core.results.Deferred`).
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field as dataclass_field
-from functools import partial
+from importlib import import_module
+from typing import TYPE_CHECKING
 
 from ..ccg.semantics import signature
-from ..codegen import ops as ir_ops
-from ..codegen.ir import (
-    CONDITION_KINDS,
-    VALUE_KINDS,
-    FingerprintMismatch,
-    Function,
-    IRError,
-    Program,
-    SentenceCode,
-    backend_names,
-    get_backend,
-)
+from ..codegen.backends import backend_names, get_backend
+from ..codegen.errors import FingerprintMismatch, IRError
 from ..core.results import (
     FLAGGED_STATUSES,
+    Deferred,
     SageRun,
     SentenceResult,
     SentenceStatus,
@@ -74,12 +73,14 @@ from .schema import (
     MapOf,
     Record,
     Scalar,
-    Tagged,
     sem_decoder,
     sem_from_dict,  # re-exported: the eager Sem codec
     sem_node_record,
     sem_to_dict,  # re-exported: the eager Sem codec
 )
+
+if TYPE_CHECKING:
+    from ..codegen.ir import Program
 
 #: The wire schema this build writes and reads.
 SCHEMA_VERSION = 1
@@ -221,6 +222,8 @@ class GeneratedArtifact(_Contract):
     @classmethod
     def from_program(cls, program: Program, backend: str = "c",
                      mode: str = "revised") -> "GeneratedArtifact":
+        from ..codegen.ir import CODE_UNIT
+
         try:
             backend_class = get_backend(backend)
         except KeyError:
@@ -238,12 +241,14 @@ class GeneratedArtifact(_Contract):
 
     def to_program(self) -> Program:
         """Rebuild the typed IR, fingerprint-verified."""
+        from ..codegen.ir import CODE_UNIT, verified
+
         if not self.program:
             raise ContractError("artifact carries no IR payload")
         rebuilt = decoding("code_unit",
                            lambda: CODE_UNIT.dec(self.program, None))
-        return _verified(self.fingerprint, rebuilt,
-                         f"artifact {self.protocol}/{self.backend}")
+        return verified(self.fingerprint, rebuilt,
+                        f"artifact {self.protocol}/{self.backend}")
 
 
 @dataclass
@@ -273,8 +278,8 @@ class ProcessResponse(_Contract):
                            for status, count in run.by_status().items()},
             flagged_count=len(run.flagged()),
             sentences=reports,
-            artifacts=[GeneratedArtifact.from_program(run.code_unit, backend,
-                                                      mode=mode)
+            artifacts=[GeneratedArtifact.from_program(code_unit_of(run),
+                                                      backend, mode=mode)
                        for backend in artifacts],
         )
 
@@ -335,26 +340,6 @@ class _CorpusRef(JsonValue):
 STATUS = JsonValue(str, str, SentenceStatus.coerce)
 
 
-def _verified(fingerprint: str, built, what: str):
-    """``built``, after checking its content SHA-1 against the recorded
-    one: a stored artifact is tamper-evident end to end."""
-    if fingerprint and fingerprint != built.fingerprint():
-        raise FingerprintMismatch(what, fingerprint, built.fingerprint())
-    return built
-
-
-def _function(fingerprint: str, **fields) -> Function:
-    function = Function(**fields)
-    return _verified(fingerprint, function, f"function {function.name}")
-
-
-def _program(fingerprint: str, programs: list, **fields) -> Program:
-    program = Program(**fields)
-    for function in programs:
-        program.add(function)  # collision-guarded, as at assembly
-    return _verified(fingerprint, program, f"program {program.protocol}")
-
-
 # -- the field tables ----------------------------------------------------------
 # JSON key order is table order; ``binary`` gives schema:1b's order where it
 # differs, and tagged tables are written field by field in schema:1b (the
@@ -386,118 +371,141 @@ TRACE = Record("winnow_trace", WinnowTrace, [
     Field("base_forms", ListOf(SEM), []),
 ], tag=34, binary=("sentence", "counts", "base_forms", "survivors"))
 
-# The codegen IR.  A value or condition is an object with only its
-# non-default fields; an op is its table's fields under an "op" key naming
-# its type.
+# The codegen IR.  Its tables live beside it in repro.codegen.ir; a field of
+# IR type reaches them through an _IRTable, so the IR loads with the first
+# value of that type coded, not with this module.
 
-VALUE = Record("value", ir_ops.Value, [
-    Field("kind", Scalar(str, tuple(sorted(VALUE_KINDS)))),
-    Field("const", UINT, 0, omit=True),
-    Field("name", STR, "", omit=True),
-    Field("protocol", STR, "", omit=True),
-])
+class _IRTable:
+    """The codec of an IR-typed field: the table called ``name`` in
+    :mod:`repro.codegen.ir`, imported when it first codes a value."""
 
-CONDITION = Record("condition", ir_ops.Condition, [
-    Field("kind", Scalar(str, tuple(sorted(CONDITION_KINDS)))),
-    Field("protocol", STR, "", omit=True),
-    Field("name", STR, "", omit=True),
-    Field("value", UINT, 0, omit=True),
-    Field("other", STR, "", omit=True),
-    Field("modes", ListOf(STR, tuple), (), omit=True),
-    Field("negated", BOOL, False, omit=True),
-])
+    identity = False
+
+    def __init__(self, name: str) -> None:
+        self.name = name
+        self._table = None
+
+    def table(self):
+        if self._table is None:
+            self._table = getattr(import_module("..codegen.ir", __package__),
+                                  self.name)
+        return self._table
+
+    def enc(self, value, reg):
+        return self.table().enc(value, reg)
+
+    def dec(self, raw, reg):
+        return self.table().dec(raw, reg)
+
+    def write(self, w, value, reg) -> None:
+        self.table().write(w, value, reg)
+
+    def read(self, r, reg):
+        return self.table().read(r, reg)
 
 
-def _op(cls, *fields: Field) -> Record:
-    """An op type's table: its own fields, then the advice tag of every op."""
-    return Record(cls.__name__, cls,
-                  [*fields, Field("advice_before", STR, None, omit=True)])
+def _sentence_code(**fields):
+    from ..codegen.ir import SentenceCode
+
+    return SentenceCode(**fields)
 
 
-def _strs(*keys: str) -> list[Field]:
-    return [Field(key, STR) for key in keys]
+def _sentence_code_table(ops, make) -> Record:
+    """The ``sentence_code`` table (tag 37) over an op-list codec; ``make``
+    builds the value from the decoded fields."""
+    return Record("sentence_code", None, [
+        Field("sentence", STR),
+        Field("ops", ops, [], omit=True),
+        Field("goal_message", STR, "", omit=True),
+        Field("role", STR, "", omit=True),
+        Field("status", STR, "ok", omit=True),
+        Field("reason", STR, "", omit=True),
+    ], tag=37, binary=("sentence", "status", "goal_message", "role",
+                       "reason", "ops"), make=make)
 
 
-_OP_LIST = ListOf(None)  # ops: the item, the OP union, is set below
+def _run_tables(codes, code_unit) -> tuple[Record, Record]:
+    """The ``sentence_result`` and ``sage_run`` tables over the codecs of
+    their two IR-typed fields."""
+    result = Record("sentence_result", SentenceResult, [
+        Field("spec", SPEC),
+        Field("status", STATUS),
+        Field("trace", TRACE, None, omit=True),
+        Field("logical_form", SEM, None, omit=True),
+        Field("codes", codes, [], omit=True),
+        Field("rewrite", REWRITE, None, omit=True),
+        Field("sub_results", ListOf(SELF), [], omit=True),
+        Field("subject_supplied", BOOL, False, omit=True),
+        Field("pruned", BOOL, False, omit=True),
+        Field("reason", STR, "", omit=True),
+    ], tag=33, binary=("spec", "status", "reason", "trace", "logical_form",
+                       "rewrite", "codes", "sub_results"),
+        aux=("trace", "logical_form", "rewrite", "subject_supplied",
+             "pruned"))
+    return result, Record("sage_run", SageRun, [
+        Field("protocol", _CorpusRef(), attr="corpus"),
+        Field("results", ListOf(result), []),
+        Field("code_unit", code_unit),
+    ], tag=32)
 
-OP = Tagged("op", [
-    _op(ir_ops.SetField, *_strs("protocol", "name"), Field("value", VALUE),
-        Field("optional", BOOL, False, omit=True)),
-    _op(ir_ops.SwapFields, *_strs("protocol_a", "field_a", "protocol_b",
-                                  "field_b")),
-    _op(ir_ops.CopyData),
-    _op(ir_ops.QuoteDatagram),
-    _op(ir_ops.ComputeChecksum, *_strs("protocol", "name", "function"),
-        Field("range_start", STR, "type", omit=True),
-        Field("range_end", STR, "end", omit=True)),
-    _op(ir_ops.PadData),
-    _op(ir_ops.Conditional, Field("condition", CONDITION),
-        Field("body", _OP_LIST, [])),
-    _op(ir_ops.SetStateVar, *_strs("name"), Field("value", VALUE)),
-    _op(ir_ops.CallProcedure, *_strs("name")),
-    _op(ir_ops.Send, *_strs("message"),
-        Field("destination", STR, "", omit=True)),
-    _op(ir_ops.Encapsulate, Field("outer", STR, "udp", omit=True)),
-    _op(ir_ops.SelectSession, Field("discriminator_field", STR,
-                                    "your_discriminator", omit=True)),
-    _op(ir_ops.Discard, Field("reason", STR, "", omit=True)),
-    _op(ir_ops.CeaseTransmission, Field("what", STR,
-                                        "periodic_transmission", omit=True)),
-    _op(ir_ops.Comment, *_strs("text")),
-], unknown="unknown serialized op")
-_OP_LIST.item = OP
 
-#: An op list (a SentenceCode's or Function's): a JSON array of ops,
-#: written in schema:1b as that array under the generic value codec.
-OPS = JsonValue(list, partial(_OP_LIST.enc, reg=None),
-                partial(_OP_LIST.dec, reg=None))
+_CODES = ListOf(_sentence_code_table(_IRTable("OPS"), _sentence_code))
 
-SENTENCE_CODE = Record("sentence_code", SentenceCode, [
-    Field("sentence", STR),
-    Field("ops", OPS, [], omit=True),
-    Field("goal_message", STR, "", omit=True),
-    Field("role", STR, "", omit=True),
-    Field("status", STR, "ok", omit=True),
-    Field("reason", STR, "", omit=True),
-], tag=37, binary=("sentence", "status", "goal_message", "role", "reason",
-                   "ops"))
+RESULT, SAGE_RUN = _run_tables(_CODES, _IRTable("CODE_UNIT"))
 
-RESULT = Record("sentence_result", SentenceResult, [
-    Field("spec", SPEC),
-    Field("status", STATUS),
-    Field("trace", TRACE, None, omit=True),
-    Field("logical_form", SEM, None, omit=True),
-    Field("codes", ListOf(SENTENCE_CODE), [], omit=True),
-    Field("rewrite", REWRITE, None, omit=True),
-    Field("sub_results", ListOf(SELF), [], omit=True),
-    Field("subject_supplied", BOOL, False, omit=True),
-    Field("pruned", BOOL, False, omit=True),
-    Field("reason", STR, "", omit=True),
-], tag=33, binary=("spec", "status", "reason", "trace", "logical_form",
-                   "rewrite", "codes", "sub_results"),
-   aux=("trace", "logical_form", "rewrite", "subject_supplied", "pruned"))
 
-FUNCTION = Record("function", Function, [
-    Field("protocol", STR),
-    Field("message_name", STR),
-    Field("role", STR),
-    Field("ops", OPS, []),
-    Field("fingerprint", STR, "", attr=Function.fingerprint),
-    Field("name_override", STR, "", omit=True),
-], make=_function)
+class _DeferredField:
+    """A store entry's IR-typed field: read in its JSON form through
+    ``raw`` and left as a :class:`~repro.core.results.Deferred` that
+    ``build`` turns into the value on its first read.  Read-only: entries
+    are written through :data:`SAGE_RUN`, byte for byte the same."""
 
-CODE_UNIT = Record("code_unit", Program, [
-    Field("protocol", STR),
-    Field("struct_c", STR, ""),
-    Field("functions", ListOf(FUNCTION), [], attr="programs"),
-    Field("fingerprint", STR, "", attr=Program.fingerprint),
-], make=_program)
+    identity = False
 
-SAGE_RUN = Record("sage_run", SageRun, [
-    Field("protocol", _CorpusRef(), attr="corpus"),
-    Field("results", ListOf(RESULT), []),
-    Field("code_unit", CODE_UNIT),
-], tag=32)
+    def __init__(self, raw, build) -> None:
+        self.raw = raw
+        self.build = build
+
+    def read(self, r, reg):
+        return Deferred(self.raw.read(r, reg), self.build)
+
+
+def _built_codes(raw: list) -> list:
+    """A stored result's sentence codes, typed and checked as an envelope's
+    are."""
+    return decoding("sentence_code", lambda: _CODES.dec(raw, None))
+
+
+def _built_code_unit(raw: dict) -> Program:
+    """A stored run's code unit, typed and fingerprint-checked as an
+    envelope's is."""
+    from ..codegen.ir import CODE_UNIT
+
+    return decoding("code_unit", lambda: CODE_UNIT.dec(raw, None))
+
+
+#: A store run entry (the run cache's codec): the bytes of :data:`SAGE_RUN`,
+#: read with the sentence codes and the code unit left in their JSON form.
+#: The entry's key pins the code that wrote it and the store checks its
+#: payload SHA-1 on every read, so the IR is typed and its fingerprint
+#: checked only when first read; a warm answer that reads no IR never
+#: imports it.
+_, STORED_RUN = _run_tables(
+    _DeferredField(ListOf(_sentence_code_table(JsonValue(list), dict)),
+                   _built_codes),
+    _DeferredField(JsonValue(dict), _built_code_unit))
+
+
+def code_unit_of(run: SageRun) -> Program:
+    """``run.code_unit`` for an answer: a stored unit that fails its
+    fingerprint check on first read is a :class:`ContractError`, so callers
+    get a structured error, never an unverified program."""
+    try:
+        return run.code_unit
+    except FingerprintMismatch as exc:
+        raise ContractError(
+            f"stored {run.corpus.protocol} run entry: {exc}") from exc
+
 
 PROCESS_REQUEST = Record("process_request", ProcessRequest, [
     Field("protocol", STR),
@@ -562,26 +570,30 @@ SWEEP_RESPONSE = Record("sweep_response", SweepResponse, [
 
 # -- the envelope --------------------------------------------------------------
 
-#: kind tag → field table.  The ``resolution`` table lives beside its type
-#: in :mod:`repro.disambiguation.resolution` and joins on the first lookup
-#: that misses (:func:`_lookup`), so an answer that carries no resolution
-#: never loads that module.
+#: kind tag → field table.  The ``code_unit`` and ``resolution`` tables
+#: live beside their types (:data:`_LATE_KINDS`) and join on the first
+#: lookup that misses (:func:`_lookup`), so an answer that carries neither
+#: loads neither the IR nor the resolution module.
 KINDS = {codec.kind: codec for codec in (
-    SAGE_RUN, RESULT, TRACE, CODE_UNIT, SPEC, REWRITE,
+    SAGE_RUN, RESULT, TRACE, SPEC, REWRITE,
     PROCESS_REQUEST, SWEEP_REQUEST, PROCESS_RESPONSE, SWEEP_RESPONSE,
     SENTENCE_REPORT, GENERATED_ARTIFACT,
 )}
 _BY_TYPE = {codec.cls: codec for codec in KINDS.values()}
 
+#: The late kinds' tables: (module, table name).
+_LATE_KINDS = (("..codegen.ir", "CODE_UNIT"),
+               ("..disambiguation.resolution", "RESOLUTION"))
+
 
 def _lookup(table: dict, key):
-    """``table.get(key)``, reading in the ``resolution`` table on a miss."""
+    """``table.get(key)``, reading in the late tables on a miss."""
     codec = table.get(key)
     if codec is None:
-        from ..disambiguation.resolution import RESOLUTION
-
-        KINDS[RESOLUTION.kind] = RESOLUTION
-        _BY_TYPE[RESOLUTION.cls] = RESOLUTION
+        for module, name in _LATE_KINDS:
+            late = getattr(import_module(module, __package__), name)
+            KINDS[late.kind] = late
+            _BY_TYPE[late.cls] = late
         codec = table.get(key)
     return codec
 

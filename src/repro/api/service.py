@@ -25,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from ..codegen.ir import BACKENDS, backend_names
+from ..codegen.backends import BACKENDS, backend_names
 from ..core.results import SageRun, run_key_for
 from ..parsing.backend import DEFAULT_PARSER_BACKEND, PARSER_BACKENDS
 from ..rfc.registry import ProtocolRegistry
@@ -36,6 +36,7 @@ from .contracts import (
     SweepRequest,
     SweepResponse,
     _check_mode,
+    code_unit_of,
     from_envelope,
     from_json,
 )
@@ -208,8 +209,8 @@ class SageService:
         """The compiled artifact for one protocol under one backend."""
         self._check_artifacts((backend,))  # fail fast, before the run
         run = self.run(protocol, mode)
-        return GeneratedArtifact.from_program(run.code_unit, backend=backend,
-                                              mode=mode)
+        return GeneratedArtifact.from_program(code_unit_of(run),
+                                              backend=backend, mode=mode)
 
     def session(self, protocol: str, mode: str = "revised",
                 **kwargs) -> DisambiguationSession:
@@ -371,7 +372,7 @@ class SageService:
                 )
         engine = self.engine(mode)
         runs = engine.process_corpora(list(fuzzed))
-        units = {name: run.code_unit for name, run in runs.items()}
+        units = {name: code_unit_of(run) for name, run in runs.items()}
         try:
             report = run_fuzz(
                 units, seed=seed, episodes=episodes, protocols=fuzzed,

@@ -258,8 +258,10 @@ class PersistentRunCache(ContentCache):
     persist: those runs were computed over the pristine lexicon, chunker
     and check suite, which the key's package digest pins.  Runs over a
     mutated substrate stay in memory (see
-    :func:`~repro.core.results.run_key_for`).  Decoding verifies the
-    program fingerprint; an entry that fails it is a miss.
+    :func:`~repro.core.results.run_key_for`).  Decoding leaves the run's
+    IR in its JSON form: it is typed, and the program fingerprint
+    verified, on its first read, which raises on an entry that fails
+    (:data:`~repro.api.contracts.STORED_RUN`).
     """
 
     namespace = RUN_NAMESPACE

@@ -6,12 +6,12 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, {
     ".context": ("AmbiguousReference", "ContextResolver", "ResolutionError",
                  "SentenceContext", "StaticContext", "Target",
                  "UnknownReference"),
+    ".backends": ("backend_names", "get_backend"),
     ".emitters": ("CEmitter", "PyEmitter"),
+    ".errors": ("FunctionNameCollision", "IRError", "IRValidationError"),
     ".handlers": ("HandlerRegistry", "HandlerResult", "NonActionable"),
     ".interp": ("IRInterpreter",),
-    ".ir": ("Backend", "Function", "FunctionNameCollision", "IRError",
-            "IRValidationError", "Program", "SentenceCode", "SymbolTable",
-            "backend_names", "build_function", "builder_role",
-            "collect_symbols", "function_name", "get_backend",
-            "run_passes", "validate_function"),
+    ".ir": ("Backend", "Function", "Program", "SentenceCode", "SymbolTable",
+            "build_function", "builder_role", "collect_symbols",
+            "function_name", "run_passes", "validate_function"),
 })

@@ -18,25 +18,45 @@ sits a typed intermediate representation:
   order discussion (§5.2) as plain, testable functions;
 * :class:`Backend` — the rendering/execution interface.  The C and Python
   emitters subclass it (``repro.codegen.emitters``), as does the direct IR
-  interpreter (``repro.codegen.interp``); :func:`get_backend` resolves a
-  name through the fixed :data:`BACKENDS` table, importing the module on
-  demand.
+  interpreter (``repro.codegen.interp``);
+  :func:`~repro.codegen.backends.get_backend` resolves a name through the
+  fixed :data:`~repro.codegen.backends.BACKENDS` table, importing the
+  module on demand.
 
 Keeping the IR typed (dataclass ops, enumerated value/condition kinds) is
 what lets :func:`validate_function` reject malformed programs *before* a
 backend sees them, and what makes the interpreter backend possible at all —
 it executes the ops directly against an execution context, no ``exec()``.
-The IR's wire form (ops, values, conditions, functions, programs) is a set
-of field tables in :mod:`repro.api.contracts`.
+The IR's wire form (ops, values, conditions, functions, programs) is the
+set of field tables at the end of this module (:mod:`repro.api.schema`
+interprets them); :mod:`repro.api.contracts` reaches them on first use, so
+an answer that reads no IR never imports this module.
 """
 
 from __future__ import annotations
 
 import hashlib
-import importlib
 import re
 from dataclasses import dataclass, field as dataclass_field
+from functools import partial
 
+from ..api.schema import (
+    BOOL,
+    STR,
+    UINT,
+    Field,
+    JsonValue,
+    ListOf,
+    Record,
+    Scalar,
+    Tagged,
+)
+from .backends import get_backend
+from .errors import (
+    FingerprintMismatch,
+    FunctionNameCollision,
+    IRValidationError,
+)
 from .ops import (
     CallProcedure,
     CeaseTransmission,
@@ -75,43 +95,6 @@ CONDITION_KINDS = frozenset({
     "field_equals", "field_odd", "field_ge", "statevar_equals", "mode_in",
     "not_found", "packet_field_is", "packet_field_nonzero",
 })
-
-
-class IRError(Exception):
-    """Base class for IR-layer failures."""
-
-
-class IRValidationError(IRError):
-    """A function contains an op, value, or condition no backend knows."""
-
-
-class FingerprintMismatch(IRError):
-    """A deserialized function/program's recorded content SHA-1 does not
-    match the rebuilt IR — the artifact was corrupted or hand-edited."""
-
-    def __init__(self, where: str, recorded: str, computed: str):
-        self.where = where
-        self.recorded = recorded
-        self.computed = computed
-        super().__init__(
-            f"{where}: recorded fingerprint {recorded} does not match the "
-            f"deserialized IR ({computed})"
-        )
-
-
-class FunctionNameCollision(IRError):
-    """Two messages slug to the same builder name (they would silently
-    merge into one function; the spec author must rename one)."""
-
-    def __init__(self, name: str, existing_message: str, new_message: str):
-        self.name = name
-        self.existing_message = existing_message
-        self.new_message = new_message
-        super().__init__(
-            f"function name {name!r} generated for both message "
-            f"{existing_message!r} and message {new_message!r}; "
-            "rename one message (slugs collide)"
-        )
 
 
 def function_name(protocol: str, message_name: str, role: str) -> str:
@@ -501,7 +484,7 @@ class Backend:
     DESIGN.md §6 for the contract.
     """
 
-    #: The backend's key in :data:`BACKENDS`.
+    #: The backend's key in :data:`~repro.codegen.backends.BACKENDS`.
     name = ""
     #: True when emit_function/emit_program produce source text.
     emits_text = True
@@ -520,27 +503,106 @@ class Backend:
         raise NotImplementedError(f"backend {self.name!r} is not executable")
 
 
-#: Backend name → (module in this package, class), imported on first use.
-BACKENDS: dict[str, tuple[str, str]] = {
-    "c": ("emitters", "CEmitter"),
-    "python": ("emitters", "PyEmitter"),
-    "interp": ("interp", "IRInterpreter"),
-}
+
+# -- the wire form -------------------------------------------------------------
+# A value or condition is an object with only its non-default fields; an op
+# is its table's fields under an "op" key naming its type.  The
+# ``code_unit`` table joins the envelope kinds of repro.api.contracts on
+# first use, as the resolution table does.
+
+VALUE = Record("value", Value, [
+    Field("kind", Scalar(str, tuple(sorted(VALUE_KINDS)))),
+    Field("const", UINT, 0, omit=True),
+    Field("name", STR, "", omit=True),
+    Field("protocol", STR, "", omit=True),
+])
+
+CONDITION = Record("condition", Condition, [
+    Field("kind", Scalar(str, tuple(sorted(CONDITION_KINDS)))),
+    Field("protocol", STR, "", omit=True),
+    Field("name", STR, "", omit=True),
+    Field("value", UINT, 0, omit=True),
+    Field("other", STR, "", omit=True),
+    Field("modes", ListOf(STR, tuple), (), omit=True),
+    Field("negated", BOOL, False, omit=True),
+])
 
 
-def get_backend(name: str) -> type[Backend]:
-    """The backend class called ``name``, its module imported on demand."""
-    try:
-        module, class_name = BACKENDS[name]
-    except KeyError:
-        raise KeyError(
-            f"unknown backend {name!r}: backends are "
-            f"{', '.join(backend_names())}"
-        ) from None
-    return getattr(importlib.import_module(f".{module}", __package__),
-                   class_name)
+def _op(cls, *fields: Field) -> Record:
+    """An op type's table: its own fields, then the advice tag of every op."""
+    return Record(cls.__name__, cls,
+                  [*fields, Field("advice_before", STR, None, omit=True)])
 
 
-def backend_names() -> list[str]:
-    """Every backend name, sorted; imports no backend module."""
-    return sorted(BACKENDS)
+def _strs(*keys: str) -> list[Field]:
+    return [Field(key, STR) for key in keys]
+
+
+_OP_LIST = ListOf(None)  # ops: the item, the OP union, is set below
+
+OP = Tagged("op", [
+    _op(SetField, *_strs("protocol", "name"), Field("value", VALUE),
+        Field("optional", BOOL, False, omit=True)),
+    _op(SwapFields, *_strs("protocol_a", "field_a", "protocol_b", "field_b")),
+    _op(CopyData),
+    _op(QuoteDatagram),
+    _op(ComputeChecksum, *_strs("protocol", "name", "function"),
+        Field("range_start", STR, "type", omit=True),
+        Field("range_end", STR, "end", omit=True)),
+    _op(PadData),
+    _op(Conditional, Field("condition", CONDITION),
+        Field("body", _OP_LIST, [])),
+    _op(SetStateVar, *_strs("name"), Field("value", VALUE)),
+    _op(CallProcedure, *_strs("name")),
+    _op(Send, *_strs("message"), Field("destination", STR, "", omit=True)),
+    _op(Encapsulate, Field("outer", STR, "udp", omit=True)),
+    _op(SelectSession, Field("discriminator_field", STR,
+                             "your_discriminator", omit=True)),
+    _op(Discard, Field("reason", STR, "", omit=True)),
+    _op(CeaseTransmission, Field("what", STR, "periodic_transmission",
+                                 omit=True)),
+    _op(Comment, *_strs("text")),
+], unknown="unknown serialized op")
+_OP_LIST.item = OP
+
+#: An op list (a SentenceCode's or Function's): a JSON array of ops,
+#: written in schema:1b as that array under the generic value codec.
+OPS = JsonValue(list, partial(_OP_LIST.enc, reg=None),
+                partial(_OP_LIST.dec, reg=None))
+
+
+def verified(fingerprint: str, built, what: str):
+    """``built``, after checking its content SHA-1 against the recorded
+    one: a stored artifact is tamper-evident end to end."""
+    if fingerprint and fingerprint != built.fingerprint():
+        raise FingerprintMismatch(what, fingerprint, built.fingerprint())
+    return built
+
+
+def _function(fingerprint: str, **fields) -> Function:
+    function = Function(**fields)
+    return verified(fingerprint, function, f"function {function.name}")
+
+
+def _program(fingerprint: str, programs: list, **fields) -> Program:
+    program = Program(**fields)
+    for function in programs:
+        program.add(function)  # collision-guarded, as at assembly
+    return verified(fingerprint, program, f"program {program.protocol}")
+
+
+FUNCTION = Record("function", Function, [
+    Field("protocol", STR),
+    Field("message_name", STR),
+    Field("role", STR),
+    Field("ops", OPS, []),
+    Field("fingerprint", STR, "", attr=Function.fingerprint),
+    Field("name_override", STR, "", omit=True),
+], make=_function)
+
+CODE_UNIT = Record("code_unit", Program, [
+    Field("protocol", STR),
+    Field("struct_c", STR, ""),
+    Field("functions", ListOf(FUNCTION), [], attr="programs"),
+    Field("fingerprint", STR, "", attr=Program.fingerprint),
+], make=_program)

@@ -5,7 +5,10 @@ the assembled program.  :func:`run_key_for` addresses a run by the
 content of everything it depends on.  This module is all the run layer of
 the cache needs: a warm process decodes a stored run and answers from it
 without loading the engine, the parser or the check suite
-(:mod:`repro.core.engine` builds those).
+(:mod:`repro.core.engine` builds those), nor the codegen IR: a stored run
+keeps its two IR-typed fields, :attr:`SentenceResult.codes` and
+:attr:`SageRun.code_unit`, as :class:`Deferred` values that are built on
+their first read.
 """
 
 from __future__ import annotations
@@ -13,16 +16,17 @@ from __future__ import annotations
 import enum
 import hashlib
 import os
+import threading
 from dataclasses import dataclass, field as dataclass_field
 from functools import cache
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Callable
 
 from ..ccg.semantics import Sem, iter_calls
-from ..codegen.ir import Program, SentenceCode
 from ..parsing.backend import DEFAULT_PARSER_BACKEND
 from ..rfc.corpus import Corpus, Rewrite, SpecSentence
 
 if TYPE_CHECKING:
+    from ..codegen.ir import Program, SentenceCode
     from ..disambiguation.winnow import WinnowTrace
     from ..rfc.registry import ProtocolRegistry
 
@@ -68,6 +72,44 @@ FLAGGED_STATUSES = (SentenceStatus.AMBIGUOUS_LF, SentenceStatus.AMBIGUOUS_REF,
                     SentenceStatus.UNPARSED)
 
 
+class Deferred:
+    """A field value still in its decoded JSON form: ``build(raw)`` makes
+    the value, raising whatever an eager decode of ``raw`` would raise.
+    ``build`` is a module-level function, so a run holding one pickles."""
+
+    __slots__ = ("raw", "build")
+
+    def __init__(self, raw, build: Callable) -> None:
+        self.raw = raw
+        self.build = build
+
+
+#: Serializes first reads, so concurrent readers share one built value.
+_BUILD_LOCK = threading.Lock()
+
+
+def _deferrable(name: str) -> property:
+    """The dataclass field ``name`` as a property that builds a
+    :class:`Deferred` value on its first read and keeps the result.  A
+    build that fails leaves the value deferred: every read raises again,
+    and no half-checked value is ever handed out."""
+
+    def get(self):
+        value = self.__dict__[name]
+        if value.__class__ is Deferred:
+            with _BUILD_LOCK:
+                value = self.__dict__[name]
+                if value.__class__ is Deferred:
+                    value = value.build(value.raw)
+                    self.__dict__[name] = value
+        return value
+
+    def put(self, value) -> None:
+        self.__dict__[name] = value
+
+    return property(get, put)
+
+
 @dataclass
 class SentenceResult:
     """Everything the pipeline derived from one specification sentence."""
@@ -92,6 +134,9 @@ class SentenceResult:
     @property
     def final_lf_count(self) -> int:
         return self.trace.final_count if self.trace else 0
+
+
+SentenceResult.codes = _deferrable("codes")
 
 
 @dataclass
@@ -121,6 +166,9 @@ class SageRun:
 
     def traces(self) -> list[WinnowTrace]:
         return [r.trace for r in self.results if r.trace is not None]
+
+
+SageRun.code_unit = _deferrable("code_unit")
 
 
 def modal_sentences(run: SageRun) -> list[SentenceResult]:

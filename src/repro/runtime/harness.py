@@ -277,7 +277,7 @@ class GeneratedImplementation:
         of the service layer's artifact endpoint: a payload fetched from a
         remote ``SageService`` drops straight onto the simulator.
         """
-        from ..codegen.ir import get_backend
+        from ..codegen.backends import get_backend
 
         if isinstance(artifact, str):
             from ..api.contracts import from_json

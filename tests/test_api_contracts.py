@@ -21,9 +21,9 @@ from repro.api import (
     from_json,
     to_json,
 )
-from repro.api.contracts import OP, sem_from_dict, sem_to_dict
+from repro.api.contracts import sem_from_dict, sem_to_dict
 from repro.ccg.semantics import Call, Const, signature
-from repro.codegen.ir import FingerprintMismatch
+from repro.codegen.ir import OP, FingerprintMismatch
 from repro.codegen.ops import (
     ComputeChecksum,
     Condition,

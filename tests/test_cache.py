@@ -479,11 +479,19 @@ class TestRunLayer:
                                   "corrupt": 0}
         assert _run_entry(tmp_path) == path
 
-    def test_entry_failing_fingerprint_verification_is_a_miss(self, tmp_path):
-        from repro.api import SageService
+    def test_entry_failing_fingerprint_verification_fails_on_first_ir_read(
+            self, tmp_path, capsys):
+        import io
+        import json
 
-        cold = SageService(registry=ProtocolRegistry(cache_dir=tmp_path))
-        fingerprint = cold.run("IGMP").code_unit.fingerprint()
+        from repro.api import SageService
+        from repro.api.cli import main as cli_main
+        from repro.codegen.ir import FingerprintMismatch
+
+        argv = ("process", "IGMP", "--cache-dir", str(tmp_path), "--json")
+        expected = _cli(*argv)
+        fingerprint = SageService(registry=ProtocolRegistry(
+            cache_dir=tmp_path)).run("IGMP").code_unit.fingerprint()
         path = _run_entry(tmp_path)
         with open(path, "rb") as handle:
             payload = handle.read()[24:]
@@ -491,17 +499,93 @@ class TestRunLayer:
         _rewrite_entry(path, payload.replace(fingerprint.encode(),
                                              b"0" * len(fingerprint)))
 
+        # An answer that reads no IR is served from the entry unchanged.
+        assert _cli(*argv) == expected
         registry = ProtocolRegistry(cache_dir=tmp_path)
         run = SageService(registry=registry).run("IGMP")
-        assert run.code_unit.fingerprint() == fingerprint
         stats = registry.run_cache().stats()
-        assert (stats["hits"], stats["misses"], stats["disk_hits"]) == (0, 1, 0)
-        assert registry.parse_cache().stats()["misses"] == 0
-        # The recompute overwrote the bad entry with one that verifies.
-        warm = ProtocolRegistry(cache_dir=tmp_path)
-        assert SageService(registry=warm).run("IGMP").code_unit.fingerprint() \
-            == fingerprint
-        assert warm.run_cache().stats()["disk_hits"] == 1
+        assert (stats["hits"], stats["misses"], stats["disk_hits"]) == (1, 0, 1)
+        # Its program is checked on first read and never handed out.
+        for _ in range(2):
+            with pytest.raises(FingerprintMismatch):
+                run.code_unit
+        capsys.readouterr()
+        assert cli_main([*argv, "--artifact", "c"], out=io.StringIO()) == 4
+        error = json.loads(capsys.readouterr().err)
+        assert error["error"] == "contract-error"
+        assert "recorded fingerprint 0000" in error["message"]
+
+    @pytest.mark.parametrize("mode", ["strict", "revised"])
+    def test_stored_run_equals_the_computed_run(self, tmp_path, mode):
+        from repro.api import SageService
+        from repro.core.results import Deferred
+
+        cold = SageService(registry=ProtocolRegistry(cache_dir=tmp_path))
+        names = cold.registry.protocols()
+        assert len(names) == 4
+        computed = {name: cold.run(name, mode) for name in names}
+        registry = ProtocolRegistry(cache_dir=tmp_path)
+        warm = SageService(registry=registry)
+        for name in names:
+            stored = warm.run(name, mode)
+            assert isinstance(vars(stored)["code_unit"], Deferred)
+            assert stored == computed[name]
+            assert stored.code_unit.fingerprint() \
+                == computed[name].code_unit.fingerprint()
+        assert registry.run_cache().stats()["disk_hits"] == 4
+
+    def _stored_run(self, tmp_path):
+        from repro.api import SageService
+
+        SageService(registry=ProtocolRegistry(cache_dir=tmp_path)).run("ICMP")
+        return SageService(registry=ProtocolRegistry(
+            cache_dir=tmp_path)).run("ICMP")
+
+    def test_concurrent_first_reads_share_one_program(self, tmp_path):
+        import threading
+        import time
+
+        run = self._stored_run(tmp_path)
+        deferred = vars(run)["code_unit"]
+        build = deferred.build
+        calls = []
+
+        def slow_build(raw):
+            calls.append(raw)
+            time.sleep(0.05)  # an unlocked second reader would build too
+            return build(raw)
+
+        deferred.build = slow_build
+        readers = 4  # more threads than the 2-CPU hosts this runs on
+        barrier = threading.Barrier(readers, timeout=10)
+        seen = []
+
+        def read():
+            barrier.wait()
+            seen.append(run.code_unit)
+
+        threads = [threading.Thread(target=read) for _ in range(readers)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=10)
+            assert not thread.is_alive()
+        assert len(calls) == 1
+        assert len(seen) == readers
+        assert all(program is run.code_unit for program in seen)
+
+    def test_run_with_unbuilt_ir_survives_pickling(self, tmp_path):
+        import pickle
+
+        from repro.core.results import Deferred
+
+        run = self._stored_run(tmp_path)
+        copy = pickle.loads(pickle.dumps(run))
+        assert isinstance(vars(copy)["code_unit"], Deferred)
+        assert any(isinstance(vars(result)["codes"], Deferred)
+                   for result in copy.results)
+        assert copy == run
+        assert copy.code_unit.fingerprint() == run.code_unit.fingerprint()
 
     def test_new_decision_misses_runs_but_not_stages(self, tmp_path):
         from repro.api import SageService

@@ -14,11 +14,12 @@ load none of the parser, chart, lexicon, check suite, handlers, emitters
 or session code: a warm answer comes from one run entry per protocol.
 Nor do they load the RFC text parser (``rfc.document``,
 ``rfc.preprocess``, ``rfc.header_diagram`` and the ``framework.packet``
-and ``nlp.tokenizer`` modules it pulls in) or the resolution module: a
-warm answer reads only each corpus's fingerprint and protocol name, and
-no resolution.
+and ``nlp.tokenizer`` modules it pulls in), the resolution module or the
+codegen IR (``codegen.ir``, ``codegen.ops``): a warm answer reads only
+each corpus's fingerprint and protocol name, no resolution, and no IR.
 
-Naming or validating a codegen backend imports none of their modules.
+Naming or validating a codegen backend imports none of their modules,
+nor the IR.
 
 The run layer's store key must also print the same in every process, so
 two interpreters with different hash seeds compute it and compare.
@@ -100,7 +101,8 @@ SUBSTRATE_MODULES = (
     "repro.codegen.emitters", "repro.api.session", "networkx",
     "repro.rfc.document", "repro.rfc.preprocess", "repro.rfc.header_diagram",
     "repro.framework.packet", "repro.nlp.tokenizer",
-    "repro.disambiguation.resolution",
+    "repro.disambiguation.resolution", "repro.codegen.ir",
+    "repro.codegen.ops",
 )
 
 
@@ -139,14 +141,15 @@ def test_codegen_backend_names_load_no_backend_module():
     script = (
         "import sys\n"
         "from repro.api import BackendNotFound, SageService\n"
-        "from repro.codegen.ir import backend_names\n"
+        "from repro.codegen.backends import backend_names\n"
         "assert backend_names() == ['c', 'interp', 'python']\n"
         "try:\n"
         "    SageService().process(protocol='ICMP', artifacts=('rust',))\n"
         "except BackendNotFound:\n"
         "    pass\n"
         "print(sorted(name for name in ('repro.codegen.emitters',\n"
-        "                               'repro.codegen.interp')\n"
+        "                               'repro.codegen.interp',\n"
+        "                               'repro.codegen.ir')\n"
         "             if name in sys.modules))\n"
     )
     out = subprocess.run([sys.executable, "-c", script], env=_fresh_env(),
