@@ -72,8 +72,10 @@ TRIALS = 10
 WARMUP = 8
 REQUESTS = 96
 #: ``--expect-warm`` fails when the median HTTP / in-process sentences/s
-#: ratio falls below this.
-MIN_HTTP_OVER_INPROCESS = 0.43
+#: ratio falls below this.  On 2 CPUs ten consecutive gate runs read
+#: medians of 0.56-0.64, and a planted second ``run_endpoint`` call per
+#: request reads 0.40-0.41.
+MIN_HTTP_OVER_INPROCESS = 0.50
 #: The reported tail percentile must have at least this many samples
 #: beyond it.
 TAIL_SAMPLES = 10

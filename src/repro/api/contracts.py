@@ -641,6 +641,18 @@ def decoding(what: str, decode, malformed=ContractError):
         raise malformed(f"malformed {what} payload: {exc!r}") from exc
 
 
+def request_payload(decode, payload):
+    """``decode(payload)`` for a request body.  A program embedded in a
+    request that fails its fingerprint check is the caller's payload at
+    fault, a :class:`ContractError` (HTTP 400); in-process reads
+    (:meth:`GeneratedArtifact.to_program`, a stored run's ``code_unit``)
+    keep :class:`FingerprintMismatch`."""
+    try:
+        return decode(payload)
+    except FingerprintMismatch as exc:
+        raise ContractError(f"request payload: {exc}") from exc
+
+
 def to_json(obj, registry=None, indent: int | None = None) -> str:
     """Serialize any contract object under the schema-versioned envelope.
 

@@ -39,6 +39,7 @@ from .contracts import (
     code_unit_of,
     from_envelope,
     from_json,
+    request_payload,
 )
 from .errors import ApiError, ProtocolNotFound, RequestError
 
@@ -58,11 +59,11 @@ def _coerce_request(request, request_type, **kwargs):
             "not both"
         )
     if isinstance(request, str):
-        request = from_json(request)
+        request = request_payload(from_json, request)
     elif isinstance(request, dict):
         if "schema" not in request:
             return request_type.from_dict(request)
-        request = from_envelope(request)
+        request = request_payload(from_envelope, request)
     if not isinstance(request, request_type):
         raise RequestError(
             f"expected a {request_type.__name__} payload, got "

@@ -4,8 +4,9 @@ Two halves, deliberately decoupled:
 
 * :mod:`repro.server.pool` — transport-agnostic request execution: a
   :class:`WorkerPool` that fans requests out to forked worker processes
-  (when the machine has more than one CPU, mirroring the engine's sweep
-  degrade behavior) or runs them inline on a single serialized thread,
+  over one pipe each, read by the caller's event loop (when the machine
+  has more than one CPU), or runs them inline on a single serialized
+  thread,
   plus the endpoint handlers that turn a wire body into a wire response
   triple ``(status, content_type, bytes)`` with structured
   :class:`~repro.api.errors.ApiError` → HTTP status mapping.  Workers

@@ -26,10 +26,11 @@ Deadlines: the server default (``--deadline``) can be tightened or
 loosened per request with an ``X-Repro-Deadline: <seconds>`` header; a
 request whose answer is not back within it gets a 504 carrying the
 structured ``deadline-exceeded`` payload, even when the answer arrives a
-moment later (a memoized answer can beat the event loop's timer).  The
-worker keeps running to completion (a process pool cannot abandon a task
-mid-computation) — the deadline bounds the *caller's* wait, and the
-warmed caches mean the retry is cheap.
+moment later (a memoized answer can beat the event loop's timer).  A
+request still waiting for a worker is never sent; one already in a
+worker runs to completion and its late reply is dropped — the deadline
+bounds the *caller's* wait, and the warmed caches mean the retry is
+cheap.  A worker that dies mid-request answers 502 ``worker-lost``.
 """
 
 from __future__ import annotations
@@ -54,7 +55,8 @@ _REASON_PHRASES = {
     200: "OK", 400: "Bad Request", 404: "Not Found",
     405: "Method Not Allowed", 408: "Request Timeout",
     413: "Payload Too Large", 431: "Request Header Fields Too Large",
-    500: "Internal Server Error", 504: "Gateway Timeout",
+    500: "Internal Server Error", 502: "Bad Gateway",
+    503: "Service Unavailable", 504: "Gateway Timeout",
 }
 
 
@@ -332,15 +334,14 @@ class ReproServer:
     async def _run_in_pool(self, request: _Request, endpoint: str,
                            params: dict) -> tuple[int, str, bytes]:
         deadline = self._deadline_for(request)
-        future = self.pool.submit(
+        answer = self.pool.dispatch(
             endpoint, request.body,
             binary_in=request.binary_in, binary_out=request.binary_out,
             params=params,
         )
         expires = time.monotonic() + deadline
         try:
-            result = await asyncio.wait_for(asyncio.wrap_future(future),
-                                            timeout=deadline)
+            result = await asyncio.wait_for(answer, timeout=deadline)
         except asyncio.TimeoutError:
             result = None
         except ApiError as exc:  # defensive: the pool renders these itself

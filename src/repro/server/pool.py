@@ -14,23 +14,27 @@ Two pieces live here, deliberately independent of HTTP framing:
   readable one.
 
 * :class:`WorkerPool` — where those executions run.  With more than one
-  CPU (or an explicit ``workers=N``), a fork-based
-  :class:`~concurrent.futures.ProcessPoolExecutor` whose workers each
-  build their own :class:`SageService` over the *shared* persistent cache
-  directory: a cold worker warm-starts every parse from disk instead of
-  recomputing, and concurrent writers are safe because the store
-  publishes atomically (see :mod:`repro.cache.store`).  On a single-CPU
-  box — or when fork is unavailable — the pool degrades to one inline
-  service behind a single-thread executor: the event loop stays
-  responsive while pipeline work is serialized.
+  CPU (or an explicit ``workers=N``), N fork-context worker processes
+  that the pool starts itself, each owning one duplex pipe: the caller's
+  event loop writes a request frame to an idle worker and reads the reply
+  off that worker's descriptor, with no executor or relay thread in
+  between.  Each worker builds its own :class:`SageService` over the
+  *shared* persistent cache directory: a cold worker warm-starts every
+  parse from disk instead of recomputing, and concurrent writers are safe
+  because the store publishes atomically (see :mod:`repro.cache.store`).
+  A worker exits when its pipe reaches EOF, which is also what the
+  parent's death looks like to it.  On a single-CPU box — or when fork
+  is unavailable — the pool degrades to one inline service behind a
+  single-thread executor: the event loop stays responsive while pipeline
+  work is serialized.
 
   This is the only process pool in the package.  Sentences are processed
   and flagged independently, so the concurrency worth having is between
   independent requests; a single request (a sweep included) runs in
   process on whichever worker picked it up.
 
-  Cache and profile counters are per process, so every pool task hands
-  back its process's cumulative counters with its answer, and the parent
+  Cache and profile counters are per process, so every reply hands back
+  its process's cumulative counters with its answer, and the parent
   keeps the latest per worker pid.  :meth:`WorkerPool.collect_stats`
   folds that table in memory: ``/stats`` never waits on a worker, and
   reports each one as of its last completed request.
@@ -38,15 +42,20 @@ Two pieces live here, deliberately independent of HTTP framing:
 
 from __future__ import annotations
 
+import asyncio
 import json
 import os
+import pickle
+import signal
+import threading
 import weakref
-from concurrent.futures import Future, ProcessPoolExecutor, ThreadPoolExecutor
+from collections import deque
+from concurrent.futures import Future, ThreadPoolExecutor
 from functools import partial
 from operator import attrgetter
 
 from ..api.binenc import from_bytes, to_bytes
-from ..api.contracts import to_json
+from ..api.contracts import request_payload, to_json
 from ..api.errors import ApiError, RequestError
 from ..api.service import SageService, ServiceConfig
 from ..cache.store import CacheStore
@@ -79,7 +88,7 @@ def _decode_request(body: bytes, binary_in: bool):
     an all-defaults request.
     """
     if binary_in:
-        return from_bytes(bytes(body))
+        return request_payload(from_bytes, bytes(body))
     if not body or not body.strip():
         return None
     try:
@@ -165,31 +174,7 @@ def run_endpoint(service: SageService, endpoint: str, body: bytes = b"", *,
                           status=500)
 
 
-# -- process-pool worker globals -----------------------------------------------
-# Fork workers rebuild their own service from the ServiceConfig (paths,
-# not objects): each worker owns fresh locks and an independent in-memory
-# cache, while the *persistent* caches converge on the shared directory.
-
-_WORKER_CONFIG: ServiceConfig | None = None
-_WORKER_SERVICE: SageService | None = None
-
-
-def _init_worker(config: ServiceConfig) -> None:
-    global _WORKER_CONFIG, _WORKER_SERVICE
-    _WORKER_CONFIG = config
-    _WORKER_SERVICE = None  # built lazily, on the first real request
-
-
-def _worker_service() -> SageService:
-    global _WORKER_SERVICE
-    if _WORKER_SERVICE is None:
-        service = (_WORKER_CONFIG or ServiceConfig()).build_service()
-        # Fork can capture the parent's locks mid-hold; workers are
-        # single-threaded, so fresh locks are always safe.
-        service.registry.reset_locks_after_fork()
-        _WORKER_SERVICE = service
-    return _WORKER_SERVICE
-
+# -- the worker process ---------------------------------------------------------
 
 #: The pipeline modules a worker needs for its first engine (a cold run,
 #: a parse or winnow diagnostic, a session, an artifact) and for a
@@ -201,21 +186,48 @@ _WORKER_MODULES = ("repro.core.stages", "repro.parsing.indexed",
                    "repro.codegen.interp", "repro.rfc.preprocess")
 
 
-def _worker_ping() -> int:
-    """Warmup no-op: forces the process to exist before the event loop
-    starts adding threads that fork must not race with."""
-    return os.getpid()
-
-
-def _pool_run(service: SageService | None, endpoint: str, body: bytes,
+def _pool_run(service: SageService, endpoint: str, body: bytes,
               binary_in: bool, binary_out: bool, params: dict) -> tuple:
-    """One pool task, inline or in a worker (``service`` None): the wire
-    triple, plus this process's pid and cumulative counters for
-    :meth:`WorkerPool.collect_stats`."""
-    service = service or _worker_service()
+    """One request, inline or in a worker: the wire triple, plus this
+    process's pid and cumulative counters for
+    :meth:`WorkerPool.collect_stats`.  ``run_endpoint`` is looked up in
+    this module on every call, so a wrapper installed before the fork
+    (a tracer, a test gate) runs in the workers too."""
     triple = run_endpoint(service, endpoint, body, binary_in=binary_in,
                           binary_out=binary_out, params=params)
     return triple, os.getpid(), _counters(service)
+
+
+def _worker_main(conn, parent_ends: list, config: ServiceConfig) -> None:
+    """A forked worker: answer the request frames on ``conn`` one at a
+    time until the parent closes its end or dies.
+
+    The worker first closes every parent-side pipe end it inherited (its
+    own and its older siblings'), so the parent's exit is an EOF here.
+    It ignores SIGINT: a terminal's Ctrl-C reaches the whole process
+    group, and the parent's shutdown ends its workers through that EOF.
+    Its service is built on the first request, over its own locks and
+    in-memory caches; the persistent caches converge on the shared store.
+    """
+    for end in parent_ends:
+        end.close()
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    service = None
+    while True:
+        try:
+            request = conn.recv_bytes()
+        except (EOFError, OSError):
+            return
+        if service is None:
+            service = config.build_service()
+            # Fork can capture the parent's locks mid-hold; workers are
+            # single-threaded, so fresh locks are always safe.
+            service.registry.reset_locks_after_fork()
+        reply = _pool_run(service, *pickle.loads(request))
+        try:
+            conn.send_bytes(pickle.dumps(reply, pickle.HIGHEST_PROTOCOL))
+        except OSError:  # the parent closed its end or died
+            return
 
 
 # -- stats: counters that ride on results --------------------------------------
@@ -287,13 +299,16 @@ def _summed(columns) -> tuple:
 def aggregate_stats(table: list[tuple], shared_store: dict) -> dict:
     """Fold every worker's :func:`_counters` into one truthful view:
     counters sum, rates are recomputed over the summed window, and the
-    store's root (shared by construction) comes from any one worker."""
-    layers = tuple(map(_summed, zip(*(layers for layers, _s, _p in table))))
+    store's root (shared by construction) comes from any one worker.
+    The sums start from :data:`_IDLE`, so a table that every worker has
+    left still reports each counter, as zero."""
+    rows = [_IDLE, *table]
+    layers = tuple(map(_summed, zip(*(layers for layers, _s, _p in rows))))
     stores = [store for _l, store, _p in table if store is not None]
     store = None
     if stores:
         store = (stores[0][0], *_summed(store[1:] for store in stores))
-    profile = _summed(profile for _l, _s, profile in table)
+    profile = _summed(profile for _l, _s, profile in rows)
     return {"worker_count": len(table),
             **_view((layers, store, profile), shared_store)}
 
@@ -306,6 +321,26 @@ def _unqueue(task_ref, answer: Future) -> None:
         task.cancel()
 
 
+#: The answer once every worker has exited (nothing respawns them yet).
+_NO_WORKERS = _json_body({"error": "no-workers",
+                          "message": "every worker process has exited"},
+                         status=503)
+
+
+class _Worker:
+    """A forked worker and the parent's end of its duplex pipe.  While it
+    holds a request, ``answer`` is that request's future, and it stays
+    checked out until the reply arrives even when the caller has given
+    up on it, so a late reply never reaches the next request."""
+
+    __slots__ = ("process", "conn", "answer")
+
+    def __init__(self, process, conn) -> None:
+        self.process = process
+        self.conn = conn
+        self.answer: asyncio.Future | None = None
+
+
 class WorkerPool:
     """Request execution over forked workers, or inline when that is moot.
 
@@ -316,6 +351,15 @@ class WorkerPool:
     the concurrency tests exercise multi-process cache sharing — and
     ``workers`` of 0 or 1 forces inline.  If fork itself is unavailable
     the pool degrades to inline regardless.
+
+    Process mode: each worker owns one duplex pipe.  :meth:`dispatch`,
+    called on an event loop, writes a request frame to an idle worker (or
+    queues it until one is free), and the loop reads the reply off that
+    worker's descriptor: no executor, no relay thread.  A pool answers on
+    one event loop at a time.  A worker that exits is dropped from
+    dispatch and from :meth:`collect_stats`; the request it held answers
+    502 ``worker-lost``, and once none is left every request answers 503
+    ``no-workers``.
 
     Inline mode runs one shared service behind a single-thread executor:
     pipeline work is serialized (single-worker semantics) while the
@@ -330,32 +374,40 @@ class WorkerPool:
         self.mode = "inline"
         self.workers = 1
         self._service: SageService | None = None
-        self._executor = None
+        self._executor: ThreadPoolExecutor | None = None
         #: pid → that worker's counters as of its last completed request.
         self._counters: dict[int, tuple] = {}
-        if requested > 1:
-            self._executor = self._start_process_pool(requested)
-        if self._executor is None:
-            if registry is not None:
-                self._service = SageService(registry=registry)
-            else:
-                self._service = self.config.build_service()
-            self._executor = ThreadPoolExecutor(
-                max_workers=1, thread_name_prefix="repro-serve"
-            )
-            self._counters = {os.getpid(): _IDLE}
-        else:
+        #: Process mode: live workers, the idle ones among them, requests
+        #: waiting for one, the loop the replies are read on, and the loop
+        #: that serves the synchronous :meth:`submit`.
+        self._workers: list[_Worker] = []
+        self._idle: list[_Worker] = []
+        self._waiting: deque = deque()
+        self._loop: asyncio.AbstractEventLoop | None = None
+        self._sync_loop: tuple | None = None
+        if requested > 1 and self._start_workers(requested):
             self.mode = "process"
             self.workers = requested
+            return
+        if registry is not None:
+            self._service = SageService(registry=registry)
+        else:
+            self._service = self.config.build_service()
+        self._executor = ThreadPoolExecutor(
+            max_workers=1, thread_name_prefix="repro-serve"
+        )
+        self._counters = {os.getpid(): _IDLE}
 
-    def _start_process_pool(self, requested: int):
+    def _start_workers(self, requested: int) -> bool:
+        """Fork every worker now, from a quiet parent, before any event
+        loop adds threads that fork must not race with."""
         import importlib
         import multiprocessing
 
         try:
             context = multiprocessing.get_context("fork")
         except ValueError:
-            return None
+            return False
         for name in _WORKER_MODULES:
             importlib.import_module(name)
         # CPython's pre-fork recipe: frozen objects are out of every
@@ -363,30 +415,128 @@ class WorkerPool:
         # (and copy-on-write duplicate) the heap it shares with us.
         freeze()
         try:
-            executor = ProcessPoolExecutor(
-                max_workers=requested, mp_context=context,
-                initializer=_init_worker, initargs=(self.config,),
-            )
-            # Fork every worker *now*, from a quiet single-threaded
-            # parent, instead of lazily under concurrent request load.
-            pings = [executor.submit(_worker_ping) for _ in range(requested)]
-            pids = {ping.result(timeout=60) for ping in pings}
-        except (OSError, ValueError, TimeoutError):
-            return None
-        # One worker may answer two pings; fork launches them all on the
-        # first submit, so the executor already knows every pid.
-        pids.update(getattr(executor, "_processes", ()))
-        self._counters = dict.fromkeys(pids, _IDLE)
-        return executor
+            for _ in range(requested):
+                parent_end, child_end = context.Pipe()
+                parent_ends = [worker.conn for worker in self._workers]
+                process = context.Process(
+                    target=_worker_main, daemon=True,
+                    args=(child_end, [*parent_ends, parent_end], self.config))
+                try:
+                    process.start()
+                except OSError:
+                    parent_end.close()
+                    raise
+                finally:
+                    child_end.close()
+                self._workers.append(_Worker(process, parent_end))
+        except OSError:
+            self.close()
+            return False
+        self._idle = list(self._workers)
+        self._counters = {worker.process.pid: _IDLE
+                          for worker in self._workers}
+        return True
 
     # -- execution --------------------------------------------------------------
+    def dispatch(self, endpoint: str, body: bytes = b"", *,
+                 binary_in: bool = False, binary_out: bool = False,
+                 params: dict | None = None) -> asyncio.Future:
+        """A future on the running event loop resolving to the
+        ``(status, content_type, body)`` triple.
+
+        The worker's counters are recorded before that future resolves, so
+        a caller holding its answer already sees its request counted.
+        Cancelling it (a deadline) means a request still waiting for a
+        worker is never sent; one already in a worker runs to completion
+        and its reply is dropped."""
+        loop = asyncio.get_running_loop()
+        if self._executor is not None:
+            return asyncio.wrap_future(
+                self.submit(endpoint, body, binary_in=binary_in,
+                            binary_out=binary_out, params=params), loop=loop)
+        if self._loop is not loop:
+            self._bind(loop)
+        answer = loop.create_future()
+        self._waiting.append((pickle.dumps(
+            (endpoint, bytes(body), binary_in, binary_out, params or {}),
+            pickle.HIGHEST_PROTOCOL), answer))
+        self._drain()
+        return answer
+
+    def _bind(self, loop: asyncio.AbstractEventLoop) -> None:
+        """Read every worker's replies on ``loop`` from now on."""
+        if self._loop is not None and not self._loop.is_closed():
+            raise RuntimeError("this pool already answers on another "
+                               "event loop")
+        self._loop = loop
+        for worker in self._workers:
+            loop.add_reader(worker.conn.fileno(), self._on_reply, worker)
+
+    def _drain(self) -> None:
+        """Hand waiting requests to idle workers."""
+        waiting, idle = self._waiting, self._idle
+        while waiting and idle:
+            request, answer = waiting.popleft()
+            if answer.done():
+                continue  # its caller gave up before a worker was free
+            worker = idle.pop()
+            try:
+                worker.conn.send_bytes(request)
+            except OSError:  # the worker is gone; try the next one
+                waiting.appendleft((request, answer))
+                self._lose(worker)
+                continue
+            worker.answer = answer
+        if not self._workers:
+            while waiting:
+                _request, answer = waiting.popleft()
+                if not answer.done():
+                    answer.set_result(_NO_WORKERS)
+
+    def _on_reply(self, worker: _Worker) -> None:
+        """The event loop's reader callback: one reply frame (read whole
+        once it starts arriving, since the worker writes it in one go), or
+        the EOF of a worker that exited."""
+        try:
+            triple, pid, counters = pickle.loads(worker.conn.recv_bytes())
+        except (EOFError, OSError):
+            self._lose(worker)
+            self._drain()
+            return
+        self._counters[pid] = counters
+        answer, worker.answer = worker.answer, None
+        # A done answer is one whose caller gave up: the reply is late.
+        if answer is not None and not answer.done():
+            answer.set_result(triple)
+        self._idle.append(worker)
+        self._drain()
+
+    def _lose(self, worker: _Worker) -> None:
+        """Drop an exited worker from dispatch and from the stats table,
+        and answer the request it held."""
+        self._loop.remove_reader(worker.conn.fileno())
+        worker.conn.close()
+        self._workers.remove(worker)
+        if worker in self._idle:
+            self._idle.remove(worker)
+        pid = worker.process.pid
+        self._counters.pop(pid, None)
+        if worker.answer is not None and not worker.answer.done():
+            worker.answer.set_result(_json_body(
+                {"error": "worker-lost", "message": f"worker {pid} exited "
+                 "before it answered this request"}, status=502))
+
     def submit(self, endpoint: str, body: bytes = b"", *,
                binary_in: bool = False, binary_out: bool = False,
                params: dict | None = None) -> Future:
-        """A future resolving to the ``(status, content_type, body)`` triple.
-
-        The worker's counters are recorded before that future resolves, so
-        a caller holding its answer already sees its request counted."""
+        """:meth:`dispatch` for callers with no event loop (tests, CLI
+        one-shots): a :class:`concurrent.futures.Future`.  In process mode
+        it runs :meth:`dispatch` on a loop thread of its own."""
+        if self._executor is None:
+            return asyncio.run_coroutine_threadsafe(
+                self._answer(endpoint, body, binary_in=binary_in,
+                             binary_out=binary_out, params=params),
+                self._sync())
         task = self._executor.submit(_pool_run, self._service, endpoint,
                                      bytes(body), binary_in, binary_out,
                                      dict(params or {}))
@@ -396,6 +546,18 @@ class WorkerPool:
         # weakly, as a cycle would keep both alive until a gc pass.
         answer.add_done_callback(partial(_unqueue, weakref.ref(task)))
         return answer
+
+    async def _answer(self, *args, **kwargs) -> tuple[int, str, bytes]:
+        return await self.dispatch(*args, **kwargs)
+
+    def _sync(self) -> asyncio.AbstractEventLoop:
+        if self._sync_loop is None:
+            loop = asyncio.new_event_loop()
+            thread = threading.Thread(target=loop.run_forever,
+                                      name="repro-pool", daemon=True)
+            thread.start()
+            self._sync_loop = (loop, thread)
+        return self._sync_loop[0]
 
     def _settle(self, answer: Future, task: Future) -> None:
         if task.cancelled():
@@ -425,10 +587,10 @@ class WorkerPool:
         """Every worker's stats, as of its last completed request, plus
         the summed aggregate.
 
-        Counters ride back on each task's result (see :meth:`submit`), so
-        this submits nothing: it folds the per-pid table in memory and
-        reads the shared store's on-disk footprint once.  A request still
-        in flight is not counted yet.
+        Counters ride back on each result (see :meth:`dispatch`), so this
+        sends nothing: it folds the per-pid table in memory and reads the
+        shared store's on-disk footprint once.  A request still in flight
+        is not counted yet.
         """
         table = sorted(dict(self._counters).items())
         roots = [store[0] for _pid, (_l, store, _p) in table if store]
@@ -447,9 +609,29 @@ class WorkerPool:
                 "cache_dir": self.config.cache_dir}
 
     def close(self) -> None:
-        """Cancel queued work and wait for every worker to exit (a task
-        already running finishes first)."""
-        self._executor.shutdown(wait=True, cancel_futures=True)
+        """Drop queued work and wait for every worker to exit (a request
+        already running finishes first).  In process mode, call it on the
+        pool's event loop or after that loop has stopped."""
+        if self._executor is not None:
+            self._executor.shutdown(wait=True, cancel_futures=True)
+            return
+        if self._sync_loop is not None:
+            loop, thread = self._sync_loop
+            loop.call_soon_threadsafe(loop.stop)
+            thread.join()
+            loop.close()
+            self._sync_loop = None
+        live = self._loop is not None and not self._loop.is_closed()
+        workers, self._workers, self._idle = self._workers, [], []
+        self._waiting.clear()
+        for worker in workers:
+            if live:
+                self._loop.remove_reader(worker.conn.fileno())
+            # The worker reads EOF once it is idle and exits.
+            worker.conn.close()
+        # An exited worker left the list; multiprocessing reaps it at exit.
+        for worker in workers:
+            worker.process.join()
 
     def __enter__(self) -> "WorkerPool":
         return self

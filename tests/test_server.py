@@ -80,6 +80,16 @@ def server():
     handle.stop()
 
 
+def _tampered_code_unit() -> dict:
+    """A ``code_unit`` envelope whose recorded fingerprint is all zeros."""
+    from repro.api import SageService
+    from repro.api.contracts import to_json
+
+    envelope = json.loads(to_json(SageService().run("ICMP").code_unit))
+    envelope["data"]["fingerprint"] = "0" * 40
+    return envelope
+
+
 class TestRouting:
     def test_healthz(self, server):
         status, content_type, body = server.request("GET", "/healthz")
@@ -238,6 +248,15 @@ class TestErrorMapping:
         assert status == 404
         assert content_type == "application/json"
 
+    def test_tampered_code_unit_envelope_is_400(self, server):
+        status, content_type, body = server.request(
+            "POST", "/v1/process", body=json.dumps(_tampered_code_unit()))
+        assert status == 400
+        assert content_type == "application/json"
+        payload = json.loads(body)
+        assert payload["error"] == "contract-error"
+        assert "recorded fingerprint 0000" in payload["message"]
+
     def test_tiny_deadline_is_504(self, server):
         status, _ct, body = server.request(
             "POST", "/v1/sweep", body="",
@@ -316,12 +335,12 @@ class TestStats:
 
 def _gated(run_endpoint):
     """``run_endpoint``, except that a request whose params carry a
-    ``gate`` path first creates ``<gate>.entered`` and then waits (a
-    minute at most) until the ``gate`` file exists."""
+    ``gate`` path first writes its process's pid to ``<gate>.entered``
+    and then waits (a minute at most) until the ``gate`` file exists."""
     def run(service, endpoint, body=b"", **kwargs):
         gate = (kwargs.get("params") or {}).get("gate")
         if gate:
-            Path(gate + ".entered").touch()
+            Path(gate + ".entered").write_text(str(os.getpid()))
             give_up = time.monotonic() + 60
             while not os.path.exists(gate) and time.monotonic() < give_up:
                 time.sleep(0.01)
@@ -375,6 +394,124 @@ class TestStatsDoNotWait:
         assert lookups(after) > lookups(during["aggregate"])
 
 
+def _slowed(run_endpoint, endpoint: str, seconds: float):
+    """``run_endpoint``, except that every ``endpoint`` call first sleeps
+    ``seconds``."""
+    def run(service, name, body=b"", **kwargs):
+        if name == endpoint:
+            time.sleep(seconds)
+        return run_endpoint(service, name, body, **kwargs)
+    return run
+
+
+def _wait_for_entry(gate: Path) -> int:
+    """The pid that entered the gated request, once one has."""
+    entered = Path(f"{gate}.entered")
+    give_up = time.monotonic() + 60
+    while not (entered.exists() and entered.read_text()):
+        assert time.monotonic() < give_up, "request never ran"
+        time.sleep(0.01)
+    return int(entered.read_text())
+
+
+class TestWorkerFailures:
+    def test_a_worker_killed_mid_request_answers_502(self, tmp_path,
+                                                      monkeypatch):
+        from repro.server import pool as pool_module
+
+        monkeypatch.setattr(pool_module, "run_endpoint",
+                            _gated(pool_module.run_endpoint))
+        gate = tmp_path / "release"
+        with WorkerPool(workers=2) as pool:
+            if pool.mode != "process":
+                pytest.skip("fork process pool unavailable on this platform")
+            try:
+                blocked = pool.submit("process", b'{"protocol": "NTP"}',
+                                      params={"gate": str(gate)})
+                pid = _wait_for_entry(gate)
+                os.kill(pid, signal.SIGKILL)
+                status, content_type, body = blocked.result(timeout=30)
+            finally:
+                gate.touch()
+            assert status == 502
+            assert content_type == "application/json"
+            payload = json.loads(body)
+            assert payload["error"] == "worker-lost"
+            assert str(pid) in payload["message"]
+            # The dead pid leaves the stats table and dispatch: later
+            # requests go to the surviving worker.
+            stats = pool.collect_stats()
+            assert pid not in [row["pid"] for row in stats["workers"]]
+            assert stats["aggregate"]["worker_count"] == 1
+            for _ in range(3):
+                status, _ct, _body = pool.run(
+                    "parse", params={"protocol": "NTP"}, timeout=60)
+                assert status == 200
+            [survivor] = pool.collect_stats()["workers"]
+            # With the last worker gone too, every request answers 503.
+            os.kill(survivor["pid"], signal.SIGKILL)
+            give_up = time.monotonic() + 30
+            while pool.collect_stats()["workers"]:
+                assert time.monotonic() < give_up, "the EOF never arrived"
+                time.sleep(0.01)
+            status, _ct, body = pool.run("parse", params={"protocol": "NTP"},
+                                         timeout=30)
+            assert status == 503
+            assert json.loads(body)["error"] == "no-workers"
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_a_late_reply_never_answers_the_next_request(self, workers,
+                                                         monkeypatch):
+        from repro.api import SageService
+        from repro.server import pool as pool_module
+
+        monkeypatch.setattr(pool_module, "run_endpoint",
+                            _slowed(pool_module.run_endpoint, "sweep", 1.0))
+        body = json.dumps({"protocol": "ICMP",
+                           "include_sentences": False}).encode()
+        expected = run_endpoint(SageService(), "process", body)
+        handle = ServerHandle(
+            ReproServer(port=0, workers=workers, deadline_s=120.0)).start()
+        try:
+            if handle.server.pool.mode != ("process" if workers > 1
+                                           else "inline"):
+                pytest.skip("fork process pool unavailable on this platform")
+
+            def late(_index):
+                return handle.request(
+                    "POST", "/v1/sweep", body='{"protocols": ["ICMP"]}',
+                    headers={"X-Repro-Deadline": "0.1"})
+
+            # Every worker is still busy with a sweep whose caller got a
+            # 504 when the next request arrives.
+            with concurrent.futures.ThreadPoolExecutor(workers) as clients:
+                statuses = [status for status, _ct, _body
+                            in clients.map(late, range(workers))]
+            assert statuses == [504] * workers
+            answer = handle.request("POST", "/v1/process", body=body)
+        finally:
+            handle.stop()
+        assert answer == expected
+
+    def test_process_mode_dispatch_starts_no_thread(self):
+        before = threading.active_count()
+        handle = ServerHandle(
+            ReproServer(port=0, workers=2, deadline_s=120.0)).start()
+        try:
+            if handle.server.pool.mode != "process":
+                pytest.skip("fork process pool unavailable on this platform")
+            for _ in range(3):
+                status, _ct, _body = handle.request(
+                    "POST", "/v1/process",
+                    body=json.dumps({"protocol": "ICMP",
+                                     "include_sentences": False}))
+                assert status == 200
+            # The handle's own event-loop thread, and nothing else.
+            assert threading.active_count() == before + 1
+        finally:
+            handle.stop()
+
+
 class TestPoolUnit:
     def test_run_endpoint_unknown_endpoint(self):
         from repro.api import SageService
@@ -393,6 +530,23 @@ class TestPoolUnit:
         payload = json.loads(body)
         assert payload["error"] == "bad-request"
         assert "'protocol'" in payload["message"]
+
+    def test_tampered_code_unit_in_a_request_is_400(self):
+        from repro.api import SageService
+
+        service = SageService()
+        unit = service.run("ICMP").code_unit
+        tampered = to_bytes(unit).replace(unit.fingerprint().encode(),
+                                          b"0" * 40)
+        for body, binary_in in (
+                (json.dumps(_tampered_code_unit()).encode(), False),
+                (tampered, True)):
+            status, _ct, answer = run_endpoint(service, "process", body,
+                                               binary_in=binary_in)
+            assert status == 400
+            payload = json.loads(answer)
+            assert payload["error"] == "contract-error"
+            assert "recorded fingerprint 0000" in payload["message"]
 
     def test_inline_pool_serializes_one_service(self):
         with WorkerPool(workers=1) as pool:
@@ -535,7 +689,10 @@ def _alive(pid: int) -> bool:
     not Path(f"/proc/{os.getpid()}/task/{os.getpid()}/children").exists(),
     reason="needs /proc child lists to find the worker processes")
 class TestShutdown:
-    def test_sigterm_stops_the_forked_workers(self):
+    @staticmethod
+    def _stop_and_watch_workers(stop) -> None:
+        """Boot ``repro serve --workers 2``, end it with ``stop(proc)``
+        and require every worker pid to be gone within 10 s."""
         env = dict(os.environ)
         src = str(Path(__file__).resolve().parent.parent / "src")
         env["PYTHONPATH"] = os.pathsep.join(
@@ -551,8 +708,7 @@ class TestShutdown:
                 pytest.skip(f"fork process pool unavailable: {banner!r}")
             workers = _children(proc.pid)
             assert len(workers) >= 2
-            proc.send_signal(signal.SIGTERM)
-            assert proc.wait(timeout=30) == 0
+            stop(proc)
             deadline = time.monotonic() + 10
             while any(_alive(pid) for pid in workers):
                 assert time.monotonic() < deadline, (
@@ -567,3 +723,18 @@ class TestShutdown:
             for pid in workers:
                 if _alive(pid):
                     os.kill(pid, signal.SIGKILL)
+
+    def test_sigterm_stops_the_forked_workers(self):
+        def sigterm(proc):
+            proc.send_signal(signal.SIGTERM)
+            assert proc.wait(timeout=30) == 0
+
+        self._stop_and_watch_workers(sigterm)
+
+    def test_sigkill_of_the_server_ends_the_forked_workers(self):
+        # No shutdown code runs: each worker reads EOF on its pipe.
+        def sigkill(proc):
+            proc.kill()
+            proc.wait(timeout=30)
+
+        self._stop_and_watch_workers(sigkill)
