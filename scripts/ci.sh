@@ -8,7 +8,7 @@
 #   ./scripts/ci.sh examples # every examples/*.py end to end only
 #   ./scripts/ci.sh parity   # parser-backend parity + sid-engine property suites only
 #   ./scripts/ci.sh cache    # persistent cache cross-process smoke only
-#   ./scripts/ci.sh serve-gate  # HTTP serving layer load gate only
+#   ./scripts/ci.sh serve-gate  # HTTP serving layer load gate only (three boots)
 #   ./scripts/ci.sh fuzz-gate   # header codec + checksum suites, then the fuzzer cross-backend gate only
 #   ./scripts/ci.sh paper       # paper-table checks (benchmarks/bench_*.py) only
 #   ./scripts/ci.sh entered     # function-entry map over all of the above (report only)
@@ -199,15 +199,17 @@ if [ "${1:-all}" = "examples" ]; then
   exit 0
 fi
 
-# Serving-layer load gate: boot `python -m repro serve` twice over one
-# shared cache directory.  The harness sends every request over HTTP and
+# Serving-layer load gate: boot `python -m repro serve` three times over
+# one shared cache directory.  The harness sends every request over HTTP and
 # then runs it in process on the server's store, so its throughput
 # reference is measured in the same run.  Boot #1 runs it cold (gates
 # latency and error rate only — its traffic populates the store); boot #2
 # runs it with --expect-warm, which additionally requires zero parse and winnow
 # misses through the server, disk hits in the parse, winnow or run layer
 # (disk warm-start), and a median HTTP / in-process throughput ratio of
-# at least load_harness.MIN_HTTP_OVER_INPROCESS.
+# at least load_harness.MIN_HTTP_OVER_INPROCESS.  Boot #3 runs the inline
+# pool (`--workers 1`) over the warm store with the latency, error and
+# envelope gates; the ratio floor was sized on process mode.
 serve_gate() {
   echo "== serve gate: load harness against python -m repro serve =="
   local store log
@@ -216,9 +218,11 @@ serve_gate() {
   log="$store/serve.log"
 
   local port
-  # Sets $server_pid and $port (no subshell: teardown needs the real pid).
+  # Sets $server_pid and $port (no subshell: teardown needs the real pid);
+  # its arguments go to `repro serve`.
   boot_server() {
-    python -m repro serve --port 0 --cache-dir "$store/cache" > "$log" 2>&1 &
+    python -m repro serve --port 0 --cache-dir "$store/cache" "$@" \
+      > "$log" 2>&1 &
     server_pid=$!
     local i
     for i in $(seq 1 100); do
@@ -243,6 +247,13 @@ serve_gate() {
   echo "-- boot 2 (warm store, port $port): throughput + warm-start gates"
   python benchmarks/load_harness.py --url "http://127.0.0.1:$port" \
     --expect-warm
+  stop_server
+
+  # Inline mode (one service behind the event loop's executor thread).
+  # The throughput floor was sized on process mode, so no --expect-warm.
+  boot_server --workers 1 || return 1
+  echo "-- boot 3 (warm store, --workers 1, port $port): inline-mode gates"
+  python benchmarks/load_harness.py --url "http://127.0.0.1:$port"
   stop_server
 }
 

@@ -77,9 +77,8 @@ class ServiceConfig:
     """Everything needed to build the service the CLI and every server
     worker run.
 
-    Picklable by construction — it crosses the process boundary as the
-    server pool's initializer argument, so it carries *paths*, never live
-    objects.
+    It carries *paths* and flags, never live objects: each forked server
+    worker builds a service of its own from it, on its first request.
     """
 
     cache_dir: str | None = None

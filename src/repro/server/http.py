@@ -9,7 +9,7 @@ worker is busy.
 
 Routes::
 
-    GET  /healthz                         liveness + uptime
+    GET  /healthz                         live workers + uptime (503: none)
     GET  /stats                           server counters + pool + caches
     POST /v1/process                      ProcessRequest → ProcessResponse
     POST /v1/sweep                        SweepRequest → SweepResponse
@@ -30,7 +30,8 @@ moment later (a memoized answer can beat the event loop's timer).  A
 request still waiting for a worker is never sent; one already in a
 worker runs to completion and its late reply is dropped — the deadline
 bounds the *caller's* wait, and the warmed caches mean the retry is
-cheap.  A worker that dies mid-request answers 502 ``worker-lost``.
+cheap.  A worker that dies mid-request answers 502 ``worker-lost``, and
+an exception in the front end's own code answers 500 ``internal``.
 """
 
 from __future__ import annotations
@@ -40,8 +41,9 @@ import signal
 import time
 from collections.abc import Callable
 
-from ..api.errors import ApiError, DeadlineExceeded
-from .pool import BINARY_CONTENT_TYPE, ServiceConfig, WorkerPool, _json_body
+from ..api.errors import DeadlineExceeded
+from .pool import (BINARY_CONTENT_TYPE, ServiceConfig, WorkerPool, _error,
+                   _internal_error, _json_body)
 
 #: Largest request body the server will read, in bytes.  Requests are
 #: small (a protocol name and some flags); anything bigger is a client
@@ -58,10 +60,6 @@ _REASON_PHRASES = {
     500: "Internal Server Error", 502: "Bad Gateway",
     503: "Service Unavailable", 504: "Gateway Timeout",
 }
-
-
-def _error(status: int, code: str, message: str) -> tuple[int, str, bytes]:
-    return _json_body({"error": code, "message": message}, status)
 
 
 class _Request:
@@ -107,12 +105,12 @@ class ReproServer:
 
     def __init__(self, host: str = "127.0.0.1", port: int = 0, *,
                  config: ServiceConfig | None = None,
-                 workers: int | None = None, registry=None,
+                 workers: int | None = None,
                  deadline_s: float = 60.0) -> None:
         self.host = host
         self.port = port  # 0 = ephemeral; updated once the socket binds
         self.deadline_s = deadline_s
-        self.pool = WorkerPool(config, workers=workers, registry=registry)
+        self.pool = WorkerPool(config, workers=workers)
         self.started_at = time.monotonic()
         self.requests_total = 0
         self.responses_by_status: dict[int, int] = {}
@@ -176,6 +174,8 @@ class ReproServer:
                 self.inflight += 1
                 try:
                     status, content_type, body = await self._dispatch(request)
+                except Exception as exc:  # the front end's own fault
+                    status, content_type, body = _internal_error(exc)
                 finally:
                     self.inflight -= 1
                 keep_alive = request.keep_alive
@@ -269,10 +269,11 @@ class ReproServer:
             return _error(*route[1:])
         endpoint, params = route
         if endpoint == "healthz":
+            live = self.pool.live_workers()
             return _json_body({
-                "ok": True,
+                "ok": live > 0, "live_workers": live,
                 "uptime_s": time.monotonic() - self.started_at,
-            })
+            }, 200 if live else 503)
         if endpoint == "stats":
             return await self._stats(request)
         return await self._run_in_pool(request, endpoint, params)
@@ -333,19 +334,21 @@ class ReproServer:
 
     async def _run_in_pool(self, request: _Request, endpoint: str,
                            params: dict) -> tuple[int, str, bytes]:
-        deadline = self._deadline_for(request)
         answer = self.pool.dispatch(
-            endpoint, request.body,
-            binary_in=request.binary_in, binary_out=request.binary_out,
-            params=params,
-        )
+            endpoint, request.body, binary_in=request.binary_in,
+            binary_out=request.binary_out, params=params)
+        return await self._within_deadline(request, endpoint, answer)
+
+    async def _within_deadline(self, request: _Request, endpoint: str,
+                               answer) -> tuple[int, str, bytes]:
+        """The triple ``answer`` resolves to, or a 504 if it is not back
+        within the request's deadline."""
+        deadline = self._deadline_for(request)
         expires = time.monotonic() + deadline
         try:
             result = await asyncio.wait_for(answer, timeout=deadline)
         except asyncio.TimeoutError:
             result = None
-        except ApiError as exc:  # defensive: the pool renders these itself
-            return _json_body(exc.to_dict(), exc.http_status)
         # wait_for hands back a result that finished while its timer was
         # firing; an answer that lands after the deadline is still late.
         if result is not None and time.monotonic() <= expires:
@@ -363,26 +366,19 @@ class ReproServer:
             "timeouts_total": self.timeouts_total,
             "inflight": self.inflight,
         }
-        deadline = self._deadline_for(request)
-        try:
-            # Off the event loop only for the store's footprint scan.
-            service = await asyncio.wait_for(
-                asyncio.to_thread(self.pool.collect_stats), timeout=deadline
-            )
-        except asyncio.TimeoutError:
-            self.timeouts_total += 1
-            error = DeadlineExceeded(deadline, endpoint="stats")
-            return _json_body(error.to_dict(), error.http_status)
-        payload = {
-            "schema": 1, "kind": "server_stats",
-            "data": {
-                "server": server,
-                "pool": self.pool.describe(),
-                "service": service["aggregate"],
-                "workers": service["workers"],
-            },
-        }
-        return _json_body(payload)
+
+        def answer() -> tuple[int, str, bytes]:
+            service = self.pool.collect_stats()
+            return _json_body({
+                "schema": 1, "kind": "server_stats",
+                "data": {"server": server, "pool": self.pool.describe(),
+                         "service": service["aggregate"],
+                         "workers": service["workers"]},
+            })
+
+        # Off the event loop: the store's footprint scan and the encoding.
+        return await self._within_deadline(request, "stats",
+                                           asyncio.to_thread(answer))
 
 
 __all__ = ["ReproServer", "MAX_BODY_BYTES", "MAX_HEADER_BYTES"]

@@ -26,7 +26,8 @@ Two pieces live here, deliberately independent of HTTP framing:
   parent's death looks like to it.  On a single-CPU box — or when fork
   is unavailable — the pool degrades to one inline service behind a
   single-thread executor: the event loop stays responsive while pipeline
-  work is serialized.
+  work is serialized.  Either way :meth:`WorkerPool.dispatch`, called on
+  a running event loop, is the only way in.
 
   This is the only process pool in the package.  Sentences are processed
   and flagged independently, so the concurrency worth having is between
@@ -47,11 +48,8 @@ import json
 import os
 import pickle
 import signal
-import threading
-import weakref
 from collections import deque
-from concurrent.futures import Future, ThreadPoolExecutor
-from functools import partial
+from concurrent.futures import ThreadPoolExecutor
 from operator import attrgetter
 
 from ..api.binenc import from_bytes, to_bytes
@@ -77,6 +75,11 @@ ENDPOINTS = ("process", "sweep", "parse", "session")
 def _json_body(payload: dict, status: int = 200) -> tuple[int, str, bytes]:
     body = json.dumps(payload, separators=(",", ":")).encode("utf-8")
     return status, JSON_CONTENT_TYPE, body
+
+
+def _error(status: int, code: str, message: str) -> tuple[int, str, bytes]:
+    """An error answer outside the :class:`ApiError` taxonomy."""
+    return _json_body({"error": code, "message": message}, status)
 
 
 def _decode_request(body: bytes, binary_in: bool):
@@ -169,9 +172,12 @@ def run_endpoint(service: SageService, endpoint: str, body: bytes = b"", *,
     except ApiError as exc:
         return _json_body(exc.to_dict(), status=exc.http_status)
     except Exception as exc:  # the pool must answer, whatever broke
-        return _json_body({"error": "internal",
-                           "message": f"{type(exc).__name__}: {exc}"},
-                          status=500)
+        return _internal_error(exc)
+
+
+def _internal_error(exc: Exception) -> tuple[int, str, bytes]:
+    """The 500 ``internal`` answer to an exception nothing else mapped."""
+    return _error(500, "internal", f"{type(exc).__name__}: {exc}")
 
 
 # -- the worker process ---------------------------------------------------------
@@ -315,16 +321,8 @@ def aggregate_stats(table: list[tuple], shared_store: dict) -> dict:
 
 # -- the pool ------------------------------------------------------------------
 
-def _unqueue(task_ref, answer: Future) -> None:
-    task = task_ref()
-    if task is not None and answer.cancelled():
-        task.cancel()
-
-
 #: The answer once every worker has exited (nothing respawns them yet).
-_NO_WORKERS = _json_body({"error": "no-workers",
-                          "message": "every worker process has exited"},
-                         status=503)
+_NO_WORKERS = _error(503, "no-workers", "every worker process has exited")
 
 
 class _Worker:
@@ -363,11 +361,12 @@ class WorkerPool:
 
     Inline mode runs one shared service behind a single-thread executor:
     pipeline work is serialized (single-worker semantics) while the
-    caller's event loop stays free to answer ``/healthz``.
+    caller's event loop stays free to answer ``/healthz``.  In both modes
+    :meth:`dispatch` is the only way to run a request.
     """
 
     def __init__(self, config: ServiceConfig | None = None, *,
-                 workers: int | None = None, registry=None) -> None:
+                 workers: int | None = None) -> None:
         self.config = config or ServiceConfig()
         requested = ((os.cpu_count() or 1) if workers is None
                      else max(int(workers), 1))
@@ -378,21 +377,16 @@ class WorkerPool:
         #: pid → that worker's counters as of its last completed request.
         self._counters: dict[int, tuple] = {}
         #: Process mode: live workers, the idle ones among them, requests
-        #: waiting for one, the loop the replies are read on, and the loop
-        #: that serves the synchronous :meth:`submit`.
+        #: waiting for one, and the loop the replies are read on.
         self._workers: list[_Worker] = []
         self._idle: list[_Worker] = []
         self._waiting: deque = deque()
         self._loop: asyncio.AbstractEventLoop | None = None
-        self._sync_loop: tuple | None = None
         if requested > 1 and self._start_workers(requested):
             self.mode = "process"
             self.workers = requested
             return
-        if registry is not None:
-            self._service = SageService(registry=registry)
-        else:
-            self._service = self.config.build_service()
+        self._service = self.config.build_service()
         self._executor = ThreadPoolExecutor(
             max_workers=1, thread_name_prefix="repro-serve"
         )
@@ -448,12 +442,13 @@ class WorkerPool:
         a caller holding its answer already sees its request counted.
         Cancelling it (a deadline) means a request still waiting for a
         worker is never sent; one already in a worker runs to completion
-        and its reply is dropped."""
+        and its reply is dropped.  Inline, asyncio's future chaining
+        cancels the executor task that is still queued."""
         loop = asyncio.get_running_loop()
         if self._executor is not None:
-            return asyncio.wrap_future(
-                self.submit(endpoint, body, binary_in=binary_in,
-                            binary_out=binary_out, params=params), loop=loop)
+            return loop.run_in_executor(
+                self._executor, self._run_inline, endpoint, bytes(body),
+                binary_in, binary_out, dict(params or {}))
         if self._loop is not loop:
             self._bind(loop)
         answer = loop.create_future()
@@ -511,6 +506,13 @@ class WorkerPool:
         self._idle.append(worker)
         self._drain()
 
+    def _run_inline(self, *request) -> tuple[int, str, bytes]:
+        """One inline request, counted before its caller's future
+        resolves."""
+        triple, pid, counters = _pool_run(self._service, *request)
+        self._counters[pid] = counters
+        return triple
+
     def _lose(self, worker: _Worker) -> None:
         """Drop an exited worker from dispatch and from the stats table,
         and answer the request it held."""
@@ -522,66 +524,9 @@ class WorkerPool:
         pid = worker.process.pid
         self._counters.pop(pid, None)
         if worker.answer is not None and not worker.answer.done():
-            worker.answer.set_result(_json_body(
-                {"error": "worker-lost", "message": f"worker {pid} exited "
-                 "before it answered this request"}, status=502))
-
-    def submit(self, endpoint: str, body: bytes = b"", *,
-               binary_in: bool = False, binary_out: bool = False,
-               params: dict | None = None) -> Future:
-        """:meth:`dispatch` for callers with no event loop (tests, CLI
-        one-shots): a :class:`concurrent.futures.Future`.  In process mode
-        it runs :meth:`dispatch` on a loop thread of its own."""
-        if self._executor is None:
-            return asyncio.run_coroutine_threadsafe(
-                self._answer(endpoint, body, binary_in=binary_in,
-                             binary_out=binary_out, params=params),
-                self._sync())
-        task = self._executor.submit(_pool_run, self._service, endpoint,
-                                     bytes(body), binary_in, binary_out,
-                                     dict(params or {}))
-        answer = Future()
-        task.add_done_callback(partial(self._settle, answer))
-        # A caller that gives up (a deadline) unqueues the task if it can;
-        # weakly, as a cycle would keep both alive until a gc pass.
-        answer.add_done_callback(partial(_unqueue, weakref.ref(task)))
-        return answer
-
-    async def _answer(self, *args, **kwargs) -> tuple[int, str, bytes]:
-        return await self.dispatch(*args, **kwargs)
-
-    def _sync(self) -> asyncio.AbstractEventLoop:
-        if self._sync_loop is None:
-            loop = asyncio.new_event_loop()
-            thread = threading.Thread(target=loop.run_forever,
-                                      name="repro-pool", daemon=True)
-            thread.start()
-            self._sync_loop = (loop, thread)
-        return self._sync_loop[0]
-
-    def _settle(self, answer: Future, task: Future) -> None:
-        if task.cancelled():
-            answer.cancel()
-            return
-        error = task.exception()
-        if error is None:
-            triple, pid, counters = task.result()
-            self._counters[pid] = counters
-        # False when the caller already cancelled its answer.
-        if answer.set_running_or_notify_cancel():
-            if error is None:
-                answer.set_result(triple)
-            else:
-                answer.set_exception(error)
-
-    def run(self, endpoint: str, body: bytes = b"", *,
-            binary_in: bool = False, binary_out: bool = False,
-            params: dict | None = None,
-            timeout: float | None = None) -> tuple[int, str, bytes]:
-        """Synchronous :meth:`submit` (tests, CLI one-shots)."""
-        return self.submit(endpoint, body, binary_in=binary_in,
-                           binary_out=binary_out, params=params
-                           ).result(timeout=timeout)
+            worker.answer.set_result(_error(
+                502, "worker-lost",
+                f"worker {pid} exited before it answered this request"))
 
     def collect_stats(self) -> dict:
         """Every worker's stats, as of its last completed request, plus
@@ -604,6 +549,10 @@ class WorkerPool:
                                              shared_store)}
 
     # -- introspection / lifecycle ----------------------------------------------
+    def live_workers(self) -> int:
+        """How many workers can still answer; inline, the one thread."""
+        return 1 if self._executor is not None else len(self._workers)
+
     def describe(self) -> dict:
         return {"mode": self.mode, "workers": self.workers,
                 "cache_dir": self.config.cache_dir}
@@ -615,12 +564,6 @@ class WorkerPool:
         if self._executor is not None:
             self._executor.shutdown(wait=True, cancel_futures=True)
             return
-        if self._sync_loop is not None:
-            loop, thread = self._sync_loop
-            loop.call_soon_threadsafe(loop.stop)
-            thread.join()
-            loop.close()
-            self._sync_loop = None
         live = self._loop is not None and not self._loop.is_closed()
         workers, self._workers, self._idle = self._workers, [], []
         self._waiting.clear()

@@ -61,14 +61,22 @@ class ServerHandle:
 
     def request(self, method: str, path: str, body=None, headers=None,
                 timeout: float = 120.0):
-        conn = HTTPConnection("127.0.0.1", self.server.port, timeout=timeout)
-        try:
-            conn.request(method, path, body=body, headers=headers or {})
-            response = conn.getresponse()
-            return response.status, response.getheader("Content-Type"), \
-                response.read()
-        finally:
-            conn.close()
+        return _request(self.server.port, method, path, body, headers,
+                        timeout)
+
+
+def _request(port: int, method: str, path: str, body=None, headers=None,
+             timeout: float = 120.0):
+    """One HTTP exchange with the server on ``port``: the status, the
+    ``Content-Type`` and the body."""
+    conn = HTTPConnection("127.0.0.1", port, timeout=timeout)
+    try:
+        conn.request(method, path, body=body, headers=headers or {})
+        response = conn.getresponse()
+        return response.status, response.getheader("Content-Type"), \
+            response.read()
+    finally:
+        conn.close()
 
 
 @pytest.fixture(scope="module")
@@ -97,7 +105,21 @@ class TestRouting:
         assert content_type == "application/json"
         payload = json.loads(body)
         assert payload["ok"] is True
+        assert payload["live_workers"] == 1
         assert payload["uptime_s"] >= 0
+
+    def test_a_front_end_exception_answers_500(self, server, monkeypatch):
+        def broken():
+            raise KeyError("boom")
+
+        monkeypatch.setattr(server.server.pool, "collect_stats", broken)
+        status, content_type, body = server.request("GET", "/stats")
+        assert status == 500
+        assert content_type == "application/json"
+        assert json.loads(body) == {"error": "internal",
+                                    "message": "KeyError: 'boom'"}
+        # The server is still up.
+        assert server.request("GET", "/healthz")[0] == 200
 
     def test_unknown_route_is_404(self, server):
         status, _ct, body = server.request("GET", "/nope")
@@ -360,31 +382,32 @@ class TestStatsDoNotWait:
         gate = tmp_path / "release"
         body = json.dumps({"protocol": "NTP",
                            "include_sentences": False}).encode()
-        with WorkerPool(workers=workers) as pool:
-            if pool.mode != ("process" if workers > 1 else "inline"):
-                pytest.skip("fork process pool unavailable on this platform")
-            side = concurrent.futures.ThreadPoolExecutor(max_workers=1)
+
+        async def while_one_is_busy(pool):
+            blocked = pool.dispatch("process", body,
+                                    params={"gate": str(gate)})
             try:
-                blocked = pool.submit("process", body,
-                                      params={"gate": str(gate)})
-                entered = Path(f"{gate}.entered")
-                give_up = time.monotonic() + 60
-                while not entered.exists():
-                    assert time.monotonic() < give_up, "request never ran"
-                    time.sleep(0.01)
-                during = side.submit(pool.collect_stats).result(timeout=5)
+                await asyncio.to_thread(_wait_for_entry, gate)
+                during = await asyncio.wait_for(
+                    asyncio.to_thread(pool.collect_stats), timeout=5)
                 assert during["aggregate"]["worker_count"] == workers
                 if workers > 1:
                     # The idle worker answers; inline mode serializes
                     # pipeline work by design.
-                    status, _ct, _body = pool.run(
-                        "parse", params={"protocol": "NTP"}, timeout=30)
+                    status, _ct, _body = await asyncio.wait_for(
+                        pool.dispatch("parse", params={"protocol": "NTP"}),
+                        timeout=30)
                     assert status == 200
                 assert not blocked.done()
             finally:
                 gate.touch()
-                side.shutdown(wait=True)
-            assert blocked.result(timeout=120)[0] == 200
+            assert (await asyncio.wait_for(blocked, timeout=120))[0] == 200
+            return during
+
+        with WorkerPool(workers=workers) as pool:
+            if pool.mode != ("process" if workers > 1 else "inline"):
+                pytest.skip("fork process pool unavailable on this platform")
+            during = asyncio.run(while_one_is_busy(pool))
             after = pool.collect_stats()["aggregate"]
 
         def lookups(stats):
@@ -392,6 +415,20 @@ class TestStatsDoNotWait:
 
         # A caller holding its answer sees its request counted.
         assert lookups(after) > lookups(during["aggregate"])
+
+
+def _gated_parse(run_endpoint, gates: Path):
+    """``_gated``, for HTTP callers: ``GET /v1/parse/NAME`` is gated on
+    ``gates / NAME`` (an unknown protocol, so it then answers 404)."""
+    gated = _gated(run_endpoint)
+
+    def run(service, endpoint, body=b"", **kwargs):
+        params = kwargs.get("params") or {}
+        if endpoint == "parse":
+            kwargs["params"] = {**params,
+                                "gate": str(gates / params["protocol"])}
+        return gated(service, endpoint, body, **kwargs)
+    return run
 
 
 def _slowed(run_endpoint, endpoint: str, seconds: float):
@@ -422,42 +459,67 @@ class TestWorkerFailures:
         monkeypatch.setattr(pool_module, "run_endpoint",
                             _gated(pool_module.run_endpoint))
         gate = tmp_path / "release"
-        with WorkerPool(workers=2) as pool:
-            if pool.mode != "process":
-                pytest.skip("fork process pool unavailable on this platform")
+        server = ReproServer(port=0, workers=2, deadline_s=120.0)
+        pool = server.pool
+        if pool.mode != "process":
+            pool.close()
+            pytest.skip("fork process pool unavailable on this platform")
+
+        async def healthz():
+            status, _ct, body = await asyncio.to_thread(
+                _request, server.port, "GET", "/healthz")
+            return status, json.loads(body)
+
+        async def kill_both_workers():
+            await server.start()
             try:
-                blocked = pool.submit("process", b'{"protocol": "NTP"}',
-                                      params={"gate": str(gate)})
-                pid = _wait_for_entry(gate)
-                os.kill(pid, signal.SIGKILL)
-                status, content_type, body = blocked.result(timeout=30)
-            finally:
-                gate.touch()
-            assert status == 502
-            assert content_type == "application/json"
-            payload = json.loads(body)
-            assert payload["error"] == "worker-lost"
-            assert str(pid) in payload["message"]
-            # The dead pid leaves the stats table and dispatch: later
-            # requests go to the surviving worker.
-            stats = pool.collect_stats()
-            assert pid not in [row["pid"] for row in stats["workers"]]
-            assert stats["aggregate"]["worker_count"] == 1
-            for _ in range(3):
-                status, _ct, _body = pool.run(
-                    "parse", params={"protocol": "NTP"}, timeout=60)
+                blocked = pool.dispatch("process", b'{"protocol": "NTP"}',
+                                        params={"gate": str(gate)})
+                try:
+                    pid = await asyncio.to_thread(_wait_for_entry, gate)
+                    os.kill(pid, signal.SIGKILL)
+                    status, content_type, body = await asyncio.wait_for(
+                        blocked, timeout=30)
+                finally:
+                    gate.touch()
+                assert status == 502
+                assert content_type == "application/json"
+                payload = json.loads(body)
+                assert payload["error"] == "worker-lost"
+                assert str(pid) in payload["message"]
+                # The dead pid leaves the stats table and dispatch: later
+                # requests go to the surviving worker.
+                stats = pool.collect_stats()
+                assert pid not in [row["pid"] for row in stats["workers"]]
+                assert stats["aggregate"]["worker_count"] == 1
+                status, health = await healthz()
                 assert status == 200
-            [survivor] = pool.collect_stats()["workers"]
-            # With the last worker gone too, every request answers 503.
-            os.kill(survivor["pid"], signal.SIGKILL)
-            give_up = time.monotonic() + 30
-            while pool.collect_stats()["workers"]:
-                assert time.monotonic() < give_up, "the EOF never arrived"
-                time.sleep(0.01)
-            status, _ct, body = pool.run("parse", params={"protocol": "NTP"},
-                                         timeout=30)
-            assert status == 503
-            assert json.loads(body)["error"] == "no-workers"
+                assert (health["ok"], health["live_workers"]) == (True, 1)
+                for _ in range(3):
+                    status, _ct, _body = await asyncio.wait_for(
+                        pool.dispatch("parse", params={"protocol": "NTP"}),
+                        timeout=60)
+                    assert status == 200
+                [survivor] = pool.collect_stats()["workers"]
+                # With the last worker gone too, every request answers 503.
+                os.kill(survivor["pid"], signal.SIGKILL)
+                give_up = time.monotonic() + 30
+                while pool.collect_stats()["workers"]:
+                    assert time.monotonic() < give_up, "the EOF never arrived"
+                    await asyncio.sleep(0.01)
+                status, _ct, body = await asyncio.wait_for(
+                    pool.dispatch("parse", params={"protocol": "NTP"}),
+                    timeout=30)
+                assert status == 503
+                assert json.loads(body)["error"] == "no-workers"
+                # ...and /healthz stops saying ok.
+                status, health = await healthz()
+                assert status == 503
+                assert (health["ok"], health["live_workers"]) == (False, 0)
+            finally:
+                await server.stop()
+
+        asyncio.run(kill_both_workers())
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_a_late_reply_never_answers_the_next_request(self, workers,
@@ -492,6 +554,48 @@ class TestWorkerFailures:
         finally:
             handle.stop()
         assert answer == expected
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_a_request_whose_deadline_expires_in_the_queue_never_runs(
+            self, workers, tmp_path, monkeypatch):
+        from repro.server import pool as pool_module
+
+        monkeypatch.setattr(pool_module, "run_endpoint",
+                            _gated_parse(pool_module.run_endpoint, tmp_path))
+        handle = ServerHandle(
+            ReproServer(port=0, workers=workers, deadline_s=120.0)).start()
+        busy = [f"busy{index}" for index in range(workers)]
+        try:
+            if handle.server.pool.mode != ("process" if workers > 1
+                                           else "inline"):
+                pytest.skip("fork process pool unavailable on this platform")
+            with concurrent.futures.ThreadPoolExecutor(workers) as clients:
+                # Every worker holds a gated request...
+                blocked = [clients.submit(handle.request, "GET",
+                                          f"/v1/parse/{name}")
+                           for name in busy]
+                for name in busy:
+                    _wait_for_entry(tmp_path / name)
+                # ...so this one waits for a worker until its deadline.
+                status, _ct, body = handle.request(
+                    "GET", "/v1/parse/late",
+                    headers={"X-Repro-Deadline": "0.2"})
+                assert status == 504
+                assert json.loads(body)["error"] == "deadline-exceeded"
+                for name in ("late", "after", *busy):
+                    (tmp_path / name).touch()
+                assert [future.result(timeout=60)[0]
+                        for future in blocked] == [404] * workers
+                # Requests sent after the release have answered: had
+                # "late" been queued or sent, it would have run first.
+                assert [status for status, _ct, _body in clients.map(
+                    lambda _i: handle.request("GET", "/v1/parse/after"),
+                    range(workers))] == [404] * workers
+        finally:
+            for name in busy:
+                (tmp_path / name).touch()
+            handle.stop()
+        assert not (tmp_path / "late.entered").exists()
 
     def test_process_mode_dispatch_starts_no_thread(self):
         before = threading.active_count()
@@ -549,25 +653,32 @@ class TestPoolUnit:
             assert "recorded fingerprint 0000" in payload["message"]
 
     def test_inline_pool_serializes_one_service(self):
+        body = json.dumps({"protocol": "ICMP",
+                           "include_sentences": False}).encode()
+
+        async def process(pool):
+            return await pool.dispatch("process", body)
+
         with WorkerPool(workers=1) as pool:
             assert pool.mode == "inline"
             assert pool.workers == 1
-            status, _ct, body = pool.run(
-                "process",
-                json.dumps({"protocol": "ICMP",
-                            "include_sentences": False}).encode(),
-            )
+            status, _ct, body = asyncio.run(process(pool))
             assert status == 200
             assert from_json(body.decode("utf-8")).protocol == "ICMP"
 
-    def test_repeat_request_is_answered_by_the_run_memo(self):
-        from repro.rfc.registry import ProtocolRegistry
-
+    def test_repeat_request_is_answered_by_the_run_memo(self, tmp_path):
         body = json.dumps({"protocol": "NTP"}).encode()
-        with WorkerPool(workers=1, registry=ProtocolRegistry()) as pool:
-            first = pool.run("process", body)
+
+        async def twice(pool):
+            first = await pool.dispatch("process", body)
             parse_lookups = pool.collect_stats()["aggregate"]["parse_cache"]
-            assert pool.run("process", body) == first
+            assert await pool.dispatch("process", body) == first
+            return parse_lookups
+
+        # A store of its own gives the pool a registry of its own.
+        config = ServiceConfig(cache_dir=str(tmp_path))
+        with WorkerPool(config, workers=1) as pool:
+            parse_lookups = asyncio.run(twice(pool))
             stats = pool.collect_stats()["aggregate"]
         assert stats["run_cache"]["hits"] == 1
         assert stats["run_cache"]["misses"] == 1
