@@ -176,12 +176,12 @@ def main() -> int:
     numbers["engine_construct_cold_s"], _ = timed(SageEngine)
     numbers["engine_construct_cached_s"], _ = timed(SageEngine, repeat=10)
 
-    # -- parser backends head-to-head, truly cold ---------------------------
-    # This must run before anything CCG-parses: the indexed backend's
+    # -- the pipeline's parser against its chart oracle, truly cold --------
+    # This must run before anything CCG-parses: the indexed parser's
     # process-global structural memos warm as a side effect of any parse,
     # and the gate is about *cold* throughput.
+    from repro.ccg.chart import CCGChartParser
     from repro.ccg.semantics import signature as lf_signature
-    from repro.parsing import PARSER_BACKENDS
 
     all_specs = [
         spec
@@ -197,9 +197,10 @@ def main() -> int:
     # sentence exactly once, cold.
     chunker = registry.chunker()
     token_streams = [chunker.chunk_text(spec.text) for spec in all_specs]
-    backends = list(PARSER_BACKENDS)
+    parsers = {"reference": CCGChartParser(registry.lexicon()),
+               "indexed": registry.parser()}
+    backends = list(parsers)
     numbers["parse_backends"] = backends
-    parsers = {backend: registry.parser(backend) for backend in backends}
     backend_sigs = {backend: [] for backend in backends}
     # GC hygiene: both backends grow process-global memo graphs during
     # the sweep, and a generational collection walking those graphs lands

@@ -7,11 +7,11 @@ and the generate stage (Table 4 context + handler dispatch), compiling the
 surviving logical form to both C and Python — then the same pipeline again
 as one :class:`~repro.api.SageService` request/response round trip.
 
-The parse stage runs the default ``indexed`` parser backend (category-
-indexed chart over a packed forest); swap in the reference CKY chart with
-``registry.parser("reference")`` or, on the CLI, ``python -m repro
-process ICMP --parser-backend reference`` — outputs are identical, parity
-is CI-gated (DESIGN.md §8).
+The parse stage runs the pipeline's parser, ``registry.parser()`` (the
+category-indexed chart over a packed forest).  Its parity oracle, the
+plain CKY chart, is ``repro.ccg.chart.CCGChartParser(registry.lexicon())``
+and yields identical logical forms; ``python -m repro parse ICMP
+--compare`` runs both, and parity is CI-gated (DESIGN.md §8).
 
 Run:  python examples/quickstart.py
 """

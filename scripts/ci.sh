@@ -6,7 +6,7 @@
 #   ./scripts/ci.sh tests    # tier-1 tests only
 #   ./scripts/ci.sh bench    # CLI smoke + parser parity + cache smoke + examples + smoke benchmark
 #   ./scripts/ci.sh examples # every examples/*.py end to end only
-#   ./scripts/ci.sh parity   # parser-backend parity + sid-engine property suites only
+#   ./scripts/ci.sh parity   # parser parity + sid-engine property suites only
 #   ./scripts/ci.sh cache    # persistent cache cross-process smoke only
 #   ./scripts/ci.sh serve-gate  # HTTP serving layer load gate only (three boots)
 #   ./scripts/ci.sh fuzz-gate   # header codec + checksum suites, then the fuzzer cross-backend gate only
@@ -20,8 +20,8 @@
 #
 # The smoke benchmark is the only writer of BENCH_pipeline.json (a report
 # of that run; no gate reads it back) and exits non-zero when a headline
-# speedup regresses (parser-backend parity and the indexed
-# backend's >=5x cold-parse speedup floor with >30% span-memo reuse,
+# speedup regresses (parser parity and the indexed
+# parser's >=5x cold-parse speedup floor with >30% span-memo reuse,
 # cached-vs-cold load/construction, the
 # warm-cache sweep re-run — which must add zero parse AND winnow cache
 # misses, deliver >=5x the cold sweep's sentences/s in the same run, and
@@ -95,7 +95,7 @@ if [ "${1:-all}" = "entered" ]; then
 fi
 
 if [ "${1:-all}" = "parity" ]; then
-  echo "== parser-backend parity suite =="
+  echo "== parser parity suite =="
   python -m pytest tests/test_parsing.py tests/test_sid_engine.py -q
   exit 0
 fi
@@ -160,7 +160,9 @@ if sys.stdin.buffer.read() != expected.encode("utf-8"):
 print(f"ok (warm {command}: byte-identical to in-process)")
 ' "$store" "$answer"
   done
-  # The backend comparison times real parses even on a warm store.
+  # The parser comparison times real parses even on a warm store, and
+  # each report comes from the parser it is named for: the chart oracle
+  # and the pipeline's parser.
   python -m repro parse ICMP --compare --cache-dir "$store" --json \
     | python -c '
 import json, sys
@@ -168,12 +170,15 @@ data = json.load(sys.stdin)["data"]
 if not data["parity"]:
     sys.exit("CACHE FAILURE: parse --compare found an LF-set mismatch")
 backends = data["backends"]
+names = {name: report["parser_backend"] for name, report in backends.items()}
+if names != {"reference": "reference", "indexed": "indexed"}:
+    sys.exit(f"CACHE FAILURE: parse --compare ran {names}")
 for name, report in backends.items():
     cached = report["parsed_from_cache"]
     if cached:
         sys.exit(f"CACHE FAILURE: parse --compare served {name} {cached} "
                  "parses from the store")
-print(f"ok (compare: parity, {len(backends)} backends parsed cold)")
+print(f"ok (compare: parity, {len(backends)} parsers parsed cold)")
 '
 }
 
@@ -335,8 +340,8 @@ fi
 if [ "${1:-all}" != "tests" ]; then
   if [ "${1:-all}" = "bench" ]; then
     # The full run already executed these inside tier-1; the bench-only
-    # path still must not skip the backend-parity contract.
-    echo "== parser-backend parity suite =="
+    # path still must not skip the parser-parity contract.
+    echo "== parser parity suite =="
     python -m pytest tests/test_parsing.py tests/test_sid_engine.py -q
   fi
 
@@ -354,9 +359,15 @@ print("ok (4 protocols, in process)")
 '
 
 
-  echo "== cli smoke: python -m repro parse ICMP --compare (backend parity) =="
-  python -m repro parse ICMP --compare > /dev/null
-  echo "ok"
+  echo "== cli smoke: python -m repro parse ICMP --compare (parser parity) =="
+  python -m repro parse ICMP --compare --json | python -c '
+import json, sys
+backends = json.load(sys.stdin)["data"]["backends"]
+names = {name: report["parser_backend"] for name, report in backends.items()}
+if names != {"reference": "reference", "indexed": "indexed"}:
+    sys.exit(f"CLI FAILURE: parse --compare ran {names}")
+print("ok (parity: the reference chart and the indexed parser)")
+'
 
   echo "== cli smoke: python -m repro winnow ICMP --profile =="
   python -m repro winnow ICMP --profile > /dev/null

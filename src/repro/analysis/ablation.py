@@ -40,21 +40,18 @@ class LabelComparison:
                 or self.poor_label_count > self.good_label_count)
 
 
-def compare_np_labels(sentence: str = TABLE7_SENTENCE,
-                      parser_backend: str | None = None) -> LabelComparison:
+def compare_np_labels(sentence: str = TABLE7_SENTENCE) -> LabelComparison:
     """Parse one sentence with the full dictionary vs a degraded one.
 
     The poor labeling splits "echo reply message" by removing the multiword
     terms from the dictionary, mirroring Table 7's 'echo reply' + 'message'
-    split.  ``parser_backend`` selects the parsing backend (None → the
-    process default); the parity gate makes the table backend-independent.
-    """
+    split."""
     registry = default_registry()
     # Both labelings run as parse stages over the shared registry cache:
-    # their backend/lexicon/chunker fingerprints differ, so the cache keeps
-    # the two experiments (and the main pipeline's parses) strictly
-    # separate while letting repeated table regenerations skip re-parsing.
-    good_stage = ParseStage(registry.parser(parser_backend),
+    # their chunker fingerprints differ, so the cache keeps the two
+    # experiments (and the main pipeline's parses) strictly separate while
+    # letting repeated table regenerations skip re-parsing.
+    good_stage = ParseStage(registry.parser(),
                             registry.chunker(),
                             cache=registry.parse_cache())
     good = good_stage.parse_text(sentence).count
@@ -69,7 +66,7 @@ def compare_np_labels(sentence: str = TABLE7_SENTENCE,
         dictionary=TermDictionary(degraded_terms),
         config=ChunkerConfig(merge_adjacent=False),
     )
-    poor_stage = ParseStage(registry.parser(parser_backend),
+    poor_stage = ParseStage(registry.parser(),
                             poor_chunker, cache=registry.parse_cache())
     poor = poor_stage.parse_text(sentence).count
     return LabelComparison(good_label_count=good, poor_label_count=poor)
@@ -87,11 +84,9 @@ class AblationResult:
     details: list[tuple[str, int, int]] = dataclass_field(default_factory=list)
 
 
-def run_ablation(component: str, limit: int | None = None,
-                 parser_backend: str | None = None) -> AblationResult:
+def run_ablation(component: str, limit: int | None = None) -> AblationResult:
     """Disable ``component`` ("dictionary" or "np-labeling") over the ICMP
-    corpus; compare per-sentence base LF counts against the full pipeline.
-    ``parser_backend`` selects the parsing backend (None → default)."""
+    corpus; compare per-sentence base LF counts against the full pipeline."""
     if component == "dictionary":
         config = ChunkerConfig(use_dictionary=False)
     elif component == "np-labeling":
@@ -100,7 +95,7 @@ def run_ablation(component: str, limit: int | None = None,
         raise ValueError(f"unknown component {component!r}")
 
     registry = default_registry()
-    parser = registry.parser(parser_backend)
+    parser = registry.parser()
     baseline_stage = ParseStage(parser, registry.chunker(),
                                 cache=registry.parse_cache())
     ablated_chunker = NounPhraseChunker(

@@ -68,9 +68,6 @@ def _build_parser() -> argparse.ArgumentParser:
                            help="render an artifact (repeatable: c, python)")
     p_process.add_argument("--no-sentences", action="store_true",
                            help="omit per-sentence reports from the response")
-    p_process.add_argument("--parser-backend", default="", metavar="NAME",
-                           help="parser backend (reference, indexed; "
-                                "default: indexed)")
     common(p_process)
 
     p_sweep = sub.add_parser("sweep", help="run many protocols in one batch")
@@ -79,21 +76,15 @@ def _build_parser() -> argparse.ArgumentParser:
                               "registered one)")
     p_sweep.add_argument("--all", action="store_true",
                          help="run every registered protocol")
-    p_sweep.add_argument("--parser-backend", default="", metavar="NAME",
-                         help="parser backend for every protocol in the "
-                              "sweep (default: indexed)")
     common(p_sweep)
 
     p_parse = sub.add_parser(
         "parse", help="parsing-subsystem diagnostics: batch-parse one "
-                      "corpus through a backend (no winnow, no codegen)"
+                      "corpus (no winnow, no codegen)"
     )
     p_parse.add_argument("protocol")
-    p_parse.add_argument("--parser-backend", default="", metavar="NAME",
-                         help="parser backend to drive (default: "
-                              "indexed)")
     p_parse.add_argument("--compare", action="store_true",
-                         help="run every parser backend, check "
+                         help="also run the reference chart parser, check "
                               "LF-set parity, and report relative speed")
     p_parse.add_argument("--sentences", action="store_true",
                          help="print the per-sentence diagnostic lines")
@@ -108,9 +99,6 @@ def _build_parser() -> argparse.ArgumentParser:
                        "check suite over one corpus (no codegen)"
     )
     p_winnow.add_argument("protocol")
-    p_winnow.add_argument("--parser-backend", default="", metavar="NAME",
-                          help="parser backend feeding the winnow stage "
-                               "(default: indexed)")
     p_winnow.add_argument("--sentences", action="store_true",
                           help="print the per-sentence stage-count lines")
     p_winnow.add_argument("--profile", action="store_true",
@@ -243,7 +231,6 @@ def _cmd_process(service: SageService, args, out) -> int:
         protocol=args.protocol, mode=args.mode,
         include_sentences=not args.no_sentences,
         artifacts=tuple(args.artifact),
-        parser_backend=args.parser_backend,
     ))
     if args.json:
         print(to_json(response), file=out)
@@ -259,7 +246,6 @@ def _cmd_sweep(service: SageService, args, out) -> int:
         raise RequestError("sweep needs protocol names or --all")
     response = service.sweep(SweepRequest(
         protocols=tuple(args.protocols), mode=args.mode,
-        parser_backend=args.parser_backend,
     ))
     if args.json:
         print(to_json(response), file=out)
@@ -330,33 +316,25 @@ def _cmd_resolve(service: SageService, args, out) -> int:
 
 
 def _cmd_parse(service: SageService, args, out) -> int:
-    """Parsing diagnostics: one backend, or a parity/speed comparison."""
+    """Parsing diagnostics: the pipeline's parser, or its parity/speed
+    comparison with the reference chart parser."""
     if args.compare:
-        from ..parsing.backend import PARSER_BACKENDS
+        from ..ccg.chart import CCGChartParser
+        from ..core.stages import ParseStage
         from ..rfc.registry import ProtocolRegistry
-        from .service import SageService
+        from .service import SageService, parse_report
 
-        if args.parser_backend:
-            # --compare always runs every parser backend; silently
-            # ignoring a (possibly misspelled) selection would mask the
-            # mistake behind a successful comparison.
-            raise RequestError(
-                "--compare runs every parser backend; drop --parser-backend"
-            )
         # Time real parses of every sentence, repeats included: uncached
         # parse stages over a fresh registry that opens no store, whatever
         # --cache-dir or $REPRO_CACHE_DIR name.
-        cold = SageService(ProtocolRegistry())
+        registry = ProtocolRegistry()
+        corpus = SageService(registry)._load_corpus(args.protocol)
         reports = {}
-        for backend in PARSER_BACKENDS:
-            cold.engine(args.mode, backend).parse_stage.cache = None
-            reports[backend] = cold.parse_diagnostics(
-                args.protocol, parser_backend=backend, mode=args.mode)
-        lf_sets = {
-            backend: tuple(s["lf_set_sha1"] for s in report["sentences"])
-            for backend, report in reports.items()
-        }
-        parity = len(set(lf_sets.values())) == 1
+        for parser in (CCGChartParser(registry.lexicon()), registry.parser()):
+            stage = ParseStage(parser, registry.chunker())
+            reports[parser.name] = parse_report(stage, corpus)
+        parity = len({tuple(s["lf_set_sha1"] for s in report["sentences"])
+                      for report in reports.values()}) == 1
         if args.json:
             _print_payload("parse_comparison", {
                 "protocol": args.protocol, "parity": parity,
@@ -365,7 +343,7 @@ def _cmd_parse(service: SageService, args, out) -> int:
                              for name, rep in reports.items()},
             }, out)
         else:
-            print(f"{args.protocol}: parser-backend comparison "
+            print(f"{args.protocol}: parser comparison "
                   f"({'parity OK' if parity else 'PARITY MISMATCH'})",
                   file=out)
             for name, report in reports.items():
@@ -374,9 +352,7 @@ def _cmd_parse(service: SageService, args, out) -> int:
                       f"{report['unparsed']} unparsed, "
                       f"{report['pruned_sentences']} pruned)", file=out)
         return 0 if parity else 1
-    report = service.parse_diagnostics(
-        args.protocol, parser_backend=args.parser_backend, mode=args.mode
-    )
+    report = service.parse_diagnostics(args.protocol)
     if args.json:
         _print_payload("parse_diagnostics", report, out)
         return 0
@@ -406,9 +382,7 @@ def _cmd_parse(service: SageService, args, out) -> int:
 
 def _cmd_winnow(service: SageService, args, out) -> int:
     """Winnow diagnostics: the §4.2 check suite in isolation."""
-    report = service.winnow_diagnostics(
-        args.protocol, parser_backend=args.parser_backend, mode=args.mode
-    )
+    report = service.winnow_diagnostics(args.protocol)
     if args.json:
         _print_payload("winnow_diagnostics", report, out)
         return 0

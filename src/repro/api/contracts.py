@@ -120,8 +120,6 @@ class ProcessRequest(_Contract):
     include_sentences: bool = True
     #: Text backends to render into response artifacts (e.g. ("c",)).
     artifacts: tuple[str, ...] = ()
-    #: Parser backend name ("" = the default, ``indexed``).
-    parser_backend: str = ""
 
 
 @dataclass(frozen=True)
@@ -135,8 +133,6 @@ class SweepRequest(_Contract):
     parallel: bool = True
     include_sentences: bool = False
     artifacts: tuple[str, ...] = ()
-    #: Parser backend name ("" = the default, ``indexed``).
-    parser_backend: str = ""
 
 
 @dataclass
@@ -512,7 +508,6 @@ PROCESS_REQUEST = Record("process_request", ProcessRequest, [
     Field("mode", MODE, "revised"),
     Field("include_sentences", BOOL, True, omit=True),
     Field("artifacts", ListOf(STR, tuple), (), omit=True),
-    Field("parser_backend", STR, "", omit=True),
 ], error=RequestError)
 
 SWEEP_REQUEST = Record("sweep_request", SweepRequest, [
@@ -521,7 +516,6 @@ SWEEP_REQUEST = Record("sweep_request", SweepRequest, [
     Field("parallel", BOOL, True, omit=True),
     Field("include_sentences", BOOL, False, omit=True),
     Field("artifacts", ListOf(STR, tuple), (), omit=True),
-    Field("parser_backend", STR, "", omit=True),
 ], error=RequestError)
 
 SENTENCE_REPORT = Record("sentence_report", SentenceReport, [

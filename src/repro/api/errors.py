@@ -79,28 +79,6 @@ class BackendNotFound(ApiError):
         return record
 
 
-class ParserBackendNotFound(ApiError):
-    """The request names a parser backend that does not exist."""
-
-    code = "parser-backend-not-found"
-    http_status = 404
-    exit_code = 3
-
-    def __init__(self, name: str, known: list[str] | None = None):
-        self.name = name
-        self.known = list(known or [])
-        message = f"unknown parser backend {name!r}"
-        if self.known:
-            message += f": parser backends are {', '.join(self.known)}"
-        super().__init__(message)
-
-    def to_dict(self) -> dict:
-        record = super().to_dict()
-        record["parser_backend"] = self.name
-        record["known"] = self.known
-        return record
-
-
 class ContractError(ApiError):
     """A payload that cannot be (de)serialized under the contract."""
 

@@ -15,9 +15,13 @@ behind request/response contracts:
   :class:`~repro.api.session.DisambiguationSession` on a protocol.
 
 Failures surface as structured :class:`~repro.api.errors.ApiError`
-subclasses, never registry ``KeyError`` leaks — the transport layer (the
-``python -m repro`` CLI today, an HTTP shim tomorrow) maps them 1:1 onto
-error payloads.
+subclasses, never registry ``KeyError`` leaks — the transports (the
+``python -m repro`` CLI and the HTTP server in :mod:`repro.server`) map
+them 1:1 onto error payloads.
+
+:func:`parse_report` renders one batch parse of a corpus through one parse
+stage; :meth:`SageService.parse_diagnostics` and ``parse --compare`` both
+report through it.
 """
 
 from __future__ import annotations
@@ -27,7 +31,6 @@ from typing import TYPE_CHECKING
 
 from ..codegen.backends import BACKENDS, backend_names
 from ..core.results import SageRun, run_key_for
-from ..parsing.backend import DEFAULT_PARSER_BACKEND, PARSER_BACKENDS
 from ..rfc.registry import ProtocolRegistry
 from .contracts import (
     GeneratedArtifact,
@@ -45,6 +48,8 @@ from .errors import ApiError, ProtocolNotFound, RequestError
 
 if TYPE_CHECKING:
     from ..core.engine import SageEngine
+    from ..core.stages import ParseStage
+    from ..rfc.corpus import Corpus
     from .session import DisambiguationSession
 
 
@@ -105,6 +110,67 @@ class ServiceConfig:
         return SageService(registry=registry, journal=journal)
 
 
+def parse_report(stage: ParseStage, corpus: Corpus) -> dict:
+    """Batch-parse ``corpus`` through ``stage`` and report per-sentence
+    diagnostics.
+
+    Returns a JSON-safe dict: the parser's name, wall-clock timing and
+    throughput, parse-cache hit counts, per-sentence LF counts / unknown
+    words / pruned flags, and — under ``"profile"`` — the
+    :mod:`repro.parsing.profile` counter delta for exactly this batch
+    (agenda pops, span/production/apply memo hit rates, deferred-item
+    counts, budget drops) plus :data:`repro.gcpolicy.GC_COUNTERS`
+    (objects frozen after the batch, collections per generation in it).
+    No winnowing or code generation runs — this is the parsing subsystem
+    in isolation.
+    """
+    import hashlib
+    import time
+
+    from ..ccg.semantics import signature
+    from ..gcpolicy import gc_counts, gc_delta
+    from ..parsing.profile import PROFILE
+
+    specs = corpus.sentences  # the RFC text parses here, outside the timers
+    counters_before = PROFILE.counts()
+    gc_before = gc_counts()
+    started = time.perf_counter()
+    parsed = stage.run_batch(specs)
+    elapsed = time.perf_counter() - started
+    profile = {**PROFILE.delta(counters_before), **gc_delta(gc_before)}
+    sentences = []
+    for index, item in enumerate(parsed):
+        sigs = sorted(signature(form) for form in item.result.logical_forms)
+        sentences.append({
+            "index": index,
+            "text": item.spec.text,
+            "lf_count": item.result.count,
+            # Content hash of the sorted LF signature set: two parsers
+            # parse identically iff these match sentence for sentence
+            # (what `parse --compare` checks).
+            "lf_set_sha1": hashlib.sha1(
+                "\n".join(sigs).encode("utf-8")
+            ).hexdigest(),
+            "unknown_words": list(item.result.unknown_words),
+            "subject_supplied": item.subject_supplied,
+            "pruned": item.pruned,
+            "dropped_items": item.result.dropped_items,
+            "from_cache": item.from_cache,
+        })
+    return {
+        "protocol": corpus.protocol,
+        "parser_backend": stage.parser.name,
+        "sentence_count": len(parsed),
+        "elapsed_s": elapsed,
+        "sentences_per_s": (len(parsed) / elapsed) if elapsed else 0.0,
+        "parsed_from_cache": sum(1 for item in parsed if item.from_cache),
+        "unparsed": sum(1 for item in parsed if item.result.count == 0),
+        "pruned_sentences": sum(1 for item in parsed if item.pruned),
+        "profile": profile,
+        "sentences": sentences,
+    }
+
+
 class SageService:
     """The versioned public pipeline service over one protocol registry."""
 
@@ -117,25 +183,20 @@ class SageService:
         self.registry = registry
         if journal is not None:
             registry.attach_journal(journal)
-        self._engines: dict[tuple[str, str], SageEngine] = {}
+        self._engines: dict[str, SageEngine] = {}
 
     # -- engines ----------------------------------------------------------------
-    def engine(self, mode: str = "revised",
-               parser_backend: str = "") -> SageEngine:
-        """The service's engine for ``mode`` and the parser backend
-        ``parser_backend`` names (empty: the default), built once per
-        resolved pair; decisions are refreshed on every request so journal
-        updates always apply."""
+    def engine(self, mode: str = "revised") -> SageEngine:
+        """The service's engine for ``mode``, built once per mode;
+        decisions are refreshed on every request so journal updates
+        always apply."""
         mode = _check_mode(mode)
-        backend = self._check_parser_backend(parser_backend)
-        key = (mode, backend)
-        engine = self._engines.get(key)
+        engine = self._engines.get(mode)
         if engine is None:
             from ..core.engine import SageEngine
 
-            engine = SageEngine(mode=mode, protocol_registry=self.registry,
-                                parser_backend=backend)
-            self._engines[key] = engine
+            engine = SageEngine(mode=mode, protocol_registry=self.registry)
+            self._engines[mode] = engine
         engine.refresh_decisions()
         return engine
 
@@ -146,8 +207,7 @@ class SageService:
             raise ProtocolNotFound(protocol, self.registry.protocols()) from None
 
     # -- endpoints --------------------------------------------------------------
-    def run(self, protocol: str, mode: str = "revised",
-            parser_backend: str = "") -> SageRun:
+    def run(self, protocol: str, mode: str = "revised") -> SageRun:
         """The raw pipeline run (power users; everything else wraps this).
 
         One counted run-memo lookup under :func:`~repro.core.results.
@@ -158,13 +218,12 @@ class SageService:
         memoizes the run under the same key."""
         corpus = self._load_corpus(protocol)
         mode = _check_mode(mode)
-        backend = self._check_parser_backend(parser_backend)
         registry = self.registry
-        key = run_key_for(registry, corpus, mode, backend,
+        key = run_key_for(registry, corpus, mode,
                           registry.rewrites(), registry.selections())
         run = registry.run_cache().get(key)
         if run is None:
-            run = self.engine(mode, backend).compute(corpus, key)
+            run = self.engine(mode).compute(corpus, key)
         return run
 
     def process(self, request: ProcessRequest | dict | str | None = None,
@@ -172,7 +231,7 @@ class SageService:
         """One protocol through the pipeline, as a wire response."""
         request = _coerce_request(request, ProcessRequest, **kwargs)
         self._check_artifacts(request.artifacts)
-        run = self.run(request.protocol, request.mode, request.parser_backend)
+        run = self.run(request.protocol, request.mode)
         return ProcessResponse.from_run(
             run, request.mode,
             include_sentences=request.include_sentences,
@@ -188,8 +247,7 @@ class SageService:
                  or self.registry.protocols())
         for name in names:
             self._load_corpus(name)  # fail structured before the sweep
-        runs = {name: self.run(name, request.mode, request.parser_backend)
-                for name in names}
+        runs = {name: self.run(name, request.mode) for name in names}
         responses = {
             name: ProcessResponse.from_run(
                 run, request.mode,
@@ -220,72 +278,14 @@ class SageService:
         return DisambiguationSession(protocol, mode=mode,
                                      registry=self.registry, **kwargs)
 
-    def parse_diagnostics(self, protocol: str, parser_backend: str = "",
-                          mode: str = "revised") -> dict:
-        """Batch-parse one corpus through one backend and report per-
-        sentence diagnostics (the ``python -m repro parse`` payload).
-
-        Returns a JSON-safe dict: backend identity, wall-clock timing and
-        throughput, parse-cache hit counts, per-sentence LF counts /
-        unknown words / pruned flags, and — under ``"profile"`` — the
-        :mod:`repro.parsing.profile` counter delta for exactly this batch
-        (agenda pops, span/production/apply memo hit rates, deferred-item
-        counts, budget drops) plus :data:`repro.gcpolicy.GC_COUNTERS`
-        (objects frozen after the batch, collections per generation in
-        it).  No winnowing or code generation runs —
-        this is the parsing subsystem in isolation.
-        """
-        import hashlib
-        import time
-
-        from ..ccg.semantics import signature
-        from ..gcpolicy import gc_counts, gc_delta
-        from ..parsing.profile import PROFILE
-
+    def parse_diagnostics(self, protocol: str) -> dict:
+        """Batch-parse one corpus through the pipeline's parser and report
+        per-sentence diagnostics (the ``python -m repro parse`` payload,
+        see :func:`parse_report`).  The parse cache serves repeats."""
         corpus = self._load_corpus(protocol)
-        _ = corpus.sentences  # the RFC text parses here, outside the timers
-        engine = self.engine(mode, parser_backend)
-        counters_before = PROFILE.counts()
-        gc_before = gc_counts()
-        started = time.perf_counter()
-        parsed = engine.parse_batch(corpus)
-        elapsed = time.perf_counter() - started
-        profile = {**PROFILE.delta(counters_before), **gc_delta(gc_before)}
-        sentences = []
-        for index, item in enumerate(parsed):
-            sigs = sorted(signature(form)
-                          for form in item.result.logical_forms)
-            sentences.append({
-                "index": index,
-                "text": item.spec.text,
-                "lf_count": item.result.count,
-                # Content hash of the sorted LF signature set: two
-                # backends parse identically iff these match sentence
-                # for sentence (what `parse --compare` checks).
-                "lf_set_sha1": hashlib.sha1(
-                    "\n".join(sigs).encode("utf-8")
-                ).hexdigest(),
-                "unknown_words": list(item.result.unknown_words),
-                "subject_supplied": item.subject_supplied,
-                "pruned": item.pruned,
-                "dropped_items": item.result.dropped_items,
-                "from_cache": item.from_cache,
-            })
-        return {
-            "protocol": corpus.protocol,
-            "parser_backend": engine.parser.name,
-            "sentence_count": len(parsed),
-            "elapsed_s": elapsed,
-            "sentences_per_s": (len(parsed) / elapsed) if elapsed else 0.0,
-            "parsed_from_cache": sum(1 for item in parsed if item.from_cache),
-            "unparsed": sum(1 for item in parsed if item.result.count == 0),
-            "pruned_sentences": sum(1 for item in parsed if item.pruned),
-            "profile": profile,
-            "sentences": sentences,
-        }
+        return parse_report(self.engine().current_parse_stage(), corpus)
 
-    def winnow_diagnostics(self, protocol: str, parser_backend: str = "",
-                           mode: str = "revised") -> dict:
+    def winnow_diagnostics(self, protocol: str) -> dict:
         """Parse + winnow one corpus and report per-sentence winnow
         diagnostics (the ``python -m repro winnow`` payload).
 
@@ -306,7 +306,7 @@ class SageService:
         from ..disambiguation.profile import PROFILE
 
         corpus = self._load_corpus(protocol)
-        engine = self.engine(mode, parser_backend)
+        engine = self.engine()
         parsed = engine.parse_batch(corpus)
         counters_before = PROFILE.counts()
         started = time.perf_counter()
@@ -324,7 +324,7 @@ class SageService:
                 "final_count": trace.final_count,
                 "ambiguous": trace.ambiguous_after_winnowing,
                 # Content hash of the ordered survivor signatures: two
-                # winnow paths (cold checks vs warm cache, any backend)
+                # winnow paths (cold checks vs warm cache, either parser)
                 # agree iff these match sentence for sentence.
                 "survivors_sha1": hashlib.sha1(
                     "\n".join(survivor_sigs).encode("utf-8")
@@ -388,17 +388,6 @@ class SageService:
 
     # -- validation -------------------------------------------------------------
     @staticmethod
-    def _check_parser_backend(name: str) -> str:
-        """The backend ``name`` resolves to (empty: the default)."""
-        if not name:
-            return DEFAULT_PARSER_BACKEND
-        if name not in PARSER_BACKENDS:
-            from .errors import ParserBackendNotFound
-
-            raise ParserBackendNotFound(name, list(PARSER_BACKENDS))
-        return name
-
-    @staticmethod
     def _check_artifacts(backends: tuple[str, ...]) -> None:
         for backend in backends:
             if backend not in BACKENDS:
@@ -407,4 +396,4 @@ class SageService:
                 raise BackendNotFound(backend, backend_names())
 
 
-__all__ = ["SageService", "ApiError"]
+__all__ = ["SageService", "ApiError", "parse_report"]

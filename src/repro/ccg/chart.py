@@ -1,12 +1,12 @@
 """CKY chart parsing over CCG categories with lambda semantics.
 
-This is the **reference parser backend**: the plain CKY recognizer the
-``indexed`` backend is measured against (see :mod:`repro.parsing.backend`
-for the two-entry backend table and :mod:`repro.parsing.indexed` for the
-optimized, category-indexed implementation).  It folds the pure combinator
-rules of :mod:`repro.ccg.combinators` over the full cell×cell cross product
-— simple, obviously correct, and deliberately left unoptimized so parity
-bugs in the faster backend have a fixed point to diff against.
+This is the **reference parser**: the plain CKY recognizer the pipeline's
+``indexed`` parser is measured against (see :mod:`repro.parsing.indexed`
+for the optimized, category-indexed implementation).  It folds the pure
+combinator rules of :mod:`repro.ccg.combinators` over the full cell×cell
+cross product — simple, obviously correct, and deliberately left
+unoptimized so parity bugs in the faster parser have a fixed point to diff
+against.
 
 A sentence's parse yields every grounded logical form derivable over the
 full span with root category S, or NP for the header-field fragments RFCs
@@ -192,7 +192,8 @@ def strip_terminal_punct(tokens: list[Token]) -> list[Token]:
 class CCGChartParser:
     """A CKY parser over a :class:`~repro.ccg.lexicon.Lexicon`.
 
-    This is the ``reference`` parser backend (:mod:`repro.parsing.backend`).
+    This is the ``reference`` parser, the parity oracle of
+    :class:`~repro.parsing.indexed.IndexedChartParser`.
     """
 
     #: Backend identity, part of every parse-cache key built over this

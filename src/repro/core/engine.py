@@ -65,17 +65,13 @@ class SageEngine:
     registry's substrate and caches."""
 
     def __init__(self, mode: str = "revised",
-                 protocol_registry: ProtocolRegistry | None = None,
-                 parser_backend: str | None = None) -> None:
+                 protocol_registry: ProtocolRegistry | None = None) -> None:
         from .stages import GenerateStage
 
         if mode not in ("strict", "revised"):
             raise ValueError(f"unknown mode {mode!r}")
         self.mode = mode
         self.protocol_registry = protocol_registry or default_registry()
-        #: The parser backend name; None means the default
-        #: (:data:`~repro.parsing.backend.DEFAULT_PARSER_BACKEND`).
-        self.parser_backend = parser_backend
         # Built eagerly from the registry's memoized substrate, so a second
         # engine re-pays none of the dictionary/lexicon/parser/suite cost.
         self._build_stages()
@@ -96,7 +92,7 @@ class SageEngine:
         registry = self.protocol_registry
         self._generation = registry.generation
         self.parse_stage = ParseStage(
-            registry.parser(self.parser_backend), registry.chunker(),
+            registry.parser(), registry.chunker(),
             cache=registry.parse_cache())
         self.winnow_stage = WinnowStage(
             registry.check_suite(), cache=registry.winnow_cache(),
@@ -132,7 +128,7 @@ class SageEngine:
         return self.winnow_stage.suite
 
     # -- per-sentence pipeline --------------------------------------------------
-    def _current_parse_stage(self) -> ParseStage:
+    def current_parse_stage(self) -> ParseStage:
         """The parse stage, after rebuilding both stages if a full
         invalidate moved the registry's substrate since they were built."""
         if self._generation != self.protocol_registry.generation:
@@ -141,7 +137,7 @@ class SageEngine:
 
     def parse_sentence(self, spec: SpecSentence) -> tuple[ParseResult, bool]:
         """Parse, retrying with the field subject supplied on zero LFs."""
-        parsed = self._current_parse_stage().run(spec)
+        parsed = self.current_parse_stage().run(spec)
         return parsed.result, parsed.subject_supplied
 
     def parse_batch(self, corpus: Corpus | str) -> list:
@@ -155,7 +151,7 @@ class SageEngine:
         """
         if isinstance(corpus, str):
             corpus = self.protocol_registry.load_corpus(corpus)
-        return self._current_parse_stage().run_batch(corpus.sentences)
+        return self.current_parse_stage().run_batch(corpus.sentences)
 
     @staticmethod
     def _decision_for(table: dict, spec: SpecSentence):
@@ -187,7 +183,7 @@ class SageEngine:
                 codes=[SentenceCode(sentence=spec.text, status="non-actionable")],
             )
 
-        parsed = self._current_parse_stage().run(spec)
+        parsed = self.current_parse_stage().run(spec)
         trace = self.winnow_stage.run(parsed)
         result = SentenceResult(
             spec=spec, status=SentenceStatus.OK, trace=trace,
@@ -290,13 +286,12 @@ class SageEngine:
     # -- corpus pipeline --------------------------------------------------------
     def run_key(self, corpus: Corpus) -> tuple | None:
         """The content address of ``process_corpus(corpus)``:
-        :func:`run_key_for` over this engine's registry, mode, parser
-        backend and decision tables (None for a corpus built by hand).
+        :func:`run_key_for` over this engine's registry, mode and decision
+        tables (None for a corpus built by hand).
         :meth:`~repro.api.service.SageService.run` computes the same key
         without building an engine."""
         return run_key_for(self.protocol_registry, corpus, self.mode,
-                           self.parser_backend, self.rewrites,
-                           self.selections)
+                           self.rewrites, self.selections)
 
     def process_corpus(self, corpus: Corpus | str) -> SageRun:
         """Run the pipeline over ``corpus`` — a :class:`Corpus` object or a

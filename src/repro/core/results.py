@@ -22,7 +22,6 @@ from functools import cache
 from typing import TYPE_CHECKING, Callable
 
 from ..ccg.semantics import Sem, iter_calls
-from ..parsing.backend import DEFAULT_PARSER_BACKEND
 from ..rfc.corpus import Corpus, Rewrite, SpecSentence
 
 if TYPE_CHECKING:
@@ -213,14 +212,12 @@ def _sorted_items(table: dict) -> tuple:
 
 
 def run_key_for(registry: ProtocolRegistry, corpus: Corpus, mode: str,
-                parser_backend: str | None, rewrites: dict,
-                selections: dict) -> tuple | None:
+                rewrites: dict, selections: dict) -> tuple | None:
     """The content address of a run of ``corpus`` in ``mode`` over
     ``registry`` — the one key function of the run memo — or None for a
     corpus without a content fingerprint (one built by hand).
 
-    The parser backend part is the name (``parser_backend``, else the
-    default) and the substrate part comes from
+    The substrate part comes from
     :meth:`~repro.rfc.registry.ProtocolRegistry.substrate_key`, which is
     empty while the substrate is pristine: :func:`source_digest` pins it
     then, so the key is computable without building a lexicon, parser,
@@ -233,7 +230,6 @@ def run_key_for(registry: ProtocolRegistry, corpus: Corpus, mode: str,
         sender_built = tuple(sorted(registry.sender_built(corpus.protocol)))
     except KeyError:
         sender_built = None
-    return (mode, source_digest(), corpus.fingerprint,
-            (parser_backend or DEFAULT_PARSER_BACKEND,), sender_built,
+    return (mode, source_digest(), corpus.fingerprint, sender_built,
             _sorted_items(rewrites), _sorted_items(selections),
             registry.substrate_key())

@@ -94,12 +94,13 @@ class ParsedSentence:
 class ParseStage:
     """NP-chunk + CCG-parse, with subject-supply retry and caching.
 
-    The stage runs one parser of either backend (:mod:`repro.parsing.
-    backend`) over one chunker; ``registry.parser(backend)`` and
-    ``registry.chunker()`` supply the shared instances.
+    The stage runs one parser over one chunker: the pipeline's
+    (``registry.parser()``, the indexed parser) or its parity oracle, the
+    plain CKY chart (:class:`~repro.ccg.chart.CCGChartParser`);
+    ``registry.chunker()`` supplies the shared chunker.
 
     The cache key is ``(parser.name:fingerprint, sentence_text, field)``:
-    the backend name keeps different parser implementations' entries apart
+    the parser name keeps different parser implementations' entries apart
     (never cross-served), the fingerprint hashes the lexicon entries and
     the chunker's dictionary and configuration, and ``field`` participates
     because the §4.1 retry splices the header-field name into the token
@@ -268,7 +269,7 @@ class WinnowStage:
     self-invalidates when any check's rules change (see
     :meth:`~repro.disambiguation.checks.CheckSuite.fingerprint`); the
     substrate part is the *backend-free* grammar identity from
-    :meth:`ParseStage.substrate_fingerprint`, so both parser backends hit
+    :meth:`ParseStage.substrate_fingerprint`, so both parsers hit
     the same winnow entries; the LF digest hashes the provenance-free
     structural signatures of the parsed forms, guarding against any route
     (resolution rewrites, hand-built forms) that changes the LF set under

@@ -48,15 +48,14 @@ from ..cache.persistent import (
     PersistentWinnowCache,
 )
 from ..cache.store import CacheStore
-from ..parsing.backend import DEFAULT_PARSER_BACKEND, create_parser
 from .corpus import Corpus, Rewrite, corpus_from_text, sentence_key
 
 if TYPE_CHECKING:  # the substrate loads on first use (see lexicon()/chunker())
-    from ..ccg.chart import CCGChartParser
     from ..ccg.lexicon import Lexicon
     from ..disambiguation.checks import CheckSuite
     from ..nlp.chunker import NounPhraseChunker
     from ..nlp.terms import TermDictionary
+    from ..parsing.indexed import IndexedChartParser
 
 DEFAULT_PACKAGE = "repro.data"
 
@@ -143,7 +142,7 @@ class ProtocolRegistry:
         self._specs: dict[str, ProtocolSpec] = {}
         self._corpora: dict[str, Corpus] = {}
         self._lexicon: Lexicon | None = None
-        self._parsers: dict[str, CCGChartParser] = {}
+        self._parser: IndexedChartParser | None = None
         self._dictionary: TermDictionary | None = None
         self._chunker: NounPhraseChunker | None = None
         self._suite: CheckSuite | None = None
@@ -271,16 +270,14 @@ class ProtocolRegistry:
                 self._pristine["lexicon"] = self._lexicon.fingerprint()
             return self._lexicon
 
-    def parser(self, backend: str | None = None) -> CCGChartParser:
-        """The parser of backend ``backend`` (None → the default) over
-        the memoized lexicon, built once per backend name."""
-        backend = backend or DEFAULT_PARSER_BACKEND
+    def parser(self) -> IndexedChartParser:
+        """The pipeline's parser over the memoized lexicon, memoized."""
+        from ..parsing.indexed import IndexedChartParser
+
         with self._lock:
-            parser = self._parsers.get(backend)
-            if parser is None:
-                parser = self._parsers[backend] = create_parser(
-                    backend, self.lexicon())
-            return parser
+            if self._parser is None:
+                self._parser = IndexedChartParser(self.lexicon())
+            return self._parser
 
     def check_suite(self) -> CheckSuite:
         """The §4.2 check suite every engine over this registry winnows
@@ -379,9 +376,9 @@ class ProtocolRegistry:
 
         Keys are built by :meth:`~repro.core.stages.WinnowStage.cache_key`
         as ``(suite fingerprint, grammar substrate fingerprint, field,
-        sentence, LF-set digest)`` — deliberately backend-free, so engines
-        on different parser backends over the same grammar serve each
-        other's winnow results.  With a cache directory configured the
+        sentence, LF-set digest)`` — deliberately parser-free, so the
+        pipeline's parser and its chart oracle over the same grammar serve
+        each other's winnow results.  With a cache directory configured the
         cache is disk-backed (:class:`~repro.cache.persistent.
         PersistentWinnowCache`): a warm-booting process replays every
         previously winnowed sentence without running a single check."""
@@ -392,7 +389,7 @@ class ProtocolRegistry:
         SageRun`, keyed by :func:`~repro.core.results.run_key_for`.
 
         The key covers every input a run depends on (the package's code
-        and data, mode, corpus content, parser backend, decision tables,
+        and data, mode, corpus content, decision tables,
         role metadata, and — once the substrate is mutated — the
         :meth:`substrate_key`), so engines built over this registry serve
         each other's runs: a warm server worker answers a repeated request
@@ -519,7 +516,7 @@ class ProtocolRegistry:
                 return
             self._corpora.clear()
             self._lexicon = None
-            self._parsers.clear()
+            self._parser = None
             self._dictionary = None
             self._chunker = None
             self._suite = None

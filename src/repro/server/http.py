@@ -126,6 +126,7 @@ class ReproServer:
         )
         self.port = self._server.sockets[0].getsockname()[1]
         self.started_at = time.monotonic()
+        self.pool.bind(asyncio.get_running_loop())
 
     async def stop(self) -> None:
         if self._server is not None:
@@ -299,12 +300,7 @@ class ReproServer:
             if not protocol or "/" in protocol:
                 return ("error", 404, "not-found",
                         "expected /v1/parse/{protocol}")
-            return "parse", {
-                "protocol": protocol,
-                "parser_backend": query.get("parser_backend",
-                                            query.get("backend", "")),
-                "mode": query.get("mode", "revised"),
-            }
+            return "parse", {"protocol": protocol}
         if path.startswith("/v1/session/"):
             if method != "GET":
                 return ("error", 405, "bad-request", f"{path} only answers GET")

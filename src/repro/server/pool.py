@@ -147,10 +147,7 @@ def run_endpoint(service: SageService, endpoint: str, body: bytes = b"", *,
             return _encode_response(service.sweep(request), binary_out)
         if endpoint == "parse":
             report = service.parse_diagnostics(
-                _protocol_param(endpoint, params),
-                parser_backend=params.get("parser_backend", ""),
-                mode=params.get("mode", "revised"),
-            )
+                _protocol_param(endpoint, params))
             return _json_body({"schema": 1, "kind": "parse_diagnostics",
                                "data": report})
         if endpoint == "session":
@@ -449,8 +446,7 @@ class WorkerPool:
             return loop.run_in_executor(
                 self._executor, self._run_inline, endpoint, bytes(body),
                 binary_in, binary_out, dict(params or {}))
-        if self._loop is not loop:
-            self._bind(loop)
+        self.bind(loop)
         answer = loop.create_future()
         self._waiting.append((pickle.dumps(
             (endpoint, bytes(body), binary_in, binary_out, params or {}),
@@ -458,8 +454,14 @@ class WorkerPool:
         self._drain()
         return answer
 
-    def _bind(self, loop: asyncio.AbstractEventLoop) -> None:
-        """Read every worker's replies on ``loop`` from now on."""
+    def bind(self, loop: asyncio.AbstractEventLoop) -> None:
+        """Read every worker's replies, and the EOF of a worker that
+        exits, on ``loop`` from now on.  A server binds its loop when it
+        starts, so a worker that dies before the first request leaves
+        ``/healthz`` at once; :meth:`dispatch` binds a pool used without
+        a server on its first call."""
+        if self._loop is loop:
+            return
         if self._loop is not None and not self._loop.is_closed():
             raise RuntimeError("this pool already answers on another "
                                "event loop")

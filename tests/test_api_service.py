@@ -71,12 +71,12 @@ class TestProcess:
         assert response.artifacts[0].source == run.code_unit.render_c()
         assert response.artifacts[0].fingerprint == run.code_unit.fingerprint()
 
-    def test_one_engine_per_mode_and_backend(self):
+    def test_one_engine_per_mode(self):
         service = SageService(ProtocolRegistry())
         engine = service.engine("revised")
-        assert service.engine("revised", "indexed") is engine
-        assert service.engine("revised", "reference") is not engine
+        assert service.engine() is engine
         assert service.engine("strict") is not engine
+        assert service.engine("strict") is service.engine("strict")
 
     def test_strict_mode_flags_sentences(self, service):
         response = service.process(ProcessRequest(protocol="ICMP",
@@ -215,7 +215,8 @@ class TestCli:
         data = json.loads(output)["data"]
         assert data["parity"] is True
         assert set(data["backends"]) == {"reference", "indexed"}
-        for report in data["backends"].values():
+        for name, report in data["backends"].items():
+            assert report["parser_backend"] == name
             assert report["parsed_from_cache"] == 0
             assert report["sentence_count"] > 0
 

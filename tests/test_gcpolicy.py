@@ -8,7 +8,9 @@ import pytest
 
 from repro.api.contracts import ProcessRequest, SweepRequest, to_json
 from repro.api.service import SageService
+from repro.ccg.chart import CCGChartParser
 from repro.core import SageEngine
+from repro.core.stages import ParseStage
 from repro.disambiguation.checks import reset_winnow_state
 from repro.gcpolicy import cold_batch_gc, release
 from repro.parsing.indexed import reset_parser_state
@@ -32,12 +34,14 @@ def cold_sweep(mode="revised"):
 
 
 def reference_parse():
-    """Cold ``parse_batch`` of every protocol through the reference
-    backend (the ``parse --compare`` baseline side)."""
+    """Cold ``parse_batch`` of every protocol through the reference chart
+    parser (the ``parse --compare`` baseline side)."""
     process_cold()
-    engine = SageEngine(protocol_registry=ProtocolRegistry(),
-                        parser_backend="reference")
-    return {name: engine.parse_batch(name) for name in ALL_PROTOCOLS}
+    registry = ProtocolRegistry()
+    stage = ParseStage(CCGChartParser(registry.lexicon()), registry.chunker(),
+                       cache=registry.parse_cache())
+    return {name: stage.run_batch(registry.load_corpus(name).sentences)
+            for name in ALL_PROTOCOLS}
 
 
 def fuzz_campaign():
@@ -167,15 +171,13 @@ class TestNoLeak:
                     ("session", {"protocol": "ICMP"}),
                     ("session", {"protocol": "IGMP", "pending": True}),
                     ("parse", {"protocol": "BFD"}),
-                    ("parse", {"protocol": "IGMP",
-                               "parser_backend": "reference"})):
+                    ("parse", {"protocol": "IGMP"})):
                 status, _, body = run_endpoint(service, endpoint,
                                                params=params)
                 assert status == 200, json.loads(body)
             for body in (ProcessRequest(protocol="ICMP"),
                          ProcessRequest(protocol="BFD", mode="strict"),
-                         ProcessRequest(protocol="NTP",
-                                        parser_backend="reference")):
+                         ProcessRequest(protocol="NTP")):
                 status, _, _ = run_endpoint(service, "process",
                                             to_json(body).encode())
                 assert status == 200

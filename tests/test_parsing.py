@@ -5,16 +5,21 @@ Three layers of coverage:
 * unit tests for the new lexicon indexes (first-word/phrase-length index,
   trie walk, entry dedup with a stable fingerprint) and the packed forest
   (enumeration order, derivation packing, the explicit pruning budget);
-* the backend-parity contract: the ``indexed`` backend must produce the
+* the parity contract: the pipeline's ``indexed`` parser must produce the
   same logical forms — signature sets, statuses, golden generated C —
-  as the ``reference`` CKY chart on every bundled corpus in both pipeline
-  modes, plus hypothesis-driven random token streams;
-* the cache-key contract: the backend name participates in every parse-cache
-  key (no cross-backend contamination), and a lexicon edit invalidates
-  both backends' entries.
+  as its oracle, the ``reference`` CKY chart, on every bundled corpus in
+  both pipeline modes, plus hypothesis-driven random token streams;
+* the cache-key contract: the parser name participates in every parse-cache
+  key (no cross-parser contamination), and a lexicon edit invalidates
+  both parsers' entries.
+
+The chart parser is built here, ``CCGChartParser(registry.lexicon())``: no
+option in the pipeline selects it.  A full-pipeline run over it swaps it
+in on a fresh registry (``registry.parser = lambda: chart``).
 """
 
 import gc
+import json
 import pathlib
 import random
 from collections import Counter
@@ -29,7 +34,6 @@ from repro.api import (
     from_json,
     to_json,
 )
-from repro.api.errors import ParserBackendNotFound
 from repro.cache import ContentCache
 from repro.ccg.chart import CCGChartParser, ParseResult
 from repro.ccg.lexicon import LexEntry, Lexicon, build_lexicon, core_entries
@@ -41,12 +45,9 @@ from repro.nlp import NounPhraseChunker
 from repro.parsing import indexed as indexed_module
 from repro.parsing import values as values_module
 from repro.parsing import (
-    DEFAULT_PARSER_BACKEND,
-    PARSER_BACKENDS,
     PROFILE,
     IndexedChartParser,
     PruneBudget,
-    create_parser,
     reset_parser_state,
 )
 from repro.rfc.corpus import SpecSentence
@@ -69,13 +70,22 @@ def chunker(registry):
 
 
 @pytest.fixture(scope="module")
+def chart_registry():
+    """A fresh registry whose pipeline parses with the reference chart."""
+    registry = ProtocolRegistry()
+    chart = CCGChartParser(registry.lexicon())
+    registry.parser = lambda: chart
+    return registry
+
+
+@pytest.fixture(scope="module")
 def reference(registry):
-    return registry.parser(backend="reference")
+    return CCGChartParser(registry.lexicon())
 
 
 @pytest.fixture(scope="module")
 def indexed(registry):
-    return registry.parser(backend="indexed")
+    return registry.parser()
 
 
 # -- lexicon indexes -----------------------------------------------------------
@@ -132,38 +142,6 @@ class TestLexiconIndexes:
         lexicon.add(extra)
         assert lexicon.fingerprint() != fingerprint
         assert lexicon.lookup(["frobnicates"]) == [extra]
-
-
-# -- the backend table ---------------------------------------------------------
-
-class TestBackendRegistry:
-    def test_bundled_backends(self):
-        assert PARSER_BACKENDS == ("reference", "indexed")
-        assert DEFAULT_PARSER_BACKEND == "indexed"
-
-    def test_create_parser(self):
-        lexicon = build_lexicon()
-        assert isinstance(create_parser("reference", lexicon), CCGChartParser)
-        assert isinstance(create_parser("indexed", lexicon),
-                          IndexedChartParser)
-        for name in PARSER_BACKENDS:
-            assert create_parser(name, lexicon).name == name
-
-    def test_unknown_backend(self):
-        with pytest.raises(KeyError, match="unknown parser backend 'nope': "
-                                           "backends are reference, indexed"):
-            create_parser("nope", build_lexicon())
-
-    def test_registry_memoizes_per_backend(self, registry):
-        assert registry.parser(backend="indexed") is registry.parser(
-            backend="indexed")
-        assert registry.parser(backend="indexed") is not registry.parser(
-            backend="reference")
-        # Both backends share the memoized lexicon.
-        assert (registry.parser(backend="indexed").lexicon
-                is registry.parser(backend="reference").lexicon)
-        # None names the default backend.
-        assert registry.parser() is registry.parser(DEFAULT_PARSER_BACKEND)
 
 
 # -- the packed forest ---------------------------------------------------------
@@ -269,15 +247,18 @@ def test_backend_parse_parity_per_corpus(registry, chunker, reference,
 
 
 @pytest.fixture(scope="module")
-def runs_by_backend(registry):
-    """mode → backend → {protocol: SageRun}, all four corpora."""
+def runs_by_backend(chart_registry):
+    """mode → parser name → {protocol: SageRun}, all four corpora.  Each
+    parser runs over its own fresh registry, so the run memo can never
+    hand one side the other's run."""
+    registries = {"reference": chart_registry, "indexed": ProtocolRegistry()}
     runs = {}
     for mode in MODES:
         runs[mode] = {}
-        for backend in ("reference", "indexed"):
-            engine = SageEngine(mode=mode, protocol_registry=registry,
-                                parser_backend=backend)
-            runs[mode][backend] = engine.process_corpora()
+        for name, registry in registries.items():
+            engine = SageEngine(mode=mode, protocol_registry=registry)
+            assert engine.parser.name == name
+            runs[mode][name] = engine.process_corpora()
     return runs
 
 
@@ -321,23 +302,21 @@ WORD_POOL = [
 class TestBackendPropertyParity:
     @given(st.lists(st.sampled_from(WORD_POOL), min_size=1, max_size=9))
     @settings(max_examples=60, deadline=None)
-    def test_random_token_streams(self, words):
-        registry = default_registry()
-        chunker = registry.chunker()
+    def test_random_token_streams(self, chunker, reference, indexed, words):
         tokens = chunker.chunk_text(" ".join(words) + ".")
-        ref_result = registry.parser(backend="reference").parse(tokens)
-        idx_result = registry.parser(backend="indexed").parse(tokens)
+        ref_result = reference.parse(tokens)
+        idx_result = indexed.parse(tokens)
         assert _result_fingerprint(ref_result) == _result_fingerprint(idx_result)
 
     @given(st.sampled_from(PROTOCOLS), st.integers(0, 10 ** 6))
     @settings(max_examples=30, deadline=None)
-    def test_sampled_corpus_sentences(self, protocol, seed):
-        registry = default_registry()
+    def test_sampled_corpus_sentences(self, registry, reference, indexed,
+                                      protocol, seed):
         sentences = registry.load_corpus(protocol).sentences
         spec = sentences[seed % len(sentences)]
         tokens = registry.chunker().chunk_text(spec.text)
-        ref_result = registry.parser(backend="reference").parse(tokens)
-        idx_result = registry.parser(backend="indexed").parse(tokens)
+        ref_result = reference.parse(tokens)
+        idx_result = indexed.parse(tokens)
         assert _result_fingerprint(ref_result) == _result_fingerprint(idx_result)
 
 
@@ -347,24 +326,22 @@ class TestBackendCacheKeys:
     SPEC = SpecSentence(text="The checksum is zero.", protocol="ICMP",
                         message="echo", field="checksum", kind="field")
 
-    def _stage(self, backend: str, cache: ContentCache):
-        registry = default_registry()
-        return ParseStage(registry.parser(backend),
-                          registry.chunker(), cache=cache)
+    def _stage(self, parser, cache: ContentCache):
+        return ParseStage(parser, default_registry().chunker(), cache=cache)
 
-    def test_fingerprint_carries_backend_name(self):
+    def test_fingerprint_carries_backend_name(self, reference, indexed):
         cache = ContentCache()
-        reference_stage = self._stage("reference", cache)
-        indexed_stage = self._stage("indexed", cache)
+        reference_stage = self._stage(reference, cache)
+        indexed_stage = self._stage(indexed, cache)
         assert reference_stage.fingerprint().startswith("reference:")
         assert indexed_stage.fingerprint().startswith("indexed:")
         assert (reference_stage.fingerprint().split(":", 1)[1]
                 == indexed_stage.fingerprint().split(":", 1)[1])
 
-    def test_no_cross_backend_contamination(self):
+    def test_no_cross_backend_contamination(self, reference, indexed):
         cache = ContentCache()
-        reference_stage = self._stage("reference", cache)
-        indexed_stage = self._stage("indexed", cache)
+        reference_stage = self._stage(reference, cache)
+        indexed_stage = self._stage(indexed, cache)
         first = reference_stage.run(self.SPEC)
         assert not first.from_cache
         # The other backend must NOT be served the reference's entry.
@@ -418,26 +395,20 @@ class TestBackendCacheKeys:
 # -- engine / registry threading ----------------------------------------------
 
 class TestEngineBackendThreading:
-    def test_engine_parser_backend_override(self):
-        engine = SageEngine(parser_backend="reference")
-        assert engine.parser.name == "reference"
-        default_engine = SageEngine()
-        assert default_engine.parser.name == DEFAULT_PARSER_BACKEND
-
-    def test_parse_batch_backend_override(self):
-        engine = SageEngine(parser_backend="reference")
+    def test_parse_batch_backend_override(self, chart_registry):
+        engine = SageEngine(protocol_registry=chart_registry)
         parsed = engine.parse_batch("IGMP")
         assert parsed
         assert all(item.result.backend == "reference" for item in parsed)
         again = engine.parse_batch("IGMP")
         assert all(item.from_cache for item in again)
 
-    def test_pruned_surfaces_on_sentence_results(self):
+    def test_pruned_surfaces_on_sentence_results(self, chart_registry):
         # RFC 5880's densest sentence genuinely overflows the default
         # 2000-item cell budget — the historical silent truncation, now an
-        # honest flag, identical under both backends.
-        for backend in ("reference", "indexed"):
-            engine = SageEngine(parser_backend=backend)
+        # honest flag, identical under both parsers.
+        for registry in (chart_registry, default_registry()):
+            engine = SageEngine(protocol_registry=registry)
             run = engine.process_corpus("BFD")
             assert any(result.pruned for result in run.results)
 
@@ -446,46 +417,42 @@ class TestEngineBackendThreading:
 
 class TestApiBackendSelection:
     def test_process_request_round_trip(self):
-        request = ProcessRequest(protocol="ICMP", parser_backend="reference")
+        request = ProcessRequest(protocol="ICMP", mode="strict")
         assert from_json(to_json(request)) == request
-        # Default stays off the wire.
-        assert "parser_backend" not in ProcessRequest("ICMP").to_dict()
+        # A stale client's parser_backend key decodes to the same request.
+        stale = json.loads(to_json(request))
+        stale["data"]["parser_backend"] = "reference"
+        assert from_json(json.dumps(stale)) == request
 
-    def test_service_backend_parity(self):
-        service = SageService()
+    def test_service_backend_parity(self, chart_registry):
         by_backend = {
-            backend: service.process(ProcessRequest(
-                protocol="IGMP", parser_backend=backend))
-            for backend in ("reference", "indexed")
+            name: SageService(registry).process(ProcessRequest(
+                protocol="IGMP"))
+            for name, registry in (("reference", chart_registry),
+                                   ("indexed", default_registry()))
         }
         assert (by_backend["reference"].status_counts
                 == by_backend["indexed"].status_counts)
         assert ([r.status for r in by_backend["reference"].sentences]
                 == [r.status for r in by_backend["indexed"].sentences])
 
-    def test_unknown_parser_backend_is_structured(self):
-        service = SageService()
-        with pytest.raises(ParserBackendNotFound):
-            service.process(ProcessRequest(protocol="ICMP",
-                                           parser_backend="nope"))
-
     def test_parse_diagnostics(self):
         service = SageService()
         report = service.parse_diagnostics("NTP")
         assert report["protocol"] == "NTP"
-        assert report["parser_backend"] == DEFAULT_PARSER_BACKEND
+        assert report["parser_backend"] == "indexed"
         assert report["sentence_count"] == len(report["sentences"])
         assert report["sentences_per_s"] > 0
         for sentence in report["sentences"]:
             assert set(sentence) >= {"index", "text", "lf_count",
                                      "lf_set_sha1", "pruned"}
 
-    def test_diagnostics_parity_across_backends(self):
-        service = SageService()
+    def test_diagnostics_parity_across_backends(self, chart_registry):
         sha_sets = {
-            backend: [s["lf_set_sha1"] for s in service.parse_diagnostics(
-                "IGMP", parser_backend=backend)["sentences"]]
-            for backend in ("reference", "indexed")
+            name: [s["lf_set_sha1"] for s in SageService(
+                registry).parse_diagnostics("IGMP")["sentences"]]
+            for name, registry in (("reference", chart_registry),
+                                   ("indexed", default_registry()))
         }
         assert sha_sets["reference"] == sha_sets["indexed"]
 

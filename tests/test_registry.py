@@ -106,6 +106,7 @@ class TestMemoization:
         assert registry.rewrites() is registry.rewrites()
         # The parser really wraps the memoized lexicon.
         assert registry.parser().lexicon is registry.lexicon()
+        assert registry.parser().name == "indexed"
 
     def test_invalidate_one_protocol(self, registry):
         first = registry.load_corpus("ICMP")

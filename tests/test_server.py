@@ -231,6 +231,36 @@ class TestDiagnosticsAndSession:
         assert json.loads(body)["data"]["pending_only"] is True
 
 
+class TestStaleClients:
+    """Request tables stay open: a client that still names a parser gets
+    the answer of the same request without that name."""
+
+    def test_a_stale_parser_backend_key_is_ignored(self):
+        from repro.api import SageService
+        from repro.api.contracts import to_json
+
+        service = SageService()
+        bare = {"protocol": "IGMP", "include_sentences": False}
+        envelope = json.loads(to_json(ProcessRequest(**bare)))
+        for body, stale in (
+                (bare, {**bare, "parser_backend": "reference"}),
+                (envelope, {**envelope, "data": {
+                    **envelope["data"], "parser_backend": "reference"}})):
+            expected = run_endpoint(service, "process",
+                                    json.dumps(body).encode())
+            assert expected[0] == 200
+            assert run_endpoint(service, "process",
+                                json.dumps(stale).encode()) == expected
+
+    def test_a_stale_parser_backend_query_parses_with_the_pipeline_parser(
+            self, server):
+        status, _ct, body = server.request(
+            "GET", "/v1/parse/ICMP?parser_backend=reference"
+        )
+        assert status == 200
+        assert json.loads(body)["data"]["parser_backend"] == "indexed"
+
+
 class TestErrorMapping:
     def test_unknown_protocol_is_404(self, server):
         status, _ct, body = server.request(
@@ -240,13 +270,6 @@ class TestErrorMapping:
         payload = json.loads(body)
         assert payload["error"] == "protocol-not-found"
         assert "known" in payload
-
-    def test_unknown_parser_backend_is_404(self, server):
-        status, _ct, body = server.request(
-            "GET", "/v1/parse/ICMP?parser_backend=quantum"
-        )
-        assert status == 404
-        assert json.loads(body)["error"] == "parser-backend-not-found"
 
     def test_garbage_binary_body_is_400(self, server):
         status, _ct, body = server.request(
@@ -520,6 +543,42 @@ class TestWorkerFailures:
                 await server.stop()
 
         asyncio.run(kill_both_workers())
+
+    def test_workers_killed_before_any_request_leave_healthz(self):
+        server = ReproServer(port=0, workers=2, deadline_s=120.0)
+        pool = server.pool
+        if pool.mode != "process":
+            pool.close()
+            pytest.skip("fork process pool unavailable on this platform")
+
+        async def get(path):
+            status, _ct, body = await asyncio.to_thread(
+                _request, server.port, "GET", path)
+            return status, json.loads(body)
+
+        async def kill_both_workers_first():
+            await server.start()
+            try:
+                status, health = await get("/healthz")
+                assert (status, health["live_workers"]) == (200, 2)
+                for worker in list(pool._workers):
+                    os.kill(worker.process.pid, signal.SIGKILL)
+                give_up = time.monotonic() + 30
+                while True:
+                    status, health = await get("/healthz")
+                    if status == 503:
+                        break
+                    assert time.monotonic() < give_up, health
+                    await asyncio.sleep(0.05)
+                assert (health["ok"], health["live_workers"]) == (False, 0)
+                status, stats = await get("/stats")
+                assert status == 200
+                assert stats["data"]["workers"] == []
+                assert stats["data"]["service"]["worker_count"] == 0
+            finally:
+                await server.stop()
+
+        asyncio.run(kill_both_workers_first())
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_a_late_reply_never_answers_the_next_request(self, workers,

@@ -75,13 +75,12 @@ def _fixed_objects() -> dict:
         "process_request/default": ProcessRequest("ICMP"),
         "process_request/full": ProcessRequest(
             protocol="ICMP", mode="strict", include_sentences=False,
-            artifacts=("c",), parser_backend="reference",
+            artifacts=("c",),
         ),
         "sweep_request/default": SweepRequest(),
         "sweep_request/full": SweepRequest(
             protocols=("ICMP", "BFD"), mode="strict", parallel=False,
             include_sentences=True, artifacts=("python",),
-            parser_backend="indexed",
         ),
         "sentence_report": SentenceReport.from_result(rewritten, index),
         "generated_artifact": GeneratedArtifact.from_program(
